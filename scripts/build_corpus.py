@@ -9,14 +9,13 @@ Writes one JSON file per family into src/twistknots/corpus/ and prints a
 summary line per family.
 """
 
-import json
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from twistknots.corpus import BUILDERS
-from twistknots.families import family_to_json_dict, winding_number
+from twistknots.families import save_family, winding_number
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "twistknots" / "corpus"
 
@@ -26,9 +25,7 @@ def main():
     for name, build in sorted(BUILDERS.items()):
         fam = build()
         path = OUT / f"{name}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(family_to_json_dict(fam), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        save_family(fam, path)
         print(
             f"{name:18s} crossings={fam.base.n_crossings:3d} "
             f"components={fam.base.n_components} eta={fam.eta_hat} "

@@ -9,7 +9,7 @@ so positive letters close to positive crossings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Iterable
 
@@ -183,10 +183,7 @@ def braid_closure_with_arcs(
     touched = [False] * n
     for i, _ in word.letters:
         touched[i - 1] = touched[i] = True
-    top = [bottom[j] if touched[j] else bottom[j] for j in range(n)]
-    crossings = braid_strand_crossings(
-        word, bottom, top, [True] * n, fresh
-    )
+    crossings = braid_strand_crossings(word, bottom, bottom, [True] * n, fresh)
     free = sum(1 for j in range(n) if not touched[j])
     raw = [(c.edges, c.sign) for c in crossings]
     diagram, _ = OrientedLinkDiagram.from_raw(raw, free_loops=free)

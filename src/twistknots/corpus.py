@@ -24,8 +24,8 @@ from __future__ import annotations
 from importlib import resources
 
 from .braids import BraidWord, braid_closure_with_arcs, torus_braid
-from .diagram import OrientedLinkDiagram, parse_pd
-from .families import TwistFamily, family_from_json_dict, family_to_json_dict
+from .diagram import parse_pd
+from .families import TwistFamily, family_from_json_dict
 
 # two positive curls on a circle; loop edges 1 and 2, connectors 0 and 3
 _DOUBLE_CURL = "X+[0,3,2,2] X+[3,0,1,1]\nO[0,2,3,1]"
@@ -94,12 +94,6 @@ BUILDERS = {
     "largewrap_w0_p4": largewrap_w0_p4_family,
 }
 
-# families whose members are knots with small enough diagrams for the
-# homological machinery; the 9-strand and large-wrap presentations are
-# excluded (links, or twisted diagrams beyond computation limits)
-KNOT_FAMILY_NAMES = ("torus_q2", "torus_q3", "whitehead", "mazur")
-
-
 def built_families() -> dict[str, TwistFamily]:
     return {name: build() for name, build in BUILDERS.items()}
 
@@ -120,7 +114,3 @@ def load_corpus() -> dict[str, TwistFamily]:
             out[fam.name] = fam
     return out
 
-
-def corpus_diagrams() -> dict[str, OrientedLinkDiagram]:
-    """Base diagrams of the corpus; the unit of many invariant sweeps."""
-    return {name: fam.base for name, fam in built_families().items()}

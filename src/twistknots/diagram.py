@@ -22,12 +22,19 @@ serialized diagram reproduces it identically.
 Split diagrams are first class.  Non-planar inputs (PD codes with no
 realization in the plane) are rejected at construction via an Euler
 characteristic check on the face structure of each connected piece.
+
+The validating pass also leaves an edge index on the diagram: each
+edge's tail dart, head dart and component, kept as flat tuples of small
+ints with dart ``(ci, slot)`` stored as ``4 * ci + slot``.  Edge ends,
+components, faces and everything built on them read it instead of
+scanning the crossings again.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -61,30 +68,35 @@ class Crossing:
         object.__setattr__(self, "edges", tuple(self.edges))
 
 
+# per sign, whether each slot's edge points into the crossing
+_INCOMING = {1: (True, False, False, True), -1: (True, True, False, False)}
+# slot where the strand entering at a slot leaves
+_EXIT_OF_ENTRY = {0: 2, 1: 3, 3: 1}
+
+
 def slot_is_incoming(sign: int, slot: int) -> bool:
     """Whether the edge at this slot points into the crossing."""
-    if slot == 0:
-        return True
-    if slot == 2:
-        return False
-    if slot == 1:
-        return sign < 0
-    if slot == 3:
-        return sign > 0
-    raise DiagramError(f"bad slot {slot}")
+    if slot not in (0, 1, 2, 3):
+        raise DiagramError(f"bad slot {slot}")
+    return _INCOMING[1 if sign > 0 else -1][slot]
 
 
 def strand_exit_slot(in_slot: int) -> int:
     """Slot where the strand entering at ``in_slot`` leaves the crossing."""
-    return {0: 2, 1: 3, 3: 1}[in_slot]
+    return _EXIT_OF_ENTRY[in_slot]
 
 
 @dataclass(frozen=True)
 class OrientedLinkDiagram:
     crossings: tuple[Crossing, ...]
     free_loops: int = 0
+    # edge index, filled by the validating pass: tail and head dart codes
+    # and component of each edge, and the oriented edge cycles
+    _tail: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _head: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _comp: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _components: tuple[tuple[int, ...], ...] = field(
-        default=None, compare=False, repr=False
+        init=False, compare=False, repr=False
     )
 
     def __post_init__(self):
@@ -97,8 +109,11 @@ class OrientedLinkDiagram:
         crossings = _normalize_labels(crossings)
         crossings = tuple(sorted(crossings, key=lambda c: (c.edges, c.sign)))
         object.__setattr__(self, "crossings", crossings)
-        comps = _validate(crossings)
-        object.__setattr__(self, "_components", comps)
+        tail, head, comp, cycles = _validate(crossings)
+        object.__setattr__(self, "_tail", tail)
+        object.__setattr__(self, "_head", head)
+        object.__setattr__(self, "_comp", comp)
+        object.__setattr__(self, "_components", cycles)
 
     # -- basic data ----------------------------------------------------
 
@@ -152,24 +167,17 @@ class OrientedLinkDiagram:
 
     def edge_ends(self, edge: int) -> tuple[Dart, Dart]:
         """(tail, head) darts of an edge: where it leaves and enters."""
-        tail = head = None
-        for ci, c in enumerate(self.crossings):
-            for slot, e in enumerate(c.edges):
-                if e != edge:
-                    continue
-                if slot_is_incoming(c.sign, slot):
-                    head = (ci, slot)
-                else:
-                    tail = (ci, slot)
-        if tail is None or head is None:
-            raise DiagramError(f"edge {edge} not found")
-        return tail, head
+        self._check_edge(edge)
+        t, h = self._tail[edge], self._head[edge]
+        return (t >> 2, t & 3), (h >> 2, h & 3)
 
     def component_of_edge(self, edge: int) -> int:
-        for i, cyc in enumerate(self._components):
-            if edge in cyc:
-                return i
-        raise DiagramError(f"edge {edge} not found")
+        self._check_edge(edge)
+        return self._comp[edge]
+
+    def _check_edge(self, edge) -> None:
+        if not (isinstance(edge, int) and 0 <= edge < len(self._comp)):
+            raise DiagramError(f"edge {edge} not found")
 
     # -- operations -----------------------------------------------------
 
@@ -206,10 +214,9 @@ class OrientedLinkDiagram:
         if i == j:
             raise DiagramError("linking number needs two distinct components")
         total = 0
+        comp = self._comp
         for c in self.crossings:
-            under = self.component_of_edge(c.edges[0])
-            over = self.component_of_edge(c.edges[1])
-            if {under, over} == {i, j}:
+            if {comp[c.edges[0]], comp[c.edges[1]]} == {i, j}:
                 total += c.sign
         if total % 2:
             raise DiagramError("odd signed count between components")
@@ -240,7 +247,7 @@ class OrientedLinkDiagram:
             return self.free_loops == 1 and not self.crossings
         if not self.crossings:
             return False
-        return len(_crossing_pieces(self.crossings)) == 1
+        return len(set(_piece_roots(self._tail, self._head))) == 1
 
     # -- faces ------------------------------------------------------------
 
@@ -251,7 +258,10 @@ class OrientedLinkDiagram:
         dart ``(ci, s)`` in a face means the face touches crossing ``ci``
         at the corner between slots ``s-1`` and ``s``.
         """
-        return _faces(self.crossings)
+        return [
+            [(x >> 2, x & 3) for x in face]
+            for face in _faces(self._tail, self._head)
+        ]
 
     # -- text form --------------------------------------------------------
 
@@ -307,83 +317,78 @@ def _normalize_labels(crossings: tuple[Crossing, ...]) -> tuple[Crossing, ...]:
     return tuple(Crossing(tuple(remap[e] for e in c.edges), c.sign) for c in crossings)
 
 
-def _validate(crossings: tuple[Crossing, ...]) -> tuple[tuple[int, ...], ...]:
-    occur: dict[int, list[Dart]] = {}
+def _validate(crossings: tuple[Crossing, ...]):
+    """Check a normalized crossing list and build its edge index.
+
+    Returns ``(tail, head, comp, cycles)``: per edge its tail and head
+    dart codes and its component, and the oriented edge cycles.
+    """
+    n_edges = 2 * len(crossings)
+    tail = [-1] * n_edges
+    head = [-1] * n_edges
     for ci, c in enumerate(crossings):
-        for slot, e in enumerate(c.edges):
-            occur.setdefault(e, []).append((ci, slot))
-    for e, occ in occur.items():
-        if len(occ) != 2:
-            raise DiagramError(f"edge multiplicity: edge {e} occurs {len(occ)} times")
-    heads: dict[int, Dart] = {}
-    tails: dict[int, Dart] = {}
-    for e, occ in occur.items():
-        for ci, slot in occ:
-            if slot_is_incoming(crossings[ci].sign, slot):
-                if e in heads:
-                    raise DiagramError(f"orientation inconsistency: edge {e} enters twice")
-                heads[e] = (ci, slot)
-            else:
-                if e in tails:
-                    raise DiagramError(f"orientation inconsistency: edge {e} leaves twice")
-                tails[e] = (ci, slot)
-    comps = _trace_components(crossings, heads)
-    _check_planarity(crossings)
-    return comps
-
-
-def _trace_components(
-    crossings: tuple[Crossing, ...], heads: dict[int, Dart]
-) -> tuple[tuple[int, ...], ...]:
-    seen: set[int] = set()
+        for slot, (e, incoming) in enumerate(zip(c.edges, _INCOMING[c.sign])):
+            ends = head if incoming else tail
+            if not 0 <= e < n_edges or ends[e] >= 0:
+                raise _invalid_edge(crossings, e, incoming)
+            ends[e] = 4 * ci + slot
+    # every edge now has one tail and one head, so following heads to the
+    # next edge is a permutation and each trace closes; the first cycle
+    # found from each smallest unseen edge starts at its minimum, so the
+    # cycles come out sorted
+    comp = [-1] * n_edges
     cycles = []
-    for start in sorted(heads):
-        if start in seen:
+    for start in range(n_edges):
+        if comp[start] >= 0:
             continue
         cycle = []
         e = start
-        while e not in seen:
-            seen.add(e)
+        while comp[e] < 0:
+            comp[e] = len(cycles)
             cycle.append(e)
-            ci, slot = heads[e]
-            out_slot = strand_exit_slot(slot)
-            e = crossings[ci].edges[out_slot]
-        if e != start:
-            raise DiagramError("component tracing failed to close a cycle")
-        k = cycle.index(min(cycle))
-        cycles.append(tuple(cycle[k:] + cycle[:k]))
-    return tuple(sorted(cycles))
+            h = head[e]
+            e = crossings[h >> 2].edges[_EXIT_OF_ENTRY[h & 3]]
+        cycles.append(tuple(cycle))
+    _check_planarity(tail, head)
+    return tuple(tail), tuple(head), tuple(comp), tuple(cycles)
 
 
-def _faces(crossings: Sequence[Crossing]) -> list[list[Dart]]:
-    other: dict[Dart, Dart] = {}
-    occ: dict[int, list[Dart]] = {}
-    for ci, c in enumerate(crossings):
-        for slot, e in enumerate(c.edges):
-            occ.setdefault(e, []).append((ci, slot))
-    for pair in occ.values():
-        a, b = pair
-        other[a] = b
-        other[b] = a
+def _invalid_edge(crossings, edge, incoming) -> DiagramError:
+    """The error for a label seen out of range or at a second tail/head."""
+    labels = [e for c in crossings for e in c.edges]
+    for e in labels:
+        k = labels.count(e)
+        if k != 2:
+            return DiagramError(f"edge multiplicity: edge {e} occurs {k} times")
+    way = "enters" if incoming else "leaves"
+    return DiagramError(f"orientation inconsistency: edge {edge} {way} twice")
+
+
+def _faces(tail: Sequence[int], head: Sequence[int]) -> list[list[int]]:
+    """Face orbits as lists of dart codes, darts taken in index order."""
+    mate = [0] * (2 * len(tail))
+    for t, h in zip(tail, head):
+        mate[t] = h
+        mate[h] = t
     faces = []
-    seen: set[Dart] = set()
-    for ci in range(len(crossings)):
-        for slot in range(4):
-            d = (ci, slot)
-            if d in seen:
-                continue
-            face = []
-            while d not in seen:
-                seen.add(d)
-                face.append(d)
-                oc, os = other[d]
-                d = (oc, (os + 1) % 4)
-            faces.append(face)
+    seen = [False] * len(mate)
+    for first in range(len(mate)):
+        if seen[first]:
+            continue
+        face = []
+        x = first
+        while not seen[x]:
+            seen[x] = True
+            face.append(x)
+            y = mate[x]
+            x = y - (y & 3) + ((y + 1) & 3)
+        faces.append(face)
     return faces
 
 
-def _crossing_pieces(crossings: Sequence[Crossing]) -> list[list[int]]:
-    parent = list(range(len(crossings)))
+def _piece_roots(tail: Sequence[int], head: Sequence[int]) -> list[int]:
+    """Per crossing, a representative crossing of its connected piece."""
+    parent = list(range(len(tail) // 2))
 
     def find(x):
         while parent[x] != x:
@@ -391,39 +396,23 @@ def _crossing_pieces(crossings: Sequence[Crossing]) -> list[list[int]]:
             x = parent[x]
         return x
 
-    by_edge: dict[int, list[int]] = {}
-    for ci, c in enumerate(crossings):
-        for e in c.edges:
-            by_edge.setdefault(e, []).append(ci)
-    for cis in by_edge.values():
-        a = find(cis[0])
-        for x in cis[1:]:
-            parent[find(x)] = a
-    groups: dict[int, list[int]] = {}
-    for ci in range(len(crossings)):
-        groups.setdefault(find(ci), []).append(ci)
-    return list(groups.values())
+    for t, h in zip(tail, head):
+        parent[find(t >> 2)] = find(h >> 2)
+    return [find(ci) for ci in range(len(parent))]
 
 
-def _check_planarity(crossings: tuple[Crossing, ...]) -> None:
-    if not crossings:
+def _check_planarity(tail: Sequence[int], head: Sequence[int]) -> None:
+    if not tail:
         return
-    faces = _faces(crossings)
-    piece_of: dict[int, int] = {}
-    pieces = _crossing_pieces(crossings)
-    for pi, group in enumerate(pieces):
-        for ci in group:
-            piece_of[ci] = pi
-    face_count = [0] * len(pieces)
-    for face in faces:
-        face_count[piece_of[face[0][0]]] += 1
-    for pi, group in enumerate(pieces):
-        v = len(group)
+    roots = _piece_roots(tail, head)
+    crossing_count = Counter(roots)
+    face_count = Counter(roots[face[0] >> 2] for face in _faces(tail, head))
+    for root, v in crossing_count.items():
         # every piece has E = 2V, so planarity (V - E + F = 2) reads F = V + 2
-        if face_count[pi] != v + 2:
+        if face_count[root] != v + 2:
             raise DiagramError(
                 "non-planar diagram: piece with "
-                f"{v} crossings has {face_count[pi]} faces (needs {v + 2})"
+                f"{v} crossings has {face_count[root]} faces (needs {v + 2})"
             )
 
 
@@ -440,23 +429,21 @@ def structurally_equal(d1: OrientedLinkDiagram, d2: OrientedLinkDiagram) -> bool
         return True
     if sorted(c.sign for c in d1.crossings) != sorted(c.sign for c in d2.crossings):
         return False
-    occ1 = _occurrence_map(d1)
-    occ2 = _occurrence_map(d2)
     for t0 in range(len(d2.crossings)):
-        if _try_match(d1, d2, t0, occ1, occ2):
+        if _try_match(d1, d2, t0):
             return True
     return False
 
 
-def _occurrence_map(d) -> dict[int, list[Dart]]:
-    occ: dict[int, list[Dart]] = {}
-    for ci, c in enumerate(d.crossings):
-        for slot, e in enumerate(c.edges):
-            occ.setdefault(e, []).append((ci, slot))
-    return occ
+def _mate(d: OrientedLinkDiagram, ci: int, slot: int) -> Dart:
+    """The dart at the other end of the edge at ``(ci, slot)``."""
+    e = d.crossings[ci].edges[slot]
+    t = d._tail[e]
+    x = d._head[e] if t == 4 * ci + slot else t
+    return x >> 2, x & 3
 
 
-def _try_match(d1, d2, t0, occ1, occ2) -> bool:
+def _try_match(d1, d2, t0) -> bool:
     cmap = {0: t0}
     emap: dict[int, int] = {}
     targets = {t0}
@@ -476,11 +463,7 @@ def _try_match(d1, d2, t0, occ1, occ2) -> bool:
                 if e2 in emap.values():
                     return False
                 emap[e1] = e2
-            o1 = [dd for dd in occ1[e1] if dd != (ci, s)]
-            o2 = [dd for dd in occ2[e2] if dd != (tj, s)]
-            if len(o1) != 1 or len(o2) != 1:
-                return False
-            (oc, oslot), (od, oslot2) = o1[0], o2[0]
+            (oc, oslot), (od, oslot2) = _mate(d1, ci, s), _mate(d2, tj, s)
             if oslot != oslot2:
                 return False
             if oc in cmap:
@@ -537,7 +520,8 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
     strand), by the successor heuristic; anything ambiguous is an error.
     Empty input gives the empty diagram.
     """
-    stripped = re.sub(r"#[^\n]*", "", text)
+    # blank out comments so that offsets stay those of ``text``
+    stripped = re.sub(r"#[^\n]*", lambda m: " " * len(m.group()), text)
     crossings_raw: list[tuple[list, int | None, int]] = []
     cycles: list[list] = []
     free_loops = 0
@@ -549,6 +533,8 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
         pos = m.end()
         kind, sign_txt, body = m.groups()
         items = [t.strip() for t in body.split(",")] if body.strip() else []
+        if "" in items:
+            raise ParseError("empty edge label", m.start())
         if kind == "X":
             if len(items) != 4:
                 raise ParseError("malformed tuple: crossing needs 4 edges", m.start())
@@ -571,7 +557,7 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
 
     tokens = [t for items, _, _ in crossings_raw for t in items]
     remap: dict[str, int] = {}
-    if all(t.isdigit() for t in tokens) and {int(t) for t in tokens} == set(
+    if all(t.isdecimal() for t in tokens) and {int(t) for t in tokens} == set(
         range(len(tokens) // 2)
     ):
         for t in tokens:

@@ -21,13 +21,12 @@ full twist on ``k`` strands.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, count
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .braids import BraidWord, braid_strand_crossings
 from .diagram import (
-    Crossing,
     DiagramError,
     OrientedLinkDiagram,
     parse_pd,
@@ -247,7 +246,11 @@ def coherent_reduction(
     diagrams match, which is checked by a Jones certificate at the given
     twist amounts.  Certificate sizes above ``certificate_limit``
     crossings are skipped, so at least one feasible n should be given.
+    ``n = 0`` is refused: ``twist(f, 0)`` ignores the marks, so it
+    checks nothing.
     """
+    if 0 in certificate_ns:
+        raise FamilyError("certificate twist amount 0 ignores the marks; use n != 0")
     reduced_marks = _paired_marks(f)
     if len(reduced_marks) != f.omega:
         raise ReductionError(
@@ -305,9 +308,24 @@ def family_to_json_dict(f: TwistFamily) -> dict:
 
 
 def family_from_json_dict(data: dict) -> TwistFamily:
-    base = parse_pd(data["base"])
-    marks = tuple((m["edge"], m["sign"]) for m in data["marked_edges"])
-    f = TwistFamily(base, marks, name=data.get("name", ""))
+    if not isinstance(data, dict):
+        raise FamilyError("family file must hold a JSON object")
+    text, raw_marks = data.get("base"), data.get("marked_edges")
+    name = data.get("name", "")
+    if not isinstance(text, str):
+        raise FamilyError("family file needs a PD text 'base'")
+    if not isinstance(raw_marks, list):
+        raise FamilyError("family file needs a 'marked_edges' list")
+    if not isinstance(name, str):
+        raise FamilyError("family name must be a string")
+    marks = []
+    for m in raw_marks:
+        if not isinstance(m, dict) or not all(
+            type(m.get(key)) is int for key in ("edge", "sign")
+        ):
+            raise FamilyError(f"mark {m!r} needs an integer 'edge' and 'sign'")
+        marks.append((m["edge"], m["sign"]))
+    f = TwistFamily(parse_pd(text), tuple(marks), name=name)
     if "winding" in data and data["winding"] != winding_number(f):
         raise FamilyError(
             f"family file claims winding {data['winding']} but the "

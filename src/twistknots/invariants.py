@@ -34,10 +34,6 @@ def _scan_order(d: OrientedLinkDiagram) -> list[int]:
     n = len(d.crossings)
     if n == 0:
         return []
-    occ: dict[int, list[int]] = {}
-    for ci, c in enumerate(d.crossings):
-        for e in c.edges:
-            occ.setdefault(e, []).append(ci)
     order = []
     done = set()
     open_edges: set[int] = set()
@@ -58,10 +54,8 @@ def _scan_order(d: OrientedLinkDiagram) -> list[int]:
         for e in d.crossings[ci].edges:
             if e in open_edges:
                 open_edges.discard(e)
-            elif occ[e][0] == occ[e][1] == ci:
-                pass  # both ends here; never open
-            else:
-                open_edges.add(e)
+            elif any(cj != ci for cj, _ in d.edge_ends(e)):
+                open_edges.add(e)  # an edge with both ends here never opens
     return order
 
 
@@ -141,17 +135,13 @@ def kauffman_bracket_jones(
 def _bracket_with_loops(d: OrientedLinkDiagram) -> LaurentPolynomial:
     """Sum over states of A^{a-b} * delta^{loops} (note: no -1)."""
     order = _scan_order(d)
-    occ: dict[int, list] = {}
-    for ci, c in enumerate(d.crossings):
-        for s, e in enumerate(c.edges):
-            occ.setdefault(e, []).append((ci, s))
     states: dict[tuple, LaurentPolynomial] = {(): LaurentPolynomial.one()}
     processed: set[int] = set()
     for ci in order:
         c = d.crossings[ci]
         glue = []
         for s, e in enumerate(c.edges):
-            a, b = occ[e]
+            a, b = d.edge_ends(e)
             mine = (ci, s)
             other = b if a == mine else a
             if other[0] in processed or (other[0] == ci and other < mine):
@@ -273,11 +263,8 @@ def signature(d: OrientedLinkDiagram) -> int:
 
 def _checkerboard(d, faces, face_of) -> list[int]:
     adj: dict[int, set[int]] = {fi: set() for fi in range(len(faces))}
-    occ: dict[int, list] = {}
-    for ci, c in enumerate(d.crossings):
-        for s, e in enumerate(c.edges):
-            occ.setdefault(e, []).append((ci, s))
-    for e, (d1, d2) in occ.items():
+    for e in d.edges:
+        d1, d2 = d.edge_ends(e)
         f1, f2 = face_of[d1], face_of[d2]
         if f1 == f2:
             raise AssertionError("edge borders one face twice; cannot 2-color")

@@ -1,10 +1,11 @@
 """Reidemeister moves on oriented PD diagrams.
 
 Enumerates every applicable move of the three kinds, in both directions
-for R1 and R2.  Candidate-generation for the additions is table-driven
-and every candidate is pushed through the diagram validator, so only
-planar, orientation-consistent results are ever emitted; this keeps the
-case analysis honest at the price of constructing a few dead candidates.
+for R1 and R2.  Each move's result is built valid: the additions pick
+only the wirings that fit the faces they are drawn in, so every emitted
+move costs one diagram construction.  That construction still runs the
+diagram validator, and a result that fails it raises ``DiagramError``
+(a bug in this module) instead of being dropped.
 
 Move kinds: ``R1-``, ``R1+``, ``R2-``, ``R2+``, ``R3``.
 """
@@ -16,7 +17,6 @@ from typing import Iterator
 
 from .diagram import (
     Crossing,
-    DiagramError,
     OrientedLinkDiagram,
     slot_is_incoming,
     strand_exit_slot,
@@ -107,21 +107,14 @@ def r1_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
             yield Move("R1-", (ci, s), result)
 
 
-def _strand_through(d, crossing_index, edge, at_tail):
-    """Neighbor edge of ``edge`` along its strand at one endpoint crossing."""
-    c = d.crossings[crossing_index]
+def _strand_through(d, edge, at_tail):
+    """Neighbor edge of ``edge`` along its strand, at its tail or head."""
+    tail, head = d.edge_ends(edge)
     if at_tail:
-        slot = next(
-            s
-            for s in range(4)
-            if c.edges[s] == edge and not slot_is_incoming(c.sign, s)
-        )
-        entry = _ENTRY_OF_EXIT[slot]
-        return c.edges[entry]
-    slot = next(
-        s for s in range(4) if c.edges[s] == edge and slot_is_incoming(c.sign, s)
-    )
-    return c.edges[strand_exit_slot(slot)]
+        ci, slot = tail
+        return d.crossings[ci].edges[_ENTRY_OF_EXIT[slot]]
+    ci, slot = head
+    return d.crossings[ci].edges[strand_exit_slot(slot)]
 
 
 def r2_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
@@ -135,20 +128,16 @@ def r2_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
         f = d.crossings[c2].edges[s2]
         if e == f:
             continue
-        e_occ = [(ci, s) for ci in (c1, c2) for s in range(4) if d.crossings[ci].edges[s] == e]
-        if len(e_occ) != 2:
-            continue  # an edge leaving the bigon pair entirely
-        over = [s in (1, 3) for _, s in e_occ]
-        if over[0] != over[1]:
-            continue
         et, eh = d.edge_ends(e)
         ft, fh = d.edge_ends(f)
         if {et[0], eh[0]} != {c1, c2} or {ft[0], fh[0]} != {c1, c2}:
             continue
-        p = _strand_through(d, et[0], e, at_tail=True)
-        q = _strand_through(d, eh[0], e, at_tail=False)
-        r = _strand_through(d, ft[0], f, at_tail=True)
-        s = _strand_through(d, fh[0], f, at_tail=False)
+        if (et[1] in (1, 3)) != (eh[1] in (1, 3)):
+            continue
+        p = _strand_through(d, e, at_tail=True)
+        q = _strand_through(d, e, at_tail=False)
+        r = _strand_through(d, f, at_tail=True)
+        s = _strand_through(d, f, at_tail=False)
         result = _splice_out(d, {c1, c2}, [(p, e), (e, q), (r, f), (f, s)])
         yield Move("R2-", (c1, c2, e, f), result)
 
@@ -156,54 +145,55 @@ def r2_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
 # -- additions ----------------------------------------------------------
 
 
-def _replace_head(raw, d, edge, new_edge):
-    """Point the head occurrence of ``edge`` at a new label, in place."""
+def _rebuilt(d, updates, added, free_loops) -> OrientedLinkDiagram:
+    """``d`` with slots relabelled by ``(ci, slot, edge)`` updates, in
+    order, and the ``added`` crossings appended."""
+    crossings = list(d.crossings)
+    for ci, slot, e in updates:
+        edges = list(crossings[ci].edges)
+        edges[slot] = e
+        crossings[ci] = Crossing(tuple(edges), crossings[ci].sign)
+    return OrientedLinkDiagram(tuple(crossings) + tuple(added), free_loops)
+
+
+def _head_update(d, edge, new_edge):
+    """The update pointing the head occurrence of ``edge`` at a new label."""
     _, (ci, slot) = d.edge_ends(edge)
-    raw[ci][0][slot] = new_edge
+    return ci, slot, new_edge
 
 
 def r1_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
-    fresh0 = 2 * d.n_crossings
+    loop, m = 2 * d.n_crossings, 2 * d.n_crossings + 1
     for e in d.edges:
-        loop, m = fresh0, fresh0 + 1
+        update = [_head_update(d, e, m)]
         for kind, crossing in (
             ("pos_a", Crossing((loop, loop, m, e), +1)),
             ("pos_b", Crossing((e, m, loop, loop), +1)),
             ("neg_a", Crossing((e, loop, loop, m), -1)),
             ("neg_b", Crossing((loop, e, m, loop), -1)),
         ):
-            raw = [[list(c.edges), c.sign] for c in d.crossings]
-            _replace_head(raw, d, e, m)
-            raw.append([list(crossing.edges), crossing.sign])
-            try:
-                result = OrientedLinkDiagram(
-                    tuple(Crossing(tuple(ed), s) for ed, s in raw), d.free_loops
-                )
-            except DiagramError:
-                continue
-            yield Move("R1+", (e, kind), result)
+            yield Move("R1+", (e, kind), _rebuilt(d, update, [crossing], d.free_loops))
     if d.free_loops:
-        loop, m = fresh0, fresh0 + 1
         for kind, crossing in (
             ("loop_pos", Crossing((loop, loop, m, m), +1)),
             ("loop_neg", Crossing((m, loop, loop, m), -1)),
         ):
-            raw = [[list(c.edges), c.sign] for c in d.crossings]
-            raw.append([list(crossing.edges), crossing.sign])
-            try:
-                result = OrientedLinkDiagram(
-                    tuple(Crossing(tuple(ed), s) for ed, s in raw),
-                    d.free_loops - 1,
-                )
-            except DiagramError:
-                continue
+            result = _rebuilt(d, [], [crossing], d.free_loops - 1)
             yield Move("R1+", ("free_loop", kind), result)
 
 
 def _r2_candidates(over, under):
-    """Crossing pairs pushing strand ``over=(e1, m, e2)`` across
-    ``under=(g1, h, g2)``; both parallel and antiparallel wirings, each
-    with the two sign layouts.  Invalid combinations die in validation.
+    """The four crossing pairs pushing strand ``over=(e1, m, e2)`` across
+    ``under=(g1, h, g2)``, indexed by k.
+
+    k = 0, 1 are the parallel wirings (both strands meet the first new
+    crossing first) and k = 2, 3 the antiparallel ones, each with the
+    finger coming from either side.  Pushing e1 over g1 inside a face
+    they both border has exactly one planar wiring, fixed by whether the
+    face darts of e1 and g1 are edge tails: (tail, head) -> 0,
+    (head, tail) -> 1, (head, head) -> 2, (tail, tail) -> 3.  Two edges
+    can share two faces, and an edge can border one face twice, so a
+    pair's planar wirings are those of every face occurrence they share.
     """
     e1, m, e2 = over
     g1, h, g2 = under
@@ -215,41 +205,31 @@ def _r2_candidates(over, under):
     ]
 
 
+# wiring index by whether the face darts of (over, under) are edge tails
+_R2_WIRING = {(True, False): 0, (False, True): 1, (False, False): 2, (True, True): 3}
+
+
 def r2_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
+    """R2+ moves over every ordered edge pair sharing a face: pairs in the
+    order first met, each pair's planar wirings in ascending k."""
     fresh0 = 2 * d.n_crossings
     m, h, e2, g2 = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
-    seen_pairs = set()
+    wirings: dict[tuple[int, int], set[int]] = {}
     for face in d.faces():
-        for i in range(len(face)):
-            for j in range(len(face)):
-                if i == j:
-                    continue
-                ci, si = face[i]
-                cj, sj = face[j]
-                e = d.crossings[ci].edges[si]
-                g = d.crossings[cj].edges[sj]
-                if e == g:
-                    continue
-                key = (e, g)
-                if key in seen_pairs:
-                    continue
-                seen_pairs.add(key)
-                for k, (x1, x2) in enumerate(
-                    _r2_candidates((e, m, e2), (g, h, g2))
-                ):
-                    raw = [[list(c.edges), c.sign] for c in d.crossings]
-                    _replace_head(raw, d, e, e2)
-                    _replace_head(raw, d, g, g2)
-                    raw.append([list(x1.edges), x1.sign])
-                    raw.append([list(x2.edges), x2.sign])
-                    try:
-                        result = OrientedLinkDiagram(
-                            tuple(Crossing(tuple(ed), s) for ed, s in raw),
-                            d.free_loops,
-                        )
-                    except DiagramError:
-                        continue
-                    yield Move("R2+", (e, g, k), result)
+        sides = []
+        for ci, slot in face:
+            e = d.crossings[ci].edges[slot]
+            sides.append((e, d.edge_ends(e)[0] == (ci, slot)))
+        for i, (e, e_tail) in enumerate(sides):
+            for j, (g, g_tail) in enumerate(sides):
+                if i != j and e != g:
+                    wirings.setdefault((e, g), set()).add(_R2_WIRING[e_tail, g_tail])
+    for (e, g), ks in wirings.items():
+        updates = [_head_update(d, e, e2), _head_update(d, g, g2)]
+        candidates = _r2_candidates((e, m, e2), (g, h, g2))
+        for k in sorted(ks):
+            result = _rebuilt(d, updates, candidates[k], d.free_loops)
+            yield Move("R2+", (e, g, k), result)
     if d.free_loops:
         yield from _r2_free_loop_additions(d)
 
@@ -258,56 +238,27 @@ def _r2_free_loop_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
     fresh0 = 2 * d.n_crossings
     m1, m2, h, g2 = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
     for g in d.edges:
+        update = [_head_update(d, g, g2)]
         for role, (over, under) in enumerate(
             (((m2, m1, m2), (g, h, g2)), ((g, h, g2), (m2, m1, m2)))
         ):
-            for k, (x1, x2) in enumerate(_r2_candidates(over, under)):
-                raw = [[list(c.edges), c.sign] for c in d.crossings]
-                _replace_head(raw, d, g, g2)
-                raw.append([list(x1.edges), x1.sign])
-                raw.append([list(x2.edges), x2.sign])
-                try:
-                    result = OrientedLinkDiagram(
-                        tuple(Crossing(tuple(ed), s) for ed, s in raw),
-                        d.free_loops - 1,
-                    )
-                except DiagramError:
-                    continue
+            for k, pair in enumerate(_r2_candidates(over, under)):
+                result = _rebuilt(d, update, pair, d.free_loops - 1)
                 yield Move("R2+", ("free_loop", g, role, k), result)
     # one loop across another, and a loop across itself
     n1, n2 = fresh0 + 4, fresh0 + 5
     if d.free_loops >= 2:
-        for k, (x1, x2) in enumerate(_r2_candidates((m2, m1, m2), (n2, n1, n2))):
-            raw = [[list(c.edges), c.sign] for c in d.crossings]
-            raw.append([list(x1.edges), x1.sign])
-            raw.append([list(x2.edges), x2.sign])
-            try:
-                result = OrientedLinkDiagram(
-                    tuple(Crossing(tuple(ed), s) for ed, s in raw),
-                    d.free_loops - 2,
-                )
-            except DiagramError:
-                continue
-            yield Move("R2+", ("two_loops", k), result)
+        for k, pair in enumerate(_r2_candidates((m2, m1, m2), (n2, n1, n2))):
+            yield Move("R2+", ("two_loops", k), _rebuilt(d, [], pair, d.free_loops - 2))
     # a lone loop pushed across itself: tongue over both times or under both
     a, t, c, m = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
-    for k, (x1, x2) in enumerate(
+    for k, pair in enumerate(
         (
             (Crossing((c, t, m, a), +1), Crossing((m, t, c, a), -1)),
             (Crossing((a, c, t, m), -1), Crossing((t, c, a, m), +1)),
         )
     ):
-        raw = [[list(c.edges), c.sign] for c in d.crossings]
-        raw.append([list(x1.edges), x1.sign])
-        raw.append([list(x2.edges), x2.sign])
-        try:
-            result = OrientedLinkDiagram(
-                tuple(Crossing(tuple(ed), s2) for ed, s2 in raw),
-                d.free_loops - 1,
-            )
-        except DiagramError:
-            continue
-        yield Move("R2+", ("self_loop", k), result)
+        yield Move("R2+", ("self_loop", k), _rebuilt(d, [], pair, d.free_loops - 1))
 
 
 # -- R3 -----------------------------------------------------------------
@@ -317,43 +268,21 @@ def r3_moves(d: OrientedLinkDiagram) -> Iterator[Move]:
     for face in d.faces():
         if len(face) != 3:
             continue
-        crossings = [ci for ci, _ in face]
-        if len(set(crossings)) != 3:
+        if len({ci for ci, _ in face}) != 3:
             continue
-        sides = []
-        for ci, s in face:
-            e = d.crossings[ci].edges[s]
-            sides.append(e)
+        sides = [d.crossings[ci].edges[s] for ci, s in face]
         if len(set(sides)) != 3:
             continue
-        # the move needs one side passing over at both its endpoints
-        over_over = [
-            e
-            for e in sides
-            if all(s in (1, 3) for _, s in _side_occurrences(d, e, crossings))
-        ]
-        if not over_over:
+        # the move needs one side passing over at both its endpoints, all
+        # of which lie on the triangle
+        if not any(all(s in (1, 3) for _, s in d.edge_ends(e)) for e in sides):
             continue
-        try:
-            result = _apply_r3(d, sides)
-        except DiagramError:
-            continue
-        yield Move("R3", tuple(sorted(face)), result)
-
-
-def _side_occurrences(d, edge, crossings):
-    out = []
-    for ci in crossings:
-        for s in range(4):
-            if d.crossings[ci].edges[s] == edge:
-                out.append((ci, s))
-    return out
+        yield Move("R3", tuple(sorted(face)), _apply_r3(d, sides))
 
 
 def _apply_r3(d: OrientedLinkDiagram, sides: list[int]) -> OrientedLinkDiagram:
     """Slide the triangle: every strand swaps which of its two triangle
     crossings it meets first, keeping its middle edge between them."""
-    raw = [[list(c.edges), c.sign] for c in d.crossings]
     updates: list[tuple[int, int, int]] = []
     for t in sides:
         (tc, ts), (hc, hs) = d.edge_ends(t)
@@ -365,11 +294,7 @@ def _apply_r3(d: OrientedLinkDiagram, sides: list[int]) -> OrientedLinkDiagram:
         updates.append((tc, ts, y))
         updates.append((hc, hs, x))
         updates.append((hc, exit_slot, t))
-    for ci, slot, e in updates:
-        raw[ci][0][slot] = e
-    return OrientedLinkDiagram(
-        tuple(Crossing(tuple(ed), s) for ed, s in raw), d.free_loops
-    )
+    return _rebuilt(d, updates, (), d.free_loops)
 
 
 # -- simplification ------------------------------------------------------

@@ -10,7 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from twistknots.diagram import OrientedLinkDiagram
+from twistknots.diagram import (
+    Crossing,
+    DiagramError,
+    OrientedLinkDiagram,
+    slot_is_incoming,
+)
+from twistknots.moves import Move, _r2_candidates
 from twistknots.polynomials import LaurentPolynomial
 
 # smoothing pairings by slot: 0 joins (0,1),(2,3); 1 joins (0,3),(1,2)
@@ -277,3 +283,116 @@ def _filtered_homology_dim(d_out, d_in, h0, gens, qdeg, level):
     dim_sum = _rank(im_rows + f_rows)
     dim_cap = dim_im + len(keep) - dim_sum
     return ker_dim - dim_cap
+
+
+# ----------------------------------------------------------------------
+# R2+ by generate-and-reject: every wiring of every placement is built
+# and only the ones the diagram validator accepts are kept.
+
+
+def _with_crossings(d, heads, added, free_loops):
+    """``d`` with the head of each edge in ``heads`` renamed (found by a
+    linear scan) and ``added`` crossings appended; None if invalid."""
+    raw = [[list(c.edges), c.sign] for c in d.crossings]
+    for edge, new_edge in heads:
+        for ci, c in enumerate(d.crossings):
+            for slot, e in enumerate(c.edges):
+                if e == edge and slot_is_incoming(c.sign, slot):
+                    raw[ci][0][slot] = new_edge
+    raw += [[list(x.edges), x.sign] for x in added]
+    try:
+        return OrientedLinkDiagram(
+            tuple(Crossing(tuple(ed), s) for ed, s in raw), free_loops
+        )
+    except DiagramError:
+        return None
+
+
+def r2_additions_bruteforce(d: OrientedLinkDiagram) -> list[Move]:
+    out = []
+
+    def keep(site, heads, added, free_loops):
+        result = _with_crossings(d, heads, added, free_loops)
+        if result is not None:
+            out.append(Move("R2+", site, result))
+
+    fresh0 = 2 * d.n_crossings
+    m, h, e2, g2 = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
+    seen_pairs = set()
+    for face in d.faces():
+        for i, (ci, si) in enumerate(face):
+            for j, (cj, sj) in enumerate(face):
+                e = d.crossings[ci].edges[si]
+                g = d.crossings[cj].edges[sj]
+                if i == j or e == g or (e, g) in seen_pairs:
+                    continue
+                seen_pairs.add((e, g))
+                for k, pair in enumerate(_r2_candidates((e, m, e2), (g, h, g2))):
+                    keep((e, g, k), [(e, e2), (g, g2)], pair, d.free_loops)
+    if not d.free_loops:
+        return out
+    m1, m2, h, g2 = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
+    for g in d.edges:
+        for role, (over, under) in enumerate(
+            (((m2, m1, m2), (g, h, g2)), ((g, h, g2), (m2, m1, m2)))
+        ):
+            for k, pair in enumerate(_r2_candidates(over, under)):
+                keep(("free_loop", g, role, k), [(g, g2)], pair, d.free_loops - 1)
+    n1, n2 = fresh0 + 4, fresh0 + 5
+    if d.free_loops >= 2:
+        for k, pair in enumerate(_r2_candidates((m2, m1, m2), (n2, n1, n2))):
+            keep(("two_loops", k), [], pair, d.free_loops - 2)
+    a, t, c, m = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
+    for k, pair in enumerate(
+        (
+            (Crossing((c, t, m, a), +1), Crossing((m, t, c, a), -1)),
+            (Crossing((a, c, t, m), -1), Crossing((t, c, a, m), +1)),
+        )
+    ):
+        keep(("self_loop", k), [], pair, d.free_loops - 1)
+    return out
+
+
+def edge_index_bruteforce(d: OrientedLinkDiagram):
+    """Per edge: (tail dart, head dart, component), by scanning every
+    crossing slot and walking the strands from scratch."""
+    tails, heads = {}, {}
+    for ci, c in enumerate(d.crossings):
+        for slot, e in enumerate(c.edges):
+            (heads if slot_is_incoming(c.sign, slot) else tails)[e] = (ci, slot)
+    comp = {}
+    for e in sorted(tails):
+        if e in comp:
+            continue
+        label = len(set(comp.values()))
+        x = e
+        while x not in comp:
+            comp[x] = label
+            ci, slot = heads[x]
+            x = d.crossings[ci].edges[{0: 2, 1: 3, 3: 1}[slot]]
+    return [(tails[e], heads[e], comp[e]) for e in sorted(tails)]
+
+
+def faces_bruteforce(d: OrientedLinkDiagram) -> list[list[tuple[int, int]]]:
+    """Face orbits ``dart -> rotate(other end of dart)`` from a dart map
+    built by scanning, darts visited in (crossing, slot) order."""
+    occ: dict[int, list[tuple[int, int]]] = {}
+    for ci, c in enumerate(d.crossings):
+        for slot, e in enumerate(c.edges):
+            occ.setdefault(e, []).append((ci, slot))
+    other = {}
+    for a, b in occ.values():
+        other[a], other[b] = b, a
+    faces, seen = [], set()
+    for ci in range(len(d.crossings)):
+        for slot in range(4):
+            x = (ci, slot)
+            face = []
+            while x not in seen:
+                seen.add(x)
+                face.append(x)
+                oc, os = other[x]
+                x = (oc, (os + 1) % 4)
+            if face:
+                faces.append(face)
+    return faces

@@ -15,6 +15,8 @@ from twistknots.diagram import (
     to_json,
 )
 
+from .oracles import edge_index_bruteforce, faces_bruteforce
+
 TREFOIL_CLASSIC = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
 
@@ -56,6 +58,19 @@ class TestParse:
         d = parse_pd("O[] O[]")
         assert d.n_components == 2
         assert d.free_loops == 2
+
+    def test_empty_edge_label_between_commas(self):
+        with pytest.raises(ParseError, match="empty edge label") as err:
+            parse_pd("X+[,3,2,2] X+[3,,1,1]")
+        assert err.value.position == 0
+
+    def test_blank_edge_labels(self):
+        with pytest.raises(ParseError, match="empty edge label") as err:
+            parse_pd("X+[0,3,2,2] # comment\nX+[ , , , ]")
+        assert err.value.position == 22
+
+    def test_non_ascii_digit_is_a_plain_label(self):
+        assert parse_pd("X-[\u00b2,1,1,\u00b2]") == parse_pd("X-[0,1,1,0]")
 
     def test_orientation_block_validated(self):
         with pytest.raises(ParseError, match="inconsistent"):
@@ -187,3 +202,20 @@ class TestHypothesis:
     def test_components_match_permutation_cycles(self, word):
         d = braid_closure(word)
         assert d.n_components == word.cycle_count()
+
+    @given(braid_words(), st.integers(0, 2), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_edge_index_matches_scan(self, word, loops, mirrored):
+        d = braid_closure(word).disjoint_union(OrientedLinkDiagram.unknot(loops))
+        if mirrored:
+            d = d.mirror()
+        index = [(*d.edge_ends(e), d.component_of_edge(e)) for e in d.edges]
+        assert index == edge_index_bruteforce(d)
+        for e in d.edges:
+            assert e in d.components[d.component_of_edge(e)]
+        assert d.faces() == faces_bruteforce(d)
+        for bad in (-1, len(d.edges), "0"):
+            with pytest.raises(DiagramError, match="not found"):
+                d.edge_ends(bad)
+            with pytest.raises(DiagramError, match="not found"):
+                d.component_of_edge(bad)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistknots.braids import BraidWord, braid_closure, torus_braid
 from twistknots.corpus import (
@@ -10,12 +12,14 @@ from twistknots.corpus import (
     whitehead_family,
     wind3_wrap9_family,
 )
-from twistknots.diagram import structurally_equal
+from twistknots.diagram import DiagramError, structurally_equal
 from twistknots.families import (
     CoherentReduction,
     FamilyError,
     TwistFamily,
     coherent_reduction,
+    family_from_json_dict,
+    family_to_json_dict,
     full_twist_braid,
     mirror_family,
     twist,
@@ -160,6 +164,12 @@ class TestCoherentReduction:
             red = coherent_reduction(fam)
             assert winding_number(red.reduced) == winding_number(fam)
 
+    def test_zero_twist_certificate_rejected(self):
+        # twist(f, 0) ignores the marks, so n = 0 would check nothing
+        for ns in ((0,), (1, 0)):
+            with pytest.raises(FamilyError, match="0"):
+                coherent_reduction(wind3_wrap9_family(), certificate_ns=ns)
+
 
 class TestMirrorFamily:
     def test_structural_identity(self):
@@ -217,6 +227,66 @@ class TestCorpusFiles:
             simp, _ = greedy_simplify(fams[name].base)
             assert jones(simp) == 1
         assert fams["wind3_wrap9"].base.n_components == 3
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_PD_TEXT = st.text(alphabet="XO+-[],0123456789\u00b2 \n#", max_size=40)
+
+
+@st.composite
+def mutated_family_dicts(draw):
+    """``family_to_json_dict(torus_family(3, 2))`` with keys of the file
+    or of its marks dropped or replaced."""
+    data = family_to_json_dict(torus_family(3, 2))
+    for _ in range(draw(st.integers(1, 3))):
+        marks = data.get("marked_edges")
+        if isinstance(marks, list) and marks and draw(st.booleans()):
+            i = draw(st.integers(0, len(marks) - 1))
+            if not isinstance(marks[i], dict) or draw(st.booleans()):
+                marks[i] = draw(_JSON)
+                continue
+            target = marks[i]
+            key = draw(st.sampled_from(["edge", "sign"]))
+        else:
+            target = data
+            key = draw(st.sampled_from(sorted(data)))
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = draw(_PD_TEXT if key == "base" else _JSON)
+    return data
+
+
+class TestFamilyFiles:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: data.pop("base"),
+            lambda data: data.pop("marked_edges"),
+            lambda data: data["marked_edges"][0].pop("edge"),
+            lambda data: data["marked_edges"][1].pop("sign"),
+            lambda data: data["marked_edges"][0].update(edge=str(data["marked_edges"][0]["edge"])),
+            lambda data: data["marked_edges"][0].update(edge=float(data["marked_edges"][0]["edge"])),
+        ],
+    )
+    def test_bad_files_raise_family_error(self, edit):
+        data = family_to_json_dict(torus_family(3, 2))
+        edit(data)
+        with pytest.raises(FamilyError):
+            family_from_json_dict(data)
+
+    @given(mutated_family_dicts())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_files_raise_only_diagram_errors(self, data):
+        try:
+            family_from_json_dict(data)
+        except DiagramError:
+            pass
 
 
 def _closure_with_arcs(word):

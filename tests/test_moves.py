@@ -1,20 +1,26 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistknots.braids import BraidWord, braid_closure, torus_braid
+from twistknots.corpus import built_families
 from twistknots.diagram import OrientedLinkDiagram, parse_pd, structurally_equal
+from twistknots.families import twist
 from twistknots.invariants import kauffman_bracket_jones
 from twistknots.moves import (
     crossing_decreasing_moves,
     greedy_simplify,
     r1_removals,
+    r2_additions,
     r2_removals,
     r3_moves,
     reidemeister_moves,
 )
 
-from .oracles import jones_bruteforce
+from .oracles import jones_bruteforce, r2_additions_bruteforce
+from .test_diagram import braid_words
 
 
 class TestR1:
@@ -72,6 +78,52 @@ class TestR2:
         d = OrientedLinkDiagram.unknot()
         kinds = {m.kind for m in reidemeister_moves(d)}
         assert kinds == {"R1+", "R2+"}
+
+
+def _small_corpus_members():
+    for name, f in sorted(built_families().items()):
+        for n in range(-2, 3):
+            d = twist(f, n)
+            if d.n_crossings <= 16:
+                yield f"{name}/n={n}", d
+
+
+class TestR2AdditionsOracle:
+    """Only planar wirings are built; generate-and-reject gives the same
+    moves (kinds, sites, results) in the same order."""
+
+    def test_corpus_members(self):
+        for tag, d in _small_corpus_members():
+            assert list(r2_additions(d)) == r2_additions_bruteforce(d), tag
+
+    def test_seeded_walks(self):
+        # removals and R3 first, so the walks reach free loops
+        for tag, d in _small_corpus_members():
+            rng = random.Random(tag)
+            for step in range(2):
+                moves = crossing_decreasing_moves(d) + list(r3_moves(d))
+                d = rng.choice(moves or list(r2_additions(d))).result
+                assert list(r2_additions(d)) == r2_additions_bruteforce(d), (tag, step)
+
+    @given(braid_words(), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_braid_closures_with_free_loops(self, word, loops):
+        d = braid_closure(word).disjoint_union(OrientedLinkDiagram.unknot(loops))
+        assert list(r2_additions(d)) == r2_additions_bruteforce(d)
+
+    def test_one_construction_per_move(self, monkeypatch):
+        built = []
+        validate = OrientedLinkDiagram.__post_init__
+
+        def counting(self):
+            built.append(self)  # counted even if validation then raises
+            validate(self)
+
+        monkeypatch.setattr(OrientedLinkDiagram, "__post_init__", counting)
+        d = braid_closure(torus_braid(4, 3)).disjoint_union(OrientedLinkDiagram.unknot(2))
+        built.clear()
+        moves = reidemeister_moves(d)
+        assert len(built) == len(moves)
 
 
 class TestR3:
