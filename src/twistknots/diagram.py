@@ -277,22 +277,40 @@ class OrientedLinkDiagram:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OrientedLinkDiagram":
+        if not isinstance(data, dict):
+            raise DiagramError("diagram JSON must be an object")
         crossings = data.get("crossings", [])
         signs = data.get("orientations", [])
+        comps = data.get("components")
+        if not (
+            _int_rows(crossings)
+            and _int_rows([signs])
+            and (comps is None or _int_rows(comps))
+        ):
+            raise DiagramError(
+                "diagram JSON needs integer lists 'crossings', 'orientations'"
+                " and 'components'"
+            )
         if len(crossings) != len(signs):
             raise DiagramError("crossings and orientations length mismatch")
-        free = sum(1 for c in data.get("components", []) if not c)
+        free = sum(1 for c in comps or [] if not c)
         d = cls(
             tuple(Crossing(tuple(e), s) for e, s in zip(crossings, signs)),
             free_loops=free,
         )
-        comps = data.get("components")
         if comps is not None:
             want = sorted(tuple(c) for c in comps if c)
             have = sorted(d._components)
             if [sorted(set(c)) for c in want] != [sorted(set(c)) for c in have]:
                 raise DiagramError("components field inconsistent with crossings")
         return d
+
+
+def _int_rows(rows) -> bool:
+    """Whether ``rows`` is a list of lists of ints (bools excluded)."""
+    return isinstance(rows, list) and all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in rows
+    )
 
 
 def _mirror_crossing(c: Crossing) -> Crossing:
@@ -636,4 +654,8 @@ def to_json(d: OrientedLinkDiagram) -> str:
 
 
 def from_json(text: str) -> OrientedLinkDiagram:
-    return OrientedLinkDiagram.from_json_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc.msg}", exc.pos) from exc
+    return OrientedLinkDiagram.from_json_dict(data)

@@ -52,7 +52,16 @@ class TwistFamily:
     name: str = ""
 
     def __post_init__(self):
-        marks = tuple((int(e), int(s)) for e, s in self.marked_edges)
+        if not isinstance(self.marked_edges, (tuple, list)):
+            raise FamilyError("marked_edges must be a sequence of (edge, sign)")
+        for m in self.marked_edges:
+            if not (
+                isinstance(m, (tuple, list))
+                and len(m) == 2
+                and all(type(x) is int for x in m)
+            ):
+                raise FamilyError(f"mark {m!r} needs an integer edge and sign")
+        marks = tuple(tuple(m) for m in self.marked_edges)
         object.__setattr__(self, "marked_edges", marks)
         edges = set(self.base.edges)
         seen = set()

@@ -1,28 +1,33 @@
 """Classical certificates: Jones polynomial, signature, unlink tests.
 
-The bracket polynomial is computed by scanning crossings one at a time
-and carrying a dictionary of frontier pairings, so cost is governed by
-the width of the processed region rather than 2^crossings; a greedy
-ordering keeps that width small on braid-like diagrams.  The signature
-comes from the Goeritz form of a checkerboard coloring together with
-its orientation correction term, which needs no Seifert surface
-bookkeeping and stays in exact integer arithmetic throughout.
+The bracket polynomial is computed by scanning crossings one at a time,
+so cost is governed by the width of the processed region rather than
+2^crossings; a greedy ordering keeps that width small on braid-like
+diagrams.  All states share one ordered frontier of open darts (code
+``4 * crossing + slot``); a state is the tuple of partner positions in
+it, its value the integer coefficients of A^lo, A^(lo+2), ..., and a
+state whose terms cancel is dropped.  What each slot of the next
+crossing meets, and where surviving darts move, is worked out once per
+crossing; each state then touches four slots.  The signature comes from
+the Goeritz form of a checkerboard coloring with its orientation
+correction term, by fraction-free elimination in exact integers.
 """
 
 from __future__ import annotations
 
+import sys
+import time
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add, sub
 
 from .diagram import DiagramError, OrientedLinkDiagram
 from .polynomials import LaurentPolynomial
 
 DEFAULT_JONES_LIMIT = 24
 
-# smoothing 0 is the A-type: it joins slots (0,1) and (2,3)
-_SMOOTH = {0: ((0, 1), (2, 3)), 1: ((0, 3), (1, 2))}
-
-_DELTA_A = LaurentPolynomial({2: -1, -2: -1})  # -A^2 - A^-2
+# per smoothing, its power of A and each slot's partner: the A-type
+# joins slots (0,1) and (2,3), the B-type (0,3) and (1,2)
+_SMOOTH = ((1, (1, 0, 3, 2)), (-1, (3, 2, 1, 0)))
 
 
 class LimitExceeded(DiagramError):
@@ -31,25 +36,16 @@ class LimitExceeded(DiagramError):
 
 def _scan_order(d: OrientedLinkDiagram) -> list[int]:
     """Greedy ordering minimizing the open frontier as crossings join."""
-    n = len(d.crossings)
-    if n == 0:
-        return []
-    order = []
-    done = set()
+    order: list[int] = []
+    left = set(range(len(d.crossings)))
     open_edges: set[int] = set()
-    while len(order) < n:
-        best = None
-        for ci in range(n):
-            if ci in done:
-                continue
-            shared = sum(1 for e in d.crossings[ci].edges if e in open_edges)
-            growth = 4 - 2 * shared
-            key = (-shared, growth, ci)
-            if best is None or key < best[0]:
-                best = (key, ci)
-        # prefer staying connected to the current region
-        ci = best[1]
-        done.add(ci)
+    while left:
+        # prefer staying connected to the current region, then low indices
+        ci = max(
+            left,
+            key=lambda c: (sum(e in open_edges for e in d.crossings[c].edges), -c),
+        )
+        left.discard(ci)
         order.append(ci)
         for e in d.crossings[ci].edges:
             if e in open_edges:
@@ -57,55 +53,6 @@ def _scan_order(d: OrientedLinkDiagram) -> list[int]:
             elif any(cj != ci for cj, _ in d.edge_ends(e)):
                 open_edges.add(e)  # an edge with both ends here never opens
     return order
-
-
-def _close_up(matching: dict, glue_pairs: list[tuple]) -> tuple[dict, int]:
-    """Contract glue edges in a perfect matching; count closed loops.
-
-    The union of matching edges and glue edges is a disjoint set of paths
-    and cycles (every node has degree 1 or 2); cycles become loops and
-    each path re-pairs its two endpoints.
-    """
-    adj: dict = {}
-    done_pairs = set()
-    for a, b in matching.items():
-        key = (a, b) if a <= b else (b, a)
-        if key in done_pairs:
-            continue
-        done_pairs.add(key)
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    for a, b in glue_pairs:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    visited = set()
-    new_matching: dict = {}
-    for start, nbrs in adj.items():
-        if len(nbrs) != 1 or start in visited:
-            continue
-        prev, cur = None, start
-        visited.add(start)
-        while True:
-            nxt = next(y for y in adj[cur] if y != prev)
-            prev, cur = cur, nxt
-            visited.add(cur)
-            if len(adj[cur]) == 1:
-                break
-        new_matching[start] = cur
-        new_matching[cur] = start
-    loops = 0
-    for start in adj:
-        if start in visited:
-            continue
-        loops += 1
-        prev, cur = None, start
-        while cur not in visited:
-            visited.add(cur)
-            nxt = next((y for y in adj[cur] if y != prev), None)
-            if nxt is None:
-                break
-            prev, cur = cur, nxt
-    return new_matching, loops
 
 
 def kauffman_bracket_jones(
@@ -118,90 +65,137 @@ def kauffman_bracket_jones(
         raise LimitExceeded(
             f"{len(d.crossings)} crossings exceeds Jones limit {limit}"
         )
-    bracket = _bracket_with_loops(d)
     w = d.writhe()
     # (-A)^{-3w} <D>, then one delta division for unknot normalization
-    signed = bracket * (1 if w % 2 == 0 else -1)
-    shifted = signed.shift(-3 * w)
-    normalized = _divide_delta(shifted)
-    out: dict[int, int] = {}
-    for e, c in normalized.coeffs.items():
-        if e % 2:
-            raise AssertionError("bracket exponent parity violated")
-        out[e // 2] = out.get(e // 2, 0) + c
-    return LaurentPolynomial(out)
+    lo, coeffs = _divide_delta(*_bracket_with_loops(d))
+    lo -= 3 * w
+    if lo % 2 and any(coeffs):
+        raise AssertionError("bracket exponent parity violated")
+    sign = -1 if w % 2 else 1
+    return LaurentPolynomial({lo // 2 + i: sign * c for i, c in enumerate(coeffs)})
 
 
-def _bracket_with_loops(d: OrientedLinkDiagram) -> LaurentPolynomial:
-    """Sum over states of A^{a-b} * delta^{loops} (note: no -1)."""
-    order = _scan_order(d)
-    states: dict[tuple, LaurentPolynomial] = {(): LaurentPolynomial.one()}
-    processed: set[int] = set()
-    for ci in order:
-        c = d.crossings[ci]
-        glue = []
-        for s, e in enumerate(c.edges):
-            a, b = d.edge_ends(e)
-            mine = (ci, s)
-            other = b if a == mine else a
-            if other[0] in processed or (other[0] == ci and other < mine):
-                glue.append((mine, other))
-        processed.add(ci)
-        new_states: dict[tuple, LaurentPolynomial] = {}
-        for key, poly in states.items():
-            matching = {}
-            for x, y in key:
-                matching[x] = y
-                matching[y] = x
-            for bit, pairs in _SMOOTH.items():
-                m2 = dict(matching)
-                for s1, s2 in pairs:
-                    m2[(ci, s1)] = (ci, s2)
-                    m2[(ci, s2)] = (ci, s1)
-                m3, loops = _close_up(m2, glue)
-                contrib = poly.shift(1 if bit == 0 else -1)
-                if loops:
-                    contrib = contrib * _DELTA_A**loops
-                k2 = _matching_key(m3)
-                if k2 in new_states:
-                    new_states[k2] = new_states[k2] + contrib
-                else:
-                    new_states[k2] = contrib
-        states = new_states
+def _bracket_with_loops(d: OrientedLinkDiagram) -> tuple[int, list[int]]:
+    """Sum over states of A^{a-b} * delta^{loops} (note: no -1), as its
+    lowest exponent and the coefficients of every second power from it."""
+    start = time.perf_counter()
+    tail, head = d._tail, d._head
+    frontier: list[int] = []
+    states: dict[tuple[int, ...], tuple[int, list[int]]] = {(): (0, [1])}
+    peak = updates = 0
+    for ci in _scan_order(d):
+        at = {x: i for i, x in enumerate(frontier)}
+        glued = {}  # frontier position -> the slot glued to it
+        link = []  # per slot: another slot, -1 - a glued position, or None if new
+        for s, e in enumerate(d.crossings[ci].edges):
+            o = head[e] if tail[e] == 4 * ci + s else tail[e]
+            if o >> 2 == ci:
+                link.append(o & 3)
+            elif o in at:
+                glued[at[o]] = s
+                link.append(-1 - at[o])
+            else:
+                link.append(None)
+        survivors = [i for i in range(len(frontier)) if i not in glued]
+        fresh = [s for s in range(4) if link[s] is None]
+        remap = [0] * len(frontier)
+        for k, i in enumerate(survivors):
+            remap[i] = k
+        for k, s in enumerate(fresh, len(survivors)):
+            link[s] = 4 + k
+        # where the strand through a frontier dart's partner q comes out
+        reach = [glued.get(q, 4 + remap[q]) for q in range(len(frontier))]
+        frontier = [frontier[i] for i in survivors] + [4 * ci + s for s in fresh]
+        peak = max(peak, len(frontier) // 2)
+        updates += 2 * len(states)
+        walks: dict[tuple[int, ...], list] = {}
+        parts: dict[tuple[int, ...], list] = {}
+        for key, (lo, coeffs) in states.items():
+            ends = tuple([x if x >= 0 else reach[key[-1 - x]] for x in link])
+            if ends not in walks:
+                walks[ends] = [(sh, *_walk(ends, smooth)) for sh, smooth in _SMOOTH]
+            base = [remap[key[i]] for i in survivors] + [0] * len(fresh)
+            for shift, pairs, loops in walks[ends]:
+                nxt = list(base)
+                for a, b in pairs:
+                    nxt[a], nxt[b] = b, a
+                part = (lo + shift, coeffs)
+                for _ in range(loops):
+                    part = _times_delta(part)
+                parts.setdefault(tuple(nxt), []).append(part)
+        states = {}
+        for key, group in parts.items():
+            lo, coeffs = _summed(group)
+            if coeffs:  # a state whose terms cancelled adds nothing from here on
+                states[key] = lo, coeffs
     assert len(states) == 1 and () in states, "scan left open strands"
     total = states[()]
-    if d.free_loops:
-        total = total * _DELTA_A**d.free_loops
+    for _ in range(d.free_loops):
+        total = _times_delta(total)
+    # only a program that imported logging can have a handler for this
+    # record, so the scan never imports it and `import twistknots` stays light
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(
+            "bracket scan: %d crossings, peak %d open pairs, %d state updates, %.3f s",
+            len(d.crossings), peak, updates, time.perf_counter() - start,
+        )
     return total
 
 
-def _matching_key(matching: dict) -> tuple:
-    pairs = set()
-    for a, b in matching.items():
-        pairs.add(tuple(sorted((a, b))))
-    return tuple(sorted(pairs))
+def _walk(ends: tuple[int, ...], smooth: tuple[int, ...]) -> tuple[list, int]:
+    """Join a crossing's four slots by a smoothing: the frontier pairs it
+    makes and the loops it closes.  ``ends[s]`` is where the strand out
+    of slot ``s`` comes back (a slot) or stays open (4 + new position)."""
+    seen = [False] * 4
+    pairs, loops = [], 0
+    for s in sorted(range(4), key=lambda s: ends[s] < 4):  # open ends first
+        if seen[s]:
+            continue
+        x = s
+        while x < 4 and not seen[x]:
+            seen[x] = seen[smooth[x]] = True
+            x = ends[smooth[x]]
+        if x >= 4:
+            pairs.append((ends[s] - 4, x - 4))
+        else:
+            loops += 1
+    return pairs, loops
 
 
-def _divide_delta(poly: LaurentPolynomial) -> LaurentPolynomial:
-    """Exact division by (-A^2 - A^-2)."""
-    if poly.is_zero():
-        return poly
-    # multiply by -A^2 then divide by (A^4 + 1)
-    dividend = poly.shift(2) * -1
-    p = dict(dividend.coeffs)
-    bound = max(p)
-    out: dict[int, int] = {}
-    while p:
-        e = min(p)
-        if e > bound:
-            raise AssertionError("inexact delta division")
-        c = p.pop(e)
-        out[e] = c
-        top = e + 4
-        p[top] = p.get(top, 0) - c
-        if p.get(top) == 0:
-            del p[top]
-    return LaurentPolynomial(out)
+def _times_delta(p: tuple[int, list[int]]) -> tuple[int, list[int]]:
+    """``p * (-A^2 - A^-2)`` on (lowest exponent, coefficients step 2)."""
+    lo, coeffs = p
+    out = [-c for c in coeffs] + [0, 0]
+    out[2:] = map(sub, out[2:], coeffs)
+    return lo - 2, out
+
+
+def _summed(parts: list[tuple[int, list[int]]]) -> tuple[int, list[int]]:
+    """Sum of polynomials in scan form whose exponents share a parity,
+    trimmed to its nonzero span."""
+    if len(parts) == 1:
+        return parts[0]
+    lo = min([p[0] for p in parts])
+    out = [0] * (max([p[0] + 2 * len(p[1]) for p in parts]) - lo >> 1)
+    for plo, coeffs in parts:
+        i = plo - lo >> 1
+        out[i : i + len(coeffs)] = map(add, out[i : i + len(coeffs)], coeffs)
+    nonzero = [i for i, c in enumerate(out) if c]
+    if not nonzero:
+        return lo, []
+    return lo + 2 * nonzero[0], out[nonzero[0] : nonzero[-1] + 1]
+
+
+def _divide_delta(lo: int, coeffs: list[int]) -> tuple[int, list[int]]:
+    """Exact division by (-A^2 - A^-2) of a polynomial in scan form."""
+    # multiply by -A^2 then divide by (A^4 + 1) from the lowest term up
+    q = [-c for c in coeffs]
+    for i in range(2, len(q)):
+        q[i] -= q[i - 2]
+    if any(q[-2:]):
+        raise AssertionError("inexact delta division")
+    return lo + 2, q[:-2]
 
 
 def unlink_jones(n_components: int) -> LaurentPolynomial:
@@ -223,10 +217,7 @@ def signature(d: OrientedLinkDiagram) -> int:
     if not d.crossings:
         return 0
     faces = d.faces()
-    face_of: dict = {}
-    for fi, face in enumerate(faces):
-        for dart in face:
-            face_of[dart] = fi
+    face_of = {dart: fi for fi, face in enumerate(faces) for dart in face}
     color = _checkerboard(d, faces, face_of)
 
     def corner_face(ci: int, s: int) -> int:
@@ -287,41 +278,48 @@ def _checkerboard(d, faces, face_of) -> list[int]:
 
 
 def _symmetric_signature(matrix: list[list[int]]) -> int:
-    m = [[Fraction(x) for x in row] for row in matrix]
-    n = len(m)
+    """Signature of a symmetric integer matrix by fraction-free elimination.
+
+    Each pivot step replaces the rest of the matrix by |pivot| times its
+    Schur complement, divided by the previous |pivot|.  The division is
+    exact (every entry is then a minor of the input up to sign), and the
+    positive factors keep every sign the rational elimination would see.
+    """
+    m = [list(row) for row in matrix]
     sig = 0
-    active = list(range(n))
-    while active:
-        piv = next((i for i in active if m[i][i] != 0), None)
+    prev = 1
+    while m:
+        piv = next((i for i, row in enumerate(m) if row[i]), None)
         if piv is None:
-            off = None
-            for i in active:
-                for j in active:
-                    if i != j and m[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
+            off = next(
+                ((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x),
+                None,
+            )
             if off is None:
                 break  # zero block contributes nothing
             i, j = off
             # congruence: add row/col j into i to expose a diagonal entry
-            for k in active:
-                m[i][k] += m[j][k]
-            for k in active:
-                m[k][i] += m[k][j]
+            m[i] = list(map(add, m[i], m[j]))
+            for row in m:
+                row[i] += row[j]
             continue
         pv = m[piv][piv]
         sig += 1 if pv > 0 else -1
-        rest = [i for i in active if i != piv]
-        factors = {i: m[i][piv] / pv for i in rest}
-        for i in rest:
-            f = factors[i]
+        apv = abs(pv)
+        top = m[piv][:piv] + m[piv][piv + 1 :]
+        rest = []
+        for i, row in enumerate(m):
+            if i == piv:
+                continue
+            f = row[piv] if pv > 0 else -row[piv]
+            row = row[:piv] + row[piv + 1 :]
             if f:
-                for j in rest:
-                    m[i][j] -= f * m[piv][j]
-        # row piv is stale from here on; `active` never revisits it
-        active = rest
+                row = [(apv * x - f * y) // prev for x, y in zip(row, top)]
+            elif apv != prev:
+                row = [apv * x // prev for x in row]
+            rest.append(row)
+        m = rest
+        prev = apv
     return sig
 
 

@@ -16,6 +16,7 @@ from twistknots.diagram import (
     OrientedLinkDiagram,
     slot_is_incoming,
 )
+from twistknots.invariants import _scan_order
 from twistknots.moves import Move, _r2_candidates
 from twistknots.polynomials import LaurentPolynomial
 
@@ -396,3 +397,151 @@ def faces_bruteforce(d: OrientedLinkDiagram) -> list[list[tuple[int, int]]]:
             if face:
                 faces.append(face)
     return faces
+
+
+# ----------------------------------------------------------------------
+# The frontier scan as first written: every state carries a full dart
+# matching as a sorted tuple of dart pairs, and every crossing rebuilds
+# the whole matching of every state.  The crossing order only bounds the
+# cost; the state sum does not depend on it.
+
+_DELTA_A = LaurentPolynomial({2: -1, -2: -1})  # -A^2 - A^-2
+
+
+def _close_up(matching: dict, glue_pairs: list[tuple]) -> tuple[dict, int]:
+    """Contract glue edges in a perfect matching; count closed loops.
+
+    The union of matching edges and glue edges is a disjoint set of paths
+    and cycles (every node has degree 1 or 2); cycles become loops and
+    each path re-pairs its two endpoints.
+    """
+    adj: dict = {}
+    done_pairs = set()
+    for a, b in matching.items():
+        key = (a, b) if a <= b else (b, a)
+        if key in done_pairs:
+            continue
+        done_pairs.add(key)
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    for a, b in glue_pairs:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    visited = set()
+    new_matching: dict = {}
+    for start, nbrs in adj.items():
+        if len(nbrs) != 1 or start in visited:
+            continue
+        prev, cur = None, start
+        visited.add(start)
+        while True:
+            nxt = next(y for y in adj[cur] if y != prev)
+            prev, cur = cur, nxt
+            visited.add(cur)
+            if len(adj[cur]) == 1:
+                break
+        new_matching[start] = cur
+        new_matching[cur] = start
+    loops = 0
+    for start in adj:
+        if start in visited:
+            continue
+        loops += 1
+        prev, cur = None, start
+        while cur not in visited:
+            visited.add(cur)
+            nxt = next((y for y in adj[cur] if y != prev), None)
+            if nxt is None:
+                break
+            prev, cur = cur, nxt
+    return new_matching, loops
+
+
+def _matching_key(matching: dict) -> tuple:
+    pairs = set()
+    for a, b in matching.items():
+        pairs.add(tuple(sorted((a, b))))
+    return tuple(sorted(pairs))
+
+
+def bracket_with_loops_dict(d: OrientedLinkDiagram) -> LaurentPolynomial:
+    """Sum over states of A^{a-b} * delta^{loops} (note: no -1)."""
+    states: dict[tuple, LaurentPolynomial] = {(): LaurentPolynomial.one()}
+    processed: set[int] = set()
+    for ci in _scan_order(d):
+        c = d.crossings[ci]
+        glue = []
+        for s, e in enumerate(c.edges):
+            a, b = d.edge_ends(e)
+            mine = (ci, s)
+            other = b if a == mine else a
+            if other[0] in processed or (other[0] == ci and other < mine):
+                glue.append((mine, other))
+        processed.add(ci)
+        new_states: dict[tuple, LaurentPolynomial] = {}
+        for key, poly in states.items():
+            matching = {}
+            for x, y in key:
+                matching[x] = y
+                matching[y] = x
+            for bit, pairs in _SMOOTH.items():
+                m2 = dict(matching)
+                for s1, s2 in pairs:
+                    m2[(ci, s1)] = (ci, s2)
+                    m2[(ci, s2)] = (ci, s1)
+                m3, loops = _close_up(m2, glue)
+                contrib = poly.shift(1 if bit == 0 else -1)
+                if loops:
+                    contrib = contrib * _DELTA_A**loops
+                k2 = _matching_key(m3)
+                if k2 in new_states:
+                    new_states[k2] = new_states[k2] + contrib
+                else:
+                    new_states[k2] = contrib
+        states = new_states
+    assert len(states) == 1 and () in states, "scan left open strands"
+    total = states[()]
+    if d.free_loops:
+        total = total * _DELTA_A**d.free_loops
+    return total
+
+
+def symmetric_signature_fraction(matrix: list[list[int]]) -> int:
+    """Signature of a symmetric integer matrix by rational Gaussian
+    elimination, with a congruence step where the diagonal is zero."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    n = len(m)
+    sig = 0
+    active = list(range(n))
+    while active:
+        piv = next((i for i in active if m[i][i] != 0), None)
+        if piv is None:
+            off = None
+            for i in active:
+                for j in active:
+                    if i != j and m[i][j] != 0:
+                        off = (i, j)
+                        break
+                if off:
+                    break
+            if off is None:
+                break  # zero block contributes nothing
+            i, j = off
+            # congruence: add row/col j into i to expose a diagonal entry
+            for k in active:
+                m[i][k] += m[j][k]
+            for k in active:
+                m[k][i] += m[k][j]
+            continue
+        pv = m[piv][piv]
+        sig += 1 if pv > 0 else -1
+        rest = [i for i in active if i != piv]
+        factors = {i: m[i][piv] / pv for i in rest}
+        for i in rest:
+            f = factors[i]
+            if f:
+                for j in rest:
+                    m[i][j] -= f * m[piv][j]
+        # row piv is stale from here on; `active` never revisits it
+        active = rest
+    return sig

@@ -1,8 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistknots.braids import BraidWord, braid_closure, torus_braid
+from twistknots.braids import BraidWord, braid_closure
 from twistknots.diagram import (
     Crossing,
     DiagramError,
@@ -18,6 +20,14 @@ from twistknots.diagram import (
 from .oracles import edge_index_bruteforce, faces_bruteforce
 
 TREFOIL_CLASSIC = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
+
+# any JSON value, small
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 class TestParse:
@@ -86,6 +96,49 @@ class TestRoundTrip:
 
     def test_json_round_trip(self, trefoil_right):
         assert from_json(to_json(trefoil_right)) == trefoil_right
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"crossings": 5, "orientations": []}',
+            '{"crossings": [[0, 1, 1, 0]], "orientations": [-1], "components": [[[0]]]}',
+            '{"crossings": [[0, 1, 1, 0]], "orientations": [true]}',
+            '{"crossings": [[0, 1.0, 1, 0]], "orientations": [-1]}',
+            '{"crossings": [0], "orientations": [1]}',
+            '{"crossings": [], "orientations": [], "components": 3}',
+            "[1, 2]",
+            "{",
+        ],
+    )
+    def test_mistyped_json_raises_diagram_error(self, text):
+        with pytest.raises(DiagramError):
+            from_json(text)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_json_raises_only_diagram_errors(self, data):
+        d = braid_closure(BraidWord.from_ints(3, [1, -2, 1])).disjoint_union(
+            OrientedLinkDiagram.unknot()
+        )
+        doc = d.to_json_dict()
+        for _ in range(data.draw(st.integers(1, 3))):
+            key = data.draw(st.sampled_from(sorted(doc)))
+            rows = doc.get(key)
+            if isinstance(rows, list) and rows and data.draw(st.booleans()):
+                i = data.draw(st.integers(0, len(rows) - 1))
+                if isinstance(rows[i], list) and rows[i] and data.draw(st.booleans()):
+                    j = data.draw(st.integers(0, len(rows[i]) - 1))
+                    rows[i][j] = data.draw(JSON_VALUES)
+                else:
+                    rows[i] = data.draw(JSON_VALUES)
+            elif data.draw(st.booleans()):
+                doc.pop(key)
+            else:
+                doc[key] = data.draw(JSON_VALUES)
+        try:
+            from_json(json.dumps(doc))
+        except DiagramError:
+            pass
 
     def test_two_component_serialization(self, hopf_positive):
         text = serialize(hopf_positive)

@@ -14,7 +14,6 @@ from twistknots.corpus import (
 )
 from twistknots.diagram import DiagramError, structurally_equal
 from twistknots.families import (
-    CoherentReduction,
     FamilyError,
     TwistFamily,
     coherent_reduction,
@@ -31,6 +30,7 @@ from twistknots.invariants import kauffman_bracket_jones as jones
 from twistknots.moves import greedy_simplify
 
 from .oracles import jones_bruteforce
+from .test_diagram import JSON_VALUES
 
 
 class TestWinding:
@@ -40,6 +40,13 @@ class TestWinding:
 
     def test_whitehead_zero(self):
         assert winding_number(whitehead_family()) == 0
+
+    @pytest.mark.parametrize(
+        "mark", [("x", 1), (1.7, 1), (True, 1), (1, 1.0), (1, False), (1,), (1, 1, 1), 5]
+    )
+    def test_mistyped_marks_rejected(self, mark):
+        with pytest.raises(FamilyError, match="integer edge and sign"):
+            TwistFamily(torus_family(3, 2).base, (mark,))
 
     def test_empty_marks(self):
         f = TwistFamily(torus_family(3, 2).base, ())
@@ -229,12 +236,6 @@ class TestCorpusFiles:
         assert fams["wind3_wrap9"].base.n_components == 3
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-    max_leaves=6,
-)
 _PD_TEXT = st.text(alphabet="XO+-[],0123456789\u00b2 \n#", max_size=40)
 
 
@@ -248,7 +249,7 @@ def mutated_family_dicts(draw):
         if isinstance(marks, list) and marks and draw(st.booleans()):
             i = draw(st.integers(0, len(marks) - 1))
             if not isinstance(marks[i], dict) or draw(st.booleans()):
-                marks[i] = draw(_JSON)
+                marks[i] = draw(JSON_VALUES)
                 continue
             target = marks[i]
             key = draw(st.sampled_from(["edge", "sign"]))
@@ -258,7 +259,7 @@ def mutated_family_dicts(draw):
         if draw(st.booleans()):
             target.pop(key, None)
         else:
-            target[key] = draw(_PD_TEXT if key == "base" else _JSON)
+            target[key] = draw(_PD_TEXT if key == "base" else JSON_VALUES)
     return data
 
 

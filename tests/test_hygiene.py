@@ -1,0 +1,60 @@
+"""Source hygiene checks that need nothing beyond the standard ``ast``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "twistknots").rglob("*.py")) + sorted(
+    (ROOT / "tests").rglob("*.py")
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names an import binds that the module never reads, in line order.
+
+    A name counts as read when it appears as a plain name anywhere,
+    including inside a string annotation; ``__future__`` imports bind
+    nothing.
+    """
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    read: set[str] = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                text = ast.parse(node.value, mode="eval")
+                read.update(n.id for n in ast.walk(text) if isinstance(n, ast.Name))
+    return sorted((name for name in bound if name not in read), key=bound.get)
+
+
+def test_detector():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path\n"
+        "import json as j\n"
+        "from typing import Any, Sequence\n"
+        "def f(x: 'Sequence[int]') -> None:\n"
+        "    return os.sep\n"
+    )
+    assert unused_imports(source) == ["j", "Any"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -1,11 +1,15 @@
+import logging
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistknots import invariants
 from twistknots.braids import BraidWord, braid_closure, torus_braid
+from twistknots.corpus import load_corpus
 from twistknots.diagram import DiagramError, OrientedLinkDiagram, parse_pd
+from twistknots.families import twist
 from twistknots.invariants import (
     CERTIFIED_NOT_UNLINK,
     INCONCLUSIVE,
@@ -18,7 +22,12 @@ from twistknots.invariants import (
 from twistknots.moves import reidemeister_moves
 from twistknots.polynomials import LaurentPolynomial
 
-from .oracles import jones_bruteforce
+from .oracles import (
+    bracket_with_loops_dict,
+    jones_bruteforce,
+    symmetric_signature_fraction,
+)
+from .test_diagram import braid_words
 
 # doubled-t exponents: right trefoil is -t^-4 + t^-3 + t^-1
 JONES_TREFOIL_RIGHT = LaurentPolynomial({-8: -1, -6: 1, -2: 1})
@@ -134,3 +143,91 @@ class TestUnlinkCertificate:
     def test_r2_unlink_presentation_inconclusive(self):
         d = braid_closure(BraidWord.from_ints(2, [1, -1]))
         assert unlink_certificate(d).verdict == INCONCLUSIVE
+
+
+def _corpus_members(max_crossings=40):
+    for name, f in sorted(load_corpus().items()):
+        for n in range(-3, 4):
+            d = twist(f, n)
+            if d.n_crossings <= max_crossings:
+                yield (name, n), d
+
+
+def _scan_bracket(d):
+    lo, coeffs = invariants._bracket_with_loops(d)
+    return LaurentPolynomial({lo + 2 * i: c for i, c in enumerate(coeffs)})
+
+
+class TestScanOracle:
+    def test_corpus_members(self):
+        seen = 0
+        for tag, d in _corpus_members():
+            assert _scan_bracket(d) == bracket_with_loops_dict(d), tag
+            seen += 1
+        assert seen >= 30
+
+    @given(
+        st.lists(braid_words(max_strands=3, max_len=4), min_size=1, max_size=2),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unions_with_free_loops_match_bruteforce(self, words, loops):
+        d = OrientedLinkDiagram.unknot(loops)
+        for word in words:
+            d = d.disjoint_union(braid_closure(word))
+        assert _scan_bracket(d) == bracket_with_loops_dict(d)
+        assert kauffman_bracket_jones(d) == jones_bruteforce(d)
+
+    def test_logs_one_record_per_scan(self, caplog):
+        d = twist(load_corpus()["wind3_wrap9"], 1)
+        with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
+            kauffman_bracket_jones(d, limit=d.n_crossings)
+        (record,) = caplog.records
+        assert record.name == "twistknots.invariants"
+        assert record.levelno == logging.DEBUG
+        crossings, peak, updates, seconds = record.args
+        assert (crossings, peak) == (78, 7)
+        assert updates > 0 and seconds >= 0
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Small symmetric integer matrices, often with zero diagonals and
+    with repeated rows/columns that make them singular."""
+    n = draw(st.integers(0, 7))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-3, 3))
+    if n and draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = 0
+    if n >= 2 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(n)))[:2]
+        for k in range(n):
+            m[b][k] = m[a][k]
+        for k in range(n):
+            m[k][b] = m[k][a]
+    return m
+
+
+class TestSignatureOracle:
+    @given(symmetric_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_random_matrices(self, m):
+        assert invariants._symmetric_signature(m) == symmetric_signature_fraction(m)
+
+    def test_zero_and_hyperbolic_blocks(self):
+        assert invariants._symmetric_signature([[0, 0], [0, 0]]) == 0
+        assert invariants._symmetric_signature([[0, 1], [1, 0]]) == 0
+        assert invariants._symmetric_signature([[0, 2, 0], [2, 0, 0], [0, 0, -5]]) == -1
+
+    def test_corpus_members(self, monkeypatch):
+        members = [
+            (tag, d) for tag, d in _corpus_members(max_crossings=60) if d.is_connected()
+        ]
+        got = [signature(d) for _, d in members]
+        monkeypatch.setattr(
+            invariants, "_symmetric_signature", symmetric_signature_fraction
+        )
+        assert got == [signature(d) for _, d in members]

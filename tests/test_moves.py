@@ -1,12 +1,11 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistknots.braids import BraidWord, braid_closure, torus_braid
 from twistknots.corpus import built_families
-from twistknots.diagram import OrientedLinkDiagram, parse_pd, structurally_equal
+from twistknots.diagram import OrientedLinkDiagram, structurally_equal
 from twistknots.families import twist
 from twistknots.invariants import kauffman_bracket_jones
 from twistknots.moves import (
