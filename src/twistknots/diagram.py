@@ -137,13 +137,11 @@ class OrientedLinkDiagram:
         operations that must address specific crossings after the
         normalizing sort.
         """
-        crossings = tuple(Crossing(tuple(e), s) for e, s in raw)
-        relabeled = _normalize_labels(crossings)
+        relabeled = _normalize_labels(tuple(Crossing(tuple(e), s) for e, s in raw))
         diagram = cls(relabeled, free_loops)
-        index_map = []
-        for c in relabeled:
-            index_map.append(diagram.crossings.index(c))
-        return diagram, index_map
+        # the inverse of the constructor's sort; crossings are distinct
+        position = {c: i for i, c in enumerate(diagram.crossings)}
+        return diagram, [position[c] for c in relabeled]
 
     @property
     def n_crossings(self) -> int:
@@ -293,15 +291,13 @@ class OrientedLinkDiagram:
             )
         if len(crossings) != len(signs):
             raise DiagramError("crossings and orientations length mismatch")
-        free = sum(1 for c in comps or [] if not c)
-        d = cls(
-            tuple(Crossing(tuple(e), s) for e, s in zip(crossings, signs)),
-            free_loops=free,
-        )
+        crossings = tuple(Crossing(tuple(e), s) for e, s in zip(crossings, signs))
+        d = cls(crossings, free_loops=sum(1 for c in comps or [] if not c))
         if comps is not None:
-            want = sorted(tuple(c) for c in comps if c)
-            have = sorted(d._components)
-            if [sorted(set(c)) for c in want] != [sorted(set(c)) for c in have]:
+            # read the labels as the constructor relabeled them
+            remap = _label_map(crossings) or {e: e for e in d.edges}
+            want = sorted(sorted({remap.get(e, -1) for e in c}) for c in comps if c)
+            if want != sorted(sorted(set(c)) for c in d._components):
                 raise DiagramError("components field inconsistent with crossings")
         return d
 
@@ -323,15 +319,20 @@ def _mirror_crossing(c: Crossing) -> Crossing:
 # -- normalization and validation ------------------------------------------
 
 
-def _normalize_labels(crossings: tuple[Crossing, ...]) -> tuple[Crossing, ...]:
+def _label_map(crossings: tuple[Crossing, ...]) -> dict | None:
+    """How construction relabels edges: ``None`` when the labels are
+    already the ints ``0..E-1``, else each label to its first-seen rank."""
     labels = [e for c in crossings for e in c.edges]
     n_edges = 2 * len(crossings)
     if set(labels) == set(range(n_edges)) and all(isinstance(e, int) for e in labels):
+        return None
+    return {e: i for i, e in enumerate(dict.fromkeys(labels))}
+
+
+def _normalize_labels(crossings: tuple[Crossing, ...]) -> tuple[Crossing, ...]:
+    remap = _label_map(crossings)
+    if remap is None:
         return crossings
-    remap: dict = {}
-    for e in labels:
-        if e not in remap:
-            remap[e] = len(remap)
     return tuple(Crossing(tuple(remap[e] for e in c.edges), c.sign) for c in crossings)
 
 
@@ -534,8 +535,9 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
     Accepts ``X[a,b,c,d]`` tuples with optional sign annotations
     (``X+``/``X-``) and an optional orientation block of ``O[...]``
     cycles.  Unsigned tuples are resolved from the orientation data or,
-    for classically numbered codes (edges 1..2n serial along each
-    strand), by the successor heuristic; anything ambiguous is an error.
+    for classically numbered codes (edges k..k+2n-1 serial along each
+    strand, any k), by the successor heuristic; anything ambiguous is an
+    error.
     Empty input gives the empty diagram.
     """
     # blank out comments so that offsets stay those of ``text``
@@ -574,16 +576,13 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
         return d
 
     tokens = [t for items, _, _ in crossings_raw for t in items]
-    remap: dict[str, int] = {}
-    if all(t.isdecimal() for t in tokens) and {int(t) for t in tokens} == set(
-        range(len(tokens) // 2)
-    ):
-        for t in tokens:
-            remap[t] = int(t)
+    # keep the serial order of a classical code k..k+E-1, counted from 0
+    values = [int(t) for t in tokens] if all(t.isdecimal() for t in tokens) else []
+    k = min(values, default=0)
+    if values and set(values) == set(range(k, k + len(tokens) // 2)):
+        remap = {t: v - k for t, v in zip(tokens, values)}
     else:
-        for t in tokens:
-            if t not in remap:
-                remap[t] = len(remap)
+        remap = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
     tuples = [tuple(remap[t] for t in items) for items, _, _ in crossings_raw]
     signs: list[int | None] = [s for _, s, _ in crossings_raw]
 

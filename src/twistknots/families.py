@@ -32,9 +32,7 @@ from .diagram import (
     parse_pd,
     serialize,
 )
-from .invariants import kauffman_bracket_jones
-
-DEFAULT_CERTIFICATE_LIMIT = 30
+from .invariants import WIDTH_BUDGET, LimitExceeded, kauffman_bracket_jones
 
 
 class FamilyError(DiagramError):
@@ -246,15 +244,16 @@ def coherent_reduction(
     f: TwistFamily,
     max_changes: int = 2,
     certificate_ns: Sequence[int] = (1,),
-    certificate_limit: int = DEFAULT_CERTIFICATE_LIMIT,
+    certificate_limit: int = WIDTH_BUDGET,
 ) -> CoherentReduction:
     """Find crossing changes on the base making the family coherent.
 
     Cancelling disk passes are paired off; a minimal set of base
     crossing changes (searched by size) must then make the twisted
     diagrams match, which is checked by a Jones certificate at the given
-    twist amounts.  Certificate sizes above ``certificate_limit``
-    crossings are skipped, so at least one feasible n should be given.
+    twist amounts.  ``certificate_limit`` is the width budget of those
+    Jones scans: a twist amount whose diagrams it refuses is skipped,
+    and ``ReductionError`` is raised when it refuses every one.
     ``n = 0`` is refused: ``twist(f, 0)`` ignores the marks, so it
     checks nothing.
     """
@@ -268,37 +267,39 @@ def coherent_reduction(
         )
     if reduced_marks == f.marked_edges:
         return CoherentReduction(f, ())
-    n_base = f.base.n_crossings
+    twisted = [(n, *twist_with_sites(f, n)[:2]) for n in certificate_ns]
     for k in range(max_changes + 1):
-        for subset in combinations(range(n_base), k):
+        for subset in combinations(range(f.base.n_crossings), k):
             reduced = TwistFamily(
                 f.base.change_crossings(subset),
                 reduced_marks,
                 name=f"{f.name}_coherent" if f.name else "",
             )
-            if _square_commutes(f, subset, reduced, certificate_ns, certificate_limit):
+            if _square_commutes(twisted, subset, reduced, certificate_limit):
                 return CoherentReduction(reduced, subset)
     raise ReductionError(
         f"no change set of size <= {max_changes} realizes the reduction"
     )
 
 
-def _square_commutes(f, subset, reduced, ns, limit) -> bool:
+def _square_commutes(twisted, subset, reduced, limit) -> bool:
+    """Whether changing ``subset`` commutes with twisting, by Jones at each
+    ``(n, twisted diagram, base sites)`` the width budget admits."""
     checked = False
-    for n in ns:
-        lhs_d, base_sites, _ = twist_with_sites(f, n)
-        if lhs_d.n_crossings > limit:
-            continue
+    for n, lhs_d, base_sites in twisted:
         lhs = lhs_d.change_crossings([base_sites[i] for i in subset])
-        rhs = twist(reduced, n)
+        try:
+            same = kauffman_bracket_jones(lhs, limit=limit) == kauffman_bracket_jones(
+                twist(reduced, n), limit=limit
+            )
+        except LimitExceeded:
+            continue
         checked = True
-        if kauffman_bracket_jones(lhs, limit=limit) != kauffman_bracket_jones(
-            rhs, limit=limit
-        ):
+        if not same:
             return False
     if not checked:
         raise ReductionError(
-            "certificate sizes all exceed the limit; raise certificate_limit"
+            "every certificate exceeds the width budget; raise certificate_limit"
         )
     return True
 

@@ -42,10 +42,6 @@ class LaurentPolynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPolynomial":
         return cls({0: 1})
 
@@ -104,9 +100,6 @@ class LaurentPolynomial:
 
     # -- queries --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -125,10 +118,6 @@ class LaurentPolynomial:
     def pairs(self) -> list[tuple[int, int]]:
         """Sorted (exponent, coefficient) pairs; the wire format."""
         return list(self.coeffs.items())
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "LaurentPolynomial":
-        return cls({int(e): int(c) for e, c in pairs})
 
     def __repr__(self):
         return f"LaurentPolynomial({self.coeffs})"

@@ -468,7 +468,8 @@ def bracket_with_loops_dict(d: OrientedLinkDiagram) -> LaurentPolynomial:
     """Sum over states of A^{a-b} * delta^{loops} (note: no -1)."""
     states: dict[tuple, LaurentPolynomial] = {(): LaurentPolynomial.one()}
     processed: set[int] = set()
-    for ci in _scan_order(d):
+    order, _ = _scan_order(d)
+    for ci in order:
         c = d.crossings[ci]
         glue = []
         for s, e in enumerate(c.edges):

@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistknots.braids import BraidWord, braid_closure
+from twistknots.braids import BraidWord, braid_closure, torus_braid
 from twistknots.diagram import (
     Crossing,
     DiagramError,
@@ -86,6 +87,26 @@ class TestParse:
         with pytest.raises(ParseError, match="inconsistent"):
             parse_pd("X-[0,1,1,0]\nO[0] O[1]")
 
+    @pytest.mark.parametrize("p", [13, 15])
+    def test_classical_code_from_any_start_in_any_order(self, p):
+        # more than 12 crossings: the successor heuristic alone must
+        # resolve every sign, so the serial numbering has to survive
+        d = braid_closure(torus_braid(p, 2))
+        (cycle,) = d.components
+        crossings = list(d.crossings)
+        random.Random(p).shuffle(crossings)
+        zero, one = (
+            parse_pd(
+                " ".join(
+                    f"X[{','.join(str(start + cycle.index(e)) for e in c.edges)}]"
+                    for c in crossings
+                )
+            )
+            for start in (0, 1)
+        )
+        assert one == zero
+        assert structurally_equal(zero, d)
+
 
 class TestRoundTrip:
     def test_serialize_parse_identity_on_normal_form(self, trefoil_right, figure_eight):
@@ -139,6 +160,12 @@ class TestRoundTrip:
             from_json(json.dumps(doc))
         except DiagramError:
             pass
+
+    def test_json_components_read_through_the_relabeling(self):
+        kink = '{"crossings": [[10, 11, 11, 10]], "orientations": [-1], "components": %s}'
+        assert from_json(kink % "[[10, 11]]") == parse_pd("X-[0,1,1,0]")
+        with pytest.raises(DiagramError, match="components"):
+            from_json(kink % "[[10, 12]]")
 
     def test_two_component_serialization(self, hopf_positive):
         text = serialize(hopf_positive)
@@ -272,3 +299,17 @@ class TestHypothesis:
                 d.edge_ends(bad)
             with pytest.raises(DiagramError, match="not found"):
                 d.component_of_edge(bad)
+
+    @given(braid_words(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_from_raw_index_map(self, word, rng):
+        # labels off the normal form, crossings out of sorted order
+        d = braid_closure(word)
+        raw = [([7 + 3 * e for e in c.edges], c.sign) for c in d.crossings]
+        rng.shuffle(raw)
+        d, index_map = OrientedLinkDiagram.from_raw(raw)
+        labels = dict.fromkeys(e for edges, _ in raw for e in edges)
+        rank = {e: i for i, e in enumerate(labels)}
+        assert [d.crossings[i] for i in index_map] == [
+            Crossing(tuple(rank[e] for e in edges), s) for edges, s in raw
+        ]

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistknots import families
 from twistknots.braids import BraidWord, braid_closure, torus_braid
 from twistknots.corpus import (
     built_families,
@@ -15,6 +16,7 @@ from twistknots.corpus import (
 from twistknots.diagram import DiagramError, structurally_equal
 from twistknots.families import (
     FamilyError,
+    ReductionError,
     TwistFamily,
     coherent_reduction,
     family_from_json_dict,
@@ -165,6 +167,28 @@ class TestCoherentReduction:
         red = coherent_reduction(f, certificate_limit=100)
         assert red.reduced.eta_hat == 3
         assert red.k >= 0
+
+    def test_nine_strand_reduces_within_default_budget(self):
+        # 78 crossings at n=1, but a scan width of 7
+        red = coherent_reduction(wind3_wrap9_family())
+        assert red.reduced.eta_hat == 3
+
+    def test_budget_refusing_every_certificate(self):
+        with pytest.raises(ReductionError, match="width budget"):
+            coherent_reduction(wind3_wrap9_family(), certificate_limit=6)
+
+    def test_twists_the_family_once_per_certificate(self, monkeypatch):
+        f = whitehead_family()
+        seen = []
+        real = families.twist_with_sites
+
+        def counted(g, n):
+            seen.append(g)
+            return real(g, n)
+
+        monkeypatch.setattr(families, "twist_with_sites", counted)
+        assert coherent_reduction(f, certificate_ns=(1, -2)).k == 1
+        assert sum(g is f for g in seen) == 2
 
     def test_winding_preserved(self):
         for fam in (whitehead_family(), mazur_family()):

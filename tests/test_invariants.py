@@ -1,5 +1,6 @@
 import logging
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -56,8 +57,10 @@ class TestJones:
         )
 
     def test_limit_enforced(self, trefoil_right):
+        # the limit is the scan width, 2 open pairs for the trefoil
         with pytest.raises(LimitExceeded):
-            kauffman_bracket_jones(trefoil_right, limit=2)
+            kauffman_bracket_jones(trefoil_right, limit=1)
+        assert kauffman_bracket_jones(trefoil_right, limit=2) == JONES_TREFOIL_RIGHT
 
     def test_matches_bruteforce_on_small_braids(self):
         rng = random.Random(7)
@@ -145,6 +148,32 @@ class TestUnlinkCertificate:
         assert unlink_certificate(d).verdict == INCONCLUSIVE
 
 
+class TestWidthBudget:
+    def test_long_narrow_member_within_budget(self):
+        d = twist(load_corpus()["torus_q3"], 20)
+        assert (d.n_crossings, invariants._scan_order(d)[1]) == (128, 3)
+        assert kauffman_bracket_jones(d) == kauffman_bracket_jones(d, limit=1000)
+        assert unlink_certificate(d).verdict == CERTIFIED_NOT_UNLINK
+
+    def test_wide_diagram_refused_before_any_state(self, monkeypatch):
+        d = braid_closure(torus_braid(10, 10))
+
+        def scan(*args):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(invariants, "_bracket_with_loops", scan)
+        start = time.perf_counter()
+        with pytest.raises(LimitExceeded, match="width 10 .*budget 8"):
+            kauffman_bracket_jones(d)
+        assert time.perf_counter() - start < 0.1
+
+    def test_unlink_certificate_says_jones_was_refused(self):
+        d = braid_closure(torus_braid(10, 9))  # a knot, so no linking numbers
+        cert = unlink_certificate(d)
+        assert cert.verdict == INCONCLUSIVE
+        assert "width 9" in cert.reason
+
+
 def _corpus_members(max_crossings=40):
     for name, f in sorted(load_corpus().items()):
         for n in range(-3, 4):
@@ -154,7 +183,7 @@ def _corpus_members(max_crossings=40):
 
 
 def _scan_bracket(d):
-    lo, coeffs = invariants._bracket_with_loops(d)
+    lo, coeffs = invariants._bracket_with_loops(d, *invariants._scan_order(d))
     return LaurentPolynomial({lo + 2 * i: c for i, c in enumerate(coeffs)})
 
 
