@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterable
 
-from .diagram import Crossing, DiagramError, OrientedLinkDiagram
+from .diagram import Crossing, DiagramError, OrientedLinkDiagram, _label_map
 
 
 @dataclass(frozen=True)
@@ -180,27 +180,9 @@ def braid_closure_with_arcs(
     n = word.strands
     fresh = count(0)
     bottom = [next(fresh) for _ in range(n)]
-    touched = [False] * n
-    for i, _ in word.letters:
-        touched[i - 1] = touched[i] = True
-    crossings = braid_strand_crossings(word, bottom, bottom, [True] * n, fresh)
-    free = sum(1 for j in range(n) if not touched[j])
-    raw = [(c.edges, c.sign) for c in crossings]
-    diagram, _ = OrientedLinkDiagram.from_raw(raw, free_loops=free)
-    # recover the closure arc labels after normalization: bottom labels are
-    # dense ints assigned first, so lane j's arc keeps label bottom[j] unless
-    # the whole labeling was rebuilt; rebuild tracks by first appearance.
-    arcs = _relabeled(raw, [bottom[j] if touched[j] else -1 for j in range(n)])
-    return diagram, arcs
-
-
-def _relabeled(raw, labels):
-    seen: dict = {}
-    for edges, _ in raw:
-        for e in edges:
-            if e not in seen:
-                seen[e] = len(seen)
-    all_labels = [e for edges, _ in raw for e in edges]
-    if set(all_labels) == set(range(len(all_labels) // 2)):
-        return labels
-    return [seen.get(e, -1) for e in labels]
+    crossings = tuple(braid_strand_crossings(word, bottom, bottom, [True] * n, fresh))
+    # each lane's arc keeps its bottom label, as construction relabels it; an
+    # untouched lane's label is on no crossing, and it closes into a free loop
+    remap = _label_map(crossings) or {e: e for c in crossings for e in c.edges}
+    arcs = [remap.get(b, -1) for b in bottom]
+    return OrientedLinkDiagram(crossings, arcs.count(-1)), arcs

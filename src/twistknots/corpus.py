@@ -21,6 +21,7 @@ Contents:
 
 from __future__ import annotations
 
+import json
 from importlib import resources
 
 from .braids import BraidWord, braid_closure_with_arcs, torus_braid
@@ -107,8 +108,6 @@ def load_corpus() -> dict[str, TwistFamily]:
     out = {}
     for entry in sorted(corpus_dir().iterdir(), key=lambda p: p.name):
         if entry.name.endswith(".json"):
-            import json
-
             data = json.loads(entry.read_text(encoding="utf-8"))
             fam = family_from_json_dict(data)
             out[fam.name] = fam

@@ -220,15 +220,6 @@ class OrientedLinkDiagram:
             raise DiagramError("odd signed count between components")
         return total // 2
 
-    def linking_matrix(self) -> list[list[int]]:
-        n = self.n_components
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                lk = self.linking_number(i, j)
-                out[i][j] = out[j][i] = lk
-        return out
-
     def disjoint_union(self, other: "OrientedLinkDiagram") -> "OrientedLinkDiagram":
         """Distant union; the other diagram's components come after ours."""
         off = 2 * len(self.crossings)
@@ -262,9 +253,6 @@ class OrientedLinkDiagram:
         ]
 
     # -- text form --------------------------------------------------------
-
-    def serialize(self) -> str:
-        return serialize(self)
 
     def to_json_dict(self) -> dict:
         return {
@@ -533,11 +521,11 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
     """Parse PD notation.
 
     Accepts ``X[a,b,c,d]`` tuples with optional sign annotations
-    (``X+``/``X-``) and an optional orientation block of ``O[...]``
-    cycles.  Unsigned tuples are resolved from the orientation data or,
-    for classically numbered codes (edges k..k+2n-1 serial along each
-    strand, any k), by the successor heuristic; anything ambiguous is an
-    error.
+    (``X+``/``X-``) and an optional block of ``O[...]`` component cycles
+    (``O[]`` is a free loop), which is only checked against the crossings
+    as edge sets.  Missing signs come from walking each strand (see
+    ``_infer_signs``); input that no orientation fits, or whose
+    orientation the crossings leave open, raises ``ParseError``.
     Empty input gives the empty diagram.
     """
     # blank out comments so that offsets stay those of ``text``
@@ -579,15 +567,16 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
     # keep the serial order of a classical code k..k+E-1, counted from 0
     values = [int(t) for t in tokens] if all(t.isdecimal() for t in tokens) else []
     k = min(values, default=0)
-    if values and set(values) == set(range(k, k + len(tokens) // 2)):
+    serial = bool(values) and set(values) == set(range(k, k + len(tokens) // 2))
+    if serial:
         remap = {t: v - k for t, v in zip(tokens, values)}
     else:
         remap = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
     tuples = [tuple(remap[t] for t in items) for items, _, _ in crossings_raw]
     signs: list[int | None] = [s for _, s, _ in crossings_raw]
 
-    if any(s is None for s in signs):
-        signs = _infer_signs(tuples, signs, crossings_raw)
+    if None in signs:
+        signs = _infer_signs(tuples, signs, [p for _, _, p in crossings_raw], serial)
 
     d = OrientedLinkDiagram(
         tuple(Crossing(t, s) for t, s in zip(tuples, signs)), free_loops
@@ -600,51 +589,64 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
     return d
 
 
-def _infer_signs(tuples, signs, crossings_raw):
-    """Resolve missing signs via serial numbering, then brute consistency."""
+def _infer_signs(tuples, signs, positions, serial):
+    """Fill in the missing signs by walking each strand once.
+
+    Walks start where a strand's direction is known: at every slot 0,
+    where the under-strand enters, and at the over-slot where a signed
+    crossing's strand enters (3 for ``+1``, 1 for ``-1``).  Each over-pass
+    a walk meets takes ``+1`` if entered at slot 3, else ``-1``; entering
+    at slot 2, or against a sign, is an inconsistency.  A strand that
+    never passes under and meets no sign is oriented only in a classical
+    code (``serial``), and only when its crossings' serial hints (edge out
+    = edge in + 1, mod E) all agree.  ``positions`` locate the errors.
+    """
     m = 2 * len(tuples)
-    out = list(signs)
-    undecided = []
-    for i, (t, s) in enumerate(zip(tuples, out)):
-        if s is not None:
-            continue
-        _, b, _, dd = t
-        plus = (b - dd) % m == 1
-        minus = (dd - b) % m == 1
-        if plus and not minus:
-            out[i] = 1
-        elif minus and not plus:
-            out[i] = -1
-        else:
-            undecided.append(i)
-    if undecided:
-        if len(undecided) > 12:
-            raise ParseError("too many crossings with ambiguous orientation; add signs")
-        good = []
-        for mask in range(1 << len(undecided)):
-            trial = list(out)
-            for k, i in enumerate(undecided):
-                trial[i] = 1 if (mask >> k) & 1 else -1
-            try:
-                OrientedLinkDiagram(
-                    tuple(Crossing(t, s) for t, s in zip(tuples, trial)), 0
+    ends: dict[int, list[int]] = {}
+    for ci, t in enumerate(tuples):
+        for slot, e in enumerate(t):
+            ends.setdefault(e, []).append(4 * ci + slot)
+    for e, darts in ends.items():
+        if len(darts) != 2:
+            raise DiagramError(f"edge multiplicity: edge {e} occurs {len(darts)} times")
+    out, walked = list(signs), set()
+
+    def walk(x: int) -> list[int]:
+        """Orient the strand entering at dart ``x``; returns its entry darts."""
+        path = []
+        while x not in walked:
+            walked.add(x)
+            path.append(x)
+            ci, slot = x >> 2, x & 3
+            over = 1 if slot == 3 else -1  # the sign, if this is an over-pass
+            if slot == 2 or (slot and out[ci] == -over):
+                raise ParseError(
+                    f"orientation inconsistency at crossing {ci}", positions[ci]
                 )
-            except DiagramError:
-                continue
-            good.append(trial)
-            if len(good) > 1:
-                break
-        if not good:
-            raise ParseError(
-                "orientation inconsistency: no sign assignment is consistent",
-                crossings_raw[undecided[0]][2],
-            )
-        if len(good) > 1:
-            raise ParseError(
-                "ambiguous orientation: add explicit sign annotations",
-                crossings_raw[undecided[0]][2],
-            )
-        out = good[0]
+            if slot:
+                out[ci] = over
+            y = 4 * ci + _EXIT_OF_ENTRY[slot]
+            a, b = ends[tuples[ci][y & 3]]
+            x = b if a == y else a
+        return path
+
+    for ci, s in enumerate(signs):
+        walk(4 * ci)
+        if s is not None:
+            walk(4 * ci + (3 if s > 0 else 1))
+    for ci in range(len(tuples)):
+        if out[ci] is None:
+            path = walk(4 * ci + 3)
+            # the serial hints: steps of +-1 from the edge in to the edge out
+            hints = {
+                (tuples[x >> 2][_EXIT_OF_ENTRY[x & 3]] - tuples[x >> 2][x & 3]) % m
+                for x in path
+            } & ({1, m - 1} if serial else set())
+            if len(hints) != 1:
+                raise ParseError("ambiguous orientation: add a sign", positions[ci])
+            if hints == {m - 1}:
+                for x in path:
+                    out[x >> 2] *= -1
     return out
 
 

@@ -71,8 +71,6 @@ class TwistFamily:
             seen.add(e)
             if s not in (1, -1):
                 raise FamilyError(f"marked edge sign must be +1/-1, got {s}")
-        if (winding_number(self) - len(marks)) % 2:
-            raise AssertionError("winding/wrapping parity violated")
 
     # convenience views
     @property
@@ -91,11 +89,6 @@ def winding_number(f: TwistFamily) -> int:
         ci = f.base.component_of_edge(e)
         per_comp[ci] = per_comp.get(ci, 0) + s
     return sum(abs(v) for v in per_comp.values())
-
-
-def wrapping_presentation_bound(f: TwistFamily) -> int:
-    """Number of marked passes; an upper bound for the true wrapping."""
-    return len(f.marked_edges)
 
 
 def half_twist_word(strands: int) -> BraidWord:
@@ -210,6 +203,9 @@ def mirror_family(f: TwistFamily) -> TwistFamily:
 
 # -- coherent reduction -------------------------------------------------------
 
+# largest base crossing-change set that coherent_reduction searches
+_MAX_CHANGES = 2
+
 
 @dataclass(frozen=True)
 class CoherentReduction:
@@ -242,7 +238,6 @@ def _paired_marks(f: TwistFamily) -> tuple[tuple[int, int], ...]:
 
 def coherent_reduction(
     f: TwistFamily,
-    max_changes: int = 2,
     certificate_ns: Sequence[int] = (1,),
     certificate_limit: int = WIDTH_BUDGET,
 ) -> CoherentReduction:
@@ -268,7 +263,7 @@ def coherent_reduction(
     if reduced_marks == f.marked_edges:
         return CoherentReduction(f, ())
     twisted = [(n, *twist_with_sites(f, n)[:2]) for n in certificate_ns]
-    for k in range(max_changes + 1):
+    for k in range(_MAX_CHANGES + 1):
         for subset in combinations(range(f.base.n_crossings), k):
             reduced = TwistFamily(
                 f.base.change_crossings(subset),
@@ -278,7 +273,7 @@ def coherent_reduction(
             if _square_commutes(twisted, subset, reduced, certificate_limit):
                 return CoherentReduction(reduced, subset)
     raise ReductionError(
-        f"no change set of size <= {max_changes} realizes the reduction"
+        f"no change set of size <= {_MAX_CHANGES} realizes the reduction"
     )
 
 
@@ -352,4 +347,8 @@ def save_family(f: TwistFamily, path) -> None:
 
 def load_family(path) -> TwistFamily:
     with open(path, encoding="utf-8") as fh:
-        return family_from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FamilyError(f"family file is not JSON: {exc.msg}") from exc
+    return family_from_json_dict(data)

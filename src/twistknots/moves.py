@@ -44,10 +44,6 @@ def reidemeister_moves(d: OrientedLinkDiagram) -> list[Move]:
     return out
 
 
-def crossing_decreasing_moves(d: OrientedLinkDiagram) -> list[Move]:
-    return list(r1_removals(d)) + list(r2_removals(d))
-
-
 # -- removals -----------------------------------------------------------
 
 

@@ -14,7 +14,6 @@ No floating point is ever involved; coefficients are Python ints.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 
@@ -57,15 +56,6 @@ class LaurentPolynomial:
             out[e] = out.get(e, 0) + c
         return LaurentPolynomial(out)
 
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPolynomial(out)
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: -c for e, c in self.coeffs.items()})
-
     def __mul__(self, other):
         if isinstance(other, int):
             return LaurentPolynomial({e: c * other for e, c in self.coeffs.items()})
@@ -75,8 +65,6 @@ class LaurentPolynomial:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPolynomial":
         if n < 0:
@@ -121,26 +109,3 @@ class LaurentPolynomial:
 
     def __repr__(self):
         return f"LaurentPolynomial({self.coeffs})"
-
-    def format(self, var: str = "t", halved: bool = False) -> str:
-        """Human-readable form.  With ``halved`` the stored exponents are
-        read as doubled, so exponent 3 prints as ``t^(3/2)``."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in self.coeffs.items():
-            exp = Fraction(e, 2) if halved else Fraction(e)
-            if exp == 0:
-                term = str(abs(c))
-            else:
-                if exp == 1:
-                    pw = var
-                elif exp.denominator == 1:
-                    pw = f"{var}^{exp.numerator}"
-                else:
-                    pw = f"{var}^({exp})"
-                term = pw if abs(c) == 1 else f"{abs(c)}*{pw}"
-            parts.append(("- " if c < 0 else "+ ") + term)
-        head = parts[0]
-        head = "-" + head[2:] if head.startswith("- ") else head[2:]
-        return " ".join([head] + parts[1:])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistknots.braids import BraidWord, braid_closure, torus_braid
+from twistknots.corpus import built_families
 from twistknots.diagram import (
     Crossing,
     DiagramError,
@@ -17,6 +18,7 @@ from twistknots.diagram import (
     structurally_equal,
     to_json,
 )
+from twistknots.families import twist
 
 from .oracles import edge_index_bruteforce, faces_bruteforce
 
@@ -313,3 +315,93 @@ class TestHypothesis:
         assert [d.crossings[i] for i in index_map] == [
             Crossing(tuple(rank[e] for e in edges), s) for edges, s in raw
         ]
+
+
+# every corpus member at |n| <= 2, up to 150 crossings
+CORPUS_MEMBERS = [
+    twist(f, n) for _, f in sorted(built_families().items()) for n in range(-2, 3)
+]
+
+
+def unsigned_text(d, rng, keep=0.0):
+    """PD text of ``d`` with the crossings shuffled, the edges renamed to
+    shuffled non-decimal labels and each sign kept with chance ``keep``.
+
+    Returns the text and whether the kept signs and the under-passes
+    orient every component: each one passes under somewhere or over at a
+    signed crossing.
+    """
+    names = [f"e{k}" for k in range(2 * d.n_crossings)]
+    rng.shuffle(names)
+    crossings = list(d.crossings)
+    rng.shuffle(crossings)
+    pinned = set()
+    parts = []
+    for c in crossings:
+        signed = rng.random() < keep
+        pinned.add(d.component_of_edge(c.edges[0]))
+        if signed:
+            pinned.add(d.component_of_edge(c.edges[1]))
+        sign = ("+" if c.sign > 0 else "-") if signed else ""
+        parts.append(f"X{sign}[{','.join(names[e] for e in c.edges)}]")
+    parts += ["O[]"] * d.free_loops
+    return " ".join(parts), len(pinned) == d.n_components - d.free_loops
+
+
+class TestUnsignedParse:
+    """Unsigned crossings are oriented by walking each strand once."""
+
+    @pytest.mark.parametrize("keep", [0.0, 0.5])
+    @given(
+        st.one_of(braid_words().map(braid_closure), st.sampled_from(CORPUS_MEMBERS)),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_shuffled_codes_parse_to_the_original(self, keep, d, rng):
+        text, oriented = unsigned_text(d, rng, keep)
+        if oriented:
+            assert structurally_equal(parse_pd(text), d)
+        else:
+            with pytest.raises(ParseError, match="ambiguous orientation"):
+                parse_pd(text)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_shuffled_torus_7_3(self, seed):
+        d = twist(built_families()["torus_q3"], 1)
+        assert d.n_crossings == 14
+        text, oriented = unsigned_text(d, random.Random(seed))
+        assert oriented
+        assert structurally_equal(parse_pd(text), d)
+
+    def test_one_construction_per_parse(self, monkeypatch):
+        built = []
+        validate = OrientedLinkDiagram.__post_init__
+
+        def counting(self):
+            built.append(self)  # counted even if validation then raises
+            validate(self)
+
+        monkeypatch.setattr(OrientedLinkDiagram, "__post_init__", counting)
+        d = braid_closure(BraidWord.from_ints(3, [1, -2, 1, -2, 1]))
+        text, _ = unsigned_text(d, random.Random(0))
+        built.clear()
+        back = parse_pd(text)
+        assert len(built) == 1
+        assert structurally_equal(back, d)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            # the under-strand leaving crossing 0 enters crossing 1 at slot 2
+            ("X[a,b,c,d] X[d,a,c,b]", "orientation inconsistency"),
+            # the kink's strand enters its over-slot against the sign
+            ("X+[a,b,b,a] X[c,d,d,c]", "orientation inconsistency"),
+            ("X[a,b,c,d] X[a,b,c,e]", "edge multiplicity"),
+            # classical code: loop 1-2 lies over loop 3-4, and its serial
+            # hints disagree, as they do on every two-edge strand
+            ("X[1,3,2,4] X[2,3,1,4]", "ambiguous orientation"),
+        ],
+    )
+    def test_unorientable_input(self, text, error):
+        with pytest.raises(DiagramError, match=error):
+            parse_pd(text)

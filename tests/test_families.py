@@ -22,11 +22,12 @@ from twistknots.families import (
     family_from_json_dict,
     family_to_json_dict,
     full_twist_braid,
+    load_family,
     mirror_family,
+    save_family,
     twist,
     untwist_schedule,
     winding_number,
-    wrapping_presentation_bound,
 )
 from twistknots.invariants import kauffman_bracket_jones as jones
 from twistknots.moves import greedy_simplify
@@ -60,10 +61,10 @@ class TestWinding:
 
     def test_wrapping_bounds(self):
         fams = built_families()
-        assert wrapping_presentation_bound(fams["wind3_wrap9"]) == 9
+        assert fams["wind3_wrap9"].eta_hat == 9
         assert winding_number(fams["wind3_wrap9"]) == 3
-        assert wrapping_presentation_bound(fams["torus_q3"]) == 3
-        assert wrapping_presentation_bound(TwistFamily(fams["torus_q2"].base, ())) == 0
+        assert fams["torus_q3"].eta_hat == 3
+        assert TwistFamily(fams["torus_q2"].base, ()).eta_hat == 0
 
 
 class TestFullTwistBraid:
@@ -304,6 +305,18 @@ class TestFamilyFiles:
         edit(data)
         with pytest.raises(FamilyError):
             family_from_json_dict(data)
+
+    def test_save_load_round_trip(self, tmp_path):
+        for name, fam in sorted(built_families().items()):
+            save_family(fam, tmp_path / f"{name}.json")
+            assert load_family(tmp_path / f"{name}.json") == fam
+
+    @pytest.mark.parametrize("text", ["{", "[1, 2]", '{"base": "X[0,1]"}'])
+    def test_bad_file_on_disk_raises_family_error(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FamilyError):
+            load_family(path)
 
     @given(mutated_family_dicts())
     @settings(max_examples=300, deadline=None)

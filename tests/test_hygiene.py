@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "twistknots").rglob("*.py")) + sorted(
-    (ROOT / "tests").rglob("*.py")
-)
+PACKAGE = ROOT / "src" / "twistknots"
+SOURCES = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+# every place that may name a library function or class
+CALLERS = [ROOT / d for d in ("src", "tests", "perfbench", "scripts")]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -58,3 +59,48 @@ def test_detector():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_definitions(sources: dict[Path, str], package: Path) -> list[str]:
+    """Module-level functions and classes defined under ``package`` that
+    no source names outside their own definition, sorted.
+
+    ``sources`` maps each path to its text.  A name counts where it is
+    read as a plain name or as an attribute; being imported is not enough.
+    """
+    defined: set[str] = set()
+    named: set[str] = set()
+    for path, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = getattr(stmt, "name", None)
+            if own and path.is_relative_to(package):
+                defined.add(own)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id != own:
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    named.add(node.attr)
+    return sorted(defined - named)
+
+
+def test_unreferenced_detector():
+    sources = {
+        Path("pkg/a.py"): (
+            "import os\n"
+            "def used(): return os.sep\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "class Dead: pass\n"
+            "def method_named(): pass\n"
+        ),
+        Path("tests/t.py"): "from pkg.a import used, Dead\nused()\nos.method_named\n",
+    }
+    assert unreferenced_definitions(sources, Path("pkg")) == ["Dead", "recursive"]
+
+
+def test_every_library_definition_is_named():
+    sources = {
+        path: path.read_text(encoding="utf-8")
+        for root in CALLERS
+        for path in sorted(root.rglob("*.py"))
+    }
+    assert unreferenced_definitions(sources, PACKAGE) == []

@@ -9,7 +9,6 @@ from twistknots.diagram import OrientedLinkDiagram, structurally_equal
 from twistknots.families import twist
 from twistknots.invariants import kauffman_bracket_jones
 from twistknots.moves import (
-    crossing_decreasing_moves,
     greedy_simplify,
     r1_removals,
     r2_additions,
@@ -64,7 +63,7 @@ class TestR2:
 
     def test_trefoil_has_no_decreasing_move(self, trefoil_right):
         # exhaustive enumeration: no R1 or R2 removal exists
-        assert crossing_decreasing_moves(trefoil_right) == []
+        assert list(r1_removals(trefoil_right)) + list(r2_removals(trefoil_right)) == []
 
     def test_additions_exist_and_preserve_components(self, trefoil_right):
         adds = [m for m in reidemeister_moves(trefoil_right) if m.kind == "R2+"]
@@ -100,7 +99,7 @@ class TestR2AdditionsOracle:
         for tag, d in _small_corpus_members():
             rng = random.Random(tag)
             for step in range(2):
-                moves = crossing_decreasing_moves(d) + list(r3_moves(d))
+                moves = list(r1_removals(d)) + list(r2_removals(d)) + list(r3_moves(d))
                 d = rng.choice(moves or list(r2_additions(d))).result
                 assert list(r2_additions(d)) == r2_additions_bruteforce(d), (tag, step)
 
