@@ -20,8 +20,8 @@ labels are already exactly ``{0..E-1}`` keep them, so re-parsing a
 serialized diagram reproduces it identically.
 
 Split diagrams are first class.  Non-planar inputs (PD codes with no
-realization in the plane) are rejected at construction via an Euler
-characteristic check on the face structure of each connected piece.
+realization in the plane) are rejected at construction by one Euler
+characteristic count over the faces of all connected pieces.
 
 The validating pass also leaves an edge index on the diagram: each
 edge's tail dart, head dart and component, kept as flat tuples of small
@@ -412,10 +412,15 @@ def _check_planarity(tail: Sequence[int], head: Sequence[int]) -> None:
     if not tail:
         return
     roots = _piece_roots(tail, head)
+    faces = _faces(tail, head)
+    # every piece has E = 2V, so planarity (V - E + F = 2) reads F = V + 2;
+    # F <= V + 2 holds in every piece (genus >= 0), so the total count
+    # reaches V + 2 * pieces only if every piece does
+    if len(faces) == len(roots) + 2 * len(set(roots)):
+        return
     crossing_count = Counter(roots)
-    face_count = Counter(roots[face[0] >> 2] for face in _faces(tail, head))
+    face_count = Counter(roots[face[0] >> 2] for face in faces)
     for root, v in crossing_count.items():
-        # every piece has E = 2V, so planarity (V - E + F = 2) reads F = V + 2
         if face_count[root] != v + 2:
             raise DiagramError(
                 "non-planar diagram: piece with "

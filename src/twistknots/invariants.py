@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from operator import add, sub
 
-from .diagram import DiagramError, OrientedLinkDiagram
+from .diagram import DiagramError, OrientedLinkDiagram, _piece_roots, _subdiagram
 from .polynomials import LaurentPolynomial
 
 # most open pairs a scan may keep; cost grows like the Catalan number of the
@@ -39,25 +39,49 @@ class LimitExceeded(DiagramError):
 
 
 def _scan_order(d: OrientedLinkDiagram) -> tuple[list[int], int]:
-    """Greedy order keeping the open frontier small, and its peak open pairs."""
+    """Greedy order keeping the open frontier small, and its peak open pairs.
+
+    Each step takes the crossing with the most edges to crossings already
+    placed, the lowest index among ties.  Unplaced crossings with 1..4
+    such edges sit in a bucket per count, at most one per open edge in
+    all; when every bucket is empty no unplaced crossing has such an
+    edge, and the lowest unplaced index, which only grows, comes next.
+    """
+    n = len(d.crossings)
+    other = [0] * (4 * n)  # per dart, the crossing at the other end of its edge
+    for t, h in zip(d._tail, d._head):
+        other[t] = h >> 2
+        other[h] = t >> 2
+    count = [0] * n
+    placed = [False] * n
+    buckets: list[set[int]] = [set() for _ in range(5)]  # by count; 0 stays empty
+    lowest = 0
     order: list[int] = []
-    left = set(range(len(d.crossings)))
-    open_edges: set[int] = set()
-    width = 0
-    while left:
-        # prefer staying connected to the current region, then low indices
-        ci = max(
-            left,
-            key=lambda c: (sum(e in open_edges for e in d.crossings[c].edges), -c),
-        )
-        left.discard(ci)
+    open_edges = width = 0
+    for _ in range(n):
+        k = 4
+        while k and not buckets[k]:
+            k -= 1
+        if k:
+            ci = min(buckets[k])
+            buckets[k].discard(ci)
+        else:
+            while placed[lowest]:
+                lowest += 1
+            ci = lowest
+        placed[ci] = True
         order.append(ci)
-        for e in d.crossings[ci].edges:
-            if e in open_edges:
-                open_edges.discard(e)
-            elif any(cj != ci for cj, _ in d.edge_ends(e)):
-                open_edges.add(e)  # an edge with both ends here never opens
-        width = max(width, len(open_edges) // 2)
+        for cj in other[4 * ci : 4 * ci + 4]:
+            if cj == ci:
+                continue  # an edge with both ends here never opens
+            if placed[cj]:
+                open_edges -= 1
+            else:
+                open_edges += 1
+                buckets[count[cj]].discard(cj)
+                count[cj] += 1
+                buckets[count[cj]].add(cj)
+        width = max(width, open_edges // 2)
     return order, width
 
 
@@ -217,11 +241,19 @@ def unlink_jones(n_components: int) -> LaurentPolynomial:
 
 def signature(d: OrientedLinkDiagram) -> int:
     """Signature of the link via the Goeritz form with orientation
-    correction; fixed so the right trefoil gives -2."""
-    if not d.is_connected():
-        raise DiagramError("signature needs a connected diagram")
+    correction; fixed so the right trefoil gives -2.  A split diagram
+    gets the sum over its pieces, free loops adding 0."""
     if not d.crossings:
         return 0
+    pieces: dict[int, list[int]] = {}
+    for ci, root in enumerate(_piece_roots(d._tail, d._head)):
+        pieces.setdefault(root, []).append(ci)
+    if len(pieces) == 1:
+        return _piece_signature(d)  # free loops add 0
+    return sum(_piece_signature(_subdiagram(d, p)) for p in pieces.values())
+
+
+def _piece_signature(d: OrientedLinkDiagram) -> int:
     faces = d.faces()
     face_of = {dart: fi for fi, face in enumerate(faces) for dart in face}
     color = _checkerboard(d, faces, face_of)

@@ -8,10 +8,16 @@ diagram validator, and a result that fails it raises ``DiagramError``
 (a bug in this module) instead of being dropped.
 
 Move kinds: ``R1-``, ``R1+``, ``R2-``, ``R2+``, ``R3``.
+
+``greedy_simplify`` does not go through these move lists.  It removes
+kinks and bigons on the input's dart mate array, names the crossings of
+its trace by their input indices, and validates one diagram, its result.
 """
 
 from __future__ import annotations
 
+import sys
+import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -299,11 +305,118 @@ def _apply_r3(d: OrientedLinkDiagram, sides: list[int]) -> OrientedLinkDiagram:
 def greedy_simplify(
     d: OrientedLinkDiagram,
 ) -> tuple[OrientedLinkDiagram, list[tuple]]:
-    """Apply crossing-decreasing moves until none remain."""
-    trace = []
-    while True:
-        move = next(iter(r1_removals(d)), None) or next(iter(r2_removals(d)), None)
-        if move is None:
-            return d, trace
-        trace.append((move.kind, move.site))
-        d = move.result
+    """Remove kinks (R1-) and bigons (R2-) until none is left.
+
+    Works on the input's dart mate array: a removal re-mates each dart
+    outside the removed crossings to the next outside dart along its
+    strand, and only the crossings of re-mated darts are looked at again.
+    Removals never create crossings, so the trace names input crossings:
+    ``("R1-", (c, s))`` for the kink whose loop joins slots ``s`` and
+    ``s + 1`` of crossing ``c``, and ``("R2-", (c1, s1, c2, s2))`` for the
+    bigon whose two face darts are ``(c1, s1)`` and ``(c2, s2)``.  The
+    result is built and validated once, at the end.
+    """
+    start = time.perf_counter()
+    n = len(d.crossings)
+    mate = [0] * (4 * n)
+    for t, h in zip(d._tail, d._head):
+        mate[t] = h
+        mate[h] = t
+    alive = [True] * n
+    free_loops = d.free_loops
+    trace: list[tuple] = []
+    work = list(range(n - 1, -1, -1))  # a stack, lowest crossing on top
+    while work:
+        c = work.pop()
+        if not alive[c]:
+            continue
+        step = _kink_at(mate, c) or _bigon_at(mate, c)
+        if step is None:
+            continue
+        trace.append(step)
+        kind, site = step
+        removed = (c,) if kind == "R1-" else (c, site[2])
+        loops, touched = _remove(mate, alive, removed)
+        free_loops += loops
+        work.extend(touched)
+    result = d if not trace else _built(d, mate, alive, free_loops)
+    # only a program that imported logging can have a handler for this
+    # record, so `import twistknots` stays light
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(
+            "greedy simplify: %d crossings in, %d steps, %d crossings out, %.3f s",
+            n, len(trace), result.n_crossings, time.perf_counter() - start,
+        )
+    return result, trace
+
+
+def _kink_at(mate: list[int], c: int) -> tuple | None:
+    """The R1- step at crossing ``c``: a slot mated to the next slot."""
+    for s in range(4):
+        if mate[4 * c + s] == 4 * c + (s + 1) % 4:
+            return "R1-", (c, s)
+    return None
+
+
+def _bigon_at(mate: list[int], c: int) -> tuple | None:
+    """The R2- step at crossing ``c``: a two-dart face ``x -> y -> x``
+    (``y`` the dart after ``x``'s mate) with ``y`` at another crossing,
+    whose edge at ``x`` runs over at both ends or under at both ends."""
+    for x in range(4 * c, 4 * c + 4):
+        m = mate[x]
+        y = m - (m & 3) + ((m + 1) & 3)
+        if y >> 2 == c or (x ^ m) & 1:
+            continue
+        m = mate[y]
+        if m - (m & 3) + ((m + 1) & 3) == x:
+            return "R2-", (c, x & 3, y >> 2, y & 3)
+    return None
+
+
+def _remove(mate: list[int], alive: list[bool], removed) -> tuple[int, list[int]]:
+    """Splice the ``removed`` crossings out of the mate array.
+
+    Each outside dart is re-mated to the next outside dart along its
+    strand; a strand that never leaves the removed crossings is a free
+    loop.  Returns the loop count and the crossings of re-mated darts.
+    """
+    for c in removed:
+        alive[c] = False
+    darts = [4 * c + s for c in removed for s in range(4)]
+    seen = set()
+    touched = []
+    for x in darts:
+        y = mate[x]
+        if x in seen or not alive[y >> 2]:
+            continue
+        while True:  # x ^ 2 is the other slot of x's strand at its crossing
+            seen.update((x, x ^ 2))
+            z = mate[x ^ 2]
+            if alive[z >> 2]:
+                break
+            x = z
+        mate[y], mate[z] = z, y
+        touched += (y >> 2, z >> 2)
+    loops = 0
+    for x in darts:
+        if x not in seen:
+            loops += 1
+            while x not in seen:
+                seen.update((x, x ^ 2))
+                x = mate[x ^ 2]
+    return loops, touched
+
+
+def _built(d, mate, alive, free_loops) -> OrientedLinkDiagram:
+    """The diagram of the live crossings, one edge label per mated pair."""
+    label: dict[int, int] = {}
+    crossings = []
+    for c, live in enumerate(alive):
+        if live:
+            edges = tuple(
+                label.setdefault(min(x, mate[x]), len(label))
+                for x in range(4 * c, 4 * c + 4)
+            )
+            crossings.append(Crossing(edges, d.crossings[c].sign))
+    return OrientedLinkDiagram(tuple(crossings), free_loops)

@@ -16,8 +16,7 @@ from twistknots.diagram import (
     OrientedLinkDiagram,
     slot_is_incoming,
 )
-from twistknots.invariants import _scan_order
-from twistknots.moves import Move, _r2_candidates
+from twistknots.moves import Move, _r2_candidates, r1_removals, r2_removals
 from twistknots.polynomials import LaurentPolynomial
 
 # smoothing pairings by slot: 0 joins (0,1),(2,3); 1 joins (0,3),(1,2)
@@ -464,11 +463,35 @@ def _matching_key(matching: dict) -> tuple:
     return tuple(sorted(pairs))
 
 
+def scan_order_max(d: OrientedLinkDiagram) -> tuple[list[int], int]:
+    """The greedy scan order by a ``max`` over every crossing left at each
+    step, and its peak open pairs."""
+    order: list[int] = []
+    left = set(range(len(d.crossings)))
+    open_edges: set[int] = set()
+    width = 0
+    while left:
+        # prefer staying connected to the current region, then low indices
+        ci = max(
+            left,
+            key=lambda c: (sum(e in open_edges for e in d.crossings[c].edges), -c),
+        )
+        left.discard(ci)
+        order.append(ci)
+        for e in d.crossings[ci].edges:
+            if e in open_edges:
+                open_edges.discard(e)
+            elif any(cj != ci for cj, _ in d.edge_ends(e)):
+                open_edges.add(e)  # an edge with both ends here never opens
+        width = max(width, len(open_edges) // 2)
+    return order, width
+
+
 def bracket_with_loops_dict(d: OrientedLinkDiagram) -> LaurentPolynomial:
     """Sum over states of A^{a-b} * delta^{loops} (note: no -1)."""
     states: dict[tuple, LaurentPolynomial] = {(): LaurentPolynomial.one()}
     processed: set[int] = set()
-    order, _ = _scan_order(d)
+    order, _ = scan_order_max(d)
     for ci in order:
         c = d.crossings[ci]
         glue = []
@@ -546,3 +569,137 @@ def symmetric_signature_fraction(matrix: list[list[int]]) -> int:
         # row piv is stale from here on; `active` never revisits it
         active = rest
     return sig
+
+
+# ----------------------------------------------------------------------
+# Greedy simplification as first written: every step enumerates the
+# removals of the whole diagram, takes the first, and builds and
+# validates its result.
+
+
+def greedy_simplify_stepwise(
+    d: OrientedLinkDiagram,
+) -> tuple[OrientedLinkDiagram, list[tuple]]:
+    """Apply the first R1- move, else the first R2- move, until none is
+    left; sites are those of each intermediate diagram."""
+    trace = []
+    while True:
+        move = next(iter(r1_removals(d)), None) or next(iter(r2_removals(d)), None)
+        if move is None:
+            return d, trace
+        trace.append((move.kind, move.site))
+        d = move.result
+
+
+def replay_removals(
+    d: OrientedLinkDiagram, trace: list[tuple]
+) -> OrientedLinkDiagram:
+    """Replay a ``greedy_simplify`` trace, whose sites name input crossings.
+
+    Each step must be a move that ``r1_removals``/``r2_removals`` list for
+    the diagram it applies to.  It is applied through ``from_raw``, whose
+    index map keeps track of where every input crossing went, and the
+    diagram built must equal that move's result.  Returns the last one.
+    """
+    where = list(range(d.n_crossings))  # input crossing -> position in d
+    for kind, site in trace:
+        if kind == "R1-":
+            c, s = site
+            darts = [(where[c], s)]
+            key, moves = darts[0], r1_removals(d)
+        else:
+            c1, s1, c2, s2 = site
+            darts = sorted([(where[c1], s1), (where[c2], s2)])
+            (a, sa), (b, sb) = darts
+            key = (a, b, d.crossings[a].edges[sa], d.crossings[b].edges[sb])
+            moves = r2_removals(d)
+        if any(ci < 0 for ci, _ in darts):
+            raise AssertionError(f"{kind} {site} names a removed crossing")
+        move = next((m for m in moves if m.site == key), None)
+        if move is None:
+            raise AssertionError(f"{kind} {site} is not a listed move")
+        removed = {ci for ci, _ in darts}
+        keep = [ci for ci in range(d.n_crossings) if ci not in removed]
+        raw, loops = _spliced(d, removed, keep)
+        d, index_map = OrientedLinkDiagram.from_raw(raw, d.free_loops + loops)
+        if d != move.result:
+            raise AssertionError(f"{kind} {site} built another diagram")
+        moved = dict(zip(keep, index_map))
+        where = [moved.get(p, -1) for p in where]
+    return d
+
+
+def _spliced(d, removed, keep):
+    """The ``keep`` crossings as raw rows once ``removed`` are deleted,
+    each chain of edges through them labelled by its smallest edge, and
+    the number of strand cycles lying wholly inside them."""
+
+    def other(ci, s):
+        a, b = d.edge_ends(d.crossings[ci].edges[s])
+        return b if a == (ci, s) else a
+
+    chained = set()
+    raw = []
+    for ci in keep:
+        edges = []
+        for s in range(4):
+            chain = [d.crossings[ci].edges[s]]
+            x = other(ci, s)
+            while x[0] in removed:
+                x = (x[0], (x[1] + 2) % 4)
+                chain.append(d.crossings[x[0]].edges[x[1]])
+                x = other(*x)
+            chained.update(chain)
+            edges.append(min(chain))
+        raw.append((edges, d.crossings[ci].sign))
+    inner = {e for ci in removed for e in d.crossings[ci].edges} - chained
+    loops = 0
+    while inner:
+        loops += 1
+        e = inner.pop()
+        while True:
+            ci, s = d.edge_ends(e)[1]
+            e = d.crossings[ci].edges[(s + 2) % 4]
+            if e not in inner:
+                break
+            inner.discard(e)
+    return raw, loops
+
+
+def planar_bruteforce(crossings) -> bool:
+    """Whether every connected piece of a crossing list, each edge label
+    at two slots, has V + 2 face orbits, counted piece by piece."""
+    occ: dict[int, list[tuple[int, int]]] = {}
+    for ci, c in enumerate(crossings):
+        for slot, e in enumerate(c.edges):
+            occ.setdefault(e, []).append((ci, slot))
+    other = {}
+    for a, b in occ.values():
+        other[a], other[b] = b, a
+    piece: dict[int, int] = {}
+    for first in range(len(crossings)):
+        if first in piece:
+            continue
+        piece[first] = first
+        stack = [first]
+        while stack:
+            ci = stack.pop()
+            for slot in range(4):
+                cj = other[ci, slot][0]
+                if cj not in piece:
+                    piece[cj] = first
+                    stack.append(cj)
+    faces: dict[int, int] = {}
+    seen = set()
+    for x in other:
+        if x in seen:
+            continue
+        faces[piece[x[0]]] = faces.get(piece[x[0]], 0) + 1
+        while x not in seen:
+            seen.add(x)
+            oc, os = other[x]
+            x = (oc, (os + 1) % 4)
+    vertices: dict[int, int] = {}
+    for p in piece.values():
+        vertices[p] = vertices.get(p, 0) + 1
+    return all(faces[p] == v + 2 for p, v in vertices.items())

@@ -20,7 +20,7 @@ from twistknots.diagram import (
 )
 from twistknots.families import twist
 
-from .oracles import edge_index_bruteforce, faces_bruteforce
+from .oracles import edge_index_bruteforce, faces_bruteforce, planar_bruteforce
 
 TREFOIL_CLASSIC = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
@@ -257,6 +257,19 @@ class TestStructure:
 
 
 @st.composite
+def oriented_codes(draw, max_crossings=5):
+    """Crossing lists whose edges each run from one outgoing slot to one
+    incoming slot, wired at random; most are not planar."""
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=max_crossings))
+    outs = [4 * ci + s for ci, sign in enumerate(signs) for s in (2, 1 if sign > 0 else 3)]
+    ins = [4 * ci + s for ci, sign in enumerate(signs) for s in (0, 3 if sign > 0 else 1)]
+    edges = [[0] * 4 for _ in signs]
+    for e, (t, h) in enumerate(zip(outs, draw(st.permutations(ins)))):
+        edges[t >> 2][t & 3] = edges[h >> 2][h & 3] = e
+    return tuple(Crossing(tuple(row), sign) for row, sign in zip(edges, signs))
+
+
+@st.composite
 def braid_words(draw, max_strands=4, max_len=7):
     strands = draw(st.integers(2, max_strands))
     length = draw(st.integers(1, max_len))
@@ -268,6 +281,23 @@ def braid_words(draw, max_strands=4, max_len=7):
         )
     )
     return BraidWord(strands, tuple(letters))
+
+
+class TestPlanarity:
+    @given(oriented_codes(), st.lists(braid_words(), max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_global_euler_count_matches_pieces(self, code, words):
+        d = OrientedLinkDiagram(())
+        for word in words:
+            d = d.disjoint_union(braid_closure(word))
+        crossings = d.crossings + tuple(
+            Crossing(tuple(e + 2 * d.n_crossings for e in c.edges), c.sign) for c in code
+        )
+        if planar_bruteforce(crossings):
+            assert OrientedLinkDiagram(crossings).n_crossings == len(crossings)
+        else:
+            with pytest.raises(DiagramError, match="non-planar diagram: piece with"):
+                OrientedLinkDiagram(crossings)
 
 
 class TestHypothesis:

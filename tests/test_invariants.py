@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from twistknots import invariants
 from twistknots.braids import BraidWord, braid_closure, torus_braid
 from twistknots.corpus import load_corpus
-from twistknots.diagram import DiagramError, OrientedLinkDiagram, parse_pd
+from twistknots.diagram import OrientedLinkDiagram, parse_pd
 from twistknots.families import twist
 from twistknots.invariants import (
     CERTIFIED_NOT_UNLINK,
@@ -26,6 +26,7 @@ from twistknots.polynomials import LaurentPolynomial
 from .oracles import (
     bracket_with_loops_dict,
     jones_bruteforce,
+    scan_order_max,
     symmetric_signature_fraction,
 )
 from .test_diagram import braid_words
@@ -112,15 +113,17 @@ class TestSignature:
         assert signature(braid_closure(torus_braid(5, 2))) == -4
         assert signature(braid_closure(torus_braid(4, 3))) == -6
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(DiagramError):
-            signature(OrientedLinkDiagram.unknot(2))
+    def test_split_diagrams_sum_their_pieces(self, trefoil_right):
+        assert signature(OrientedLinkDiagram.unknot(2)) == 0
+        assert signature(twist(load_corpus()["wind3_wrap9"], 0)) == 0  # an unlink
+        assert signature(trefoil_right.disjoint_union(trefoil_right)) == -4
+        with_loop = trefoil_right.disjoint_union(OrientedLinkDiagram.unknot(1))
+        assert signature(with_loop) == -2
 
     def test_invariance_under_moves(self, trefoil_right):
         s = signature(trefoil_right)
         for move in reidemeister_moves(trefoil_right):
-            if move.result.is_connected():
-                assert signature(move.result) == s, move.kind
+            assert signature(move.result) == s, move.kind
 
 
 class TestUnlinkCertificate:
@@ -207,6 +210,23 @@ class TestScanOracle:
         assert _scan_bracket(d) == bracket_with_loops_dict(d)
         assert kauffman_bracket_jones(d) == jones_bruteforce(d)
 
+    def test_order_matches_max_scan(self):
+        seen = 0
+        for name, f in sorted(load_corpus().items()):
+            for n in range(-10, 11):
+                d = twist(f, n)
+                assert invariants._scan_order(d) == scan_order_max(d), (name, n)
+                seen += 1
+        assert seen == 126
+
+    @given(st.lists(braid_words(), min_size=1, max_size=2), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_order_matches_max_scan_on_closures(self, words, loops):
+        d = OrientedLinkDiagram.unknot(loops)
+        for word in words:
+            d = d.disjoint_union(braid_closure(word))
+        assert invariants._scan_order(d) == scan_order_max(d)
+
     def test_logs_one_record_per_scan(self, caplog):
         d = twist(load_corpus()["wind3_wrap9"], 1)
         with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
@@ -252,9 +272,7 @@ class TestSignatureOracle:
         assert invariants._symmetric_signature([[0, 2, 0], [2, 0, 0], [0, 0, -5]]) == -1
 
     def test_corpus_members(self, monkeypatch):
-        members = [
-            (tag, d) for tag, d in _corpus_members(max_crossings=60) if d.is_connected()
-        ]
+        members = list(_corpus_members(max_crossings=60))
         got = [signature(d) for _, d in members]
         monkeypatch.setattr(
             invariants, "_symmetric_signature", symmetric_signature_fraction

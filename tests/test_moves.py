@@ -1,12 +1,14 @@
+import logging
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistknots.braids import BraidWord, braid_closure, torus_braid
-from twistknots.corpus import built_families
+from twistknots.corpus import built_families, chain_family
 from twistknots.diagram import OrientedLinkDiagram, structurally_equal
-from twistknots.families import twist
+from twistknots.families import twist, untwist_schedule
 from twistknots.invariants import kauffman_bracket_jones
 from twistknots.moves import (
     greedy_simplify,
@@ -17,7 +19,12 @@ from twistknots.moves import (
     reidemeister_moves,
 )
 
-from .oracles import jones_bruteforce, r2_additions_bruteforce
+from .oracles import (
+    greedy_simplify_stepwise,
+    jones_bruteforce,
+    r2_additions_bruteforce,
+    replay_removals,
+)
 from .test_diagram import braid_words
 
 
@@ -141,6 +148,24 @@ class TestR3:
         assert list(r3_moves(trefoil_right)) == []
 
 
+def _check_greedy(d: OrientedLinkDiagram) -> OrientedLinkDiagram:
+    """Greedy's result, once its trace replays to it, no removal is left,
+    and the stepwise greedy ends at as many crossings and the same Jones."""
+    result, trace = greedy_simplify(d)
+    assert structurally_equal(replay_removals(d, trace), result)
+    assert next(r1_removals(result), None) is None
+    assert next(r2_removals(result), None) is None
+    stepwise, _ = greedy_simplify_stepwise(d)
+    assert result.n_crossings == stepwise.n_crossings
+    if result.n_components:
+        assert kauffman_bracket_jones(result) == kauffman_bracket_jones(stepwise)
+    return result
+
+
+def _untwisted(f, n):
+    return twist(f, n).change_crossings(untwist_schedule(f, n))
+
+
 class TestSimplify:
     def test_greedy_reduces_free_word(self):
         w = BraidWord.from_ints(3, [1, 2, -2, -1, 1, -1])
@@ -152,8 +177,63 @@ class TestSimplify:
     def test_trace_replay(self, hopf_positive):
         changed = hopf_positive.change_crossing(0)
         simplified, trace = greedy_simplify(changed)
-        assert simplified.n_crossings == 0
-        assert trace
+        assert simplified == OrientedLinkDiagram.unknot(2)
+        assert trace == [("R2-", (0, 0, 1, 3))]
+        assert replay_removals(changed, trace) == simplified
+        _check_greedy(changed)
+
+    def test_trace_replay_corpus_members(self):
+        for name, f in sorted(built_families().items()):
+            for n in range(-3, 4):
+                _check_greedy(twist(f, n))
+
+    def test_trace_replay_untwisted_sweep_inputs(self):
+        fams = built_families()
+        for f in (fams["torus_q2"], fams["torus_q3"], chain_family(3), chain_family(4)):
+            for n in (1, 2, 3):
+                assert structurally_equal(_check_greedy(_untwisted(f, n)), f.base)
+
+    @given(braid_words(), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_trace_replay_braid_closures(self, word, loops):
+        _check_greedy(braid_closure(word).disjoint_union(OrientedLinkDiagram.unknot(loops)))
+
+    def test_no_move_returns_input(self, trefoil_right):
+        assert greedy_simplify(trefoil_right) == (trefoil_right, [])
+
+    def test_one_validating_construction(self, monkeypatch):
+        built = []
+        validate = OrientedLinkDiagram.__post_init__
+
+        def counting(self):
+            built.append(self)
+            validate(self)
+
+        d = _untwisted(chain_family(4), 3)
+        monkeypatch.setattr(OrientedLinkDiagram, "__post_init__", counting)
+        result, trace = greedy_simplify(d)
+        assert len(trace) == 18
+        assert len(built) == 1 and built[0] is result
+
+    def test_long_untwisted_chain_is_fast(self):
+        f = chain_family(4)
+        d = _untwisted(f, 100)
+        start = time.perf_counter()
+        result, trace = greedy_simplify(d)
+        assert time.perf_counter() - start < 1.0  # stepwise: several seconds
+        assert (d.n_crossings, len(trace)) == (1206, 600)
+        assert structurally_equal(result, f.base)
+
+    def test_logs_one_record_per_call(self, caplog):
+        d = braid_closure(BraidWord.from_ints(3, [1, 2, -2, -1, 1, -1]))
+        with caplog.at_level(logging.DEBUG, logger="twistknots.moves"):
+            greedy_simplify(d)
+        (record,) = caplog.records
+        assert record.name == "twistknots.moves"
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage().startswith(
+            "greedy simplify: 6 crossings in, 3 steps, 0 crossings out, "
+        )
 
 
 class TestJonesInvarianceRandomWalk:
