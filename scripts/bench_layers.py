@@ -9,7 +9,7 @@ Times ``moves.greedy_simplify`` on untwisted ``chain_4`` members (the
 untwist sites of ``twist(chain_4, n)`` changed) at n = 10, 50, 100, and
 ``invariants._scan_order`` on ``twist(wind3_wrap9, n)`` at n = 10, 30.
 Each row holds the crossings in, the cost driver (greedy steps or scan
-width) and the median seconds over ``--repeats`` calls.  The rows go into
+width) and the median seconds over ``REPEATS`` calls.  The rows go into
 the ``--out`` JSON file under ``--label`` and other labels are kept, so
 one file holds the numbers of a change before and after.
 """
@@ -29,22 +29,24 @@ from twistknots import invariants, moves
 from twistknots.corpus import chain_family, load_corpus
 from twistknots.families import twist, untwist_schedule
 
+REPEATS = 3
 
-def timed(fn, arg, repeats):
+
+def timed(fn, arg):
     """The last result of ``fn(arg)`` and the median seconds of a call."""
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         out = fn(arg)
         times.append(time.perf_counter() - start)
     return out, statistics.median(times)
 
 
-def rows(repeats):
+def rows():
     chain = chain_family(4)
     for n in (10, 50, 100):
         d = twist(chain, n).change_crossings(untwist_schedule(chain, n))
-        (_, trace), secs = timed(moves.greedy_simplify, d, repeats)
+        (_, trace), secs = timed(moves.greedy_simplify, d)
         yield {
             "layer": "moves.greedy_simplify",
             "input": f"chain_4 n={n}, untwist sites changed",
@@ -55,7 +57,7 @@ def rows(repeats):
     wind = load_corpus()["wind3_wrap9"]
     for n in (10, 30):
         d = twist(wind, n)
-        (_, width), secs = timed(invariants._scan_order, d, repeats)
+        (_, width), secs = timed(invariants._scan_order, d)
         yield {
             "layer": "invariants._scan_order",
             "input": f"wind3_wrap9 n={n}",
@@ -69,7 +71,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="key of this run in the file")
     ap.add_argument("--out", required=True, type=pathlib.Path)
-    ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = {
@@ -78,10 +79,10 @@ def main():
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
         },
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "rows": [],
     }
-    for row in rows(args.repeats):
+    for row in rows():
         print(json.dumps(row))
         data[args.label]["rows"].append(row)
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")

@@ -230,14 +230,6 @@ class OrientedLinkDiagram:
             self.crossings + shifted, self.free_loops + other.free_loops
         )
 
-    def is_connected(self) -> bool:
-        """Connected as a curve-with-crossings (free loops always split)."""
-        if self.free_loops:
-            return self.free_loops == 1 and not self.crossings
-        if not self.crossings:
-            return False
-        return len(set(_piece_roots(self._tail, self._head))) == 1
-
     # -- faces ------------------------------------------------------------
 
     def faces(self) -> list[list[Dart]]:

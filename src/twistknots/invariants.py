@@ -311,7 +311,7 @@ def _checkerboard(d, faces, face_of) -> list[int]:
             elif color[g] == color[f]:
                 raise AssertionError("face graph not bipartite")
     if -1 in color:
-        raise DiagramError("signature needs a connected diagram")
+        raise AssertionError("face graph not connected; pieces go one at a time")
     return color
 
 
