@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
-"""Time the simplification and scan-order layers on their own.
+"""Time the simplification, scan-order and signature layers on their own.
 
 Run from the repository root:
 
-    python3 scripts/bench_layers.py --label after --out BENCH_greedy.json
+    python3 scripts/bench_layers.py --label after --out BENCH_signature.json
 
 Times ``moves.greedy_simplify`` on untwisted ``chain_4`` members (the
-untwist sites of ``twist(chain_4, n)`` changed) at n = 10, 50, 100, and
-``invariants._scan_order`` on ``twist(wind3_wrap9, n)`` at n = 10, 30.
-Each row holds the crossings in, the cost driver (greedy steps or scan
-width) and the median seconds over ``REPEATS`` calls.  The rows go into
-the ``--out`` JSON file under ``--label`` and other labels are kept, so
-one file holds the numbers of a change before and after.
+untwist sites of ``twist(chain_4, n)`` changed) at n = 10, 50, 100,
+``invariants._scan_order`` on ``twist(wind3_wrap9, n)`` at n = 10, 30,
+and ``invariants.signature`` on ``twist(chain_4, n)`` at n = 13, 26, 52
+and ``twist(torus_q3, n)`` at n = 13, 40.  Each row holds the crossings
+in, the cost driver (greedy steps, scan width, or the white faces and
+peak row nonzeros of the elimination, read from its DEBUG record) and
+the median seconds over ``REPEATS`` calls.  The rows go into the
+``--out`` JSON file under ``--label`` and other labels are kept, so one
+file holds the numbers of a change before and after.
 """
 
 import argparse
 import json
+import logging
 import os
 import pathlib
 import platform
@@ -63,6 +67,28 @@ def rows():
             "input": f"wind3_wrap9 n={n}",
             "crossings": d.n_crossings,
             "width": width,
+            "s": round(secs, 4),
+        }
+    records = []
+    keep = logging.Handler()
+    keep.emit = records.append
+    log = logging.getLogger("twistknots.invariants")
+    log.setLevel(logging.DEBUG)
+    log.addHandler(keep)
+    torus = load_corpus()["torus_q3"]
+    for f, n in ((chain, 13), (chain, 26), (chain, 52), (torus, 13), (torus, 40)):
+        d = twist(f, n)
+        records.clear()
+        _, secs = timed(invariants.signature, d)
+        # crossings, white faces, pivots, congruence steps, peak, seconds;
+        # code without the record leaves the cost driver out
+        args = records[-1].args if records else (None,) * 6
+        yield {
+            "layer": "invariants.signature",
+            "input": f"{f.name} n={n}",
+            "crossings": d.n_crossings,
+            "white_faces": args[1],
+            "peak_row_nonzeros": args[4],
             "s": round(secs, 4),
         }
 

@@ -11,7 +11,11 @@ state whose terms cancel is dropped.  What each slot of the next
 crossing meets, and where surviving darts move, is worked out once per
 crossing; each state then touches four slots.  The signature comes from
 the Goeritz form of a checkerboard coloring with its orientation
-correction term, by fraction-free elimination in exact integers.
+correction term.  The form is kept as sparse rows, one per white face,
+and eliminated fraction-free in exact integers, least-degree row first;
+each row is rescaled only when a pivot meets it, so on a long narrow
+diagram, whose form is banded, the cost grows about linearly in the
+crossings.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import time
 from dataclasses import dataclass
 from operator import add, sub
 
-from .diagram import DiagramError, OrientedLinkDiagram, _piece_roots, _subdiagram
+from .diagram import DiagramError, OrientedLinkDiagram, _faces, _piece_roots, _subdiagram
 from .polynomials import LaurentPolynomial
 
 # most open pairs a scan may keep; cost grows like the Catalan number of the
@@ -254,52 +258,77 @@ def signature(d: OrientedLinkDiagram) -> int:
 
 
 def _piece_signature(d: OrientedLinkDiagram) -> int:
-    faces = d.faces()
-    face_of = {dart: fi for fi, face in enumerate(faces) for dart in face}
-    color = _checkerboard(d, faces, face_of)
+    start = time.perf_counter()
+    rows, mu = _goeritz(d)
+    whites = len(rows)
+    _leave_out(rows)
+    sig, pivots, congruences, peak = _sparse_signature(rows)
+    logging = sys.modules.get("logging")  # see _bracket_with_loops
+    if logging is not None:
+        logging.getLogger(__name__).debug(
+            "signature: %d crossings, %d white faces, %d pivots, "
+            "%d congruence steps, peak %d row nonzeros, %.3f s",
+            len(d.crossings), whites, pivots, congruences, peak,
+            time.perf_counter() - start,
+        )
+    return sig - mu
 
-    def corner_face(ci: int, s: int) -> int:
-        # corner between slots s and s+1 belongs to the face of dart (ci, s+1)
-        return face_of[(ci, (s + 1) % 4)]
 
-    whites = sorted(fi for fi in range(len(faces)) if color[fi] == 0)
-    widx = {fi: k for k, fi in enumerate(whites)}
-    n = len(whites)
-    G = [[0] * n for _ in range(n)]
+def _goeritz(d: OrientedLinkDiagram) -> tuple[dict[int, dict[int, int]], int]:
+    """Goeritz matrix of a connected diagram as sparse rows keyed by white
+    face, zeros left out, and its orientation correction ``mu``."""
+    tail, head = d._tail, d._head
+    faces = _faces(tail, head)
+    face_of = [0] * (4 * len(d.crossings))
+    for fi, face in enumerate(faces):
+        for x in face:
+            face_of[x] = fi
+    color = _checkerboard(tail, head, face_of, len(faces))
+    rows: dict[int, dict[int, int]] = {
+        fi: {} for fi in range(len(faces)) if color[fi] == 0
+    }
     mu = 0
     for ci, c in enumerate(d.crossings):
-        corners = [corner_face(ci, s) for s in range(4)]
-        # corners[s] sits between slots s,s+1; diagonal pairs (0,2), (1,3)
-        if color[corners[0]] != color[corners[2]] or color[corners[1]] != color[
-            corners[3]
-        ]:
-            raise AssertionError("checkerboard coloring broken at a crossing")
-        a_white = color[corners[0]] == 0  # corners (0,1) and (2,3)
-        eta = 1 if a_white else -1
+        # the corner between slots s and s+1 lies in the face of dart
+        # 4 * ci + s + 1; opposite corners share a color
+        if color[face_of[4 * ci + 1]] == 0:  # corners (0,1) and (2,3) white
+            eta, wi, wj = 1, face_of[4 * ci + 1], face_of[4 * ci + 3]
+        else:
+            eta, wi, wj = -1, face_of[4 * ci + 2], face_of[4 * ci]
         if eta == c.sign:
             mu += eta
-        wi, wj = (
-            (corners[0], corners[2]) if a_white else (corners[1], corners[3])
-        )
         if wi != wj:
-            G[widx[wi]][widx[wj]] -= eta
-            G[widx[wj]][widx[wi]] -= eta
-    for i in range(n):
-        G[i][i] = -sum(G[i][j] for j in range(n) if j != i)
-    minor = [row[1:] for row in G[1:]]
-    return _symmetric_signature(minor) - mu
+            for u, v in ((wi, wj), (wj, wi)):
+                row = rows[u]
+                row[v] = row.get(v, 0) - eta
+                row[u] = row.get(u, 0) + eta
+    for fi, row in rows.items():
+        rows[fi] = {fj: x for fj, x in row.items() if x}
+    return rows, mu
 
 
-def _checkerboard(d, faces, face_of) -> list[int]:
-    adj: dict[int, set[int]] = {fi: set() for fi in range(len(faces))}
-    for e in d.edges:
-        d1, d2 = d.edge_ends(e)
-        f1, f2 = face_of[d1], face_of[d2]
+def _leave_out(rows: dict[int, dict[int, int]], fi: int | None = None) -> None:
+    """Drop the row and column of white face ``fi``, by default the first
+    of largest degree.  Every row of the Goeritz matrix sums to zero, so
+    each choice leaves a congruent form; a hub face, kept, would fill in
+    every row it meets."""
+    if fi is None:
+        fi = max(rows, key=lambda f: len(rows[f]) - (f in rows[f]))
+    for fj in rows.pop(fi):
+        if fj != fi:
+            del rows[fj][fi]
+
+
+def _checkerboard(tail, head, face_of, n_faces) -> list[int]:
+    """Face colors 0/1 with the two sides of every edge apart, face 0 white."""
+    adj: list[list[int]] = [[] for _ in range(n_faces)]
+    for t, h in zip(tail, head):
+        f1, f2 = face_of[t], face_of[h]
         if f1 == f2:
             raise AssertionError("edge borders one face twice; cannot 2-color")
-        adj[f1].add(f2)
-        adj[f2].add(f1)
-    color = [-1] * len(faces)
+        adj[f1].append(f2)
+        adj[f2].append(f1)
+    color = [-1] * n_faces
     color[0] = 0
     queue = [0]
     while queue:
@@ -315,50 +344,100 @@ def _checkerboard(d, faces, face_of) -> list[int]:
     return color
 
 
-def _symmetric_signature(matrix: list[list[int]]) -> int:
-    """Signature of a symmetric integer matrix by fraction-free elimination.
+def _sparse_signature(
+    rows: dict[int, dict[int, int]], order: list[int] | None = None
+) -> tuple[int, int, int, int]:
+    """Signature of a symmetric integer matrix held as sparse rows, with
+    its pivot count, congruence steps and peak row nonzeros.
 
-    Each pivot step replaces the rest of the matrix by |pivot| times its
-    Schur complement, divided by the previous |pivot|.  The division is
-    exact (every entry is then a minor of the input up to sign), and the
-    positive factors keep every sign the rational elimination would see.
+    ``rows[i][j]`` is entry (i, j), zeros left out; the rows are used up.
+    ``order``, if given, lists every key.
+    Fraction-free elimination: each pivot step leaves the rest as |pivot|
+    times its Schur complement, the division by the previous |pivot|
+    being exact (every entry is a minor up to sign) and the positive
+    factors keeping every sign the rational elimination would see.  A row
+    the pivot does not meet only changes scale, so each row keeps the
+    |pivot| it was last brought to and is rescaled, exactly, only when a
+    pivot meets it or it becomes the pivot: a step touches the pivot's
+    neighbours alone.  The pivot is a row of least degree with a nonzero
+    diagonal, the lowest key among ties (or the first such row of
+    ``order``).  When every diagonal is zero, adding the row and column
+    of its lowest neighbour j into the lowest row i (or the first of
+    ``order``) makes (i, i) = 2 (i, j).
     """
-    m = [list(row) for row in matrix]
-    sig = 0
+    stamp = dict.fromkeys(rows, 1)
     prev = 1
-    while m:
-        piv = next((i for i, row in enumerate(m) if row[i]), None)
-        if piv is None:
-            off = next(
-                ((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x),
-                None,
-            )
-            if off is None:
-                break  # zero block contributes nothing
-            i, j = off
-            # congruence: add row/col j into i to expose a diagonal entry
-            m[i] = list(map(add, m[i], m[j]))
-            for row in m:
-                row[i] += row[j]
+    sig = pivots = congruences = peak = 0
+    # rows with a nonzero diagonal by their length; buckets[0] stays empty
+    buckets: list[set[int]] = [set() for _ in range(len(rows) + 1)]
+    where: dict[int, int] = {}
+
+    def settle(i):
+        nonlocal peak
+        row = rows[i]
+        peak = max(peak, len(row))
+        buckets[where.pop(i, 0)].discard(i)
+        if i in row:
+            where[i] = len(row)
+            buckets[len(row)].add(i)
+        elif not row:
+            del rows[i], stamp[i]  # a zero row adds nothing
+
+    def current(i):
+        s = stamp[i]
+        if s != prev:
+            rows[i] = {j: x * prev // s for j, x in rows[i].items()}
+            stamp[i] = prev
+        return rows[i]
+
+    for i in list(rows):
+        settle(i)
+    while rows:
+        if order is None:
+            p = next((min(b) for b in buckets if b), None)
+        else:
+            p = next((i for i in order if i in rows and i in rows[i]), None)
+        if p is None:
+            congruences += 1
+            i = min(rows) if order is None else next(i for i in order if i in rows)
+            j = min(rows[i])
+            ri, rj = current(i), current(j)
+            # (i, i) = 2 (i, j), (i, k) += (j, k) and (k, i) += (k, j)
+            ri[i] = 2 * ri[j]
+            for k, x in rj.items():
+                if k != i:
+                    ri[k] = ri.get(k, 0) + x
+                    rk = rows[k]
+                    rk[i] = rk.get(i, 0) + rk[j]
+                    if not rk[i]:
+                        del rk[i], ri[k]
+                    settle(k)
+            settle(i)
             continue
-        pv = m[piv][piv]
+        pivots += 1
+        r = current(p)
+        buckets[where.pop(p)].discard(p)
+        del rows[p], stamp[p]
+        pv = r.pop(p)
         sig += 1 if pv > 0 else -1
         apv = abs(pv)
-        top = m[piv][:piv] + m[piv][piv + 1 :]
-        rest = []
-        for i, row in enumerate(m):
-            if i == piv:
-                continue
-            f = row[piv] if pv > 0 else -row[piv]
-            row = row[:piv] + row[piv + 1 :]
-            if f:
-                row = [(apv * x - f * y) // prev for x, y in zip(row, top)]
-            elif apv != prev:
-                row = [apv * x // prev for x in row]
-            rest.append(row)
-        m = rest
+        for i, f in r.items():
+            row = current(i)
+            del row[p]
+            if pv < 0:
+                f = -f
+            met = {j: (apv * row.get(j, 0) - f * y) // prev for j, y in r.items()}
+            if apv != prev:
+                row = {j: apv * x // prev for j, x in row.items()}
+            row.update(met)
+            for j, x in met.items():
+                if not x:
+                    del row[j]
+            rows[i] = row
+            stamp[i] = apv
+            settle(i)
         prev = apv
-    return sig
+    return sig, pivots, congruences, peak
 
 
 # -- unlink certificate --------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import random
 import time
@@ -9,7 +10,12 @@ from hypothesis import strategies as st
 from twistknots import invariants
 from twistknots.braids import BraidWord, braid_closure, torus_braid
 from twistknots.corpus import load_corpus
-from twistknots.diagram import OrientedLinkDiagram, parse_pd
+from twistknots.diagram import (
+    OrientedLinkDiagram,
+    _piece_roots,
+    _subdiagram,
+    parse_pd,
+)
 from twistknots.families import twist
 from twistknots.invariants import (
     CERTIFIED_NOT_UNLINK,
@@ -124,6 +130,47 @@ class TestSignature:
         s = signature(trefoil_right)
         for move in reidemeister_moves(trefoil_right):
             assert signature(move.result) == s, move.kind
+
+    def test_long_torus_members(self):
+        def torus_signature(p, q):
+            # T(p, 2) and T(p, 3), right-handed for p > 0 (trefoil: -2)
+            a = abs(p)
+            if q == 2:
+                value = -(a - 1)
+            else:
+                k, r = divmod(a, 6)
+                value = {1: -8 * k, 2: -8 * k - 2, 4: -8 * k - 6, 5: -8 * k - 8}[r]
+            return value if p > 0 else -value
+
+        fams = load_corpus()
+        for name, p0, q, n in (
+            ("torus_q2", 3, 2, 100),
+            ("torus_q2", 3, 2, -100),
+            ("torus_q3", 4, 3, 40),
+            ("torus_q3", 4, 3, -40),
+        ):
+            p = p0 + q * n
+            assert signature(twist(fams[name], n)) == torus_signature(p, q), (name, n)
+
+    def test_logs_one_record_per_piece(self, caplog, trefoil_right):
+        d = twist(load_corpus()["torus_q3"], 2)  # T(10, 3): 20 crossings
+        split = d.disjoint_union(trefoil_right).disjoint_union(
+            OrientedLinkDiagram.unknot(1)
+        )
+        with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
+            signature(d)
+            assert len(caplog.records) == 1
+            signature(split)
+        records = caplog.records
+        assert len(records) == 3
+        assert {r.name for r in records} == {"twistknots.invariants"}
+        assert {r.levelno for r in records} == {logging.DEBUG}
+        assert [r.args[0] for r in records] == [20, 20, 3]
+        for r in records:
+            crossings, whites, pivots, congruences, peak, seconds = r.args
+            # the minor of one fewer face is nonsingular for a knot
+            assert pivots == whites - 1 and congruences == 0
+            assert 1 <= peak <= whites - 1 and seconds >= 0
 
 
 class TestUnlinkCertificate:
@@ -260,21 +307,70 @@ def symmetric_matrices(draw):
     return m
 
 
+def _sparse(m):
+    """Sparse rows of a dense symmetric matrix, zeros left out."""
+    return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m)}
+
+
+def _dense(rows):
+    keys = sorted(rows)
+    return [[rows[i].get(j, 0) for j in keys] for i in keys]
+
+
+def _pieces(d):
+    """The connected pieces of a diagram with crossings."""
+    pieces = {}
+    for ci, root in enumerate(_piece_roots(d._tail, d._head)):
+        pieces.setdefault(root, []).append(ci)
+    return [_subdiagram(d, p) for p in pieces.values()]
+
+
 class TestSignatureOracle:
-    @given(symmetric_matrices())
+    @given(symmetric_matrices(), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_random_matrices(self, m):
-        assert invariants._symmetric_signature(m) == symmetric_signature_fraction(m)
+    def test_random_matrices(self, m, data):
+        order = data.draw(st.permutations(range(len(m))))
+        expected = symmetric_signature_fraction(m)
+        assert invariants._sparse_signature(_sparse(m), order)[0] == expected
+        assert invariants._sparse_signature(_sparse(m))[0] == expected
 
     def test_zero_and_hyperbolic_blocks(self):
-        assert invariants._symmetric_signature([[0, 0], [0, 0]]) == 0
-        assert invariants._symmetric_signature([[0, 1], [1, 0]]) == 0
-        assert invariants._symmetric_signature([[0, 2, 0], [2, 0, 0], [0, 0, -5]]) == -1
+        for m, expected in (
+            ([[0, 0], [0, 0]], 0),
+            ([[0, 1], [1, 0]], 0),
+            ([[0, 2, 0], [2, 0, 0], [0, 0, -5]], -1),
+            ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], -1),
+        ):
+            assert symmetric_signature_fraction(m) == expected
+            for order in [None, *itertools.permutations(range(len(m)))]:
+                sig, _, congruences, _ = invariants._sparse_signature(
+                    _sparse(m), order
+                )
+                assert sig == expected, (m, order)
+                assert congruences == (m[0][1] != 0)
 
-    def test_corpus_members(self, monkeypatch):
-        members = list(_corpus_members(max_crossings=60))
-        got = [signature(d) for _, d in members]
-        monkeypatch.setattr(
-            invariants, "_symmetric_signature", symmetric_signature_fraction
-        )
-        assert got == [signature(d) for _, d in members]
+    def test_corpus_members(self):
+        seen = 0
+        for tag, d in _corpus_members(max_crossings=60):
+            total = 0
+            for piece in _pieces(d):
+                rows, mu = invariants._goeritz(piece)
+                invariants._leave_out(rows)
+                total += symmetric_signature_fraction(_dense(rows)) - mu
+            assert signature(d) == total, tag
+            seen += 1
+        assert seen >= 30
+
+    def test_any_white_face_may_be_left_out(self):
+        seen = 0
+        for tag, d in _corpus_members(max_crossings=30):
+            for piece in _pieces(d):
+                expected = invariants._piece_signature(piece)
+                rows, mu = invariants._goeritz(piece)
+                for fi in rows:
+                    minor = {f: dict(row) for f, row in rows.items()}
+                    invariants._leave_out(minor, fi)
+                    got = invariants._sparse_signature(minor)[0] - mu
+                    assert got == expected, (tag, fi)
+                    seen += 1
+        assert seen >= 100
