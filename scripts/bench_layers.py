@@ -1,20 +1,26 @@
 #!/usr/bin/env python3
-"""Time the simplification, scan-order and signature layers on their own.
+"""Time the simplification, scan-order, signature and move layers on their own.
 
 Run from the repository root:
 
-    python3 scripts/bench_layers.py --label after --out BENCH_signature.json
+    python3 scripts/bench_layers.py --label after --out BENCH_construct.json \
+        --layer moves.reidemeister_moves
 
 Times ``moves.greedy_simplify`` on untwisted ``chain_4`` members (the
 untwist sites of ``twist(chain_4, n)`` changed) at n = 10, 50, 100,
 ``invariants._scan_order`` on ``twist(wind3_wrap9, n)`` at n = 10, 30,
-and ``invariants.signature`` on ``twist(chain_4, n)`` at n = 13, 26, 52
-and ``twist(torus_q3, n)`` at n = 13, 40.  Each row holds the crossings
-in, the cost driver (greedy steps, scan width, or the white faces and
-peak row nonzeros of the elimination, read from its DEBUG record) and
-the median seconds over ``REPEATS`` calls.  The rows go into the
-``--out`` JSON file under ``--label`` and other labels are kept, so one
-file holds the numbers of a change before and after.
+``invariants.signature`` on ``twist(chain_4, n)`` at n = 13, 26, 52
+and ``twist(torus_q3, n)`` at n = 13, 40, and ``moves.reidemeister_moves``
+on ``twist(whitehead, n)`` at n = -2, 2, ``twist(mazur, n)`` at n = -1, 1
+and ``twist(torus_q2, 2)``.  Each row holds the crossings in, the cost
+driver (greedy steps, scan width, the white faces and peak row nonzeros
+of the elimination, read from its DEBUG record, or the moves out, each
+one built and validated diagram) and the median seconds over ``REPEATS``
+calls, ``MOVE_REPEATS`` for moves; a move row also gives the microseconds
+per built result.  The rows go into the ``--out`` JSON file under
+``--label`` and other labels are kept, so one file holds the numbers of
+a change before and after.  ``--layer`` (repeatable) keeps only the
+named layers.
 """
 
 import argparse
@@ -34,19 +40,21 @@ from twistknots.corpus import chain_family, load_corpus
 from twistknots.families import twist, untwist_schedule
 
 REPEATS = 3
+# a move enumeration takes milliseconds, so its median takes more calls
+MOVE_REPEATS = 51
 
 
-def timed(fn, arg):
+def timed(fn, arg, repeats=REPEATS):
     """The last result of ``fn(arg)`` and the median seconds of a call."""
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
         out = fn(arg)
         times.append(time.perf_counter() - start)
     return out, statistics.median(times)
 
 
-def rows():
+def greedy_rows():
     chain = chain_family(4)
     for n in (10, 50, 100):
         d = twist(chain, n).change_crossings(untwist_schedule(chain, n))
@@ -58,6 +66,9 @@ def rows():
             "steps": len(trace),
             "s": round(secs, 4),
         }
+
+
+def scan_order_rows():
     wind = load_corpus()["wind3_wrap9"]
     for n in (10, 30):
         d = twist(wind, n)
@@ -69,6 +80,10 @@ def rows():
             "width": width,
             "s": round(secs, 4),
         }
+
+
+def signature_rows():
+    chain = chain_family(4)
     records = []
     keep = logging.Handler()
     keep.emit = records.append
@@ -93,10 +108,39 @@ def rows():
         }
 
 
+def move_rows():
+    corpus = load_corpus()
+    for name, n in (("whitehead", -2), ("whitehead", 2), ("mazur", -1), ("mazur", 1),
+                    ("torus_q2", 2)):
+        d = twist(corpus[name], n)
+        out, secs = timed(moves.reidemeister_moves, d, MOVE_REPEATS)
+        yield {
+            "layer": "moves.reidemeister_moves",
+            "input": f"{name} n={n}",
+            "crossings": d.n_crossings,
+            "moves_out": len(out),
+            "repeats": MOVE_REPEATS,
+            "us_per_result": round(1e6 * secs / len(out), 2),
+            "s": round(secs, 5),
+        }
+
+
+LAYERS = {
+    "moves.greedy_simplify": greedy_rows,
+    "invariants._scan_order": scan_order_rows,
+    "invariants.signature": signature_rows,
+    "moves.reidemeister_moves": move_rows,
+}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="key of this run in the file")
     ap.add_argument("--out", required=True, type=pathlib.Path)
+    ap.add_argument(
+        "--layer", action="append", choices=sorted(LAYERS),
+        help="time only this layer (repeatable; default every layer)",
+    )
     args = ap.parse_args()
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = {
@@ -108,9 +152,10 @@ def main():
         "repeats": REPEATS,
         "rows": [],
     }
-    for row in rows():
-        print(json.dumps(row))
-        data[args.label]["rows"].append(row)
+    for layer in args.layer or LAYERS:
+        for row in LAYERS[layer]():
+            print(json.dumps(row))
+            data[args.label]["rows"].append(row)
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 

@@ -16,15 +16,24 @@ so they are counted separately in ``free_loops``.
 Diagrams are immutable and normalized on construction: edge labels are
 dense integers ``0..E-1`` and crossings are sorted lexicographically,
 which makes the textual normal form round-trip bit-exact.  Inputs whose
-labels are already exactly ``{0..E-1}`` keep them, so re-parsing a
-serialized diagram reproduces it identically.
+labels are already exactly the ints ``{0..E-1}`` keep them, so
+re-parsing a serialized diagram reproduces it identically; any other
+labels, bools included, are renamed by first appearance.
 
-Split diagrams are first class.  Non-planar inputs (PD codes with no
-realization in the plane) are rejected at construction by one Euler
-characteristic count over the faces of all connected pieces.
+Every construction runs one validating pass.  It fills each edge's tail
+and head dart and its successor along the strand, and refuses an edge
+that lacks one tail and one head.  It then follows the strands to number
+the components, and walks the faces on a dart mate array.  Split
+diagrams are first class.  Non-planar inputs (PD codes with no
+realization in the plane) are refused by one Euler characteristic
+count over all connected pieces at once: F = V + 2 * pieces.  The
+pieces are counted by a union over components, each crossing joining
+the components of its under- and over-strand; the message naming the
+first failing piece is only worked out when the count fails.
 
-The validating pass also leaves an edge index on the diagram: each
-edge's tail dart, head dart and component, kept as flat tuples of small
+The pass leaves an edge index on the diagram: each edge's tail dart,
+head dart and component, and each dart's face (``_face_of``, faces
+numbered in order of their least dart), kept as flat tuples of small
 ints with dart ``(ci, slot)`` stored as ``4 * ci + slot``.  Edge ends,
 components, faces and everything built on them read it instead of
 scanning the crossings again.
@@ -36,6 +45,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 Dart = tuple[int, int]  # (crossing index, slot 0..3)
@@ -65,7 +75,8 @@ class Crossing:
             raise DiagramError("crossing needs exactly 4 edges")
         if self.sign not in (1, -1):
             raise DiagramError(f"crossing sign must be +1 or -1, got {self.sign}")
-        object.__setattr__(self, "edges", tuple(self.edges))
+        if type(self.edges) is not tuple:
+            object.__setattr__(self, "edges", tuple(self.edges))
 
 
 # per sign, whether each slot's edge points into the crossing
@@ -98,28 +109,22 @@ class OrientedLinkDiagram:
     _components: tuple[tuple[int, ...], ...] = field(
         init=False, compare=False, repr=False
     )
+    # face of each dart code, faces numbered in order of their least dart
+    _face_of: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        crossings = tuple(
-            c if isinstance(c, Crossing) else Crossing(tuple(c[0]), c[1])
-            for c in self.crossings
-        )
         if self.free_loops < 0:
             raise DiagramError("free_loops must be >= 0")
-        crossings = _normalize_labels(crossings)
-        crossings = tuple(sorted(crossings, key=lambda c: (c.edges, c.sign)))
+        crossings = _normalized(self.crossings)
         object.__setattr__(self, "crossings", crossings)
-        tail, head, comp, cycles = _validate(crossings)
+        tail, head, comp, cycles, face_of = _validate(crossings)
         object.__setattr__(self, "_tail", tail)
         object.__setattr__(self, "_head", head)
         object.__setattr__(self, "_comp", comp)
         object.__setattr__(self, "_components", cycles)
+        object.__setattr__(self, "_face_of", face_of)
 
     # -- basic data ----------------------------------------------------
-
-    @classmethod
-    def empty(cls) -> "OrientedLinkDiagram":
-        return cls((), 0)
 
     @classmethod
     def unknot(cls, loops: int = 1) -> "OrientedLinkDiagram":
@@ -299,12 +304,15 @@ def _mirror_crossing(c: Crossing) -> Crossing:
 # -- normalization and validation ------------------------------------------
 
 
+_EDGES = attrgetter("edges")
+
+
 def _label_map(crossings: tuple[Crossing, ...]) -> dict | None:
     """How construction relabels edges: ``None`` when the labels are
-    already the ints ``0..E-1``, else each label to its first-seen rank."""
+    already the ints ``0..E-1`` (bools excluded), else each label to its
+    first-seen rank."""
     labels = [e for c in crossings for e in c.edges]
-    n_edges = 2 * len(crossings)
-    if set(labels) == set(range(n_edges)) and all(isinstance(e, int) for e in labels):
+    if set(map(type, labels)) <= {int} and set(labels) == set(range(len(labels) // 2)):
         return None
     return {e: i for i, e in enumerate(dict.fromkeys(labels))}
 
@@ -316,108 +324,191 @@ def _normalize_labels(crossings: tuple[Crossing, ...]) -> tuple[Crossing, ...]:
     return tuple(Crossing(tuple(remap[e] for e in c.edges), c.sign) for c in crossings)
 
 
+def _normalized(crossings) -> tuple[Crossing, ...]:
+    """Crossings wrapped as ``Crossing``, relabeled and sorted by edges.
+
+    Two crossings with the same edges give an edge two heads, which the
+    validator refuses with the same message in either order, so the sign
+    needs no place in the sort key.
+    """
+    crossings = tuple(crossings)
+    if not set(map(type, crossings)) <= {Crossing}:
+        crossings = tuple(
+            c if isinstance(c, Crossing) else Crossing(tuple(c[0]), c[1])
+            for c in crossings
+        )
+    return tuple(sorted(_normalize_labels(crossings), key=_EDGES))
+
+
 def _validate(crossings: tuple[Crossing, ...]):
     """Check a normalized crossing list and build its edge index.
 
-    Returns ``(tail, head, comp, cycles)``: per edge its tail and head
-    dart codes and its component, and the oriented edge cycles.
+    Returns ``(tail, head, comp, cycles, face_of)``: per edge its tail and
+    head dart codes and its component, the oriented edge cycles, and per
+    dart code its face.
     """
     n_edges = 2 * len(crossings)
     tail = [-1] * n_edges
     head = [-1] * n_edges
-    for ci, c in enumerate(crossings):
-        for slot, (e, incoming) in enumerate(zip(c.edges, _INCOMING[c.sign])):
-            ends = head if incoming else tail
-            if not 0 <= e < n_edges or ends[e] >= 0:
-                raise _invalid_edge(crossings, e, incoming)
-            ends[e] = 4 * ci + slot
-    # every edge now has one tail and one head, so following heads to the
-    # next edge is a permutation and each trace closes; the first cycle
-    # found from each smallest unseen edge starts at its minimum, so the
-    # cycles come out sorted
+    succ = [0] * n_edges  # the next edge along each edge's strand
+    x = 0
+    try:
+        for c in crossings:
+            a, b, cc, d = c.edges
+            head[a] = x
+            tail[cc] = x + 2
+            succ[a] = cc
+            if c.sign > 0:  # over-strand slot 3 -> slot 1
+                tail[b] = x + 1
+                head[d] = x + 3
+                succ[d] = b
+            else:  # over-strand slot 1 -> slot 3
+                head[b] = x + 1
+                tail[d] = x + 3
+                succ[b] = d
+            x += 4
+    except IndexError:  # a label beyond E - 1
+        raise _edge_error(crossings) from None
+    # 2V slots point in and 2V out, so an edge given a second head or
+    # tail leaves another edge without one
+    if -1 in head or -1 in tail:
+        raise _edge_error(crossings)
+    # every edge now has one tail and one head, so following the strand
+    # is a permutation and each trace closes; the first cycle found from
+    # each smallest unseen edge starts at its minimum, so the cycles come
+    # out sorted
     comp = [-1] * n_edges
     cycles = []
     for start in range(n_edges):
-        if comp[start] >= 0:
-            continue
-        cycle = []
-        e = start
-        while comp[e] < 0:
-            comp[e] = len(cycles)
-            cycle.append(e)
-            h = head[e]
-            e = crossings[h >> 2].edges[_EXIT_OF_ENTRY[h & 3]]
-        cycles.append(tuple(cycle))
-    _check_planarity(tail, head)
-    return tuple(tail), tuple(head), tuple(comp), tuple(cycles)
+        if comp[start] < 0:
+            k = len(cycles)
+            comp[start] = k
+            cycle = [start]
+            e = succ[start]
+            while e != start:
+                comp[e] = k
+                cycle.append(e)
+                e = succ[e]
+            cycles.append(tuple(cycle))
+    face_of, n_faces = _face_labels(tail, head)
+    # every piece has E = 2V, so planarity (V - E + F = 2) reads F = V + 2;
+    # F <= V + 2 holds in every piece (genus >= 0), so the total count
+    # reaches V + 2 * pieces only if every piece does
+    if crossings:
+        pieces = len(set(_piece_of_component(crossings, comp, len(cycles))))
+        if n_faces != len(crossings) + 2 * pieces:
+            raise _planarity_error(crossings, comp, len(cycles), face_of)
+    return tuple(tail), tuple(head), tuple(comp), tuple(cycles), tuple(face_of)
 
 
-def _invalid_edge(crossings, edge, incoming) -> DiagramError:
-    """The error for a label seen out of range or at a second tail/head."""
+def _edge_error(crossings) -> DiagramError:
+    """The error for crossings whose edges lack one tail and one head:
+    a label not seen twice, else the first one seen at a second tail or
+    head, in slot order."""
     labels = [e for c in crossings for e in c.edges]
     for e in labels:
         k = labels.count(e)
         if k != 2:
             return DiagramError(f"edge multiplicity: edge {e} occurs {k} times")
+    # each label is at two slots, so some (label, points in) pair repeats
+    ends = [(e, i) for c in crossings for e, i in zip(c.edges, _INCOMING[c.sign])]
+    e, incoming = next(end for i, end in enumerate(ends) if ends.index(end) < i)
     way = "enters" if incoming else "leaves"
-    return DiagramError(f"orientation inconsistency: edge {edge} {way} twice")
+    return DiagramError(f"orientation inconsistency: edge {e} {way} twice")
+
+
+def _face_step(tail: Sequence[int], head: Sequence[int]) -> list[int]:
+    """Per dart code, the next dart of its face: the mate's successor in
+    counterclockwise order around the mate's crossing."""
+    n_darts = 2 * len(tail)
+    rot = list(range(1, n_darts + 1))
+    rot[3::4] = range(0, n_darts, 4)
+    step = [0] * n_darts
+    for t, h in zip(tail, head):
+        step[t] = rot[h]
+        step[h] = rot[t]
+    return step
+
+
+def _face_labels(tail: Sequence[int], head: Sequence[int]) -> tuple[list[int], int]:
+    """Per dart code its face, faces numbered in order of their least
+    dart, and the face count."""
+    step = _face_step(tail, head)
+    face_of = [-1] * len(step)
+    n_faces = 0
+    for first in range(len(step)):
+        if face_of[first] < 0:
+            face_of[first] = n_faces
+            x = step[first]
+            while x != first:
+                face_of[x] = n_faces
+                x = step[x]
+            n_faces += 1
+    return face_of, n_faces
 
 
 def _faces(tail: Sequence[int], head: Sequence[int]) -> list[list[int]]:
-    """Face orbits as lists of dart codes, darts taken in index order."""
-    mate = [0] * (2 * len(tail))
-    for t, h in zip(tail, head):
-        mate[t] = h
-        mate[h] = t
+    """Face orbits as lists of dart codes, each from its least dart."""
+    step = _face_step(tail, head)
     faces = []
-    seen = [False] * len(mate)
-    for first in range(len(mate)):
-        if seen[first]:
-            continue
-        face = []
-        x = first
-        while not seen[x]:
-            seen[x] = True
-            face.append(x)
-            y = mate[x]
-            x = y - (y & 3) + ((y + 1) & 3)
-        faces.append(face)
+    seen = [False] * len(step)
+    for first in range(len(step)):
+        if not seen[first]:
+            face = []
+            x = first
+            while not seen[x]:
+                seen[x] = True
+                face.append(x)
+                x = step[x]
+            faces.append(face)
     return faces
 
 
-def _piece_roots(tail: Sequence[int], head: Sequence[int]) -> list[int]:
-    """Per crossing, a representative crossing of its connected piece."""
-    parent = list(range(len(tail) // 2))
+def _piece_of_component(
+    crossings: Sequence[Crossing], comp: Sequence[int], n_components: int
+) -> list[int]:
+    """Per component, the least component of its connected piece.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    Each crossing joins the components of its under- and over-strand, and
+    every component meets a crossing, so these classes are the pieces.
+    """
+    root = list(range(n_components))
+    joins = n_components - 1  # unions left before one piece remains
+    for c in crossings:
+        if not joins:
+            break
+        a, b = comp[c.edges[0]], comp[c.edges[1]]
+        while root[a] != a:
+            a = root[a]
+        while root[b] != b:
+            b = root[b]
+        if a != b:
+            if a < b:
+                root[b] = a
+            else:
+                root[a] = b
+            joins -= 1
+    for i in range(n_components):  # roots are less than their members
+        root[i] = root[root[i]]
+    return root
 
-    for t, h in zip(tail, head):
-        parent[find(t >> 2)] = find(h >> 2)
-    return [find(ci) for ci in range(len(parent))]
 
-
-def _check_planarity(tail: Sequence[int], head: Sequence[int]) -> None:
-    if not tail:
-        return
-    roots = _piece_roots(tail, head)
-    faces = _faces(tail, head)
-    # every piece has E = 2V, so planarity (V - E + F = 2) reads F = V + 2;
-    # F <= V + 2 holds in every piece (genus >= 0), so the total count
-    # reaches V + 2 * pieces only if every piece does
-    if len(faces) == len(roots) + 2 * len(set(roots)):
-        return
-    crossing_count = Counter(roots)
-    face_count = Counter(roots[face[0] >> 2] for face in faces)
-    for root, v in crossing_count.items():
-        if face_count[root] != v + 2:
-            raise DiagramError(
-                "non-planar diagram: piece with "
-                f"{v} crossings has {face_count[root]} faces (needs {v + 2})"
-            )
+def _planarity_error(crossings, comp, n_components, face_of) -> DiagramError:
+    """The error naming the first piece, by least crossing, whose face
+    count is not its crossing count plus two."""
+    root = _piece_of_component(crossings, comp, n_components)
+    piece = [root[comp[c.edges[0]]] for c in crossings]
+    crossing_count = Counter(piece)
+    face_piece: dict[int, int] = {}
+    for x, f in enumerate(face_of):
+        face_piece.setdefault(f, piece[x >> 2])
+    face_count = Counter(face_piece.values())
+    v, f = next(
+        (v, face_count[p]) for p, v in crossing_count.items() if face_count[p] != v + 2
+    )
+    return DiagramError(
+        f"non-planar diagram: piece with {v} crossings has {f} faces (needs {v + 2})"
+    )
 
 
 # -- structural comparison ---------------------------------------------------

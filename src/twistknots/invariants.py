@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from operator import add, sub
 
-from .diagram import DiagramError, OrientedLinkDiagram, _faces, _piece_roots, _subdiagram
+from .diagram import DiagramError, OrientedLinkDiagram, _piece_of_component, _subdiagram
 from .polynomials import LaurentPolynomial
 
 # most open pairs a scan may keep; cost grows like the Catalan number of the
@@ -249,12 +249,22 @@ def signature(d: OrientedLinkDiagram) -> int:
     gets the sum over its pieces, free loops adding 0."""
     if not d.crossings:
         return 0
-    pieces: dict[int, list[int]] = {}
-    for ci, root in enumerate(_piece_roots(d._tail, d._head)):
-        pieces.setdefault(root, []).append(ci)
+    pieces = _pieces(d)
     if len(pieces) == 1:
         return _piece_signature(d)  # free loops add 0
-    return sum(_piece_signature(_subdiagram(d, p)) for p in pieces.values())
+    return sum(_piece_signature(_subdiagram(d, p)) for p in pieces)
+
+
+def _pieces(d: OrientedLinkDiagram) -> list[list[int]]:
+    """The crossing indices of each connected piece, by least crossing."""
+    if len(d._components) == 1:
+        return [list(range(len(d.crossings)))]
+    comp = d._comp
+    root = _piece_of_component(d.crossings, comp, len(d._components))
+    pieces: dict[int, list[int]] = {}
+    for ci, c in enumerate(d.crossings):
+        pieces.setdefault(root[comp[c.edges[0]]], []).append(ci)
+    return list(pieces.values())
 
 
 def _piece_signature(d: OrientedLinkDiagram) -> int:
@@ -277,16 +287,10 @@ def _piece_signature(d: OrientedLinkDiagram) -> int:
 def _goeritz(d: OrientedLinkDiagram) -> tuple[dict[int, dict[int, int]], int]:
     """Goeritz matrix of a connected diagram as sparse rows keyed by white
     face, zeros left out, and its orientation correction ``mu``."""
-    tail, head = d._tail, d._head
-    faces = _faces(tail, head)
-    face_of = [0] * (4 * len(d.crossings))
-    for fi, face in enumerate(faces):
-        for x in face:
-            face_of[x] = fi
-    color = _checkerboard(tail, head, face_of, len(faces))
-    rows: dict[int, dict[int, int]] = {
-        fi: {} for fi in range(len(faces)) if color[fi] == 0
-    }
+    face_of = d._face_of
+    n_faces = max(face_of) + 1
+    color = _checkerboard(d._tail, d._head, face_of, n_faces)
+    rows: dict[int, dict[int, int]] = {fi: {} for fi in range(n_faces) if color[fi] == 0}
     mu = 0
     for ci, c in enumerate(d.crossings):
         # the corner between slots s and s+1 lies in the face of dart

@@ -1,11 +1,14 @@
 """Reidemeister moves on oriented PD diagrams.
 
 Enumerates every applicable move of the three kinds, in both directions
-for R1 and R2.  Each move's result is built valid: the additions pick
+for R1 and R2.  Each move's result is built valid: the additions build
 only the wirings that fit the faces they are drawn in, so every emitted
 move costs one diagram construction.  That construction still runs the
-diagram validator, and a result that fails it raises ``DiagramError``
-(a bug in this module) instead of being dropped.
+diagram's full validating pass, and a result that fails it raises
+``DiagramError`` (a bug in this module) instead of being dropped.  The
+pass is most of a move's cost; ``reidemeister_moves`` logs one DEBUG
+record per call on ``twistknots.moves`` with the crossings in, the moves
+out of each kind and the seconds.
 
 Move kinds: ``R1-``, ``R1+``, ``R2-``, ``R2+``, ``R3``.
 
@@ -41,12 +44,20 @@ class Move:
 
 def reidemeister_moves(d: OrientedLinkDiagram) -> list[Move]:
     """All applicable moves; every result is a valid diagram."""
+    start = time.perf_counter()
     out: list[Move] = []
-    out.extend(r1_removals(d))
-    out.extend(r2_removals(d))
-    out.extend(r3_moves(d))
-    out.extend(r1_additions(d))
-    out.extend(r2_additions(d))
+    counts = []
+    for kind in (r1_removals, r2_removals, r3_moves, r1_additions, r2_additions):
+        before = len(out)
+        out.extend(kind(d))
+        counts.append(len(out) - before)
+    logging = sys.modules.get("logging")  # see greedy_simplify
+    if logging is not None:
+        logging.getLogger(__name__).debug(
+            "reidemeister moves: %d crossings in, %d R1-, %d R2-, %d R3, "
+            "%d R1+, %d R2+ out, %.3f s",
+            d.n_crossings, *counts, time.perf_counter() - start,
+        )
     return out
 
 
@@ -160,8 +171,8 @@ def _rebuilt(d, updates, added, free_loops) -> OrientedLinkDiagram:
 
 def _head_update(d, edge, new_edge):
     """The update pointing the head occurrence of ``edge`` at a new label."""
-    _, (ci, slot) = d.edge_ends(edge)
-    return ci, slot, new_edge
+    x = d._head[edge]
+    return x >> 2, x & 3, new_edge
 
 
 def r1_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
@@ -186,7 +197,13 @@ def r1_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
 
 def _r2_candidates(over, under):
     """The four crossing pairs pushing strand ``over=(e1, m, e2)`` across
-    ``under=(g1, h, g2)``, indexed by k.
+    ``under=(g1, h, g2)``, indexed by k (see ``_r2_wiring``)."""
+    return [_r2_wiring(over, under, k) for k in range(4)]
+
+
+def _r2_wiring(over, under, k):
+    """The crossing pair of wiring k pushing strand ``over=(e1, m, e2)``
+    across ``under=(g1, h, g2)``.
 
     k = 0, 1 are the parallel wirings (both strands meet the first new
     crossing first) and k = 2, 3 the antiparallel ones, each with the
@@ -199,12 +216,13 @@ def _r2_candidates(over, under):
     """
     e1, m, e2 = over
     g1, h, g2 = under
-    return [
-        ((Crossing((g1, m, h, e1), +1)), (Crossing((h, m, g2, e2), -1))),
-        ((Crossing((g1, e1, h, m), -1)), (Crossing((h, e2, g2, m), +1))),
-        ((Crossing((h, m, g2, e1), +1)), (Crossing((g1, m, h, e2), -1))),
-        ((Crossing((h, e1, g2, m), -1)), (Crossing((g1, e2, h, m), +1))),
-    ]
+    if k == 0:
+        return Crossing((g1, m, h, e1), +1), Crossing((h, m, g2, e2), -1)
+    if k == 1:
+        return Crossing((g1, e1, h, m), -1), Crossing((h, e2, g2, m), +1)
+    if k == 2:
+        return Crossing((h, m, g2, e1), +1), Crossing((g1, m, h, e2), -1)
+    return Crossing((h, e1, g2, m), -1), Crossing((g1, e2, h, m), +1)
 
 
 # wiring index by whether the face darts of (over, under) are edge tails
@@ -228,9 +246,9 @@ def r2_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
                     wirings.setdefault((e, g), set()).add(_R2_WIRING[e_tail, g_tail])
     for (e, g), ks in wirings.items():
         updates = [_head_update(d, e, e2), _head_update(d, g, g2)]
-        candidates = _r2_candidates((e, m, e2), (g, h, g2))
         for k in sorted(ks):
-            result = _rebuilt(d, updates, candidates[k], d.free_loops)
+            pair = _r2_wiring((e, m, e2), (g, h, g2), k)
+            result = _rebuilt(d, updates, pair, d.free_loops)
             yield Move("R2+", (e, g, k), result)
     if d.free_loops:
         yield from _r2_free_loop_additions(d)

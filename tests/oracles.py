@@ -7,6 +7,7 @@ code, so oracle agreement is a genuine cross-check and not a tautology.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -703,3 +704,111 @@ def planar_bruteforce(crossings) -> bool:
     for p in piece.values():
         vertices[p] = vertices.get(p, 0) + 1
     return all(faces[p] == v + 2 for p, v in vertices.items())
+
+
+# ----------------------------------------------------------------------
+# The diagram validator as first written: a checked loop over every slot,
+# strands followed through the crossing list, pieces found by union-find
+# over crossings and faces walked as dart lists.
+
+_INCOMING = {1: (True, False, False, True), -1: (True, True, False, False)}
+_EXIT_OF_ENTRY = {0: 2, 1: 3, 3: 1}
+
+
+def validate_reference(crossings):
+    """Check a normalized crossing list and build its edge index.
+
+    Returns ``(tail, head, comp, cycles, face_of)`` as the diagram keeps
+    them, or raises the ``DiagramError`` the check fails with.
+    """
+    n_edges = 2 * len(crossings)
+    tail = [-1] * n_edges
+    head = [-1] * n_edges
+    for ci, c in enumerate(crossings):
+        for slot, (e, incoming) in enumerate(zip(c.edges, _INCOMING[c.sign])):
+            ends = head if incoming else tail
+            if not 0 <= e < n_edges or ends[e] >= 0:
+                raise _invalid_edge(crossings, e, incoming)
+            ends[e] = 4 * ci + slot
+    comp = [-1] * n_edges
+    cycles = []
+    for start in range(n_edges):
+        if comp[start] >= 0:
+            continue
+        cycle = []
+        e = start
+        while comp[e] < 0:
+            comp[e] = len(cycles)
+            cycle.append(e)
+            h = head[e]
+            e = crossings[h >> 2].edges[_EXIT_OF_ENTRY[h & 3]]
+        cycles.append(tuple(cycle))
+    faces = _faces(tail, head)
+    _check_planarity(tail, head, faces)
+    face_of = [0] * (2 * n_edges)
+    for fi, face in enumerate(faces):
+        for x in face:
+            face_of[x] = fi
+    return tuple(tail), tuple(head), tuple(comp), tuple(cycles), tuple(face_of)
+
+
+def _faces(tail, head) -> list[list[int]]:
+    mate = [0] * (2 * len(tail))
+    for t, h in zip(tail, head):
+        mate[t] = h
+        mate[h] = t
+    faces = []
+    seen = [False] * len(mate)
+    for first in range(len(mate)):
+        if seen[first]:
+            continue
+        face = []
+        x = first
+        while not seen[x]:
+            seen[x] = True
+            face.append(x)
+            y = mate[x]
+            x = y - (y & 3) + ((y + 1) & 3)
+        faces.append(face)
+    return faces
+
+
+def _invalid_edge(crossings, edge, incoming) -> DiagramError:
+    labels = [e for c in crossings for e in c.edges]
+    for e in labels:
+        k = labels.count(e)
+        if k != 2:
+            return DiagramError(f"edge multiplicity: edge {e} occurs {k} times")
+    way = "enters" if incoming else "leaves"
+    return DiagramError(f"orientation inconsistency: edge {edge} {way} twice")
+
+
+def piece_roots(tail, head) -> list[int]:
+    """Per crossing, a representative crossing of its connected piece."""
+    parent = list(range(len(tail) // 2))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for t, h in zip(tail, head):
+        parent[find(t >> 2)] = find(h >> 2)
+    return [find(ci) for ci in range(len(parent))]
+
+
+def _check_planarity(tail, head, faces) -> None:
+    if not tail:
+        return
+    roots = piece_roots(tail, head)
+    if len(faces) == len(roots) + 2 * len(set(roots)):
+        return
+    crossing_count = Counter(roots)
+    face_count = Counter(roots[face[0] >> 2] for face in faces)
+    for root, v in crossing_count.items():
+        if face_count[root] != v + 2:
+            raise DiagramError(
+                "non-planar diagram: piece with "
+                f"{v} crossings has {face_count[root]} faces (needs {v + 2})"
+            )

@@ -12,6 +12,7 @@ from twistknots.diagram import (
     DiagramError,
     OrientedLinkDiagram,
     ParseError,
+    _normalized,
     from_json,
     parse_pd,
     serialize,
@@ -19,8 +20,14 @@ from twistknots.diagram import (
     to_json,
 )
 from twistknots.families import twist
+from twistknots.moves import reidemeister_moves
 
-from .oracles import edge_index_bruteforce, faces_bruteforce, planar_bruteforce
+from .oracles import (
+    edge_index_bruteforce,
+    faces_bruteforce,
+    planar_bruteforce,
+    validate_reference,
+)
 
 TREFOIL_CLASSIC = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
@@ -169,6 +176,17 @@ class TestRoundTrip:
         with pytest.raises(DiagramError, match="components"):
             from_json(kink % "[[10, 12]]")
 
+    def test_bool_edge_label_is_relabeled(self):
+        # a right trefoil whose labels first appear in the order 0..5
+        ints = ((0, 1, 2, 3), (1, 4, 5, 2), (4, 0, 3, 5))
+        bools = tuple(tuple(True if e == 1 else e for e in row) for row in ints)
+        d = OrientedLinkDiagram(tuple(Crossing(row, 1) for row in bools))
+        assert {type(e) for c in d.crossings for e in c.edges} == {int}
+        assert d == OrientedLinkDiagram(tuple(Crossing(row, 1) for row in ints))
+        text = serialize(d)
+        assert "True" not in text
+        assert parse_pd(text) == d
+
     def test_two_component_serialization(self, hopf_positive):
         text = serialize(hopf_positive)
         assert text.count("O[") == 2
@@ -184,7 +202,7 @@ class TestMirror:
             assert d.mirror().mirror() == d
 
     def test_empty(self):
-        assert OrientedLinkDiagram.empty().mirror() == OrientedLinkDiagram.empty()
+        assert OrientedLinkDiagram(()).mirror() == OrientedLinkDiagram(())
 
 
 class TestLinking:
@@ -298,6 +316,61 @@ class TestPlanarity:
         else:
             with pytest.raises(DiagramError, match="non-planar diagram: piece with"):
                 OrientedLinkDiagram(crossings)
+
+
+def _check_against_reference(crossings, free_loops=0):
+    """Construction agrees with the reference validator: the same edge
+    index and faces, or the same error class and message."""
+    norm = _normalized(crossings)
+    try:
+        want = validate_reference(norm)
+    except DiagramError as exc:
+        with pytest.raises(DiagramError) as got:
+            OrientedLinkDiagram(crossings, free_loops)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    d = OrientedLinkDiagram(crossings, free_loops)
+    assert d.crossings == norm
+    assert (d._tail, d._head, d._comp, d._components, d._face_of) == want
+    index = [(*d.edge_ends(e), d.component_of_edge(e)) for e in d.edges]
+    assert index == edge_index_bruteforce(d)
+    face = {x: fi for fi, darts in enumerate(faces_bruteforce(d)) for x in darts}
+    assert d._face_of == tuple(face[x >> 2, x & 3] for x in range(4 * d.n_crossings))
+
+
+class TestValidatorOracle:
+    @given(oriented_codes(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_codes(self, code, data):
+        rows = [list(c.edges) for c in code]
+        slots = [(ci, s) for ci in range(len(rows)) for s in range(4)]
+        # optionally swap two labels (a second head or tail) or overwrite
+        # one (a label seen once or three times)
+        for _ in range(data.draw(st.integers(0, 2))):
+            ci, s = data.draw(st.sampled_from(slots))
+            if data.draw(st.booleans()):
+                cj, t = data.draw(st.sampled_from(slots))
+                rows[ci][s], rows[cj][t] = rows[cj][t], rows[ci][s]
+            else:
+                rows[ci][s] = data.draw(st.integers(0, 2 * len(rows)))
+        _check_against_reference(
+            tuple(Crossing(tuple(row), c.sign) for row, c in zip(rows, code))
+        )
+
+    @given(st.lists(braid_words(), min_size=1, max_size=3), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_split_closures_with_free_loops(self, words, loops):
+        d = OrientedLinkDiagram.unknot(loops)
+        for word in words:
+            d = d.disjoint_union(braid_closure(word))
+        _check_against_reference(d.crossings, d.free_loops)
+
+    @given(braid_words(max_len=5), st.integers(0, 1))
+    @settings(max_examples=15, deadline=None)
+    def test_move_results(self, word, loops):
+        d = braid_closure(word).disjoint_union(OrientedLinkDiagram.unknot(loops))
+        for move in reidemeister_moves(d):
+            _check_against_reference(move.result.crossings, move.result.free_loops)
 
 
 class TestHypothesis:

@@ -12,7 +12,6 @@ from twistknots.braids import BraidWord, braid_closure, torus_braid
 from twistknots.corpus import load_corpus
 from twistknots.diagram import (
     OrientedLinkDiagram,
-    _piece_roots,
     _subdiagram,
     parse_pd,
 )
@@ -32,6 +31,7 @@ from twistknots.polynomials import LaurentPolynomial
 from .oracles import (
     bracket_with_loops_dict,
     jones_bruteforce,
+    piece_roots,
     scan_order_max,
     symmetric_signature_fraction,
 )
@@ -318,9 +318,10 @@ def _dense(rows):
 
 
 def _pieces(d):
-    """The connected pieces of a diagram with crossings."""
+    """The connected pieces of a diagram with crossings, found by the
+    oracle's union-find over crossings."""
     pieces = {}
-    for ci, root in enumerate(_piece_roots(d._tail, d._head)):
+    for ci, root in enumerate(piece_roots(d._tail, d._head)):
         pieces.setdefault(root, []).append(ci)
     return [_subdiagram(d, p) for p in pieces.values()]
 

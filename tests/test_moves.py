@@ -131,6 +131,21 @@ class TestR2AdditionsOracle:
         assert len(built) == len(moves)
 
 
+class TestMoveLog:
+    def test_logs_one_record_per_call(self, caplog, trefoil_right):
+        d = trefoil_right.disjoint_union(OrientedLinkDiagram.unknot(1))
+        with caplog.at_level(logging.DEBUG, logger="twistknots.moves"):
+            moves = reidemeister_moves(d)
+        (record,) = caplog.records
+        assert record.name == "twistknots.moves"
+        assert record.levelno == logging.DEBUG
+        crossings, *counts, seconds = record.args
+        kinds = [m.kind for m in moves]
+        assert crossings == 3 and seconds >= 0
+        assert counts == [kinds.count(k) for k in ("R1-", "R2-", "R3", "R1+", "R2+")]
+        assert sum(counts) == len(moves) and counts[3] > 0
+
+
 class TestR3:
     def test_trefoil_braid_with_triangle(self):
         # sigma_1 sigma_2 sigma_1 closure has an R3-movable triangle
