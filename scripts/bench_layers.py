@@ -3,8 +3,7 @@
 
 Run from the repository root:
 
-    python3 scripts/bench_layers.py --label after --out BENCH_construct.json \
-        --layer moves.reidemeister_moves
+    python3 scripts/bench_layers.py --label after --out BENCH_construct.json
 
 Times ``moves.greedy_simplify`` on untwisted ``chain_4`` members (the
 untwist sites of ``twist(chain_4, n)`` changed) at n = 10, 50, 100,
@@ -15,12 +14,11 @@ on ``twist(whitehead, n)`` at n = -2, 2, ``twist(mazur, n)`` at n = -1, 1
 and ``twist(torus_q2, 2)``.  Each row holds the crossings in, the cost
 driver (greedy steps, scan width, the white faces and peak row nonzeros
 of the elimination, read from its DEBUG record, or the moves out, each
-one built and validated diagram) and the median seconds over ``REPEATS``
-calls, ``MOVE_REPEATS`` for moves; a move row also gives the microseconds
-per built result.  The rows go into the ``--out`` JSON file under
-``--label`` and other labels are kept, so one file holds the numbers of
-a change before and after.  ``--layer`` (repeatable) keeps only the
-named layers.
+one built and validated diagram), the number of calls timed (``REPEATS``,
+``MOVE_REPEATS`` for moves) and their median seconds; a move row also
+gives the microseconds per built result.  The rows go into the ``--out``
+JSON file under ``--label`` and other labels are kept, so one file holds
+the numbers of a change before and after.
 """
 
 import argparse
@@ -54,7 +52,7 @@ def timed(fn, arg, repeats=REPEATS):
     return out, statistics.median(times)
 
 
-def greedy_rows():
+def rows():
     chain = chain_family(4)
     for n in (10, 50, 100):
         d = twist(chain, n).change_crossings(untwist_schedule(chain, n))
@@ -64,11 +62,9 @@ def greedy_rows():
             "input": f"chain_4 n={n}, untwist sites changed",
             "crossings": d.n_crossings,
             "steps": len(trace),
+            "repeats": REPEATS,
             "s": round(secs, 4),
         }
-
-
-def scan_order_rows():
     wind = load_corpus()["wind3_wrap9"]
     for n in (10, 30):
         d = twist(wind, n)
@@ -78,12 +74,9 @@ def scan_order_rows():
             "input": f"wind3_wrap9 n={n}",
             "crossings": d.n_crossings,
             "width": width,
+            "repeats": REPEATS,
             "s": round(secs, 4),
         }
-
-
-def signature_rows():
-    chain = chain_family(4)
     records = []
     keep = logging.Handler()
     keep.emit = records.append
@@ -104,11 +97,9 @@ def signature_rows():
             "crossings": d.n_crossings,
             "white_faces": args[1],
             "peak_row_nonzeros": args[4],
+            "repeats": REPEATS,
             "s": round(secs, 4),
         }
-
-
-def move_rows():
     corpus = load_corpus()
     for name, n in (("whitehead", -2), ("whitehead", 2), ("mazur", -1), ("mazur", 1),
                     ("torus_q2", 2)):
@@ -125,22 +116,10 @@ def move_rows():
         }
 
 
-LAYERS = {
-    "moves.greedy_simplify": greedy_rows,
-    "invariants._scan_order": scan_order_rows,
-    "invariants.signature": signature_rows,
-    "moves.reidemeister_moves": move_rows,
-}
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="key of this run in the file")
     ap.add_argument("--out", required=True, type=pathlib.Path)
-    ap.add_argument(
-        "--layer", action="append", choices=sorted(LAYERS),
-        help="time only this layer (repeatable; default every layer)",
-    )
     args = ap.parse_args()
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = {
@@ -149,13 +128,11 @@ def main():
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
         },
-        "repeats": REPEATS,
         "rows": [],
     }
-    for layer in args.layer or LAYERS:
-        for row in LAYERS[layer]():
-            print(json.dumps(row))
-            data[args.label]["rows"].append(row)
+    for row in rows():
+        print(json.dumps(row))
+        data[args.label]["rows"].append(row)
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
