@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 scripts/bench_layers.py --label after --out BENCH_construct.json
+    python3 scripts/bench_layers.py --label after --out BENCH_moves.json
 
 Times ``moves.greedy_simplify`` on untwisted ``chain_4`` members (the
 untwist sites of ``twist(chain_4, n)`` changed) at n = 10, 50, 100,
@@ -14,11 +14,14 @@ on ``twist(whitehead, n)`` at n = -2, 2, ``twist(mazur, n)`` at n = -1, 1
 and ``twist(torus_q2, 2)``.  Each row holds the crossings in, the cost
 driver (greedy steps, scan width, the white faces and peak row nonzeros
 of the elimination, read from its DEBUG record, or the moves out, each
-one built and validated diagram), the number of calls timed (``REPEATS``,
-``MOVE_REPEATS`` for moves) and their median seconds; a move row also
-gives the microseconds per built result.  The rows go into the ``--out``
-JSON file under ``--label`` and other labels are kept, so one file holds
-the numbers of a change before and after.
+result one built and validated diagram), the number of calls timed
+(``REPEATS``, ``MOVE_REPEATS`` for moves) and their median seconds.  A
+move row times the enumeration plus a read of every result, so its
+seconds and microseconds per built result count every construction
+whether results are built on enumeration or on first read;
+``enumerate_s`` is the median seconds of the enumeration alone.  The
+rows go into the ``--out`` JSON file under ``--label`` and other labels
+are kept, so one file holds the numbers of a change before and after.
 """
 
 import argparse
@@ -50,6 +53,14 @@ def timed(fn, arg, repeats=REPEATS):
         out = fn(arg)
         times.append(time.perf_counter() - start)
     return out, statistics.median(times)
+
+
+def enumerate_and_read(d):
+    """All moves of ``d``, each result read once."""
+    out = moves.reidemeister_moves(d)
+    for move in out:
+        move.result
+    return out
 
 
 def rows():
@@ -104,7 +115,8 @@ def rows():
     for name, n in (("whitehead", -2), ("whitehead", 2), ("mazur", -1), ("mazur", 1),
                     ("torus_q2", 2)):
         d = twist(corpus[name], n)
-        out, secs = timed(moves.reidemeister_moves, d, MOVE_REPEATS)
+        out, secs = timed(enumerate_and_read, d, MOVE_REPEATS)
+        _, enumerate_secs = timed(moves.reidemeister_moves, d, MOVE_REPEATS)
         yield {
             "layer": "moves.reidemeister_moves",
             "input": f"{name} n={n}",
@@ -112,6 +124,7 @@ def rows():
             "moves_out": len(out),
             "repeats": MOVE_REPEATS,
             "us_per_result": round(1e6 * secs / len(out), 2),
+            "enumerate_s": round(enumerate_secs, 5),
             "s": round(secs, 5),
         }
 

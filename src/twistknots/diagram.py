@@ -73,8 +73,9 @@ class Crossing:
     def __post_init__(self):
         if len(self.edges) != 4:
             raise DiagramError("crossing needs exactly 4 edges")
-        if self.sign not in (1, -1):
-            raise DiagramError(f"crossing sign must be +1 or -1, got {self.sign}")
+        # an int, so that to_json writes what from_json reads back
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise DiagramError(f"crossing sign must be the int +1 or -1, got {self.sign!r}")
         if type(self.edges) is not tuple:
             object.__setattr__(self, "edges", tuple(self.edges))
 

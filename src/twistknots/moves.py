@@ -1,14 +1,17 @@
 """Reidemeister moves on oriented PD diagrams.
 
 Enumerates every applicable move of the three kinds, in both directions
-for R1 and R2.  Each move's result is built valid: the additions build
-only the wirings that fit the faces they are drawn in, so every emitted
-move costs one diagram construction.  That construction still runs the
-diagram's full validating pass, and a result that fails it raises
-``DiagramError`` (a bug in this module) instead of being dropped.  The
-pass is most of a move's cost; ``reidemeister_moves`` logs one DEBUG
-record per call on ``twistknots.moves`` with the crossings in, the moves
-out of each kind and the seconds.
+for R1 and R2.  Enumeration builds no diagram: each move keeps the
+builder of its result and the arguments enumeration computed, and the
+first read of ``Move.result`` builds the diagram, so a search that reads
+a few of the moves it lists pays for those alone.  Each result read
+costs one construction, which runs the diagram's full validating pass.
+The additions build only the wirings that fit the faces they are drawn
+in, so a result that fails the pass is a bug in this module; it raises
+``DiagramError`` on read instead of being dropped.
+``reidemeister_moves`` logs one DEBUG record per call on
+``twistknots.moves`` with the crossings in, the moves out of each kind
+and the seconds, which cover the enumeration alone.
 
 Move kinds: ``R1-``, ``R1+``, ``R2-``, ``R2+``, ``R3``.
 
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 from typing import Iterator
 
 from .diagram import (
@@ -35,15 +37,69 @@ from .diagram import (
 _ENTRY_OF_EXIT = {2: 0, 3: 1, 1: 3}
 
 
-@dataclass(frozen=True)
 class Move:
-    kind: str
-    site: tuple
-    result: OrientedLinkDiagram
+    """One move: its kind, its site and the diagram it leads to.
+
+    ``Move(kind, site, result)`` holds a built result.  The moves this
+    module enumerates hold the builder and its arguments instead, and
+    the first read of ``result`` builds the diagram through the
+    validating constructor and keeps it: each result read costs one
+    validated construction, later reads cost nothing, and a builder
+    fault raises ``DiagramError`` on the read.  Two moves are equal when
+    their kinds, sites and results are, so comparing builds results.
+    """
+
+    __slots__ = ("kind", "site", "_result", "_build")
+
+    def __init__(self, kind: str, site: tuple, result: OrientedLinkDiagram):
+        self.kind = kind
+        self.site = site
+        self._result = result
+        self._build = None
+
+    @classmethod
+    def _deferred(cls, kind: str, site: tuple, builder, *args) -> Move:
+        """The move whose result is ``builder(*args)``, built on first read."""
+        move = cls.__new__(cls)
+        move.kind = kind
+        move.site = site
+        move._result = None
+        move._build = builder, args
+        return move
+
+    @property
+    def result(self) -> OrientedLinkDiagram:
+        if self._result is None:
+            builder, args = self._build
+            self._result = builder(*args)
+            self._build = None
+        return self._result
+
+    def __eq__(self, other):
+        if not isinstance(other, Move):
+            return NotImplemented
+        return (
+            self.kind == other.kind
+            and self.site == other.site
+            and self.result == other.result
+        )
+
+    def __hash__(self):
+        # equal moves share kind and site, so this agrees with == and
+        # builds nothing
+        return hash((self.kind, self.site))
+
+    def __repr__(self):
+        return f"Move(kind={self.kind!r}, site={self.site!r}, result={self.result!r})"
 
 
 def reidemeister_moves(d: OrientedLinkDiagram) -> list[Move]:
-    """All applicable moves; every result is a valid diagram."""
+    """All applicable moves, in kind order R1-, R2-, R3, R1+, R2+.
+
+    Builds no diagram: each move's result is built and validated on its
+    first read (see ``Move``).  The DEBUG record's seconds cover the
+    enumeration alone.
+    """
     start = time.perf_counter()
     out: list[Move] = []
     counts = []
@@ -116,8 +172,9 @@ def r1_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
             v = next(
                 c.edges[t] for t in others if not slot_is_incoming(c.sign, t)
             )
-            result = _splice_out(d, {ci}, [(u, loop), (loop, v)])
-            yield Move("R1-", (ci, s), result)
+            yield Move._deferred(
+                "R1-", (ci, s), _splice_out, d, {ci}, [(u, loop), (loop, v)]
+            )
 
 
 def _strand_through(d, edge, at_tail):
@@ -151,8 +208,8 @@ def r2_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
         q = _strand_through(d, e, at_tail=False)
         r = _strand_through(d, f, at_tail=True)
         s = _strand_through(d, f, at_tail=False)
-        result = _splice_out(d, {c1, c2}, [(p, e), (e, q), (r, f), (f, s)])
-        yield Move("R2-", (c1, c2, e, f), result)
+        splices = [(p, e), (e, q), (r, f), (f, s)]
+        yield Move._deferred("R2-", (c1, c2, e, f), _splice_out, d, {c1, c2}, splices)
 
 
 # -- additions ----------------------------------------------------------
@@ -178,21 +235,24 @@ def _head_update(d, edge, new_edge):
 def r1_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
     loop, m = 2 * d.n_crossings, 2 * d.n_crossings + 1
     for e in d.edges:
-        update = [_head_update(d, e, m)]
+        update = (_head_update(d, e, m),)
         for kind, crossing in (
             ("pos_a", Crossing((loop, loop, m, e), +1)),
             ("pos_b", Crossing((e, m, loop, loop), +1)),
             ("neg_a", Crossing((e, loop, loop, m), -1)),
             ("neg_b", Crossing((loop, e, m, loop), -1)),
         ):
-            yield Move("R1+", (e, kind), _rebuilt(d, update, [crossing], d.free_loops))
+            yield Move._deferred(
+                "R1+", (e, kind), _rebuilt, d, update, (crossing,), d.free_loops
+            )
     if d.free_loops:
         for kind, crossing in (
             ("loop_pos", Crossing((loop, loop, m, m), +1)),
             ("loop_neg", Crossing((m, loop, loop, m), -1)),
         ):
-            result = _rebuilt(d, [], [crossing], d.free_loops - 1)
-            yield Move("R1+", ("free_loop", kind), result)
+            yield Move._deferred(
+                "R1+", ("free_loop", kind), _rebuilt, d, (), (crossing,), d.free_loops - 1
+            )
 
 
 def _r2_candidates(over, under):
@@ -245,11 +305,10 @@ def r2_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
                 if i != j and e != g:
                     wirings.setdefault((e, g), set()).add(_R2_WIRING[e_tail, g_tail])
     for (e, g), ks in wirings.items():
-        updates = [_head_update(d, e, e2), _head_update(d, g, g2)]
+        updates = (_head_update(d, e, e2), _head_update(d, g, g2))
         for k in sorted(ks):
             pair = _r2_wiring((e, m, e2), (g, h, g2), k)
-            result = _rebuilt(d, updates, pair, d.free_loops)
-            yield Move("R2+", (e, g, k), result)
+            yield Move._deferred("R2+", (e, g, k), _rebuilt, d, updates, pair, d.free_loops)
     if d.free_loops:
         yield from _r2_free_loop_additions(d)
 
@@ -258,18 +317,22 @@ def _r2_free_loop_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
     fresh0 = 2 * d.n_crossings
     m1, m2, h, g2 = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
     for g in d.edges:
-        update = [_head_update(d, g, g2)]
+        update = (_head_update(d, g, g2),)
         for role, (over, under) in enumerate(
             (((m2, m1, m2), (g, h, g2)), ((g, h, g2), (m2, m1, m2)))
         ):
             for k, pair in enumerate(_r2_candidates(over, under)):
-                result = _rebuilt(d, update, pair, d.free_loops - 1)
-                yield Move("R2+", ("free_loop", g, role, k), result)
+                yield Move._deferred(
+                    "R2+", ("free_loop", g, role, k), _rebuilt, d, update, pair,
+                    d.free_loops - 1,
+                )
     # one loop across another, and a loop across itself
     n1, n2 = fresh0 + 4, fresh0 + 5
     if d.free_loops >= 2:
         for k, pair in enumerate(_r2_candidates((m2, m1, m2), (n2, n1, n2))):
-            yield Move("R2+", ("two_loops", k), _rebuilt(d, [], pair, d.free_loops - 2))
+            yield Move._deferred(
+                "R2+", ("two_loops", k), _rebuilt, d, (), pair, d.free_loops - 2
+            )
     # a lone loop pushed across itself: tongue over both times or under both
     a, t, c, m = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
     for k, pair in enumerate(
@@ -278,7 +341,9 @@ def _r2_free_loop_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
             (Crossing((a, c, t, m), -1), Crossing((t, c, a, m), +1)),
         )
     ):
-        yield Move("R2+", ("self_loop", k), _rebuilt(d, [], pair, d.free_loops - 1))
+        yield Move._deferred(
+            "R2+", ("self_loop", k), _rebuilt, d, (), pair, d.free_loops - 1
+        )
 
 
 # -- R3 -----------------------------------------------------------------
@@ -297,7 +362,7 @@ def r3_moves(d: OrientedLinkDiagram) -> Iterator[Move]:
         # of which lie on the triangle
         if not any(all(s in (1, 3) for _, s in d.edge_ends(e)) for e in sides):
             continue
-        yield Move("R3", tuple(sorted(face)), _apply_r3(d, sides))
+        yield Move._deferred("R3", tuple(sorted(face)), _apply_r3, d, sides)
 
 
 def _apply_r3(d: OrientedLinkDiagram, sides: list[int]) -> OrientedLinkDiagram:

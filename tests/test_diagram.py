@@ -187,6 +187,12 @@ class TestRoundTrip:
         assert "True" not in text
         assert parse_pd(text) == d
 
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0])
+    def test_sign_equal_to_one_but_not_int_rejected(self, sign):
+        # kept, it would be written as true or -1.0, which from_json refuses
+        with pytest.raises(DiagramError, match="sign"):
+            Crossing((0, 1, 1, 0), sign)
+
     def test_two_component_serialization(self, hopf_positive):
         text = serialize(hopf_positive)
         assert text.count("O[") == 2

@@ -2,16 +2,26 @@ import logging
 import random
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistknots.braids import BraidWord, braid_closure, torus_braid
+from twistknots.braids import BraidWord, braid_closure
 from twistknots.corpus import built_families, chain_family
-from twistknots.diagram import OrientedLinkDiagram, structurally_equal
+from twistknots.diagram import (
+    DiagramError,
+    OrientedLinkDiagram,
+    parse_pd,
+    serialize,
+    structurally_equal,
+)
 from twistknots.families import twist, untwist_schedule
 from twistknots.invariants import kauffman_bracket_jones
 from twistknots.moves import (
+    Move,
+    _rebuilt,
     greedy_simplify,
+    r1_additions,
     r1_removals,
     r2_additions,
     r2_removals,
@@ -116,7 +126,11 @@ class TestR2AdditionsOracle:
         d = braid_closure(word).disjoint_union(OrientedLinkDiagram.unknot(loops))
         assert list(r2_additions(d)) == r2_additions_bruteforce(d)
 
-    def test_one_construction_per_move(self, monkeypatch):
+
+class TestLazyResults:
+    """Enumeration builds nothing; each result is built once, on first read."""
+
+    def test_one_construction_per_result_read(self, monkeypatch):
         built = []
         validate = OrientedLinkDiagram.__post_init__
 
@@ -125,10 +139,54 @@ class TestR2AdditionsOracle:
             validate(self)
 
         monkeypatch.setattr(OrientedLinkDiagram, "__post_init__", counting)
-        d = braid_closure(torus_braid(4, 3)).disjoint_union(OrientedLinkDiagram.unknot(2))
+        # a triangle, a bigon, a kink and two free loops: every builder runs
+        d = (
+            braid_closure(BraidWord.from_ints(4, [1, 2, 1, 3, -3]))
+            .disjoint_union(braid_closure(BraidWord.from_ints(2, [1])))
+            .disjoint_union(OrientedLinkDiagram.unknot(2))
+        )
         built.clear()
         moves = reidemeister_moves(d)
+        assert built == []
+        assert {m.kind for m in moves} == {"R1-", "R2-", "R3", "R1+", "R2+"}
+        for m in moves:
+            m.result
         assert len(built) == len(moves)
+        # a second read returns the diagram the first one built
+        assert all(m.result is b for m, b in zip(moves, built))
+        assert len(built) == len(moves)
+
+    @staticmethod
+    def _check_read_order(d):
+        """Results read forwards, in reverse, and as each move is yielded
+        (before the enumeration moves on) are the same valid diagrams."""
+        forwards, backwards = reidemeister_moves(d), reidemeister_moves(d)
+        for m in reversed(backwards):
+            m.result
+        assert forwards == backwards
+        kinds = (r1_removals, r2_removals, r3_moves, r1_additions, r2_additions)
+        at_yield = [(m.kind, m.site, m.result) for kind in kinds for m in kind(d)]
+        assert [(m.kind, m.site, m.result) for m in forwards] == at_yield
+        for m in forwards:
+            assert parse_pd(serialize(m.result)) == m.result, m
+
+    def test_read_order_corpus_members(self):
+        for _, d in _small_corpus_members():
+            self._check_read_order(d)
+
+    @given(braid_words(), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_read_order_braid_closures(self, word, loops):
+        self._check_read_order(
+            braid_closure(word).disjoint_union(OrientedLinkDiagram.unknot(loops))
+        )
+
+    def test_builder_fault_raises_on_read(self, trefoil_right):
+        # an update that leaves edge 0 with one occurrence
+        move = Move._deferred("R3", (), _rebuilt, trefoil_right, ((0, 0, 9),), (), 0)
+        for _ in range(2):
+            with pytest.raises(DiagramError):
+                move.result
 
 
 class TestMoveLog:
