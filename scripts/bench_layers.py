@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
-"""Time the simplification, scan-order, signature and move layers on their own.
+"""Time the simplification, scan, signature and move layers on their own.
 
 Run from the repository root:
 
-    python3 scripts/bench_layers.py --label after --out BENCH_moves.json
+    python3 scripts/bench_layers.py --label after --out BENCH_jones.json
 
 Times ``moves.greedy_simplify`` on untwisted ``chain_4`` members (the
 untwist sites of ``twist(chain_4, n)`` changed) at n = 10, 50, 100,
 ``invariants._scan_order`` on ``twist(wind3_wrap9, n)`` at n = 10, 30,
 ``invariants.signature`` on ``twist(chain_4, n)`` at n = 13, 26, 52
-and ``twist(torus_q3, n)`` at n = 13, 40, and ``moves.reidemeister_moves``
-on ``twist(whitehead, n)`` at n = -2, 2, ``twist(mazur, n)`` at n = -1, 1
-and ``twist(torus_q2, 2)``.  Each row holds the crossings in, the cost
-driver (greedy steps, scan width, the white faces and peak row nonzeros
-of the elimination, read from its DEBUG record, or the moves out, each
-result one built and validated diagram), the number of calls timed
-(``REPEATS``, ``MOVE_REPEATS`` for moves) and their median seconds.  A
+and ``twist(torus_q3, n)`` at n = 13, 40, ``invariants.kauffman_bracket_jones``
+on ``twist(wind3_wrap9, 1)``, ``twist(whitehead, 30)``,
+``twist(largewrap_w0_p4, 7)``, ``twist(torus_q3, 12)`` and the closed full
+twist on 8 strands, and ``moves.reidemeister_moves`` on
+``twist(whitehead, n)`` at n = -2, 2, ``twist(mazur, n)`` at n = -1, 1 and
+``twist(torus_q2, 2)``.  Each row holds the crossings in, the cost driver
+(greedy steps, scan width, the white faces and peak row nonzeros of the
+elimination or the scan's width and state updates, read from their DEBUG
+records, or the moves out, each result one built and validated diagram),
+the number of calls timed (``REPEATS``, ``JONES_REPEATS`` for the scan,
+``MOVE_REPEATS`` for moves) and their median seconds.  A
 move row times the enumeration plus a read of every result, so its
 seconds and microseconds per built result count every construction
 whether results are built on enumeration or on first read;
@@ -37,10 +41,13 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from twistknots import invariants, moves
+from twistknots.braids import braid_closure, torus_braid
 from twistknots.corpus import chain_family, load_corpus
 from twistknots.families import twist, untwist_schedule
 
 REPEATS = 3
+# most scans take milliseconds, so their median takes more calls
+JONES_REPEATS = 11
 # a move enumeration takes milliseconds, so its median takes more calls
 MOVE_REPEATS = 51
 
@@ -112,6 +119,22 @@ def rows():
             "s": round(secs, 4),
         }
     corpus = load_corpus()
+    scans = [(f"{name} n={n}", twist(corpus[name], n)) for name, n in (
+        ("wind3_wrap9", 1), ("whitehead", 30), ("largewrap_w0_p4", 7), ("torus_q3", 12))]
+    scans.append(("full twist on 8 strands", braid_closure(torus_braid(8, 8))))
+    for tag, d in scans:
+        records.clear()
+        _, secs = timed(invariants.kauffman_bracket_jones, d, JONES_REPEATS)
+        _, width, updates, _ = records[-1].args  # crossings, width, updates, seconds
+        yield {
+            "layer": "invariants.kauffman_bracket_jones",
+            "input": tag,
+            "crossings": d.n_crossings,
+            "width": width,
+            "state_updates": updates,
+            "repeats": JONES_REPEATS,
+            "s": round(secs, 5),
+        }
     for name, n in (("whitehead", -2), ("whitehead", 2), ("mazur", -1), ("mazur", 1),
                     ("torus_q2", 2)):
         d = twist(corpus[name], n)

@@ -40,12 +40,6 @@ class BraidWord:
             raise DiagramError("cannot concatenate words on different strand counts")
         return BraidWord(self.strands, self.letters + other.letters)
 
-    def inverse_word(self) -> "BraidWord":
-        """The literal inverse word (reversed, signs flipped)."""
-        return BraidWord(
-            self.strands, tuple((i, -s) for i, s in reversed(self.letters))
-        )
-
     def flipped(self) -> "BraidWord":
         """Every letter's sign negated, order kept."""
         return BraidWord(self.strands, tuple((i, -s) for i, s in self.letters))

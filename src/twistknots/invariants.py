@@ -6,16 +6,19 @@ pairs) rather than 2^crossings; a greedy ordering keeps that width small
 on braid-like diagrams, and one budget, ``WIDTH_BUDGET``, bounds it before
 any state is built.  All states share one ordered frontier of open darts
 (code ``4 * crossing + slot``); a state is the tuple of partner positions
-in it, its value the integer coefficients of A^lo, A^(lo+2), ..., and a
-state whose terms cancel is dropped.  What each slot of the next
-crossing meets, and where surviving darts move, is worked out once per
-crossing; each state then touches four slots.  The signature comes from
-the Goeritz form of a checkerboard coloring with its orientation
-correction term.  The form is kept as sparse rows, one per white face,
-and eliminated fraction-free in exact integers, least-degree row first;
-each row is rescaled only when a pivot meets it, so on a long narrow
-diagram, whose form is banded, the cost grows about linearly in the
-crossings.
+in it, its value a lowest exponent lo and one integer packing the
+coefficients of A^lo, A^(lo+2), ... as signed digits in base 2^bits,
+bits = 3 * crossings + free loops + 2, wide enough that no coefficient
+can overflow its digit, and a state whose value is 0 is dropped.  What
+each slot of the next crossing meets, and where surviving darts move,
+is worked out once per crossing; each state then touches four slots,
+and how a smoothing joins them is looked up in a table shared by all
+scans.  The signature comes from the Goeritz form of a checkerboard
+coloring with its orientation correction term.  The form is kept as
+sparse rows, one per white face, and eliminated fraction-free in exact
+integers, least-degree row first; each row is rescaled only when a pivot
+meets it, so on a long narrow diagram, whose form is banded, the cost
+grows about linearly in the crossings.
 """
 
 from __future__ import annotations
@@ -23,19 +26,28 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from operator import add, sub
 
 from .diagram import DiagramError, OrientedLinkDiagram, _piece_of_component, _subdiagram
 from .polynomials import LaurentPolynomial
 
 # most open pairs a scan may keep; cost grows like the Catalan number of the
-# width: a k-strand full-twist closure takes 0.27 s at k=8, 9.2 s at k=10
-# (2-core Xeon, Python 3.11)
+# width.  The closed full twist on k strands (width k) takes 0.14-0.19 s and
+# peaks at 18.7 MB RSS at k=8, and 5.4-6.0 s and 66 MB at k=10 (only with
+# a raised limit): its 90 crossings make every packed digit 272 bits wide,
+# so a wide state's value outweighs a list of its small coefficients
+# (2-core x86-64, Python 3.11.7)
 WIDTH_BUDGET = 8
 
 # per smoothing, its power of A and each slot's partner: the A-type
 # joins slots (0,1) and (2,3), the B-type (0,3) and (1,2)
 _SMOOTH = ((1, (1, 0, 3, 2)), (-1, (3, 2, 1, 0)))
+
+# the (power of A, joined slot pairs, closed loops) of each smoothing, by the
+# ends of a crossing's four slots (see _walk); shared by every scan, and
+# bounded by the widths seen.  A walk depends only on which slots the ends
+# join, so the few distinct walks are kept once each in _SHAPES
+_WALKS: dict[tuple[int, ...], tuple[tuple[int, tuple, int], ...]] = {}
+_SHAPES: dict[tuple, tuple] = {}
 
 
 class LimitExceeded(DiagramError):
@@ -112,11 +124,30 @@ def kauffman_bracket_jones(
 def _bracket_with_loops(d, order, width) -> tuple[int, list[int]]:
     """Sum over states of A^{a-b} * delta^{loops} (note: no -1) in a scan
     ``order`` of that ``width``, as its lowest exponent and the
-    coefficients of every second power from it."""
+    coefficients of every second power from it, trimmed to its nonzero
+    span.
+
+    A state's value ``(lo, v)`` packs the coefficient of A^(lo+2i) into
+    digit i of ``v`` in base 2^bits, digits balanced (signed), so a
+    smoothing moves ``lo`` by +-1, a closed loop (times delta) is
+    ``lo - 2`` with ``-(v + v * base^2)``, and parts with the same key
+    add once the higher ``lo`` is shifted down to the lower one.
+
+    Every coefficient of every value is below 2^(3n+F) in absolute value,
+    for n crossings and F free loops.  A value sums at most 2^n terms
+    +-A^k * delta^L, one per smoothing of the crossings scanned so far;
+    each loop closed so far runs through at least one of the 2n arcs
+    those smoothings draw, so L <= 2n; the coefficients of delta^L sum
+    to 2^L in absolute value; and the free loops multiply the last value
+    by delta^F.  With bits = 3n+F+2 each coefficient is below a quarter
+    of the base, so the digits are exact and ``v == 0`` exactly when the
+    value is 0: no state is dropped on a guess.
+    """
     start = time.perf_counter()
     tail, head = d._tail, d._head
+    bits = 3 * len(d.crossings) + d.free_loops + 2
     frontier: list[int] = []
-    states: dict[tuple[int, ...], tuple[int, list[int]]] = {(): (0, [1])}
+    states: dict[tuple[int, ...], tuple[int, int]] = {(): (0, 1)}
     updates = 0
     for ci in order:
         at = {x: i for i, x in enumerate(frontier)}
@@ -141,31 +172,51 @@ def _bracket_with_loops(d, order, width) -> tuple[int, list[int]]:
         # where the strand through a frontier dart's partner q comes out
         reach = [glued.get(q, 4 + remap[q]) for q in range(len(frontier))]
         frontier = [frontier[i] for i in survivors] + [4 * ci + s for s in fresh]
+        pad = [0] * len(fresh)
         updates += 2 * len(states)
-        walks: dict[tuple[int, ...], list] = {}
-        parts: dict[tuple[int, ...], list] = {}
-        for key, (lo, coeffs) in states.items():
+        parts: dict[tuple[int, ...], tuple[int, int]] = {}
+        for key, (lo, v) in states.items():
             ends = tuple([x if x >= 0 else reach[key[-1 - x]] for x in link])
-            if ends not in walks:
-                walks[ends] = [(sh, *_walk(ends, smooth)) for sh, smooth in _SMOOTH]
-            base = [remap[key[i]] for i in survivors] + [0] * len(fresh)
-            for shift, pairs, loops in walks[ends]:
-                nxt = list(base)
-                for a, b in pairs:
+            walked = _WALKS.get(ends)
+            if walked is None:
+                walked = tuple((sh, *_walk(ends, smooth)) for sh, smooth in _SMOOTH)
+                walked = _WALKS[ends] = _SHAPES.setdefault(walked, walked)
+            base = [remap[key[i]] for i in survivors] + pad
+            for shift, pairs, loops in walked:
+                nxt = base.copy()
+                for s, t in pairs:
+                    a, b = ends[s] - 4, ends[t] - 4
                     nxt[a], nxt[b] = b, a
-                part = (lo + shift, coeffs)
-                for _ in range(loops):
-                    part = _times_delta(part)
-                parts.setdefault(tuple(nxt), []).append(part)
-        states = {}
-        for key, group in parts.items():
-            lo, coeffs = _summed(group)
-            if coeffs:  # a state whose terms cancelled adds nothing from here on
-                states[key] = lo, coeffs
+                plo, pv = lo + shift, v
+                for _ in range(loops):  # times delta = A^-2 * -(1 + A^4)
+                    plo -= 2
+                    pv = -(pv + (pv << 2 * bits))
+                nxt = tuple(nxt)
+                old = parts.get(nxt)
+                if old is None:
+                    parts[nxt] = plo, pv
+                elif old[0] <= plo:
+                    parts[nxt] = old[0], old[1] + (pv << bits * (plo - old[0] >> 1))
+                else:
+                    parts[nxt] = plo, pv + (old[1] << bits * (old[0] - plo >> 1))
+        # a state whose terms cancelled adds nothing from here on
+        states = {key: p for key, p in parts.items() if p[1]}
     assert len(states) == 1 and () in states, "scan left open strands"
-    total = states[()]
+    lo, v = states[()]
     for _ in range(d.free_loops):
-        total = _times_delta(total)
+        lo -= 2
+        v = -(v + (v << 2 * bits))
+    coeffs = []
+    mask, half = (1 << bits) - 1, 1 << bits - 1
+    while v:
+        c = v & mask
+        if c >= half:
+            c -= 1 << bits
+        coeffs.append(c)
+        v = v - c >> bits
+    while not coeffs[0]:
+        del coeffs[0]
+        lo += 2
     # only a program that imported logging can have a handler for this
     # record, so the scan never imports it and `import twistknots` stays light
     logging = sys.modules.get("logging")
@@ -174,51 +225,29 @@ def _bracket_with_loops(d, order, width) -> tuple[int, list[int]]:
             "bracket scan: %d crossings, peak %d open pairs, %d state updates, %.3f s",
             len(d.crossings), width, updates, time.perf_counter() - start,
         )
-    return total
+    return lo, coeffs
 
 
-def _walk(ends: tuple[int, ...], smooth: tuple[int, ...]) -> tuple[list, int]:
+def _walk(ends: tuple[int, ...], smooth: tuple[int, ...]) -> tuple[tuple, int]:
     """Join a crossing's four slots by a smoothing: the frontier pairs it
-    makes and the loops it closes.  ``ends[s]`` is where the strand out
-    of slot ``s`` comes back (a slot) or stays open (4 + new position)."""
+    makes, each as the two slots whose open ends it joins, and the loops
+    it closes.  ``ends[s]`` is where the strand out of slot ``s`` comes
+    back (a slot) or stays open (4 + new position)."""
     seen = [False] * 4
     pairs, loops = [], 0
     for s in sorted(range(4), key=lambda s: ends[s] < 4):  # open ends first
         if seen[s]:
             continue
-        x = s
+        x = t = s
         while x < 4 and not seen[x]:
             seen[x] = seen[smooth[x]] = True
-            x = ends[smooth[x]]
+            t = smooth[x]
+            x = ends[t]
         if x >= 4:
-            pairs.append((ends[s] - 4, x - 4))
+            pairs.append((s, t))
         else:
             loops += 1
-    return pairs, loops
-
-
-def _times_delta(p: tuple[int, list[int]]) -> tuple[int, list[int]]:
-    """``p * (-A^2 - A^-2)`` on (lowest exponent, coefficients step 2)."""
-    lo, coeffs = p
-    out = [-c for c in coeffs] + [0, 0]
-    out[2:] = map(sub, out[2:], coeffs)
-    return lo - 2, out
-
-
-def _summed(parts: list[tuple[int, list[int]]]) -> tuple[int, list[int]]:
-    """Sum of polynomials in scan form whose exponents share a parity,
-    trimmed to its nonzero span."""
-    if len(parts) == 1:
-        return parts[0]
-    lo = min([p[0] for p in parts])
-    out = [0] * (max([p[0] + 2 * len(p[1]) for p in parts]) - lo >> 1)
-    for plo, coeffs in parts:
-        i = plo - lo >> 1
-        out[i : i + len(coeffs)] = map(add, out[i : i + len(coeffs)], coeffs)
-    nonzero = [i for i, c in enumerate(out) if c]
-    if not nonzero:
-        return lo, []
-    return lo + 2 * nonzero[0], out[nonzero[0] : nonzero[-1] + 1]
+    return tuple(pairs), loops
 
 
 def _divide_delta(lo: int, coeffs: list[int]) -> tuple[int, list[int]]:

@@ -1,13 +1,12 @@
 """Exact one-variable Laurent polynomials with integer coefficients.
 
-Used in two roles:
-
-* internally, bracket-polynomial state sums in the variable ``A``
-  (plain integer exponents), and
-* externally, Jones polynomials in the variable ``t``, where exponents
-  may be half-integers for links with an even number of components.
-  Half-integer exponents are stored as *doubled* integers, so ``t**(1/2)``
-  has stored exponent 1 and ``t**3`` has stored exponent 6.
+The library returns Jones polynomials in the variable ``t`` as these;
+exponents may be half-integers for links with an even number of
+components, so they are stored *doubled*: ``t**(1/2)`` has stored
+exponent 1 and ``t**3`` has stored exponent 6.  The frontier scan keeps
+its bracket state sums in a packed form of its own (see ``invariants``);
+only the brute-force oracles of the tests sum brackets in the variable
+``A`` (plain integer exponents) with this class.
 
 No floating point is ever involved; coefficients are Python ints.
 """

@@ -234,6 +234,7 @@ def _corpus_members(max_crossings=40):
 
 def _scan_bracket(d):
     lo, coeffs = invariants._bracket_with_loops(d, *invariants._scan_order(d))
+    assert coeffs[0] and coeffs[-1], "not trimmed to its nonzero span"
     return LaurentPolynomial({lo + 2 * i: c for i, c in enumerate(coeffs)})
 
 
@@ -282,8 +283,30 @@ class TestScanOracle:
         assert record.name == "twistknots.invariants"
         assert record.levelno == logging.DEBUG
         crossings, peak, updates, seconds = record.args
-        assert (crossings, peak) == (78, 7)
-        assert updates > 0 and seconds >= 0
+        # only states whose terms cancel are dropped, so the count is fixed
+        assert (crossings, peak, updates) == (78, 7, 4578)
+        assert seconds >= 0
+
+
+class TestPackedDigits:
+    """The scan packs each value in digits of 3 * crossings + free loops
+    + 2 bits; these inputs sit where that width is tightest."""
+
+    @pytest.mark.parametrize("loops", range(1, 41))
+    def test_free_loops_only(self, loops):
+        # no crossings: digits of loops + 2 bits hold delta^loops
+        d = OrientedLinkDiagram.unknot(loops)
+        assert kauffman_bracket_jones(d) == unlink_jones(loops)
+
+    def test_every_smoothing_arc_closes_a_loop(self, kink_negative):
+        # a kink's one smoothing closes two loops, the most a crossing can
+        d = OrientedLinkDiagram.unknot(6)
+        for _ in range(8):
+            d = d.disjoint_union(kink_negative)
+        bracket = bracket_with_loops_dict(d)
+        assert max(map(abs, bracket.coeffs.values())) == 3432
+        assert _scan_bracket(d) == bracket
+        assert kauffman_bracket_jones(d) == unlink_jones(14)
 
 
 @st.composite
