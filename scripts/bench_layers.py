@@ -10,7 +10,7 @@ untwist sites of ``twist(chain_4, n)`` changed) at n = 10, 50, 100,
 ``invariants._scan_order`` on ``twist(wind3_wrap9, n)`` at n = 10, 30,
 ``invariants.signature`` on ``twist(chain_4, n)`` at n = 13, 26, 52
 and ``twist(torus_q3, n)`` at n = 13, 40, ``invariants.kauffman_bracket_jones``
-on ``twist(wind3_wrap9, 1)``, ``twist(whitehead, 30)``,
+on ``twist(wind3_wrap9, n)`` at n = 1, 10, 30, ``twist(whitehead, 30)``,
 ``twist(largewrap_w0_p4, 7)``, ``twist(torus_q3, 12)`` and the closed full
 twist on 8 strands, and ``moves.reidemeister_moves`` on
 ``twist(whitehead, n)`` at n = -2, 2, ``twist(mazur, n)`` at n = -1, 1 and
@@ -19,7 +19,9 @@ twist on 8 strands, and ``moves.reidemeister_moves`` on
 elimination or the scan's width and state updates, read from their DEBUG
 records, or the moves out, each result one built and validated diagram),
 the number of calls timed (``REPEATS``, ``JONES_REPEATS`` for the scan,
-``MOVE_REPEATS`` for moves) and their median seconds.  A
+``MOVE_REPEATS`` for moves) and their median seconds.  A scan row also
+holds ``peak_kib``, the peak Python heap of one more call, untimed, under
+``tracemalloc``.  A
 move row times the enumeration plus a read of every result, so its
 seconds and microseconds per built result count every construction
 whether results are built on enumeration or on first read;
@@ -37,6 +39,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -46,7 +49,8 @@ from twistknots.corpus import chain_family, load_corpus
 from twistknots.families import twist, untwist_schedule
 
 REPEATS = 3
-# most scans take milliseconds, so their median takes more calls
+# most scans take milliseconds, so their median takes more calls; the
+# long scans of wind3_wrap9 n=10, 30 take seconds and get REPEATS
 JONES_REPEATS = 11
 # a move enumeration takes milliseconds, so its median takes more calls
 MOVE_REPEATS = 51
@@ -119,21 +123,28 @@ def rows():
             "s": round(secs, 4),
         }
     corpus = load_corpus()
-    scans = [(f"{name} n={n}", twist(corpus[name], n)) for name, n in (
-        ("wind3_wrap9", 1), ("whitehead", 30), ("largewrap_w0_p4", 7), ("torus_q3", 12))]
-    scans.append(("full twist on 8 strands", braid_closure(torus_braid(8, 8))))
-    for tag, d in scans:
+    scans = [(f"{name} n={n}", twist(corpus[name], n), repeats) for name, n, repeats in (
+        ("wind3_wrap9", 1, JONES_REPEATS), ("wind3_wrap9", 10, REPEATS),
+        ("wind3_wrap9", 30, REPEATS), ("whitehead", 30, JONES_REPEATS),
+        ("largewrap_w0_p4", 7, JONES_REPEATS), ("torus_q3", 12, JONES_REPEATS))]
+    scans.append(("full twist on 8 strands", braid_closure(torus_braid(8, 8)), JONES_REPEATS))
+    for tag, d, repeats in scans:
         records.clear()
-        _, secs = timed(invariants.kauffman_bracket_jones, d, JONES_REPEATS)
+        _, secs = timed(invariants.kauffman_bracket_jones, d, repeats)
         _, width, updates, _ = records[-1].args  # crossings, width, updates, seconds
+        tracemalloc.start()
+        invariants.kauffman_bracket_jones(d)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         yield {
             "layer": "invariants.kauffman_bracket_jones",
             "input": tag,
             "crossings": d.n_crossings,
             "width": width,
             "state_updates": updates,
-            "repeats": JONES_REPEATS,
+            "repeats": repeats,
             "s": round(secs, 5),
+            "peak_kib": round(peak / 1024, 1),
         }
     for name, n in (("whitehead", -2), ("whitehead", 2), ("mazur", -1), ("mazur", 1),
                     ("torus_q2", 2)):

@@ -8,8 +8,10 @@ any state is built.  All states share one ordered frontier of open darts
 (code ``4 * crossing + slot``); a state is the tuple of partner positions
 in it, its value a lowest exponent lo and one integer packing the
 coefficients of A^lo, A^(lo+2), ... as signed digits in base 2^bits,
-bits = 3 * crossings + free loops + 2, wide enough that no coefficient
-can overflow its digit, and a state whose value is 0 is dropped.  What
+and a state whose value is 0 is dropped.  Every few crossings the digits
+are repacked to the width the largest coefficient then needs plus a
+proven bound on its growth until the next repack, so no coefficient can
+overflow its digit and the digits stay narrow on long scans.  What
 each slot of the next crossing meets, and where surviving darts move,
 is worked out once per crossing; each state then touches four slots,
 and how a smoothing joins them is looked up in a table shared by all
@@ -31,21 +33,23 @@ from .diagram import DiagramError, OrientedLinkDiagram, _piece_of_component, _su
 from .polynomials import LaurentPolynomial
 
 # most open pairs a scan may keep; cost grows like the Catalan number of the
-# width.  The closed full twist on k strands (width k) takes 0.14-0.19 s and
-# peaks at 18.7 MB RSS at k=8, and 5.4-6.0 s and 66 MB at k=10 (only with
-# a raised limit): its 90 crossings make every packed digit 272 bits wide,
-# so a wide state's value outweighs a list of its small coefficients
-# (2-core x86-64, Python 3.11.7)
+# width.  The closed full twist on k strands (width k) takes 0.19-0.20 s and
+# peaks at 18.6 MB RSS at k=8, and 5.2-6.3 s and 43 MB at k=10 (only with
+# a raised limit) (2-core x86-64, Python 3.11.7)
 WIDTH_BUDGET = 8
+
+# crossings scanned between two repacks of the states' digits; the digits
+# carry 3 bits of headroom per crossing until the next repack
+_REPACK_EVERY = 8
 
 # per smoothing, its power of A and each slot's partner: the A-type
 # joins slots (0,1) and (2,3), the B-type (0,3) and (1,2)
 _SMOOTH = ((1, (1, 0, 3, 2)), (-1, (3, 2, 1, 0)))
 
 # the (power of A, joined slot pairs, closed loops) of each smoothing, by the
-# ends of a crossing's four slots (see _walk); shared by every scan, and
-# bounded by the widths seen.  A walk depends only on which slots the ends
-# join, so the few distinct walks are kept once each in _SHAPES
+# ends of a crossing's four slots (see _walk); shared by every scan, as a
+# walk depends only on which slots the ends join.  Equal walks are stored
+# once, in _SHAPES: the scans' peak RSS shows the copies otherwise
 _WALKS: dict[tuple[int, ...], tuple[tuple[int, tuple, int], ...]] = {}
 _SHAPES: dict[tuple, tuple] = {}
 
@@ -131,25 +135,33 @@ def _bracket_with_loops(d, order, width) -> tuple[int, list[int]]:
     digit i of ``v`` in base 2^bits, digits balanced (signed), so a
     smoothing moves ``lo`` by +-1, a closed loop (times delta) is
     ``lo - 2`` with ``-(v + v * base^2)``, and parts with the same key
-    add once the higher ``lo`` is shifted down to the lower one.
+    add once the higher ``lo`` is shifted down to the lower one.  Terms
+    that cancel leave zero low digits; each repack drops them, raising
+    ``lo``, so a value stays about as long as its nonzero span.
 
-    Every coefficient of every value is below 2^(3n+F) in absolute value,
-    for n crossings and F free loops.  A value sums at most 2^n terms
-    +-A^k * delta^L, one per smoothing of the crossings scanned so far;
-    each loop closed so far runs through at least one of the 2n arcs
-    those smoothings draw, so L <= 2n; the coefficients of delta^L sum
-    to 2^L in absolute value; and the free loops multiply the last value
-    by delta^F.  With bits = 3n+F+2 each coefficient is below a quarter
-    of the base, so the digits are exact and ``v == 0`` exactly when the
-    value is 0: no state is dropped on a guess.
+    The digits stay exact.  Say a repack finds S states, every
+    coefficient below 2^t in absolute value.  A value j crossings later
+    sums, over those states and the 2^j smoothings of the j crossings,
+    +-A^k * delta^L times a repacked value; each loop closed in those j
+    steps runs through one of the 2j arcs their smoothings draw, so
+    L <= 2j, and the coefficients of delta^L sum to 2^L in absolute
+    value.  So every coefficient then, and every partial sum on the way,
+    is below S * 2^(t + 3j).  A repack every m = ``_REPACK_EVERY``
+    crossings picks digits of at least t + bitlength(S) + 3m + 2 bits,
+    and the last one, before the F free loops multiply by delta^F, of
+    t + 1 + F + 2 bits, so each coefficient is below a quarter of the
+    base, and ``v == 0`` exactly when the value is 0: no state is dropped
+    on a guess.
     """
     start = time.perf_counter()
     tail, head = d._tail, d._head
-    bits = 3 * len(d.crossings) + d.free_loops + 2
+    bits = 8
     frontier: list[int] = []
     states: dict[tuple[int, ...], tuple[int, int]] = {(): (0, 1)}
     updates = 0
-    for ci in order:
+    for step, ci in enumerate(order):
+        if step % _REPACK_EVERY == 0:
+            bits, states = _repacked(states, bits, 3 * _REPACK_EVERY)
         at = {x: i for i, x in enumerate(frontier)}
         glued = {}  # frontier position -> the slot glued to it
         link = []  # per slot: another slot, -1 - a glued position, or None if new
@@ -202,21 +214,14 @@ def _bracket_with_loops(d, order, width) -> tuple[int, list[int]]:
         # a state whose terms cancelled adds nothing from here on
         states = {key: p for key, p in parts.items() if p[1]}
     assert len(states) == 1 and () in states, "scan left open strands"
+    bits, states = _repacked(states, bits, d.free_loops)
     lo, v = states[()]
     for _ in range(d.free_loops):
         lo -= 2
         v = -(v + (v << 2 * bits))
-    coeffs = []
-    mask, half = (1 << bits) - 1, 1 << bits - 1
-    while v:
-        c = v & mask
-        if c >= half:
-            c -= 1 << bits
-        coeffs.append(c)
-        v = v - c >> bits
-    while not coeffs[0]:
-        del coeffs[0]
-        lo += 2
+    # the repack left no low zero digit and times delta keeps the lowest
+    # one nonzero, so this is trimmed at both ends
+    coeffs = _digits(v, bits)
     # only a program that imported logging can have a handler for this
     # record, so the scan never imports it and `import twistknots` stays light
     logging = sys.modules.get("logging")
@@ -226,6 +231,52 @@ def _bracket_with_loops(d, order, width) -> tuple[int, list[int]]:
             len(d.crossings), width, updates, time.perf_counter() - start,
         )
     return lo, coeffs
+
+
+def _repacked(states, bits, growth):
+    """The states without their low zero digits, in digits of whole bytes
+    wide enough for every coefficient to grow by ``growth`` bits and the
+    number of states times over (see _bracket_with_loops), and that width."""
+    w = bits >> 3
+    trimmed, sizes = {}, {}
+    for key, (lo, v) in states.items():
+        z = ((v & -v).bit_length() - 1) // bits  # the low digits that are 0
+        v >>= z * bits
+        trimmed[key] = lo + 2 * z, v
+        sizes[key] = abs(v).bit_length() // bits + 1
+    # the fewest bytes q that hold every digit c as c + 2^(8q-1): then each
+    # digit's bytes above q are zero, one mask test per state
+    q = 1
+    for key, (_, v) in trimmed.items():
+        n = sizes[key]
+        while v + _each(1 << 8 * q - 1, w, n) & _each((1 << bits) - (1 << 8 * q), w, n):
+            q += 1
+    # |c| <= 2^(8q-1), so 8q bits, the growth, the states' count and 2
+    # spare bits, rounded up to whole bytes
+    wide = 8 * q + len(states).bit_length() + growth + 2 + 7 & -8
+    w2, out = wide >> 3, {}
+    for key, (lo, v) in trimmed.items():
+        n = sizes[key]
+        raw = (v + _each(1 << 8 * q - 1, w, n)).to_bytes(w * n, "little")
+        moved = bytearray(w2 * n)
+        for j in range(q):  # byte j of every digit
+            moved[j::w2] = raw[j::w]
+        out[key] = lo, int.from_bytes(moved, "little") - _each(1 << 8 * q - 1, w2, n)
+    return wide, out
+
+
+def _digits(v: int, bits: int) -> list[int]:
+    """The balanced base-2^bits digits of ``v``, lowest first, for bits a
+    multiple of 8 and every digit below a quarter of the base."""
+    w, half = bits >> 3, 1 << bits - 1
+    n = abs(v).bit_length() // bits + 1  # the top digit is not small
+    raw = (v + _each(half, w, n)).to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * n, w)]
+
+
+def _each(x: int, w: int, n: int) -> int:
+    """n digits of ``w`` bytes, each ``x``."""
+    return int.from_bytes(x.to_bytes(w, "little") * n, "little")
 
 
 def _walk(ends: tuple[int, ...], smooth: tuple[int, ...]) -> tuple[tuple, int]:

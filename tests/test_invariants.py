@@ -289,12 +289,14 @@ class TestScanOracle:
 
 
 class TestPackedDigits:
-    """The scan packs each value in digits of 3 * crossings + free loops
-    + 2 bits; these inputs sit where that width is tightest."""
+    """The scan packs each value in digits as wide as its largest
+    coefficient needs plus a proven bound on its growth, repacked every
+    ``_REPACK_EVERY`` crossings; these inputs sit where that width is
+    tightest or has to grow."""
 
     @pytest.mark.parametrize("loops", range(1, 41))
     def test_free_loops_only(self, loops):
-        # no crossings: digits of loops + 2 bits hold delta^loops
+        # no crossings: the last repack alone makes room for delta^loops
         d = OrientedLinkDiagram.unknot(loops)
         assert kauffman_bracket_jones(d) == unlink_jones(loops)
 
@@ -307,6 +309,57 @@ class TestPackedDigits:
         assert max(map(abs, bracket.coeffs.values())) == 3432
         assert _scan_bracket(d) == bracket
         assert kauffman_bracket_jones(d) == unlink_jones(14)
+
+    def test_coefficients_outgrow_the_first_digits(self, kink_negative):
+        # 40 kinks: coefficients pass 2^32, so the digits widen from
+        # repack to repack
+        d = OrientedLinkDiagram.unknot(3)
+        for _ in range(40):
+            d = d.disjoint_union(kink_negative)
+        bracket = bracket_with_loops_dict(d)
+        assert max(map(abs, bracket.coeffs.values())) > 2**32
+        assert _scan_bracket(d) == bracket
+        assert kauffman_bracket_jones(d) == unlink_jones(43)
+
+    @pytest.mark.parametrize("e", [0, 6, 7, 8, 15, 16, 60, 100])
+    @pytest.mark.parametrize("growth", [0, 5, 48])
+    def test_repack_width_follows_the_largest_coefficient(self, e, growth):
+        def packed(coeffs, bits):
+            return sum(c << bits * i for i, c in enumerate(coeffs))
+
+        big = [1, -(1 << e), 0, (1 << e) - 1, -1]
+        states = {(0,): (4, packed([2, -1], 128)), (1,): (-3, packed(big, 128))}
+        wide, out = invariants._repacked(states, 128, growth)
+        assert wide % 8 == 0
+        # room for the largest coefficient (e + 1 bits) grown by growth
+        # bits and two states' worth, with 2 bits spare; at most two
+        # bytes more
+        assert e + 1 + growth + 2 + 2 <= wide <= e + 1 + growth + 2 + 2 + 16
+        assert out[(0,)][0] == 4 and invariants._digits(out[(0,)][1], wide) == [2, -1]
+        assert out[(1,)][0] == -3 and invariants._digits(out[(1,)][1], wide) == big
+
+    def test_digits_do_not_widen_with_the_scan(self, monkeypatch):
+        widths = []
+        repacked = invariants._repacked
+
+        def spy(states, bits, growth):
+            wide, out = repacked(states, bits, growth)
+            widths.append(wide)
+            # cancelled low terms are dropped, so no value grows longer
+            # than its nonzero span
+            assert all(invariants._digits(v, wide)[0] for _, v in out.values())
+            return wide, out
+
+        monkeypatch.setattr(invariants, "_repacked", spy)
+        d = twist(load_corpus()["wind3_wrap9"], 10)
+        assert d.n_crossings == 726
+        kauffman_bracket_jones(d)
+        # one repack per _REPACK_EVERY crossings and one before the free loops
+        every = invariants._REPACK_EVERY
+        assert len(widths) == -(-726 // every) + 1
+        # every coefficient fits a byte and there are under 128 states:
+        # 8 + 7 + 3 * every + 2 bits, in whole bytes, however long the scan
+        assert max(widths) == (8 + 7 + 3 * every + 2 + 7) // 8 * 8
 
 
 @st.composite
