@@ -13,8 +13,9 @@ and ``twist(torus_q3, n)`` at n = 13, 40, ``invariants.kauffman_bracket_jones``
 on ``twist(wind3_wrap9, n)`` at n = 1, 10, 30, ``twist(whitehead, 30)``,
 ``twist(largewrap_w0_p4, 7)``, ``twist(torus_q3, 12)`` and the closed full
 twist on 8 strands, and ``moves.reidemeister_moves`` on
-``twist(whitehead, n)`` at n = -2, 2, ``twist(mazur, n)`` at n = -1, 1 and
-``twist(torus_q2, 2)``.  Each row holds the crossings in, the cost driver
+``twist(whitehead, n)`` at n = -2, 2, ``twist(mazur, n)`` at n = -1, 1,
+``twist(torus_q2, 2)`` and the untwisted ``chain_4`` n=2 and ``torus_q2``
+n=3 members.  Each row holds the crossings in, the cost driver
 (greedy steps, scan width, the white faces and peak row nonzeros of the
 elimination or the scan's width and state updates, read from their DEBUG
 records, or the moves out, each result one built and validated diagram),
@@ -25,9 +26,12 @@ holds ``peak_kib``, the peak Python heap of one more call, untimed, under
 move row times the enumeration plus a read of every result, so its
 seconds and microseconds per built result count every construction
 whether results are built on enumeration or on first read;
-``enumerate_s`` is the median seconds of the enumeration alone.  The
-rows go into the ``--out`` JSON file under ``--label`` and other labels
-are kept, so one file holds the numbers of a change before and after.
+``enumerate_s`` is the median seconds of the enumeration alone, and
+``removals_s`` that of listing the R1- and R2- moves (``removals_out``
+of them) with every result read.  ``--layer`` (repeatable) keeps the
+rows of the named layers and skips the work of the others.  The rows go
+into the ``--out`` JSON file under ``--label`` and other labels are
+kept, so one file holds the numbers of a change before and after.
 """
 
 import argparse
@@ -74,7 +78,15 @@ def enumerate_and_read(d):
     return out
 
 
-def rows():
+def read_removals(d):
+    """The R1- and R2- moves of ``d``, each result read once."""
+    out = [*moves.r1_removals(d), *moves.r2_removals(d)]
+    for move in out:
+        move.result
+    return out
+
+
+def greedy_rows():
     chain = chain_family(4)
     for n in (10, 50, 100):
         d = twist(chain, n).change_crossings(untwist_schedule(chain, n))
@@ -87,6 +99,9 @@ def rows():
             "repeats": REPEATS,
             "s": round(secs, 4),
         }
+
+
+def scan_order_rows():
     wind = load_corpus()["wind3_wrap9"]
     for n in (10, 30):
         d = twist(wind, n)
@@ -99,13 +114,22 @@ def rows():
             "repeats": REPEATS,
             "s": round(secs, 4),
         }
+
+
+def debug_records():
+    """The list every DEBUG record of ``twistknots.invariants`` is added to."""
     records = []
     keep = logging.Handler()
     keep.emit = records.append
     log = logging.getLogger("twistknots.invariants")
     log.setLevel(logging.DEBUG)
     log.addHandler(keep)
-    torus = load_corpus()["torus_q3"]
+    return records
+
+
+def signature_rows():
+    records = debug_records()
+    chain, torus = chain_family(4), load_corpus()["torus_q3"]
     for f, n in ((chain, 13), (chain, 26), (chain, 52), (torus, 13), (torus, 40)):
         d = twist(f, n)
         records.clear()
@@ -122,6 +146,10 @@ def rows():
             "repeats": REPEATS,
             "s": round(secs, 4),
         }
+
+
+def jones_rows():
+    records = debug_records()
     corpus = load_corpus()
     scans = [(f"{name} n={n}", twist(corpus[name], n), repeats) for name, n, repeats in (
         ("wind3_wrap9", 1, JONES_REPEATS), ("wind3_wrap9", 10, REPEATS),
@@ -146,27 +174,49 @@ def rows():
             "s": round(secs, 5),
             "peak_kib": round(peak / 1024, 1),
         }
-    for name, n in (("whitehead", -2), ("whitehead", 2), ("mazur", -1), ("mazur", 1),
-                    ("torus_q2", 2)):
-        d = twist(corpus[name], n)
+
+
+def move_rows():
+    corpus = load_corpus()
+    inputs = [(f"{name} n={n}", twist(corpus[name], n)) for name, n in (
+        ("whitehead", -2), ("whitehead", 2), ("mazur", -1), ("mazur", 1), ("torus_q2", 2))]
+    # the untwisted members are where the R2- moves are
+    for f, n in ((chain_family(4), 2), (corpus["torus_q2"], 3)):
+        d = twist(f, n).change_crossings(untwist_schedule(f, n))
+        inputs.append((f"{f.name} n={n}, untwist sites changed", d))
+    for tag, d in inputs:
         out, secs = timed(enumerate_and_read, d, MOVE_REPEATS)
         _, enumerate_secs = timed(moves.reidemeister_moves, d, MOVE_REPEATS)
+        removals, removals_secs = timed(read_removals, d, MOVE_REPEATS)
         yield {
             "layer": "moves.reidemeister_moves",
-            "input": f"{name} n={n}",
+            "input": tag,
             "crossings": d.n_crossings,
             "moves_out": len(out),
             "repeats": MOVE_REPEATS,
             "us_per_result": round(1e6 * secs / len(out), 2),
             "enumerate_s": round(enumerate_secs, 5),
+            "removals_out": len(removals),
+            "removals_s": round(removals_secs, 6),
             "s": round(secs, 5),
         }
+
+
+LAYERS = {
+    "moves.greedy_simplify": greedy_rows,
+    "invariants._scan_order": scan_order_rows,
+    "invariants.signature": signature_rows,
+    "invariants.kauffman_bracket_jones": jones_rows,
+    "moves.reidemeister_moves": move_rows,
+}
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="key of this run in the file")
     ap.add_argument("--out", required=True, type=pathlib.Path)
+    ap.add_argument("--layer", action="append", choices=LAYERS,
+                    help="time only this layer (repeatable; default: all)")
     args = ap.parse_args()
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = {
@@ -177,9 +227,10 @@ def main():
         },
         "rows": [],
     }
-    for row in rows():
-        print(json.dumps(row))
-        data[args.label]["rows"].append(row)
+    for layer in args.layer or LAYERS:
+        for row in LAYERS[layer]():
+            print(json.dumps(row))
+            data[args.label]["rows"].append(row)
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 

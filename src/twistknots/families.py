@@ -250,8 +250,11 @@ def coherent_reduction(
     Jones scans: a twist amount whose diagrams it refuses is skipped,
     and ``ReductionError`` is raised when it refuses every one.
     ``n = 0`` is refused: ``twist(f, 0)`` ignores the marks, so it
-    checks nothing.
+    checks nothing.  So is an empty ``certificate_ns``, which checks no
+    twist amount at all.
     """
+    if not certificate_ns:
+        raise FamilyError("coherent reduction needs at least one certificate twist amount")
     if 0 in certificate_ns:
         raise FamilyError("certificate twist amount 0 ignores the marks; use n != 0")
     reduced_marks = _paired_marks(f)
@@ -331,6 +334,8 @@ def family_from_json_dict(data: dict) -> TwistFamily:
             raise FamilyError(f"mark {m!r} needs an integer 'edge' and 'sign'")
         marks.append((m["edge"], m["sign"]))
     f = TwistFamily(parse_pd(text), tuple(marks), name=name)
+    if "winding" in data and type(data["winding"]) is not int:
+        raise FamilyError(f"family winding must be an integer, got {data['winding']!r}")
     if "winding" in data and data["winding"] != winding_number(f):
         raise FamilyError(
             f"family file claims winding {data['winding']} but the "

@@ -15,9 +15,15 @@ and the seconds, which cover the enumeration alone.
 
 Move kinds: ``R1-``, ``R1+``, ``R2-``, ``R2+``, ``R3``.
 
-``greedy_simplify`` does not go through these move lists.  It removes
-kinks and bigons on the input's dart mate array, names the crossings of
-its trace by their input indices, and validates one diagram, its result.
+The removals and ``greedy_simplify`` share one machine on the dart mate
+array (dart ``(c, s)`` coded ``4 * c + s``, mated to the other end of its
+edge): one kink test, one bigon test, and one splice that re-mates the
+darts around the removed crossings and gives each re-mated edge the
+least label of the edges it replaces.  An R1- or R2- result splices a
+copy of the input's array; ``greedy_simplify`` splices its own array
+step after step, names the crossings of its trace by their input
+indices, and validates one diagram, its result.  R3 and the additions
+relabel the input's crossing list (``_rebuilt``).
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from typing import Iterator
 from .diagram import (
     Crossing,
     OrientedLinkDiagram,
-    slot_is_incoming,
     strand_exit_slot,
 )
 
@@ -120,96 +125,35 @@ def reidemeister_moves(d: OrientedLinkDiagram) -> list[Move]:
 # -- removals -----------------------------------------------------------
 
 
-def _splice_out(
-    d: OrientedLinkDiagram, removed: set[int], splices: list[tuple[int, int]]
-) -> OrientedLinkDiagram:
-    """Delete crossings and rejoin strands.
-
-    Each splice ``(u, v)`` records that the strand arriving on edge ``u``
-    continues as edge ``v`` through the removed region.  Chains merge via
-    union-find; a chain with no surviving occurrence closes into a free
-    loop.
-    """
-    parent: dict[int, int] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in splices:
-        parent[find(u)] = find(v)
-    keep = [c for i, c in enumerate(d.crossings) if i not in removed]
-    classes: dict[int, list[int]] = {}
-    for e in parent:
-        classes.setdefault(find(e), []).append(e)
-    rep = {}
-    for root, members in classes.items():
-        r = min(members)
-        for e in members:
-            rep[e] = r
-    new_crossings = [
-        Crossing(tuple(rep.get(e, e) for e in c.edges), c.sign) for c in keep
-    ]
-    used = {e for c in new_crossings for e in c.edges}
-    free = d.free_loops + sum(1 for root in classes if rep[root] not in used)
-    return OrientedLinkDiagram(tuple(new_crossings), free)
-
-
 def r1_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
-    for ci, c in enumerate(d.crossings):
-        for s in range(4):
-            s2 = (s + 1) % 4
-            if c.edges[s] != c.edges[s2]:
-                continue
-            loop = c.edges[s]
-            others = [t for t in range(4) if t not in (s, s2)]
-            u = next(
-                c.edges[t] for t in others if slot_is_incoming(c.sign, t)
-            )
-            v = next(
-                c.edges[t] for t in others if not slot_is_incoming(c.sign, t)
-            )
-            yield Move._deferred(
-                "R1-", (ci, s), _splice_out, d, {ci}, [(u, loop), (loop, v)]
-            )
-
-
-def _strand_through(d, edge, at_tail):
-    """Neighbor edge of ``edge`` along its strand, at its tail or head."""
-    tail, head = d.edge_ends(edge)
-    if at_tail:
-        ci, slot = tail
-        return d.crossings[ci].edges[_ENTRY_OF_EXIT[slot]]
-    ci, slot = head
-    return d.crossings[ci].edges[strand_exit_slot(slot)]
+    """R1- moves at sites ``(c, s)``, the kinks whose loop joins slots
+    ``s`` and ``s + 1`` of crossing ``c``, in crossing and slot order."""
+    mate = _mates(d)
+    for c in range(d.n_crossings):
+        for x in _kinks_at(mate, c):
+            yield Move._deferred("R1-", (c, x & 3), _without, d, mate, (c,))
 
 
 def r2_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
-    for face in d.faces():
-        if len(face) != 2:
-            continue
-        (c1, s1), (c2, s2) = face
-        if c1 == c2:
-            continue
-        e = d.crossings[c1].edges[s1]
-        f = d.crossings[c2].edges[s2]
-        if e == f:
-            continue
-        et, eh = d.edge_ends(e)
-        ft, fh = d.edge_ends(f)
-        if {et[0], eh[0]} != {c1, c2} or {ft[0], fh[0]} != {c1, c2}:
-            continue
-        if (et[1] in (1, 3)) != (eh[1] in (1, 3)):
-            continue
-        p = _strand_through(d, e, at_tail=True)
-        q = _strand_through(d, e, at_tail=False)
-        r = _strand_through(d, f, at_tail=True)
-        s = _strand_through(d, f, at_tail=False)
-        splices = [(p, e), (e, q), (r, f), (f, s)]
-        yield Move._deferred("R2-", (c1, c2, e, f), _splice_out, d, {c1, c2}, splices)
+    """R2- moves at sites ``(c1, c2, e, f)``, the bigons in the order of
+    their least face dart ``(c1, s1)``: ``e`` is that dart's edge and
+    ``f`` the edge of the other face dart, at crossing ``c2``."""
+    mate = _mates(d)
+    for c in range(d.n_crossings):
+        for x, y in _bigons_at(mate, c):
+            if x < y:  # a bigon shows at both its darts
+                c2 = y >> 2
+                e, f = d.crossings[c].edges[x & 3], d.crossings[c2].edges[y & 3]
+                yield Move._deferred("R2-", (c, c2, e, f), _without, d, mate, (c, c2))
+
+
+def _without(d, mate, removed) -> OrientedLinkDiagram:
+    """``d`` with the ``removed`` crossings spliced out of a copy of its
+    mate array (see ``_remove``)."""
+    label = _labels(d)
+    alive = [True] * d.n_crossings
+    loops, _ = _remove(mate.copy(), label, alive, removed)
+    return _built(d, label, alive, d.free_loops + loops)
 
 
 # -- additions ----------------------------------------------------------
@@ -390,21 +334,23 @@ def greedy_simplify(
 ) -> tuple[OrientedLinkDiagram, list[tuple]]:
     """Remove kinks (R1-) and bigons (R2-) until none is left.
 
-    Works on the input's dart mate array: a removal re-mates each dart
-    outside the removed crossings to the next outside dart along its
-    strand, and only the crossings of re-mated darts are looked at again.
-    Removals never create crossings, so the trace names input crossings:
-    ``("R1-", (c, s))`` for the kink whose loop joins slots ``s`` and
-    ``s + 1`` of crossing ``c``, and ``("R2-", (c1, s1, c2, s2))`` for the
-    bigon whose two face darts are ``(c1, s1)`` and ``(c2, s2)``.  The
-    result is built and validated once, at the end.
+    Works on the input's dart mate array with the kink and bigon tests
+    and the splice that ``r1_removals``/``r2_removals`` use: a removal
+    re-mates each dart outside the removed crossings to the next outside
+    dart along its strand, and only the crossings of re-mated darts are
+    looked at again.  Removals never create crossings, so the trace names
+    input crossings: ``("R1-", (c, s))`` for the kink whose loop joins
+    slots ``s`` and ``s + 1`` of crossing ``c``, and
+    ``("R2-", (c1, s1, c2, s2))`` for the bigon whose two face darts are
+    ``(c1, s1)`` and ``(c2, s2)``.  Each edge of the result is labelled
+    by the least input label along it, and the constructor renames the
+    labels unless they are already ``0..E-1``.  The result is built and
+    validated once, at the end.
     """
     start = time.perf_counter()
     n = len(d.crossings)
-    mate = [0] * (4 * n)
-    for t, h in zip(d._tail, d._head):
-        mate[t] = h
-        mate[h] = t
+    mate = _mates(d)
+    label = _labels(d)
     alive = [True] * n
     free_loops = d.free_loops
     trace: list[tuple] = []
@@ -413,16 +359,21 @@ def greedy_simplify(
         c = work.pop()
         if not alive[c]:
             continue
-        step = _kink_at(mate, c) or _bigon_at(mate, c)
-        if step is None:
-            continue
-        trace.append(step)
-        kind, site = step
-        removed = (c,) if kind == "R1-" else (c, site[2])
-        loops, touched = _remove(mate, alive, removed)
+        kinks = _kinks_at(mate, c)
+        if kinks:
+            trace.append(("R1-", (c, kinks[0] & 3)))
+            removed = (c,)
+        else:
+            bigons = _bigons_at(mate, c)
+            if not bigons:
+                continue
+            x, y = bigons[0]
+            trace.append(("R2-", (c, x & 3, y >> 2, y & 3)))
+            removed = (c, y >> 2)
+        loops, touched = _remove(mate, label, alive, removed)
         free_loops += loops
         work.extend(touched)
-    result = d if not trace else _built(d, mate, alive, free_loops)
+    result = d if not trace else _built(d, label, alive, free_loops)
     # only a program that imported logging can have a handler for this
     # record, so `import twistknots` stays light
     logging = sys.modules.get("logging")
@@ -434,18 +385,36 @@ def greedy_simplify(
     return result, trace
 
 
-def _kink_at(mate: list[int], c: int) -> tuple | None:
-    """The R1- step at crossing ``c``: a slot mated to the next slot."""
+def _mates(d: OrientedLinkDiagram) -> list[int]:
+    """Each dart's mate, the other end of its edge, as dart codes."""
+    mate = [0] * (4 * len(d.crossings))
+    for t, h in zip(d._tail, d._head):
+        mate[t] = h
+        mate[h] = t
+    return mate
+
+
+def _labels(d: OrientedLinkDiagram) -> list[int]:
+    """Each dart's edge label."""
+    return [e for c in d.crossings for e in c.edges]
+
+
+def _kinks_at(mate: list[int], c: int) -> list[int]:
+    """The darts of crossing ``c`` mated to the next slot: each one is
+    slot ``s`` of a kink whose loop joins slots ``s`` and ``s + 1``."""
+    x = 4 * c
+    kinks = []
     for s in range(4):
-        if mate[4 * c + s] == 4 * c + (s + 1) % 4:
-            return "R1-", (c, s)
-    return None
+        if mate[x + s] == x + ((s + 1) & 3):
+            kinks.append(x + s)
+    return kinks
 
 
-def _bigon_at(mate: list[int], c: int) -> tuple | None:
-    """The R2- step at crossing ``c``: a two-dart face ``x -> y -> x``
-    (``y`` the dart after ``x``'s mate) with ``y`` at another crossing,
+def _bigons_at(mate: list[int], c: int) -> list[tuple[int, int]]:
+    """The two-dart faces ``x -> y -> x`` with ``x`` at crossing ``c``
+    (``y`` the dart after ``x``'s mate) and ``y`` at another crossing,
     whose edge at ``x`` runs over at both ends or under at both ends."""
+    bigons = []
     for x in range(4 * c, 4 * c + 4):
         m = mate[x]
         y = m - (m & 3) + ((m + 1) & 3)
@@ -453,16 +422,19 @@ def _bigon_at(mate: list[int], c: int) -> tuple | None:
             continue
         m = mate[y]
         if m - (m & 3) + ((m + 1) & 3) == x:
-            return "R2-", (c, x & 3, y >> 2, y & 3)
-    return None
+            bigons.append((x, y))
+    return bigons
 
 
-def _remove(mate: list[int], alive: list[bool], removed) -> tuple[int, list[int]]:
+def _remove(
+    mate: list[int], label: list[int], alive: list[bool], removed
+) -> tuple[int, list[int]]:
     """Splice the ``removed`` crossings out of the mate array.
 
     Each outside dart is re-mated to the next outside dart along its
-    strand; a strand that never leaves the removed crossings is a free
-    loop.  Returns the loop count and the crossings of re-mated darts.
+    strand, and both take the least label of the edges on the way; a
+    strand that never leaves the removed crossings is a free loop.
+    Returns the loop count and the crossings of re-mated darts.
     """
     for c in removed:
         alive[c] = False
@@ -473,13 +445,17 @@ def _remove(mate: list[int], alive: list[bool], removed) -> tuple[int, list[int]
         y = mate[x]
         if x in seen or not alive[y >> 2]:
             continue
+        least = label[x]
         while True:  # x ^ 2 is the other slot of x's strand at its crossing
             seen.update((x, x ^ 2))
+            if label[x ^ 2] < least:
+                least = label[x ^ 2]
             z = mate[x ^ 2]
             if alive[z >> 2]:
                 break
             x = z
         mate[y], mate[z] = z, y
+        label[y] = label[z] = least
         touched += (y >> 2, z >> 2)
     loops = 0
     for x in darts:
@@ -491,15 +467,13 @@ def _remove(mate: list[int], alive: list[bool], removed) -> tuple[int, list[int]
     return loops, touched
 
 
-def _built(d, mate, alive, free_loops) -> OrientedLinkDiagram:
-    """The diagram of the live crossings, one edge label per mated pair."""
-    label: dict[int, int] = {}
-    crossings = []
-    for c, live in enumerate(alive):
-        if live:
-            edges = tuple(
-                label.setdefault(min(x, mate[x]), len(label))
-                for x in range(4 * c, 4 * c + 4)
-            )
-            crossings.append(Crossing(edges, d.crossings[c].sign))
-    return OrientedLinkDiagram(tuple(crossings), free_loops)
+def _built(d, label, alive, free_loops) -> OrientedLinkDiagram:
+    """The diagram of the live crossings, each dart with its label."""
+    return OrientedLinkDiagram(
+        tuple(
+            Crossing(tuple(label[4 * c : 4 * c + 4]), d.crossings[c].sign)
+            for c, live in enumerate(alive)
+            if live
+        ),
+        free_loops,
+    )

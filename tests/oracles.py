@@ -575,7 +575,8 @@ def symmetric_signature_fraction(matrix: list[list[int]]) -> int:
 # ----------------------------------------------------------------------
 # Greedy simplification as first written: every step enumerates the
 # removals of the whole diagram, takes the first, and builds and
-# validates its result.
+# validates its result.  The removals are ``removals_bruteforce``'s, so
+# nothing here shares code with ``greedy_simplify``.
 
 
 def greedy_simplify_stepwise(
@@ -585,11 +586,11 @@ def greedy_simplify_stepwise(
     left; sites are those of each intermediate diagram."""
     trace = []
     while True:
-        move = next(iter(r1_removals(d)), None) or next(iter(r2_removals(d)), None)
-        if move is None:
+        moves = removals_bruteforce(d)
+        if not moves:
             return d, trace
-        trace.append((move.kind, move.site))
-        d = move.result
+        trace.append((moves[0].kind, moves[0].site))
+        d = moves[0].result
 
 
 def replay_removals(
@@ -665,6 +666,42 @@ def _spliced(d, removed, keep):
                 break
             inner.discard(e)
     return raw, loops
+
+
+def removals_bruteforce(d: OrientedLinkDiagram) -> list[Move]:
+    """The R1- then R2- moves of ``d``, found from edge labels and
+    ``faces_bruteforce`` and built by ``_spliced`` and ``from_raw``.
+
+    A kink is a crossing holding one edge in slots ``s`` and ``s + 1``,
+    site ``(c, s)``.  A bigon is a two-dart face at two crossings whose
+    first dart's edge sits in slots of one parity at both its ends (over
+    at both or under at both), site ``(c1, c2, e, f)`` from the face's
+    darts in the order ``faces_bruteforce`` lists them.
+    """
+    sites = [
+        ("R1-", (ci, s), {ci})
+        for ci, c in enumerate(d.crossings)
+        for s in range(4)
+        if c.edges[s] == c.edges[(s + 1) % 4]
+    ]
+    parities: dict[int, set[int]] = {}
+    for c in d.crossings:
+        for s, e in enumerate(c.edges):
+            parities.setdefault(e, set()).add(s % 2)
+    for face in faces_bruteforce(d):
+        if len(face) != 2:
+            continue
+        (c1, s1), (c2, s2) = face
+        e, f = d.crossings[c1].edges[s1], d.crossings[c2].edges[s2]
+        if c1 != c2 and len(parities[e]) == 1:
+            sites.append(("R2-", (c1, c2, e, f), {c1, c2}))
+    out = []
+    for kind, site, removed in sites:
+        keep = [ci for ci in range(d.n_crossings) if ci not in removed]
+        raw, loops = _spliced(d, removed, keep)
+        result, _ = OrientedLinkDiagram.from_raw(raw, d.free_loops + loops)
+        out.append(Move(kind, site, result))
+    return out
 
 
 def planar_bruteforce(crossings) -> bool:

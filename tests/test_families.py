@@ -202,6 +202,12 @@ class TestCoherentReduction:
             with pytest.raises(FamilyError, match="0"):
                 coherent_reduction(wind3_wrap9_family(), certificate_ns=ns)
 
+    def test_empty_certificate_rejected(self):
+        # no twist amount checks nothing, coherent family or not
+        for f in (wind3_wrap9_family(), torus_family(3, 2)):
+            with pytest.raises(FamilyError, match="at least one"):
+                coherent_reduction(f, certificate_ns=())
+
 
 class TestMirrorFamily:
     def test_structural_identity(self):
@@ -304,6 +310,19 @@ class TestFamilyFiles:
         data = family_to_json_dict(torus_family(3, 2))
         edit(data)
         with pytest.raises(FamilyError):
+            family_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "fam, winding",
+        [(whitehead_family(), False), (whitehead_family(), 0.0), (torus_family(3, 2), 2.0),
+         (torus_family(3, 2), "2")],
+        ids=["bool", "float zero", "float", "string"],
+    )
+    def test_non_integer_winding_raises_family_error(self, fam, winding):
+        # the first three equal the presentation's winding
+        data = family_to_json_dict(fam)
+        data["winding"] = winding
+        with pytest.raises(FamilyError, match="integer"):
             family_from_json_dict(data)
 
     def test_save_load_round_trip(self, tmp_path):

@@ -61,9 +61,28 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _scopes(stmt: ast.stmt) -> list[tuple[set[str], list[ast.AST]]]:
+    """A module-level statement as (own names, nodes) pairs: the statement
+    under its own name, except that each method of a class, dunders
+    excluded, is a scope of its own under the class's and its own name."""
+    own = getattr(stmt, "name", None)
+    if not isinstance(stmt, ast.ClassDef):
+        return [({own}, [stmt])]
+    methods = [
+        m
+        for m in stmt.body
+        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (m.name.startswith("__") and m.name.endswith("__"))
+    ]
+    rest = [s for s in stmt.body if s not in methods]
+    rest += stmt.bases + stmt.keywords + stmt.decorator_list
+    return [({own}, rest)] + [({own, m.name}, [m]) for m in methods]
+
+
 def unreferenced_definitions(sources: dict[Path, str], package: Path) -> list[str]:
-    """Module-level functions and classes defined under ``package`` that
-    no source names outside their own definition, sorted.
+    """Module-level functions and classes, and methods of those classes
+    other than dunders, defined under ``package`` that no source names
+    outside their own definition, sorted.
 
     ``sources`` maps each path to its text.  A name counts where it is
     read as a plain name or as an attribute; being imported is not enough.
@@ -72,14 +91,14 @@ def unreferenced_definitions(sources: dict[Path, str], package: Path) -> list[st
     named: set[str] = set()
     for path, source in sources.items():
         for stmt in ast.parse(source).body:
-            own = getattr(stmt, "name", None)
-            if own and path.is_relative_to(package):
-                defined.add(own)
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and node.id != own:
-                    named.add(node.id)
-                elif isinstance(node, ast.Attribute) and node.attr != own:
-                    named.add(node.attr)
+            for own, nodes in _scopes(stmt):
+                if path.is_relative_to(package):
+                    defined.update(own - {None})
+                for node in (n for top in nodes for n in ast.walk(top)):
+                    if isinstance(node, ast.Name) and node.id not in own:
+                        named.add(node.id)
+                    elif isinstance(node, ast.Attribute) and node.attr not in own:
+                        named.add(node.attr)
     return sorted(defined - named)
 
 
@@ -91,10 +110,24 @@ def test_unreferenced_detector():
             "def recursive(n): return recursive(n - 1)\n"
             "class Dead: pass\n"
             "def method_named(): pass\n"
+            "class Live:\n"
+            "    def __init__(self): self.from_init()\n"
+            "    def from_init(self): pass\n"
+            "    def called(self): return Live\n"
+            "    def dead_method(self): return self.dead_method()\n"
         ),
-        Path("tests/t.py"): "from pkg.a import used, Dead\nused()\nos.method_named\n",
+        Path("tests/t.py"): (
+            "from pkg.a import used, Dead, Live\n"
+            "used()\n"
+            "os.method_named\n"
+            "Live().called()\n"
+            "class TestLive:\n"
+            "    def helper(self): pass\n"
+        ),
     }
-    assert unreferenced_definitions(sources, Path("pkg")) == ["Dead", "recursive"]
+    assert unreferenced_definitions(sources, Path("pkg")) == [
+        "Dead", "dead_method", "recursive",
+    ]
 
 
 def test_every_library_definition_is_named():

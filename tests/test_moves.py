@@ -33,6 +33,7 @@ from .oracles import (
     greedy_simplify_stepwise,
     jones_bruteforce,
     r2_additions_bruteforce,
+    removals_bruteforce,
     replay_removals,
 )
 from .test_diagram import braid_words
@@ -125,6 +126,44 @@ class TestR2AdditionsOracle:
     def test_braid_closures_with_free_loops(self, word, loops):
         d = braid_closure(word).disjoint_union(OrientedLinkDiagram.unknot(loops))
         assert list(r2_additions(d)) == r2_additions_bruteforce(d)
+
+
+def _removals(d):
+    return [*r1_removals(d), *r2_removals(d)]
+
+
+class TestRemovalsOracle:
+    """Kinks and bigons found and spliced out on the dart mate array give
+    the moves (kinds, sites, results) that edge labels, brute-force faces
+    and ``_spliced`` give, in the same order."""
+
+    def test_corpus_members(self):
+        for tag, d in _small_corpus_members():
+            assert _removals(d) == removals_bruteforce(d), tag
+
+    def test_untwisted_members(self):
+        # the untwist changes leave bigons to remove
+        fams = built_families()
+        for f in (fams["torus_q2"], fams["torus_q3"], chain_family(3), chain_family(4)):
+            for n in (1, 2):
+                d = _untwisted(f, n)
+                moves = _removals(d)
+                assert any(m.kind == "R2-" for m in moves)
+                assert moves == removals_bruteforce(d), (f.name, n)
+
+    def test_seeded_walks(self):
+        # any move may come next, so the walks pick up kinks and bigons
+        for tag, d in _small_corpus_members():
+            rng = random.Random(tag)
+            for step in range(3):
+                d = parse_pd(serialize(rng.choice(reidemeister_moves(d)).result))
+                assert _removals(d) == removals_bruteforce(d), (tag, step)
+
+    @given(braid_words(), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_braid_closures_with_free_loops(self, word, loops):
+        d = braid_closure(word).disjoint_union(OrientedLinkDiagram.unknot(loops))
+        assert _removals(d) == removals_bruteforce(d)
 
 
 class TestLazyResults:
