@@ -28,10 +28,9 @@ seconds and microseconds per built result count every construction
 whether results are built on enumeration or on first read;
 ``enumerate_s`` is the median seconds of the enumeration alone, and
 ``removals_s`` that of listing the R1- and R2- moves (``removals_out``
-of them) with every result read.  ``--layer`` (repeatable) keeps the
-rows of the named layers and skips the work of the others.  The rows go
-into the ``--out`` JSON file under ``--label`` and other labels are
-kept, so one file holds the numbers of a change before and after.
+of them) with every result read.  The rows go into the ``--out`` JSON
+file under ``--label`` and other labels are kept, so one file holds the
+numbers of a change before and after.
 """
 
 import argparse
@@ -86,7 +85,7 @@ def read_removals(d):
     return out
 
 
-def greedy_rows():
+def rows():
     chain = chain_family(4)
     for n in (10, 50, 100):
         d = twist(chain, n).change_crossings(untwist_schedule(chain, n))
@@ -99,9 +98,6 @@ def greedy_rows():
             "repeats": REPEATS,
             "s": round(secs, 4),
         }
-
-
-def scan_order_rows():
     wind = load_corpus()["wind3_wrap9"]
     for n in (10, 30):
         d = twist(wind, n)
@@ -114,22 +110,13 @@ def scan_order_rows():
             "repeats": REPEATS,
             "s": round(secs, 4),
         }
-
-
-def debug_records():
-    """The list every DEBUG record of ``twistknots.invariants`` is added to."""
     records = []
     keep = logging.Handler()
     keep.emit = records.append
     log = logging.getLogger("twistknots.invariants")
     log.setLevel(logging.DEBUG)
     log.addHandler(keep)
-    return records
-
-
-def signature_rows():
-    records = debug_records()
-    chain, torus = chain_family(4), load_corpus()["torus_q3"]
+    torus = load_corpus()["torus_q3"]
     for f, n in ((chain, 13), (chain, 26), (chain, 52), (torus, 13), (torus, 40)):
         d = twist(f, n)
         records.clear()
@@ -146,10 +133,6 @@ def signature_rows():
             "repeats": REPEATS,
             "s": round(secs, 4),
         }
-
-
-def jones_rows():
-    records = debug_records()
     corpus = load_corpus()
     scans = [(f"{name} n={n}", twist(corpus[name], n), repeats) for name, n, repeats in (
         ("wind3_wrap9", 1, JONES_REPEATS), ("wind3_wrap9", 10, REPEATS),
@@ -174,14 +157,10 @@ def jones_rows():
             "s": round(secs, 5),
             "peak_kib": round(peak / 1024, 1),
         }
-
-
-def move_rows():
-    corpus = load_corpus()
     inputs = [(f"{name} n={n}", twist(corpus[name], n)) for name, n in (
         ("whitehead", -2), ("whitehead", 2), ("mazur", -1), ("mazur", 1), ("torus_q2", 2))]
     # the untwisted members are where the R2- moves are
-    for f, n in ((chain_family(4), 2), (corpus["torus_q2"], 3)):
+    for f, n in ((chain, 2), (corpus["torus_q2"], 3)):
         d = twist(f, n).change_crossings(untwist_schedule(f, n))
         inputs.append((f"{f.name} n={n}, untwist sites changed", d))
     for tag, d in inputs:
@@ -202,21 +181,10 @@ def move_rows():
         }
 
 
-LAYERS = {
-    "moves.greedy_simplify": greedy_rows,
-    "invariants._scan_order": scan_order_rows,
-    "invariants.signature": signature_rows,
-    "invariants.kauffman_bracket_jones": jones_rows,
-    "moves.reidemeister_moves": move_rows,
-}
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="key of this run in the file")
     ap.add_argument("--out", required=True, type=pathlib.Path)
-    ap.add_argument("--layer", action="append", choices=LAYERS,
-                    help="time only this layer (repeatable; default: all)")
     args = ap.parse_args()
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = {
@@ -227,10 +195,9 @@ def main():
         },
         "rows": [],
     }
-    for layer in args.layer or LAYERS:
-        for row in LAYERS[layer]():
-            print(json.dumps(row))
-            data[args.label]["rows"].append(row)
+    for row in rows():
+        print(json.dumps(row))
+        data[args.label]["rows"].append(row)
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 

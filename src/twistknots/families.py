@@ -253,6 +253,7 @@ def coherent_reduction(
     checks nothing.  So is an empty ``certificate_ns``, which checks no
     twist amount at all.
     """
+    certificate_ns = tuple(certificate_ns)
     if not certificate_ns:
         raise FamilyError("coherent reduction needs at least one certificate twist amount")
     if 0 in certificate_ns:

@@ -205,8 +205,16 @@ class TestCoherentReduction:
     def test_empty_certificate_rejected(self):
         # no twist amount checks nothing, coherent family or not
         for f in (wind3_wrap9_family(), torus_family(3, 2)):
-            with pytest.raises(FamilyError, match="at least one"):
-                coherent_reduction(f, certificate_ns=())
+            for ns in ((), [], iter(())):
+                with pytest.raises(FamilyError, match="at least one"):
+                    coherent_reduction(f, certificate_ns=ns)
+
+    def test_one_shot_certificate_amounts(self):
+        # the zero check must not use up a generator before the scans
+        f = whitehead_family()
+        ns = (1, -2)
+        assert coherent_reduction(f, certificate_ns=(n for n in ns)) == coherent_reduction(
+            f, certificate_ns=ns)
 
 
 class TestMirrorFamily:

@@ -265,8 +265,7 @@ def _check_greedy(d: OrientedLinkDiagram) -> OrientedLinkDiagram:
     and the stepwise greedy ends at as many crossings and the same Jones."""
     result, trace = greedy_simplify(d)
     assert structurally_equal(replay_removals(d, trace), result)
-    assert next(r1_removals(result), None) is None
-    assert next(r2_removals(result), None) is None
+    assert removals_bruteforce(result) == []
     stepwise, _ = greedy_simplify_stepwise(d)
     assert result.n_crossings == stepwise.n_crossings
     if result.n_components:
