@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Time the simplification, scan, signature and move layers on their own.
+"""Time the twist, simplification, scan, signature and move layers on their own.
 
 Run from the repository root:
 
     python3 scripts/bench_layers.py --label after --out BENCH_jones.json
 
-Times ``moves.greedy_simplify`` on untwisted ``chain_4`` members (the
+Times ``families.twist`` on ``chain_4`` at n = 13, 52, ``torus_q3`` at
+n = 13, 40, ``whitehead`` at n = 30 and ``wind3_wrap9`` at n = 10, and
+``families.untwist_schedule`` on the two coherent ones of those,
+``moves.greedy_simplify`` on untwisted ``chain_4`` members (the
 untwist sites of ``twist(chain_4, n)`` changed) at n = 10, 50, 100,
 ``invariants._scan_order`` on ``twist(wind3_wrap9, n)`` at n = 10, 30,
 ``invariants.signature`` on ``twist(chain_4, n)`` at n = 13, 26, 52
@@ -16,10 +19,12 @@ twist on 8 strands, and ``moves.reidemeister_moves`` on
 ``twist(whitehead, n)`` at n = -2, 2, ``twist(mazur, n)`` at n = -1, 1,
 ``twist(torus_q2, 2)`` and the untwisted ``chain_4`` n=2 and ``torus_q2``
 n=3 members.  Each row holds the crossings in, the cost driver
-(greedy steps, scan width, the white faces and peak row nonzeros of the
-elimination or the scan's width and state updates, read from their DEBUG
-records, or the moves out, each result one built and validated diagram),
-the number of calls timed (``REPEATS``, ``JONES_REPEATS`` for the scan,
+(the crossings out of a twist or of the schedule's member and the
+schedule's sites, greedy steps, scan width, the white faces and peak
+row nonzeros of the elimination or the scan's width and state updates,
+read from their DEBUG records, or the moves out, each result one built
+and validated diagram), the number of calls timed (``REPEATS``,
+``TWIST_REPEATS`` for the twist layer, ``JONES_REPEATS`` for the scan,
 ``MOVE_REPEATS`` for moves) and their median seconds.  A scan row also
 holds ``peak_kib``, the peak Python heap of one more call, untimed, under
 ``tracemalloc``.  A
@@ -43,6 +48,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+from functools import partial
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -57,6 +63,8 @@ REPEATS = 3
 JONES_REPEATS = 11
 # a move enumeration takes milliseconds, so its median takes more calls
 MOVE_REPEATS = 51
+# so does a twist or an untwist schedule
+TWIST_REPEATS = 21
 
 
 def timed(fn, arg, repeats=REPEATS):
@@ -87,6 +95,28 @@ def read_removals(d):
 
 def rows():
     chain = chain_family(4)
+    corpus = load_corpus()
+    members = ((chain, 13), (chain, 52), (corpus["torus_q3"], 13), (corpus["torus_q3"], 40),
+               (corpus["whitehead"], 30), (corpus["wind3_wrap9"], 10))
+    for f, n in members:
+        d, secs = timed(partial(twist, f), n, TWIST_REPEATS)
+        yield {
+            "layer": "families.twist",
+            "input": f"{f.name} n={n}",
+            "crossings_out": d.n_crossings,
+            "repeats": TWIST_REPEATS,
+            "s": round(secs, 5),
+        }
+        if f.eta_hat == f.omega:
+            sites, secs = timed(partial(untwist_schedule, f), n, TWIST_REPEATS)
+            yield {
+                "layer": "families.untwist_schedule",
+                "input": f"{f.name} n={n}",
+                "crossings_out": d.n_crossings,
+                "sites": len(sites),
+                "repeats": TWIST_REPEATS,
+                "s": round(secs, 5),
+            }
     for n in (10, 50, 100):
         d = twist(chain, n).change_crossings(untwist_schedule(chain, n))
         (_, trace), secs = timed(moves.greedy_simplify, d)
@@ -98,7 +128,7 @@ def rows():
             "repeats": REPEATS,
             "s": round(secs, 4),
         }
-    wind = load_corpus()["wind3_wrap9"]
+    wind = corpus["wind3_wrap9"]
     for n in (10, 30):
         d = twist(wind, n)
         (_, width), secs = timed(invariants._scan_order, d)
@@ -116,7 +146,7 @@ def rows():
     log = logging.getLogger("twistknots.invariants")
     log.setLevel(logging.DEBUG)
     log.addHandler(keep)
-    torus = load_corpus()["torus_q3"]
+    torus = corpus["torus_q3"]
     for f, n in ((chain, 13), (chain, 26), (chain, 52), (torus, 13), (torus, 40)):
         d = twist(f, n)
         records.clear()
@@ -133,7 +163,6 @@ def rows():
             "repeats": REPEATS,
             "s": round(secs, 4),
         }
-    corpus = load_corpus()
     scans = [(f"{name} n={n}", twist(corpus[name], n), repeats) for name, n, repeats in (
         ("wind3_wrap9", 1, JONES_REPEATS), ("wind3_wrap9", 10, REPEATS),
         ("wind3_wrap9", 30, REPEATS), ("whitehead", 30, JONES_REPEATS),

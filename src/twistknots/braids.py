@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .diagram import Crossing, DiagramError, OrientedLinkDiagram, _label_map
+from .diagram import DiagramError, OrientedLinkDiagram, _label_map
 
 
 @dataclass(frozen=True)
@@ -82,78 +82,80 @@ def torus_braid(p: int, q: int) -> BraidWord:
     return BraidWord(q, row * p)
 
 
-def _closure_crossing(letter, dir_left, dir_right, lo, hi, new_lo, new_hi) -> Crossing:
-    """PD tuple for one braid letter.
+def _closure_crossing(sgn, a_up, b_up, lo, hi, new_lo, new_hi) -> tuple[tuple, int]:
+    """Raw ``(edges, sign)`` crossing of one braid letter of sign ``sgn``.
 
     ``lo``/``hi`` are the bottom port edges of lanes i, i+1; ``new_lo``/
-    ``new_hi`` the top ports.  ``dir_left``/``dir_right`` say whether the
-    strand occupying that lane at the bottom is oriented upward.  The
+    ``new_hi`` the top ports.  ``a_up``/``b_up`` say whether the strand
+    occupying that lane at the bottom is oriented upward.  The
     lane-i-to-i+1 diagonal uses ports (lo, new_hi); the other uses
     (hi, new_lo).
     """
-    _, sgn = letter
     sw, se, nw, ne = lo, hi, new_lo, new_hi
-    a_up, b_up = dir_left, dir_right
     if sgn > 0:
         if a_up and b_up:
-            return Crossing((se, ne, nw, sw), +1)
+            return (se, ne, nw, sw), +1
         if a_up and not b_up:
-            return Crossing((nw, sw, se, ne), -1)
+            return (nw, sw, se, ne), -1
         if not a_up and b_up:
-            return Crossing((se, ne, nw, sw), -1)
-        return Crossing((nw, sw, se, ne), +1)
+            return (se, ne, nw, sw), -1
+        return (nw, sw, se, ne), +1
     else:
         if a_up and b_up:
-            return Crossing((sw, se, ne, nw), -1)
+            return (sw, se, ne, nw), -1
         if a_up and not b_up:
-            return Crossing((sw, se, ne, nw), +1)
+            return (sw, se, ne, nw), +1
         if not a_up and b_up:
-            return Crossing((ne, nw, sw, se), +1)
-        return Crossing((ne, nw, sw, se), -1)
+            return (ne, nw, sw, se), +1
+        return (ne, nw, sw, se), -1
 
 
 def braid_strand_crossings(
-    word: BraidWord,
+    letters: Sequence[tuple[int, int]],
     bottom_edges: list,
     top_edges: list,
     directions: list[bool],
     fresh,
-) -> list[Crossing]:
-    """Crossing list for a braid region spliced between given edge labels.
+) -> list[tuple[tuple, int]]:
+    """Raw ``(edges, sign)`` crossings of a braid region spliced between
+    given edge labels, one per letter in word order.
 
-    ``bottom_edges[j]``/``top_edges[j]`` are the edge labels entering lane
-    ``j`` from below and leaving above; ``directions[j]`` is True when the
-    strand starting in lane ``j`` at the bottom is oriented upward.
-    ``fresh`` yields unused edge labels.  Lanes never touched by a letter
-    must have ``bottom_edges[j] == top_edges[j]``.
+    ``letters`` are the checked letters of a word (``BraidWord.letters``)
+    on ``len(bottom_edges)`` strands.  ``bottom_edges[j]``/``top_edges[j]``
+    are the edge labels entering lane ``j`` from below and leaving above;
+    ``directions[j]`` is True when the strand starting in lane ``j`` at
+    the bottom is oriented upward.  ``fresh`` yields unused edge labels.
+    Lanes never touched by a letter must have
+    ``bottom_edges[j] == top_edges[j]``.
+
+    One pass: the last letter on each lane takes the lane's top label
+    directly.  Every letter still draws two fresh labels, used or not, so
+    the labels never come out dense by chance; construction then always
+    renames them by first appearance, and the crossing order of a
+    diagram built from them does not depend on which letters end a lane.
     """
-    n = word.strands
+    last = [-1] * len(bottom_edges)
+    for x, (i, _) in enumerate(letters):
+        last[i - 1] = last[i] = x
+    for j, x in enumerate(last):
+        if x < 0 and bottom_edges[j] != top_edges[j]:
+            raise DiagramError("untouched lane cannot change its edge label")
     cur = list(bottom_edges)
     dirs = list(directions)
-    crossings = []
-    touched = [False] * n
-    for letter in word.letters:
-        i = letter[0] - 1
+    raw = []
+    for x, (i, sgn) in enumerate(letters):
+        i -= 1
         new_lo, new_hi = next(fresh), next(fresh)
-        crossings.append(
-            _closure_crossing(letter, dirs[i], dirs[i + 1], cur[i], cur[i + 1], new_lo, new_hi)
+        if last[i] == x:
+            new_lo = top_edges[i]
+        if last[i + 1] == x:
+            new_hi = top_edges[i + 1]
+        raw.append(
+            _closure_crossing(sgn, dirs[i], dirs[i + 1], cur[i], cur[i + 1], new_lo, new_hi)
         )
         cur[i], cur[i + 1] = new_lo, new_hi
         dirs[i], dirs[i + 1] = dirs[i + 1], dirs[i]
-        touched[i] = touched[i + 1] = True
-    # rename the final lane labels to the prescribed top labels
-    rename = {}
-    for j in range(n):
-        if touched[j]:
-            rename[cur[j]] = top_edges[j]
-        elif bottom_edges[j] != top_edges[j]:
-            raise DiagramError("untouched lane cannot change its edge label")
-    if rename:
-        crossings = [
-            Crossing(tuple(rename.get(e, e) for e in c.edges), c.sign)
-            for c in crossings
-        ]
-    return crossings
+    return raw
 
 
 def braid_closure(word: BraidWord) -> OrientedLinkDiagram:
@@ -174,9 +176,11 @@ def braid_closure_with_arcs(
     n = word.strands
     fresh = count(0)
     bottom = [next(fresh) for _ in range(n)]
-    crossings = tuple(braid_strand_crossings(word, bottom, bottom, [True] * n, fresh))
+    raw = braid_strand_crossings(word.letters, bottom, bottom, [True] * n, fresh)
+    edges = [e for e, _ in raw]
     # each lane's arc keeps its bottom label, as construction relabels it; an
     # untouched lane's label is on no crossing, and it closes into a free loop
-    remap = _label_map(crossings) or {e: e for c in crossings for e in c.edges}
+    remap = _label_map(edges) or {e: e for row in edges for e in row}
     arcs = [remap.get(b, -1) for b in bottom]
-    return OrientedLinkDiagram(crossings, arcs.count(-1)), arcs
+    d, _ = OrientedLinkDiagram.from_raw(raw, arcs.count(-1))
+    return d, arcs

@@ -141,13 +141,14 @@ class OrientedLinkDiagram:
         Returns ``(diagram, index_map)`` with ``index_map[i]`` the position
         in ``diagram.crossings`` of the ``i``-th raw crossing.  Needed by
         operations that must address specific crossings after the
-        normalizing sort.
+        normalizing sort.  The edge tuples are relabeled and sorted once
+        by ``raw_order`` and each ``Crossing`` is built once, in its
+        sorted place; the constructor then finds the labels dense and the
+        order sorted, and keeps both.
         """
-        relabeled = _normalize_labels(tuple(Crossing(tuple(e), s) for e, s in raw))
-        diagram = cls(relabeled, free_loops)
-        # the inverse of the constructor's sort; crossings are distinct
-        position = {c: i for i, c in enumerate(diagram.crossings)}
-        return diagram, [position[c] for c in relabeled]
+        edges, order, index_map = raw_order(raw)
+        crossings = tuple(Crossing(edges[i], raw[i][1]) for i in order)
+        return cls(crossings, free_loops), index_map
 
     @property
     def n_crossings(self) -> int:
@@ -281,7 +282,7 @@ class OrientedLinkDiagram:
         d = cls(crossings, free_loops=sum(1 for c in comps or [] if not c))
         if comps is not None:
             # read the labels as the constructor relabeled them
-            remap = _label_map(crossings) or {e: e for e in d.edges}
+            remap = _label_map(map(_EDGES, crossings)) or {e: e for e in d.edges}
             want = sorted(sorted({remap.get(e, -1) for e in c}) for c in comps if c)
             if want != sorted(sorted(set(c)) for c in d._components):
                 raise DiagramError("components field inconsistent with crossings")
@@ -308,18 +309,40 @@ def _mirror_crossing(c: Crossing) -> Crossing:
 _EDGES = attrgetter("edges")
 
 
-def _label_map(crossings: tuple[Crossing, ...]) -> dict | None:
-    """How construction relabels edges: ``None`` when the labels are
-    already the ints ``0..E-1`` (bools excluded), else each label to its
-    first-seen rank."""
-    labels = [e for c in crossings for e in c.edges]
+def _label_map(rows: Iterable[Sequence[int]]) -> dict | None:
+    """How construction relabels edges, given each crossing's edges:
+    ``None`` when the labels are already the ints ``0..E-1`` (bools
+    excluded), else each label to its first-seen rank."""
+    labels = [e for row in rows for e in row]
     if set(map(type, labels)) <= {int} and set(labels) == set(range(len(labels) // 2)):
         return None
     return {e: i for i, e in enumerate(dict.fromkeys(labels))}
 
 
+def raw_order(
+    raw: Sequence[tuple[Sequence[int], int]]
+) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """Where construction puts each raw ``(edges, sign)`` crossing.
+
+    Returns ``(edges, order, index_map)``: each raw crossing's edge tuple
+    relabeled as construction relabels it, the raw indices in the
+    constructor's sorted order (an argsort on those tuples, its sort key),
+    and the inverse of that order, the sorted position of each raw
+    crossing.  Builds no ``Crossing`` and validates nothing.
+    """
+    edges = [tuple(e) for e, _ in raw]
+    remap = _label_map(edges)
+    if remap is not None:
+        edges = [tuple(map(remap.__getitem__, row)) for row in edges]
+    order = sorted(range(len(edges)), key=edges.__getitem__)
+    index_map = [0] * len(order)
+    for position, i in enumerate(order):
+        index_map[i] = position
+    return edges, order, index_map
+
+
 def _normalize_labels(crossings: tuple[Crossing, ...]) -> tuple[Crossing, ...]:
-    remap = _label_map(crossings)
+    remap = _label_map(map(_EDGES, crossings))
     if remap is None:
         return crossings
     return tuple(Crossing(tuple(remap[e] for e in c.edges), c.sign) for c in crossings)

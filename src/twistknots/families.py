@@ -16,6 +16,16 @@ the half twist.  Flipping the signs of the second half of each block
 turns the block into ``H * H^{-1}``, which cancels freely; that is the
 untwisting schedule and it has exactly ``turns * k(k-1)/2`` sites per
 full twist on ``k`` strands.
+
+A member is built in one pass.  The base's crossings, each marked edge
+cut at its head, and the braid region's crossings, each lane's last
+letter wired straight to the lane's top label, are listed as raw
+``(edges, sign)`` tuples.  ``OrientedLinkDiagram.from_raw`` relabels and
+sorts them once, builds each ``Crossing`` once and validates one
+diagram.  ``untwist_schedule`` reads its sites from the same raw list
+through ``raw_order``, the ordering step of ``from_raw``, and builds no
+diagram.  A twist amount must be an ``int``; anything else, a bool
+included, raises ``FamilyError``.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from .diagram import (
     DiagramError,
     OrientedLinkDiagram,
     parse_pd,
+    raw_order,
     serialize,
 )
 from .invariants import WIDTH_BUDGET, LimitExceeded, kauffman_bracket_jones
@@ -117,6 +128,44 @@ def twist(f: TwistFamily, n: int) -> OrientedLinkDiagram:
     return d
 
 
+def _check_amount(n) -> None:
+    # bools and floats are refused: a twist amount counts full twists
+    if type(n) is not int:
+        raise FamilyError(f"twist amount must be an int, got {n!r}")
+
+
+def _twisted_raw(f: TwistFamily, n: int) -> list[tuple[tuple[int, ...], int]]:
+    """Raw ``(edges, sign)`` crossings of the n-times-twisted diagram.
+
+    The base's crossings come first, in order, each marked edge cut at
+    its head by a fresh label; then one crossing per letter of ``|n|``
+    full-twist blocks, in word order.
+    """
+    _check_amount(n)
+    base = f.base
+    k = len(f.marked_edges)
+    if k < 2 or n == 0:
+        return [(c.edges, c.sign) for c in base.crossings]
+    rows = [list(c.edges) for c in base.crossings]
+    fresh = count(2 * base.n_crossings)
+    bottom, top, dirs = [], [], []
+    for e, s in f.marked_edges:
+        h = next(fresh)
+        _, (hci, hslot) = base.edge_ends(e)
+        rows[hci][hslot] = h
+        if s > 0:
+            bottom.append(e)
+            top.append(h)
+            dirs.append(True)
+        else:
+            bottom.append(h)
+            top.append(e)
+            dirs.append(False)
+    block = full_twist_braid(k, 1 if n > 0 else -1).letters
+    raw = [(tuple(row), c.sign) for row, c in zip(rows, base.crossings)]
+    return raw + braid_strand_crossings(block * abs(n), bottom, top, dirs, fresh)
+
+
 def twist_with_sites(
     f: TwistFamily, n: int
 ) -> tuple[OrientedLinkDiagram, list[int], list[int]]:
@@ -126,34 +175,8 @@ def twist_with_sites(
     twisted diagram of each base crossing and of each inserted braid
     letter (in word order).
     """
-    word = full_twist_braid(max(len(f.marked_edges), 1), n)
-    base = f.base
-    if not word.letters or not f.marked_edges:
-        d, index_map = OrientedLinkDiagram.from_raw(
-            [(c.edges, c.sign) for c in base.crossings], base.free_loops
-        )
-        return d, index_map, []
-    raw = [[list(c.edges), c.sign] for c in base.crossings]
-    fresh = count(2 * base.n_crossings)
-    bottom, top, dirs = [], [], []
-    for e, s in f.marked_edges:
-        h = next(fresh)
-        _, (hci, hslot) = base.edge_ends(e)
-        raw[hci][0][hslot] = h
-        if s > 0:
-            bottom.append(e)
-            top.append(h)
-            dirs.append(True)
-        else:
-            bottom.append(h)
-            top.append(e)
-            dirs.append(False)
-    region = braid_strand_crossings(word, bottom, top, dirs, fresh)
-    all_raw = [(tuple(edges), s) for edges, s in raw] + [
-        (c.edges, c.sign) for c in region
-    ]
-    diagram, index_map = OrientedLinkDiagram.from_raw(all_raw, base.free_loops)
-    nb = len(base.crossings)
+    diagram, index_map = OrientedLinkDiagram.from_raw(_twisted_raw(f, n), f.base.free_loops)
+    nb = f.base.n_crossings
     return diagram, index_map[:nb], index_map[nb:]
 
 
@@ -162,8 +185,11 @@ def untwist_schedule(f: TwistFamily, n: int) -> list[int]:
     inserted twist region; exactly ``n * w(w-1)/2`` of them.
 
     Needs a coherent family (marked passes all one direction per the
-    presentation, ``eta_hat == omega``) and ``n >= 1``.
+    presentation, ``eta_hat == omega``) and ``n >= 1``.  The sites are
+    read from the raw crossings and ``raw_order``, the ordering step of
+    ``from_raw``; no diagram is built.
     """
+    _check_amount(n)
     if f.eta_hat != f.omega:
         raise FamilyError(
             f"untwist schedule needs a coherent family (eta={f.eta_hat}, omega={f.omega})"
@@ -173,7 +199,8 @@ def untwist_schedule(f: TwistFamily, n: int) -> list[int]:
     k = f.eta_hat
     if k <= 1:
         return []
-    _, _, twist_sites = twist_with_sites(f, n)
+    _, _, index_map = raw_order(_twisted_raw(f, n))
+    twist_sites = index_map[f.base.n_crossings:]
     block = k * (k - 1)
     half = block // 2
     sites = []
@@ -256,6 +283,8 @@ def coherent_reduction(
     certificate_ns = tuple(certificate_ns)
     if not certificate_ns:
         raise FamilyError("coherent reduction needs at least one certificate twist amount")
+    for n in certificate_ns:
+        _check_amount(n)
     if 0 in certificate_ns:
         raise FamilyError("certificate twist amount 0 ignores the marks; use n != 0")
     reduced_marks = _paired_marks(f)

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
+from twistknots.braids import _closure_crossing
 from twistknots.diagram import (
     Crossing,
     DiagramError,
     OrientedLinkDiagram,
     slot_is_incoming,
 )
+from twistknots.families import TwistFamily, full_twist_braid
 from twistknots.moves import Move, _r2_candidates, r1_removals, r2_removals
 from twistknots.polynomials import LaurentPolynomial
 
@@ -849,3 +851,54 @@ def _check_planarity(tail, head, faces) -> None:
                 "non-planar diagram: piece with "
                 f"{v} crossings has {face_count[root]} faces (needs {v + 2})"
             )
+
+
+def twist_bruteforce(
+    f: TwistFamily, n: int
+) -> tuple[OrientedLinkDiagram, list[int], list[int]]:
+    """``twist_with_sites(f, n)`` built the long way.
+
+    The whole word of ``|n|`` full twists is built and checked as one
+    ``BraidWord``.  Every letter takes two fresh top labels; the last
+    labels on each lane are then renamed to the lane's top label in a
+    second pass over the region.  The diagram is built from ``Crossing``
+    objects, and each raw crossing's position is looked up by hashing
+    its relabeled ``Crossing`` among the diagram's.
+    """
+    word = full_twist_braid(max(len(f.marked_edges), 1), n)
+    base = f.base
+    raw = [[list(c.edges), c.sign] for c in base.crossings]
+    region = []
+    if word.letters and f.marked_edges:
+        fresh = count(2 * base.n_crossings)
+        bottom, top, dirs = [], [], []
+        for e, s in f.marked_edges:
+            h = next(fresh)
+            _, (hci, hslot) = base.edge_ends(e)
+            raw[hci][0][hslot] = h
+            bottom.append(e if s > 0 else h)
+            top.append(h if s > 0 else e)
+            dirs.append(s > 0)
+        cur = list(bottom)
+        for i, sgn in word.letters:
+            i -= 1
+            new_lo, new_hi = next(fresh), next(fresh)
+            region.append(
+                _closure_crossing(sgn, dirs[i], dirs[i + 1], cur[i], cur[i + 1], new_lo, new_hi)
+            )
+            cur[i], cur[i + 1] = new_lo, new_hi
+            dirs[i], dirs[i + 1] = dirs[i + 1], dirs[i]
+        rename = {c: t for c, b, t in zip(cur, bottom, top) if c != b}
+        region = [(tuple(rename.get(e, e) for e in edges), s) for edges, s in region]
+    crossings = [Crossing(tuple(e), s) for e, s in raw] + [
+        Crossing(e, s) for e, s in region
+    ]
+    labels = [e for c in crossings for e in c.edges]
+    if set(labels) != set(range(len(labels) // 2)):
+        rank = {e: i for i, e in enumerate(dict.fromkeys(labels))}
+        crossings = [Crossing(tuple(rank[e] for e in c.edges), c.sign) for c in crossings]
+    d = OrientedLinkDiagram(tuple(crossings), base.free_loops)
+    position = {c: i for i, c in enumerate(d.crossings)}
+    index_map = [position[c] for c in crossings]
+    nb = base.n_crossings
+    return d, index_map[:nb], index_map[nb:]

@@ -425,6 +425,31 @@ class TestHypothesis:
             Crossing(tuple(rank[e] for e in edges), s) for edges, s in raw
         ]
 
+    @given(braid_words(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_from_raw_index_map_dense_labels(self, word, rng):
+        # labels already 0..E-1, so none are renamed; only the order moves
+        d = braid_closure(word)
+        raw = [(list(c.edges), c.sign) for c in d.crossings]
+        rng.shuffle(raw)
+        got, index_map = OrientedLinkDiagram.from_raw(raw, d.free_loops)
+        assert got == d
+        assert sorted(index_map) == list(range(d.n_crossings))
+        assert [got.crossings[i] for i in index_map] == [
+            Crossing(tuple(edges), s) for edges, s in raw
+        ]
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_from_raw_refuses_repeated_crossing(self, relabel, flip):
+        # a repeated crossing gives its edges a second head and tail
+        d = braid_closure(torus_braid(3, 2))
+        raw = [([7 + 3 * e if relabel else e for e in c.edges], c.sign) for c in d.crossings]
+        edges, sign = raw[1]
+        raw.insert(0, (edges, -sign if flip else sign))
+        with pytest.raises(DiagramError):
+            OrientedLinkDiagram.from_raw(raw)
+
 
 # every corpus member at |n| <= 2, up to 150 crossings
 CORPUS_MEMBERS = [

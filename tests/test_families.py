@@ -26,14 +26,37 @@ from twistknots.families import (
     mirror_family,
     save_family,
     twist,
+    twist_with_sites,
     untwist_schedule,
     winding_number,
 )
 from twistknots.invariants import kauffman_bracket_jones as jones
 from twistknots.moves import greedy_simplify
 
-from .oracles import jones_bruteforce
-from .test_diagram import JSON_VALUES
+from .oracles import jones_bruteforce, twist_bruteforce
+from .test_diagram import JSON_VALUES, braid_words
+
+# every corpus family, plus the chain families the benchmark sweeps
+SWEPT_FAMILIES = {**built_families(), "chain_3": chain_family(3), "chain_4": chain_family(4)}
+
+# twist amounts that are not ints; a bool is refused too
+NON_INT_AMOUNTS = [True, 1.0, 2.5, "1", None]
+
+
+def assert_twist_matches_bruteforce(f, n):
+    """``twist_with_sites`` and, where defined, ``untwist_schedule`` equal
+    the long-way construction of ``twist_bruteforce``."""
+    d, base_sites, twist_sites = twist_with_sites(f, n)
+    want_d, want_base, want_twist = twist_bruteforce(f, n)
+    assert d == want_d
+    assert (base_sites, twist_sites) == (want_base, want_twist)
+    k = f.eta_hat
+    if n >= 1 and k == f.omega:
+        block = k * (k - 1)
+        want = sorted(
+            want_twist[b * block + p] for b in range(n) for p in range(block // 2, block)
+        )
+        assert untwist_schedule(f, n) == want
 
 
 class TestWinding:
@@ -119,6 +142,34 @@ class TestTwist:
                 )
 
 
+    @pytest.mark.parametrize("name", sorted(SWEPT_FAMILIES))
+    def test_matches_bruteforce(self, name):
+        for n in range(-6, 7):
+            assert_twist_matches_bruteforce(SWEPT_FAMILIES[name], n)
+
+    @given(braid_words(max_strands=5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_braid_closure_families_match_bruteforce(self, word, data):
+        # a run of neighbouring closure arcs, passing the disk together
+        base, arcs = _closure_with_arcs(word)
+        lo = data.draw(st.integers(0, word.strands - 1))
+        hi = data.draw(st.integers(lo + 1, word.strands))
+        marks = tuple((a, 1) for a in arcs[lo:hi] if a >= 0)
+        f = TwistFamily(base, marks)
+        for n in data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)):
+            assert_twist_matches_bruteforce(f, n)
+
+    @pytest.mark.parametrize("amount", NON_INT_AMOUNTS)
+    def test_non_int_amount_rejected(self, amount):
+        f = chain_family(3)
+        for fn in (twist, twist_with_sites, untwist_schedule):
+            with pytest.raises(FamilyError, match="must be an int"):
+                fn(f, amount)
+        # a family with one mark builds no twist, but the amount is still checked
+        with pytest.raises(FamilyError, match="must be an int"):
+            twist(TwistFamily(f.base, f.marked_edges[:1]), amount)
+
+
 class TestSchedule:
     def test_lengths(self):
         assert len(untwist_schedule(chain_family(3), 1)) == 3
@@ -190,6 +241,12 @@ class TestCoherentReduction:
         monkeypatch.setattr(families, "twist_with_sites", counted)
         assert coherent_reduction(f, certificate_ns=(1, -2)).k == 1
         assert sum(g is f for g in seen) == 2
+
+    @pytest.mark.parametrize("amount", NON_INT_AMOUNTS)
+    def test_non_int_certificate_rejected(self, amount):
+        for f in (whitehead_family(), torus_family(3, 2)):
+            with pytest.raises(FamilyError, match="must be an int"):
+                coherent_reduction(f, certificate_ns=(1, amount))
 
     def test_winding_preserved(self):
         for fam in (whitehead_family(), mazur_family()):
