@@ -17,8 +17,9 @@ on ``twist(wind3_wrap9, n)`` at n = 1, 10, 30, ``twist(whitehead, 30)``,
 ``twist(largewrap_w0_p4, 7)``, ``twist(torus_q3, 12)`` and the closed full
 twist on 8 strands, and ``moves.reidemeister_moves`` on
 ``twist(whitehead, n)`` at n = -2, 2, ``twist(mazur, n)`` at n = -1, 1,
-``twist(torus_q2, 2)`` and the untwisted ``chain_4`` n=2 and ``torus_q2``
-n=3 members.  Each row holds the crossings in, the cost driver
+``twist(torus_q2, 2)``, the R3-bearing ``twist(torus_q3, 2)`` and
+``twist(largewrap_w0_p4, 1)``, and the untwisted ``chain_4`` n=2 and
+``torus_q2`` n=3 members.  Each row holds the crossings in, the cost driver
 (the crossings out of a twist or of the schedule's member and the
 schedule's sites, greedy steps, scan width, the white faces and peak
 row nonzeros of the elimination or the scan's width and state updates,
@@ -33,9 +34,10 @@ seconds and microseconds per built result count every construction
 whether results are built on enumeration or on first read;
 ``enumerate_s`` is the median seconds of the enumeration alone, and
 ``removals_s`` that of listing the R1- and R2- moves (``removals_out``
-of them) with every result read.  The rows go into the ``--out`` JSON
-file under ``--label`` and other labels are kept, so one file holds the
-numbers of a change before and after.
+of them) with every result read, and ``r3_s`` that of listing the R3
+moves (``r3_out`` of them) with every result read.  The rows go into
+the ``--out`` JSON file under ``--label`` and other labels are kept, so
+one file holds the numbers of a change before and after.
 """
 
 import argparse
@@ -88,6 +90,14 @@ def enumerate_and_read(d):
 def read_removals(d):
     """The R1- and R2- moves of ``d``, each result read once."""
     out = [*moves.r1_removals(d), *moves.r2_removals(d)]
+    for move in out:
+        move.result
+    return out
+
+
+def read_r3(d):
+    """The R3 moves of ``d``, each result read once."""
+    out = list(moves.r3_moves(d))
     for move in out:
         move.result
     return out
@@ -187,7 +197,8 @@ def rows():
             "peak_kib": round(peak / 1024, 1),
         }
     inputs = [(f"{name} n={n}", twist(corpus[name], n)) for name, n in (
-        ("whitehead", -2), ("whitehead", 2), ("mazur", -1), ("mazur", 1), ("torus_q2", 2))]
+        ("whitehead", -2), ("whitehead", 2), ("mazur", -1), ("mazur", 1), ("torus_q2", 2),
+        ("torus_q3", 2), ("largewrap_w0_p4", 1))]
     # the untwisted members are where the R2- moves are
     for f, n in ((chain, 2), (corpus["torus_q2"], 3)):
         d = twist(f, n).change_crossings(untwist_schedule(f, n))
@@ -196,6 +207,7 @@ def rows():
         out, secs = timed(enumerate_and_read, d, MOVE_REPEATS)
         _, enumerate_secs = timed(moves.reidemeister_moves, d, MOVE_REPEATS)
         removals, removals_secs = timed(read_removals, d, MOVE_REPEATS)
+        r3, r3_secs = timed(read_r3, d, MOVE_REPEATS)
         yield {
             "layer": "moves.reidemeister_moves",
             "input": tag,
@@ -206,6 +218,8 @@ def rows():
             "enumerate_s": round(enumerate_secs, 5),
             "removals_out": len(removals),
             "removals_s": round(removals_secs, 6),
+            "r3_out": len(r3),
+            "r3_s": round(r3_secs, 6),
             "s": round(secs, 5),
         }
 

@@ -22,15 +22,24 @@ class BraidWord:
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.strands < 1:
-            raise DiagramError("braid needs at least one strand")
-        letters = tuple((int(i), int(s)) for i, s in self.letters)
-        for i, s in letters:
+        # plain ints, bools excluded: nothing is coerced
+        if type(self.strands) is not int or self.strands < 1:
+            raise DiagramError(f"braid needs an int >= 1 of strands, got {self.strands!r}")
+        if not isinstance(self.letters, (tuple, list)):
+            raise DiagramError("braid letters must be a sequence of (generator, sign)")
+        for letter in self.letters:
+            if not (
+                isinstance(letter, (tuple, list))
+                and len(letter) == 2
+                and all(type(x) is int for x in letter)
+            ):
+                raise DiagramError(f"braid letter {letter!r} needs an int generator and sign")
+            i, s = letter
             if not 1 <= i < self.strands:
                 raise DiagramError(f"generator index {i} out of range")
             if s not in (1, -1):
                 raise DiagramError(f"letter sign must be +1/-1, got {s}")
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", tuple(map(tuple, self.letters)))
 
     def __len__(self):
         return len(self.letters)

@@ -34,9 +34,13 @@ first failing piece is only worked out when the count fails.
 The pass leaves an edge index on the diagram: each edge's tail dart,
 head dart and component, and each dart's face (``_face_of``, faces
 numbered in order of their least dart), kept as flat tuples of small
-ints with dart ``(ci, slot)`` stored as ``4 * ci + slot``.  Edge ends,
-components, faces and everything built on them read it instead of
-scanning the crossings again.
+ints.  Dart ``(ci, slot)`` is coded ``x = 4 * ci + slot``, and ``x ^ 2``
+is the other slot of its strand at that crossing.  Edge ends,
+components, faces and everything built on them read the index instead
+of scanning the crossings again.  ``_mates(tail, head)`` derives each
+dart's mate, the dart at the other end of its edge; every layer reads
+the mate relation through it.  It is not stored on the diagram, which
+would make every construction pay for it.
 """
 
 from __future__ import annotations
@@ -82,8 +86,6 @@ class Crossing:
 
 # per sign, whether each slot's edge points into the crossing
 _INCOMING = {1: (True, False, False, True), -1: (True, True, False, False)}
-# slot where the strand entering at a slot leaves
-_EXIT_OF_ENTRY = {0: 2, 1: 3, 3: 1}
 
 
 def slot_is_incoming(sign: int, slot: int) -> bool:
@@ -91,11 +93,6 @@ def slot_is_incoming(sign: int, slot: int) -> bool:
     if slot not in (0, 1, 2, 3):
         raise DiagramError(f"bad slot {slot}")
     return _INCOMING[1 if sign > 0 else -1][slot]
-
-
-def strand_exit_slot(in_slot: int) -> int:
-    """Slot where the strand entering at ``in_slot`` leaves the crossing."""
-    return _EXIT_OF_ENTRY[in_slot]
 
 
 @dataclass(frozen=True)
@@ -114,8 +111,9 @@ class OrientedLinkDiagram:
     _face_of: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.free_loops < 0:
-            raise DiagramError("free_loops must be >= 0")
+        # an int, so that to_json writes what from_json reads back
+        if type(self.free_loops) is not int or self.free_loops < 0:
+            raise DiagramError(f"free_loops must be an int >= 0, got {self.free_loops!r}")
         crossings = _normalized(self.crossings)
         object.__setattr__(self, "crossings", crossings)
         tail, head, comp, cycles, face_of = _validate(crossings)
@@ -181,8 +179,8 @@ class OrientedLinkDiagram:
         return self._comp[edge]
 
     def _check_edge(self, edge) -> None:
-        if not (isinstance(edge, int) and 0 <= edge < len(self._comp)):
-            raise DiagramError(f"edge {edge} not found")
+        if not (type(edge) is int and 0 <= edge < len(self._comp)):
+            raise DiagramError(f"edge {edge!r} not found")
 
     # -- operations -----------------------------------------------------
 
@@ -203,8 +201,8 @@ class OrientedLinkDiagram:
     def change_crossings(self, sites: Iterable[int]) -> "OrientedLinkDiagram":
         sites = set(sites)
         for s in sites:
-            if not 0 <= s < len(self.crossings):
-                raise DiagramError(f"invalid crossing site {s}")
+            if not (type(s) is int and 0 <= s < len(self.crossings)):
+                raise DiagramError(f"invalid crossing site {s!r}")
         new = tuple(
             _mirror_crossing(c) if i in sites else c
             for i, c in enumerate(self.crossings)
@@ -441,9 +439,19 @@ def _edge_error(crossings) -> DiagramError:
     return DiagramError(f"orientation inconsistency: edge {e} {way} twice")
 
 
+def _mates(tail: Sequence[int], head: Sequence[int]) -> list[int]:
+    """Per dart code its mate, the dart at the other end of its edge."""
+    mate = [0] * (2 * len(tail))
+    for t, h in zip(tail, head):
+        mate[t] = h
+        mate[h] = t
+    return mate
+
+
 def _face_step(tail: Sequence[int], head: Sequence[int]) -> list[int]:
     """Per dart code, the next dart of its face: the mate's successor in
-    counterclockwise order around the mate's crossing."""
+    counterclockwise order around the mate's crossing.  The mate and the
+    turn are taken in one pass, as every construction runs this."""
     n_darts = 2 * len(tail)
     rot = list(range(1, n_darts + 1))
     rot[3::4] = range(0, n_darts, 4)
@@ -554,19 +562,12 @@ def structurally_equal(d1: OrientedLinkDiagram, d2: OrientedLinkDiagram) -> bool
     return False
 
 
-def _mate(d: OrientedLinkDiagram, ci: int, slot: int) -> Dart:
-    """The dart at the other end of the edge at ``(ci, slot)``."""
-    e = d.crossings[ci].edges[slot]
-    t = d._tail[e]
-    x = d._head[e] if t == 4 * ci + slot else t
-    return x >> 2, x & 3
-
-
 def _try_match(d1, d2, t0) -> bool:
     cmap = {0: t0}
     emap: dict[int, int] = {}
     targets = {t0}
     queue = [0]
+    mate1, mate2 = _mates(d1._tail, d1._head), _mates(d2._tail, d2._head)
     while queue:
         ci = queue.pop()
         tj = cmap[ci]
@@ -582,9 +583,10 @@ def _try_match(d1, d2, t0) -> bool:
                 if e2 in emap.values():
                     return False
                 emap[e1] = e2
-            (oc, oslot), (od, oslot2) = _mate(d1, ci, s), _mate(d2, tj, s)
-            if oslot != oslot2:
+            x, y = mate1[4 * ci + s], mate2[4 * tj + s]
+            if x & 3 != y & 3:
                 return False
+            oc, od = x >> 2, y >> 2
             if oc in cmap:
                 if cmap[oc] != od:
                     return False
@@ -737,7 +739,7 @@ def _infer_signs(tuples, signs, positions, serial):
                 )
             if slot:
                 out[ci] = over
-            y = 4 * ci + _EXIT_OF_ENTRY[slot]
+            y = x ^ 2  # the dart where the strand leaves
             a, b = ends[tuples[ci][y & 3]]
             x = b if a == y else a
         return path
@@ -751,7 +753,7 @@ def _infer_signs(tuples, signs, positions, serial):
             path = walk(4 * ci + 3)
             # the serial hints: steps of +-1 from the edge in to the edge out
             hints = {
-                (tuples[x >> 2][_EXIT_OF_ENTRY[x & 3]] - tuples[x >> 2][x & 3]) % m
+                (tuples[x >> 2][(x ^ 2) & 3] - tuples[x >> 2][x & 3]) % m
                 for x in path
             } & ({1, m - 1} if serial else set())
             if len(hints) != 1:

@@ -24,8 +24,9 @@ letter wired straight to the lane's top label, are listed as raw
 sorts them once, builds each ``Crossing`` once and validates one
 diagram.  ``untwist_schedule`` reads its sites from the same raw list
 through ``raw_order``, the ordering step of ``from_raw``, and builds no
-diagram.  A twist amount must be an ``int``; anything else, a bool
-included, raises ``FamilyError``.
+diagram.  A twist amount, and the ``turns`` of ``full_twist_braid``,
+must be an ``int``; anything else, a bool included, raises
+``FamilyError``.
 """
 
 from __future__ import annotations
@@ -112,8 +113,9 @@ def half_twist_word(strands: int) -> BraidWord:
 
 def full_twist_braid(strands: int, turns: int) -> BraidWord:
     """|turns| full twists; letter signs match the sign of ``turns``."""
-    if strands < 1:
-        raise DiagramError("full twist needs at least one strand")
+    _check_amount(turns)
+    if type(strands) is not int or strands < 1:
+        raise DiagramError(f"full twist needs an int >= 1 of strands, got {strands!r}")
     if strands == 1 or turns == 0:
         return BraidWord(strands)
     h = half_twist_word(strands)
@@ -151,8 +153,8 @@ def _twisted_raw(f: TwistFamily, n: int) -> list[tuple[tuple[int, ...], int]]:
     bottom, top, dirs = [], [], []
     for e, s in f.marked_edges:
         h = next(fresh)
-        _, (hci, hslot) = base.edge_ends(e)
-        rows[hci][hslot] = h
+        x = base._head[e]
+        rows[x >> 2][x & 3] = h
         if s > 0:
             bottom.append(e)
             top.append(h)

@@ -29,7 +29,13 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .diagram import DiagramError, OrientedLinkDiagram, _piece_of_component, _subdiagram
+from .diagram import (
+    DiagramError,
+    OrientedLinkDiagram,
+    _mates,
+    _piece_of_component,
+    _subdiagram,
+)
 from .polynomials import LaurentPolynomial
 
 # most open pairs a scan may keep; cost grows like the Catalan number of the
@@ -68,10 +74,7 @@ def _scan_order(d: OrientedLinkDiagram) -> tuple[list[int], int]:
     edge, and the lowest unplaced index, which only grows, comes next.
     """
     n = len(d.crossings)
-    other = [0] * (4 * n)  # per dart, the crossing at the other end of its edge
-    for t, h in zip(d._tail, d._head):
-        other[t] = h >> 2
-        other[h] = t >> 2
+    mate = _mates(d._tail, d._head)
     count = [0] * n
     placed = [False] * n
     buckets: list[set[int]] = [set() for _ in range(5)]  # by count; 0 stays empty
@@ -91,7 +94,8 @@ def _scan_order(d: OrientedLinkDiagram) -> tuple[list[int], int]:
             ci = lowest
         placed[ci] = True
         order.append(ci)
-        for cj in other[4 * ci : 4 * ci + 4]:
+        for x in mate[4 * ci : 4 * ci + 4]:
+            cj = x >> 2
             if cj == ci:
                 continue  # an edge with both ends here never opens
             if placed[cj]:
@@ -154,7 +158,7 @@ def _bracket_with_loops(d, order, width) -> tuple[int, list[int]]:
     on a guess.
     """
     start = time.perf_counter()
-    tail, head = d._tail, d._head
+    mate = _mates(d._tail, d._head)
     bits = 8
     frontier: list[int] = []
     states: dict[tuple[int, ...], tuple[int, int]] = {(): (0, 1)}
@@ -165,8 +169,8 @@ def _bracket_with_loops(d, order, width) -> tuple[int, list[int]]:
         at = {x: i for i, x in enumerate(frontier)}
         glued = {}  # frontier position -> the slot glued to it
         link = []  # per slot: another slot, -1 - a glued position, or None if new
-        for s, e in enumerate(d.crossings[ci].edges):
-            o = head[e] if tail[e] == 4 * ci + s else tail[e]
+        for s in range(4):
+            o = mate[4 * ci + s]
             if o >> 2 == ci:
                 link.append(o & 3)
             elif o in at:

@@ -15,15 +15,21 @@ and the seconds, which cover the enumeration alone.
 
 Move kinds: ``R1-``, ``R1+``, ``R2-``, ``R2+``, ``R3``.
 
-The removals and ``greedy_simplify`` share one machine on the dart mate
-array (dart ``(c, s)`` coded ``4 * c + s``, mated to the other end of its
-edge): one kink test, one bigon test, and one splice that re-mates the
-darts around the removed crossings and gives each re-mated edge the
-least label of the edges it replaces.  An R1- or R2- result splices a
-copy of the input's array; ``greedy_simplify`` splices its own array
-step after step, names the crossings of its trace by their input
-indices, and validates one diagram, its result.  R3 and the additions
-relabel the input's crossing list (``_rebuilt``).
+Every kind reads the diagram through dart codes (dart ``(c, s)`` coded
+``4 * c + s``) and the dart mate array of ``diagram._mates``, each dart
+mated to the other end of its edge.  The removals and
+``greedy_simplify`` share one machine on it: one kink test, one bigon
+test, and one splice that re-mates the darts around the removed
+crossings and gives each re-mated edge the least label of the edges it
+replaces.  R3 finds its triangles on the same faces and mates.  Every
+removal and R3 result is a relabelled copy of the input's per-dart label
+array, built by ``_built``: an R1- or R2- result splices a copy of the
+mate array and takes the labels it leaves, and an R3 result slides the
+labels around its triangle (``_slid``).  ``greedy_simplify`` splices its
+own array step after step, names the crossings of its trace by their
+input indices, and validates one diagram, its result.  Only the
+additions, which create crossings, relabel the input's crossing list
+(``_rebuilt``).
 """
 
 from __future__ import annotations
@@ -32,14 +38,7 @@ import sys
 import time
 from typing import Iterator
 
-from .diagram import (
-    Crossing,
-    OrientedLinkDiagram,
-    strand_exit_slot,
-)
-
-# entry slot of the strand that leaves through a given slot
-_ENTRY_OF_EXIT = {2: 0, 3: 1, 1: 3}
+from .diagram import Crossing, OrientedLinkDiagram, _faces, _mates
 
 
 class Move:
@@ -128,7 +127,7 @@ def reidemeister_moves(d: OrientedLinkDiagram) -> list[Move]:
 def r1_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
     """R1- moves at sites ``(c, s)``, the kinks whose loop joins slots
     ``s`` and ``s + 1`` of crossing ``c``, in crossing and slot order."""
-    mate = _mates(d)
+    mate = _mates(d._tail, d._head)
     for c in range(d.n_crossings):
         for x in _kinks_at(mate, c):
             yield Move._deferred("R1-", (c, x & 3), _without, d, mate, (c,))
@@ -138,7 +137,7 @@ def r2_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
     """R2- moves at sites ``(c1, c2, e, f)``, the bigons in the order of
     their least face dart ``(c1, s1)``: ``e`` is that dart's edge and
     ``f`` the edge of the other face dart, at crossing ``c2``."""
-    mate = _mates(d)
+    mate = _mates(d._tail, d._head)
     for c in range(d.n_crossings):
         for x, y in _bigons_at(mate, c):
             if x < y:  # a bigon shows at both its darts
@@ -238,12 +237,10 @@ def r2_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
     order first met, each pair's planar wirings in ascending k."""
     fresh0 = 2 * d.n_crossings
     m, h, e2, g2 = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
+    label = _labels(d)
     wirings: dict[tuple[int, int], set[int]] = {}
-    for face in d.faces():
-        sides = []
-        for ci, slot in face:
-            e = d.crossings[ci].edges[slot]
-            sides.append((e, d.edge_ends(e)[0] == (ci, slot)))
+    for face in _faces(d._tail, d._head):
+        sides = [(label[x], d._tail[label[x]] == x) for x in face]
         for i, (e, e_tail) in enumerate(sides):
             for j, (g, g_tail) in enumerate(sides):
                 if i != j and e != g:
@@ -294,36 +291,40 @@ def _r2_free_loop_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
 
 
 def r3_moves(d: OrientedLinkDiagram) -> Iterator[Move]:
-    for face in d.faces():
-        if len(face) != 3:
+    """R3 moves at sites ``(c1, s1), (c2, s2), (c3, s3)``, the three face
+    darts of a triangle in dart order, the triangles in the order of
+    their least dart.
+
+    A triangle is a face of three darts at three crossings; its three
+    sides are then three edges.  The move needs one side passing over at
+    both its ends, all of which lie on the triangle.
+    """
+    mate = _mates(d._tail, d._head)
+    for face in _faces(d._tail, d._head):
+        if len(face) != 3 or len({x >> 2 for x in face}) != 3:
             continue
-        if len({ci for ci, _ in face}) != 3:
+        if not any(x & mate[x] & 1 for x in face):  # odd slots are over
             continue
-        sides = [d.crossings[ci].edges[s] for ci, s in face]
-        if len(set(sides)) != 3:
-            continue
-        # the move needs one side passing over at both its endpoints, all
-        # of which lie on the triangle
-        if not any(all(s in (1, 3) for _, s in d.edge_ends(e)) for e in sides):
-            continue
-        yield Move._deferred("R3", tuple(sorted(face)), _apply_r3, d, sides)
+        sides = [d.crossings[x >> 2].edges[x & 3] for x in face]
+        site = tuple((x >> 2, x & 3) for x in sorted(face))
+        yield Move._deferred("R3", site, _slid, d, sides)
 
 
-def _apply_r3(d: OrientedLinkDiagram, sides: list[int]) -> OrientedLinkDiagram:
+def _slid(d: OrientedLinkDiagram, sides: list[int]) -> OrientedLinkDiagram:
     """Slide the triangle: every strand swaps which of its two triangle
-    crossings it meets first, keeping its middle edge between them."""
-    updates: list[tuple[int, int, int]] = []
+    crossings it meets first, keeping its middle edge between them.
+
+    Side ``t`` runs from tail dart ``x`` to head dart ``y``; its strand
+    enters at ``x ^ 2`` and leaves at ``y ^ 2``.  Its label moves to those
+    two darts, and ``x`` and ``y`` take the labels that were beyond them.
+    The two sides at a corner hold the two strands of its crossing, so
+    the sides' darts are twelve distinct ones and the labels move in place.
+    """
+    label = _labels(d)
     for t in sides:
-        (tc, ts), (hc, hs) = d.edge_ends(t)
-        entry = _ENTRY_OF_EXIT[ts]
-        x = d.crossings[tc].edges[entry]
-        exit_slot = strand_exit_slot(hs)
-        y = d.crossings[hc].edges[exit_slot]
-        updates.append((tc, entry, t))
-        updates.append((tc, ts, y))
-        updates.append((hc, hs, x))
-        updates.append((hc, exit_slot, t))
-    return _rebuilt(d, updates, (), d.free_loops)
+        x, y = d._tail[t], d._head[t]
+        label[x ^ 2], label[x], label[y], label[y ^ 2] = t, label[y ^ 2], label[x ^ 2], t
+    return _built(d, label, [True] * d.n_crossings, d.free_loops)
 
 
 # -- simplification ------------------------------------------------------
@@ -349,7 +350,7 @@ def greedy_simplify(
     """
     start = time.perf_counter()
     n = len(d.crossings)
-    mate = _mates(d)
+    mate = _mates(d._tail, d._head)
     label = _labels(d)
     alive = [True] * n
     free_loops = d.free_loops
@@ -383,15 +384,6 @@ def greedy_simplify(
             n, len(trace), result.n_crossings, time.perf_counter() - start,
         )
     return result, trace
-
-
-def _mates(d: OrientedLinkDiagram) -> list[int]:
-    """Each dart's mate, the other end of its edge, as dart codes."""
-    mate = [0] * (4 * len(d.crossings))
-    for t, h in zip(d._tail, d._head):
-        mate[t] = h
-        mate[h] = t
-    return mate
 
 
 def _labels(d: OrientedLinkDiagram) -> list[int]:
@@ -468,12 +460,12 @@ def _remove(
 
 
 def _built(d, label, alive, free_loops) -> OrientedLinkDiagram:
-    """The diagram of the live crossings, each dart with its label."""
-    return OrientedLinkDiagram(
-        tuple(
-            Crossing(tuple(label[4 * c : 4 * c + 4]), d.crossings[c].sign)
-            for c, live in enumerate(alive)
-            if live
-        ),
-        free_loops,
-    )
+    """The diagram of the live crossings, each dart with its label.  A
+    crossing whose labels are unchanged is kept, not built again: an R3
+    result changes three crossings of any number."""
+    crossings = []
+    for c, live in enumerate(alive):
+        if live:
+            edges, old = tuple(label[4 * c : 4 * c + 4]), d.crossings[c]
+            crossings.append(old if edges == old.edges else Crossing(edges, old.sign))
+    return OrientedLinkDiagram(tuple(crossings), free_loops)

@@ -706,6 +706,45 @@ def removals_bruteforce(d: OrientedLinkDiagram) -> list[Move]:
     return out
 
 
+# ----------------------------------------------------------------------
+# R3 as first written: triangles from ``faces_bruteforce`` and edge
+# labels, each side's ends from ``edge_ends``, and the slid diagram built
+# from an updated copy of the crossing list.
+
+# entry slot of the strand that leaves through a given slot
+_ENTRY_OF_EXIT = {2: 0, 3: 1, 1: 3}
+
+
+def r3_moves_bruteforce(d: OrientedLinkDiagram) -> list[Move]:
+    """The R3 moves of ``d``: every face of three darts at three crossings
+    with three distinct side edges, one of which runs over at both its
+    ends, site the sorted face darts.  Each strand through the triangle
+    then swaps which of its two triangle crossings it meets first."""
+    out = []
+    for face in faces_bruteforce(d):
+        if len(face) != 3 or len({ci for ci, _ in face}) != 3:
+            continue
+        sides = [d.crossings[ci].edges[s] for ci, s in face]
+        if len(set(sides)) != 3:
+            continue
+        if not any(all(s in (1, 3) for _, s in d.edge_ends(e)) for e in sides):
+            continue
+        rows = [list(c.edges) for c in d.crossings]
+        for t in sides:
+            (tc, ts), (hc, hs) = d.edge_ends(t)
+            entry, exit_slot = _ENTRY_OF_EXIT[ts], _EXIT_OF_ENTRY[hs]
+            x = d.crossings[tc].edges[entry]
+            y = d.crossings[hc].edges[exit_slot]
+            rows[tc][entry], rows[tc][ts] = t, y
+            rows[hc][hs], rows[hc][exit_slot] = x, t
+        result = OrientedLinkDiagram(
+            tuple(Crossing(tuple(r), c.sign) for r, c in zip(rows, d.crossings)),
+            d.free_loops,
+        )
+        out.append(Move("R3", tuple(sorted(face)), result))
+    return out
+
+
 def planar_bruteforce(crossings) -> bool:
     """Whether every connected piece of a crossing list, each edge label
     at two slots, has V + 2 face orbits, counted piece by piece."""

@@ -16,6 +16,26 @@ class TestBraidWord:
         with pytest.raises(DiagramError):
             BraidWord(2, ((2, 1),))
 
+    @pytest.mark.parametrize("strands", [3.0, "3", True, None, 0])
+    def test_strand_count_must_be_a_positive_int(self, strands):
+        with pytest.raises(DiagramError, match="strands"):
+            BraidWord(strands)
+
+    @pytest.mark.parametrize(
+        "letter", [(1.7, 1), ("x", 1), (1, 1.0), (True, 1), (1, True), (1,), (1, 1, 1), 1, None]
+    )
+    def test_letters_must_be_int_pairs(self, letter):
+        # a float or bool letter was coerced by int() before
+        with pytest.raises(DiagramError, match="letter"):
+            BraidWord(3, (letter,))
+
+    def test_letters_must_be_a_sequence(self):
+        with pytest.raises(DiagramError, match="letters"):
+            BraidWord(3, 5)
+
+    def test_list_letters_are_kept_as_tuples(self):
+        assert BraidWord(3, [[1, 1], (2, -1)]).letters == ((1, 1), (2, -1))
+
     def test_torus_braid_shape(self):
         w = torus_braid(4, 3)
         assert w.strands == 3

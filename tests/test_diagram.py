@@ -12,6 +12,7 @@ from twistknots.diagram import (
     DiagramError,
     OrientedLinkDiagram,
     ParseError,
+    _mates,
     _normalized,
     from_json,
     parse_pd,
@@ -193,6 +194,12 @@ class TestRoundTrip:
         with pytest.raises(DiagramError, match="sign"):
             Crossing((0, 1, 1, 0), sign)
 
+    @pytest.mark.parametrize("loops", [1.5, 1.0, True, "1", None, -1])
+    def test_free_loops_must_be_a_nonnegative_int(self, loops):
+        # 1.5 was kept, and to_json then raised a bare TypeError
+        with pytest.raises(DiagramError, match="free_loops"):
+            OrientedLinkDiagram((), loops)
+
     def test_two_component_serialization(self, hopf_positive):
         text = serialize(hopf_positive)
         assert text.count("O[") == 2
@@ -243,6 +250,19 @@ class TestChangeCrossing:
     def test_invalid_site(self, trefoil_right):
         with pytest.raises(DiagramError):
             trefoil_right.change_crossing(7)
+
+    @pytest.mark.parametrize("site", [1.0, True, "1", None, -1, 3])
+    def test_site_must_be_an_int_in_range(self, trefoil_right, site):
+        # 1.0 and True changed crossing 1 before
+        with pytest.raises(DiagramError, match="invalid crossing site"):
+            trefoil_right.change_crossings([site])
+
+    @pytest.mark.parametrize("edge", [True, 1.0, "0", None, -1, 6])
+    def test_edge_must_be_an_int_in_range(self, trefoil_right, edge):
+        # True read edge 1 before
+        for read in (trefoil_right.edge_ends, trefoil_right.component_of_edge):
+            with pytest.raises(DiagramError, match="not found"):
+                read(edge)
 
 
 class TestStructure:
@@ -326,7 +346,7 @@ class TestPlanarity:
 
 def _check_against_reference(crossings, free_loops=0):
     """Construction agrees with the reference validator: the same edge
-    index and faces, or the same error class and message."""
+    index, dart mates and faces, or the same error class and message."""
     norm = _normalized(crossings)
     try:
         want = validate_reference(norm)
@@ -340,6 +360,10 @@ def _check_against_reference(crossings, free_loops=0):
     assert (d._tail, d._head, d._comp, d._components, d._face_of) == want
     index = [(*d.edge_ends(e), d.component_of_edge(e)) for e in d.edges]
     assert index == edge_index_bruteforce(d)
+    mate = [0] * (4 * d.n_crossings)
+    for (tc, ts), (hc, hs), _ in edge_index_bruteforce(d):
+        mate[4 * tc + ts], mate[4 * hc + hs] = 4 * hc + hs, 4 * tc + ts
+    assert _mates(d._tail, d._head) == mate
     face = {x: fi for fi, darts in enumerate(faces_bruteforce(d)) for x in darts}
     assert d._face_of == tuple(face[x >> 2, x & 3] for x in range(4 * d.n_crossings))
 

@@ -113,6 +113,17 @@ class TestFullTwistBraid:
         for k in range(2, 6):
             assert full_twist_braid(k, 2).permutation() == list(range(k))
 
+    @pytest.mark.parametrize("turns", NON_INT_AMOUNTS)
+    def test_turns_must_be_int(self, turns):
+        # 1.5 raised a bare TypeError and True gave one full twist before
+        with pytest.raises(FamilyError, match="must be an int"):
+            full_twist_braid(3, turns)
+
+    @pytest.mark.parametrize("strands", [3.0, "3", True, None, 0])
+    def test_strands_must_be_a_positive_int(self, strands):
+        with pytest.raises(DiagramError, match="strands"):
+            full_twist_braid(strands, 1)
+
 
 class TestTwist:
     def test_zero_twist_is_base(self):

@@ -61,18 +61,31 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _scopes(stmt: ast.stmt) -> list[tuple[set[str], list[ast.AST]]]:
     """A module-level statement as (own names, nodes) pairs: the statement
-    under its own name, except that each method of a class, dunders
+    under its own name, or an assignment under the names it binds,
+    dunders excluded, except that each method of a class, dunders
     excluded, is a scope of its own under the class's and its own name."""
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        bound = {
+            n.id
+            for target in targets
+            for n in ast.walk(target)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and not _dunder(n.id)
+        }
+        return [(bound, [stmt])]
     own = getattr(stmt, "name", None)
     if not isinstance(stmt, ast.ClassDef):
         return [({own}, [stmt])]
     methods = [
         m
         for m in stmt.body
-        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (m.name.startswith("__") and m.name.endswith("__"))
+        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _dunder(m.name)
     ]
     rest = [s for s in stmt.body if s not in methods]
     rest += stmt.bases + stmt.keywords + stmt.decorator_list
@@ -80,9 +93,9 @@ def _scopes(stmt: ast.stmt) -> list[tuple[set[str], list[ast.AST]]]:
 
 
 def unreferenced_definitions(sources: dict[Path, str], package: Path) -> list[str]:
-    """Module-level functions and classes, and methods of those classes
-    other than dunders, defined under ``package`` that no source names
-    outside their own definition, sorted.
+    """Module-level functions, classes and assigned names, and methods of
+    those classes, dunders excluded, defined under ``package`` that no
+    source names outside their own definition, sorted.
 
     ``sources`` maps each path to its text.  A name counts where it is
     read as a plain name or as an attribute; being imported is not enough.
@@ -106,6 +119,12 @@ def test_unreferenced_detector():
     sources = {
         Path("pkg/a.py"): (
             "import os\n"
+            "__all__ = ['used']\n"
+            "USED_TABLE = {1: 2}\n"
+            "DEAD_TABLE = {1: 2}\n"
+            "SELF_READ: int = SELF_READ + 1\n"
+            "LEFT, RIGHT = 1, 2\n"
+            "USED_TABLE[3] = LEFT\n"
             "def used(): return os.sep\n"
             "def recursive(n): return recursive(n - 1)\n"
             "class Dead: pass\n"
@@ -126,7 +145,7 @@ def test_unreferenced_detector():
         ),
     }
     assert unreferenced_definitions(sources, Path("pkg")) == [
-        "Dead", "dead_method", "recursive",
+        "DEAD_TABLE", "Dead", "RIGHT", "SELF_READ", "dead_method", "recursive",
     ]
 
 

@@ -33,6 +33,7 @@ from .oracles import (
     greedy_simplify_stepwise,
     jones_bruteforce,
     r2_additions_bruteforce,
+    r3_moves_bruteforce,
     removals_bruteforce,
     replay_removals,
 )
@@ -164,6 +165,33 @@ class TestRemovalsOracle:
     def test_braid_closures_with_free_loops(self, word, loops):
         d = braid_closure(word).disjoint_union(OrientedLinkDiagram.unknot(loops))
         assert _removals(d) == removals_bruteforce(d)
+
+
+class TestR3Oracle:
+    """Triangles found on dart codes and slid on the per-dart label array
+    give the moves (kinds, sites, results) that edge labels, brute-force
+    faces and an updated crossing list give, in the same order."""
+
+    def test_corpus_members(self):
+        found = 0
+        for tag, d in _small_corpus_members():
+            want = r3_moves_bruteforce(d)
+            assert list(r3_moves(d)) == want, tag
+            found += len(want)
+        assert found
+
+    def test_seeded_walks(self):
+        for tag, d in _small_corpus_members():
+            rng = random.Random(tag)
+            for step in range(3):
+                d = parse_pd(serialize(rng.choice(reidemeister_moves(d)).result))
+                assert list(r3_moves(d)) == r3_moves_bruteforce(d), (tag, step)
+
+    @given(braid_words(), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_braid_closures_with_free_loops(self, word, loops):
+        d = braid_closure(word).disjoint_union(OrientedLinkDiagram.unknot(loops))
+        assert list(r3_moves(d)) == r3_moves_bruteforce(d)
 
 
 class TestLazyResults:
