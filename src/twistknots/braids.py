@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Sequence
 
-from .diagram import DiagramError, OrientedLinkDiagram, _label_map
+from .diagram import DiagramError, OrientedLinkDiagram
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ class BraidWord:
 
 def torus_braid(p: int, q: int) -> BraidWord:
     """(sigma_1 ... sigma_{q-1})^p on q strands; closure is T(p, q)."""
-    if q < 1:
-        raise DiagramError("torus braid needs q >= 1")
+    if not (type(p) is int and type(q) is int and p >= 0 and q >= 1):
+        raise DiagramError(f"torus braid needs ints p >= 0 and q >= 1, got ({p!r}, {q!r})")
     row = tuple((i, 1) for i in range(1, q))
     return BraidWord(q, row * p)
 
@@ -179,17 +179,20 @@ def braid_closure_with_arcs(
 ) -> tuple[OrientedLinkDiagram, list[int]]:
     """Closure plus, per lane, the edge label of its closure arc.
 
-    Lanes whose strand meets no crossing close into free loops and report
-    ``-1`` (they own no edge).
+    Each arc's label is read in the built diagram, from the crossing slot
+    that held the lane's bottom label, found through ``from_raw``'s index
+    map.  Lanes whose strand meets no crossing close into free loops and
+    report ``-1`` (they own no edge).
     """
     n = word.strands
     fresh = count(0)
     bottom = [next(fresh) for _ in range(n)]
     raw = braid_strand_crossings(word.letters, bottom, bottom, [True] * n, fresh)
-    edges = [e for e, _ in raw]
-    # each lane's arc keeps its bottom label, as construction relabels it; an
-    # untouched lane's label is on no crossing, and it closes into a free loop
-    remap = _label_map(edges) or {e: e for row in edges for e in row}
-    arcs = [remap.get(b, -1) for b in bottom]
-    d, _ = OrientedLinkDiagram.from_raw(raw, arcs.count(-1))
-    return d, arcs
+    # a lane no letter touches keeps a label on no crossing: a free loop
+    lanes = {j for i, _ in word.letters for j in (i - 1, i)}
+    d, index_map = OrientedLinkDiagram.from_raw(raw, n - len(lanes))
+    # each lane's arc keeps its bottom label: read it in the crossing slot
+    label = {}
+    for (row, _), i in zip(raw, index_map):
+        label.update(zip(row, d.crossings[i].edges))
+    return d, [label.get(b, -1) for b in bottom]

@@ -26,7 +26,7 @@ from importlib import resources
 
 from .braids import BraidWord, braid_closure_with_arcs, torus_braid
 from .diagram import parse_pd
-from .families import TwistFamily, family_from_json_dict
+from .families import FamilyError, TwistFamily, family_from_json_dict
 
 # two positive curls on a circle; loop edges 1 and 2, connectors 0 and 3
 _DOUBLE_CURL = "X+[0,3,2,2] X+[3,0,1,1]\nO[0,2,3,1]"
@@ -49,6 +49,8 @@ def chain_family(strands: int, name: str = "") -> TwistFamily:
     Hopf-linked circles, one per strand, so every winding value from 2
     up is available with a small base.
     """
+    if type(strands) is not int or strands < 2:
+        raise FamilyError(f"chain family needs an int >= 2 of strands, got {strands!r}")
     word = BraidWord(
         strands, tuple((i, 1) for i in range(1, strands) for _ in range(2))
     )

@@ -18,18 +18,25 @@ dense integers ``0..E-1`` and crossings are sorted lexicographically,
 which makes the textual normal form round-trip bit-exact.  Inputs whose
 labels are already exactly the ints ``{0..E-1}`` keep them, so
 re-parsing a serialized diagram reproduces it identically; any other
-labels, bools included, are renamed by first appearance.
+labels, bools included, are renamed by first appearance.  ``_label_map``
+alone decides this, once per construction: the constructor relabels its
+``Crossing`` rows only when needed and sorts them by edges, and
+``from_raw`` relabels and argsorts raw ``(edges, sign)`` rows through
+``raw_order`` and builds each ``Crossing`` in its sorted place.  Code
+that reads raw labels afterwards (``from_json_dict``, braid closure
+arcs) finds each one in its crossing slot through the index map.
 
-Every construction runs one validating pass.  It fills each edge's tail
-and head dart and its successor along the strand, and refuses an edge
-that lacks one tail and one head.  It then follows the strands to number
-the components, and walks the faces on a dart mate array.  Split
-diagrams are first class.  Non-planar inputs (PD codes with no
-realization in the plane) are refused by one Euler characteristic
-count over all connected pieces at once: F = V + 2 * pieces.  The
-pieces are counted by a union over components, each crossing joining
-the components of its under- and over-strand; the message naming the
-first failing piece is only worked out when the count fails.
+Both end in one index step, which runs one validating pass.  It fills
+each edge's tail and head dart and its successor along the strand, and
+refuses an edge that lacks one tail and one head.  It then follows the
+strands to number the components, and walks the faces on a dart mate
+array.  Split diagrams are first class.  Non-planar inputs (PD codes
+with no realization in the plane) are refused by one Euler
+characteristic count over all connected pieces at once:
+F = V + 2 * pieces.  The pieces are counted by a union over components,
+each crossing joining the components of its under- and over-strand; the
+message naming the first failing piece is only worked out when the
+count fails.
 
 The pass leaves an edge index on the diagram: each edge's tail dart,
 head dart and component, and each dart's face (``_face_of``, faces
@@ -75,13 +82,15 @@ class Crossing:
     sign: int
 
     def __post_init__(self):
+        if type(self.edges) is not tuple:
+            if not isinstance(self.edges, (tuple, list)):
+                raise DiagramError(f"crossing edges must be a tuple or list, got {self.edges!r}")
+            object.__setattr__(self, "edges", tuple(self.edges))
         if len(self.edges) != 4:
             raise DiagramError("crossing needs exactly 4 edges")
         # an int, so that to_json writes what from_json reads back
         if type(self.sign) is not int or self.sign not in (1, -1):
             raise DiagramError(f"crossing sign must be the int +1 or -1, got {self.sign!r}")
-        if type(self.edges) is not tuple:
-            object.__setattr__(self, "edges", tuple(self.edges))
 
 
 # per sign, whether each slot's edge points into the crossing
@@ -111,11 +120,30 @@ class OrientedLinkDiagram:
     _face_of: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        try:
+            crossings = tuple(self.crossings)
+        except TypeError:
+            raise DiagramError("diagram crossings must be a sequence of Crossing") from None
+        if not set(map(type, crossings)) <= {Crossing}:
+            raise DiagramError("diagram crossings must be Crossing objects; raw rows go to from_raw")
+        remap = _label_map(map(_EDGES, crossings))
+        if remap is not None:
+            crossings = tuple(
+                Crossing(tuple(map(remap.__getitem__, c.edges)), c.sign) for c in crossings
+            )
+        # two crossings with the same edges give an edge two heads, which
+        # _validate refuses in either order, so the sign needs no place in
+        # the sort key
+        self._index(tuple(sorted(crossings, key=_EDGES)), self.free_loops)
+
+    def _index(self, crossings: tuple[Crossing, ...], free_loops: int) -> None:
+        """The index step: keep the crossings, already in normal form, and
+        the free loops, and fill the edge index from one validating pass."""
         # an int, so that to_json writes what from_json reads back
-        if type(self.free_loops) is not int or self.free_loops < 0:
-            raise DiagramError(f"free_loops must be an int >= 0, got {self.free_loops!r}")
-        crossings = _normalized(self.crossings)
+        if type(free_loops) is not int or free_loops < 0:
+            raise DiagramError(f"free_loops must be an int >= 0, got {free_loops!r}")
         object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "free_loops", free_loops)
         tail, head, comp, cycles, face_of = _validate(crossings)
         object.__setattr__(self, "_tail", tail)
         object.__setattr__(self, "_head", head)
@@ -140,13 +168,14 @@ class OrientedLinkDiagram:
         in ``diagram.crossings`` of the ``i``-th raw crossing.  Needed by
         operations that must address specific crossings after the
         normalizing sort.  The edge tuples are relabeled and sorted once
-        by ``raw_order`` and each ``Crossing`` is built once, in its
-        sorted place; the constructor then finds the labels dense and the
-        order sorted, and keeps both.
+        by ``raw_order``, each ``Crossing`` is built once, in its sorted
+        place, and the diagram goes straight to the index step; the
+        constructor's normalization does not run.
         """
         edges, order, index_map = raw_order(raw)
-        crossings = tuple(Crossing(edges[i], raw[i][1]) for i in order)
-        return cls(crossings, free_loops), index_map
+        d = object.__new__(cls)
+        d._index(tuple(Crossing(edges[i], raw[i][1]) for i in order), free_loops)
+        return d, index_map
 
     @property
     def n_crossings(self) -> int:
@@ -212,8 +241,8 @@ class OrientedLinkDiagram:
     def linking_number(self, i: int, j: int) -> int:
         """Half the signed count of crossings between components i and j."""
         n = self.n_components
-        if not (0 <= i < n and 0 <= j < n):
-            raise DiagramError(f"invalid component index ({i}, {j})")
+        if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
+            raise DiagramError(f"invalid component index ({i!r}, {j!r})")
         if i == j:
             raise DiagramError("linking number needs two distinct components")
         total = 0
@@ -276,15 +305,24 @@ class OrientedLinkDiagram:
             )
         if len(crossings) != len(signs):
             raise DiagramError("crossings and orientations length mismatch")
-        crossings = tuple(Crossing(tuple(e), s) for e, s in zip(crossings, signs))
-        d = cls(crossings, free_loops=sum(1 for c in comps or [] if not c))
+        d, index_map = cls.from_raw(
+            list(zip(crossings, signs)), sum(1 for c in comps or [] if not c)
+        )
         if comps is not None:
-            # read the labels as the constructor relabeled them
-            remap = _label_map(map(_EDGES, crossings)) or {e: e for e in d.edges}
-            want = sorted(sorted({remap.get(e, -1) for e in c}) for c in comps if c)
-            if want != sorted(sorted(set(c)) for c in d._components):
+            # read each label in its crossing slot of the normal form
+            label = {}
+            for row, i in zip(crossings, index_map):
+                label.update(zip(row, d.crossings[i].edges))
+            if not _same_components(d, [c for c in comps if c], label):
                 raise DiagramError("components field inconsistent with crossings")
         return d
+
+
+def _same_components(d: OrientedLinkDiagram, cycles, label: dict) -> bool:
+    """Whether the given edge cycles, each label read through ``label``,
+    are the components of ``d`` as edge sets."""
+    want = sorted(sorted({label.get(e, -1) for e in c}) for c in cycles)
+    return want == sorted(sorted(set(c)) for c in d._components)
 
 
 def _int_rows(rows) -> bool:
@@ -314,7 +352,10 @@ def _label_map(rows: Iterable[Sequence[int]]) -> dict | None:
     labels = [e for row in rows for e in row]
     if set(map(type, labels)) <= {int} and set(labels) == set(range(len(labels) // 2)):
         return None
-    return {e: i for i, e in enumerate(dict.fromkeys(labels))}
+    try:
+        return {e: i for i, e in enumerate(dict.fromkeys(labels))}
+    except TypeError:  # an unhashable label, a list say
+        raise DiagramError("edge labels must be hashable") from None
 
 
 def raw_order(
@@ -337,29 +378,6 @@ def raw_order(
     for position, i in enumerate(order):
         index_map[i] = position
     return edges, order, index_map
-
-
-def _normalize_labels(crossings: tuple[Crossing, ...]) -> tuple[Crossing, ...]:
-    remap = _label_map(map(_EDGES, crossings))
-    if remap is None:
-        return crossings
-    return tuple(Crossing(tuple(remap[e] for e in c.edges), c.sign) for c in crossings)
-
-
-def _normalized(crossings) -> tuple[Crossing, ...]:
-    """Crossings wrapped as ``Crossing``, relabeled and sorted by edges.
-
-    Two crossings with the same edges give an edge two heads, which the
-    validator refuses with the same message in either order, so the sign
-    needs no place in the sort key.
-    """
-    crossings = tuple(crossings)
-    if not set(map(type, crossings)) <= {Crossing}:
-        crossings = tuple(
-            c if isinstance(c, Crossing) else Crossing(tuple(c[0]), c[1])
-            for c in crossings
-        )
-    return tuple(sorted(_normalize_labels(crossings), key=_EDGES))
 
 
 def _validate(crossings: tuple[Crossing, ...]):
@@ -556,33 +574,22 @@ def structurally_equal(d1: OrientedLinkDiagram, d2: OrientedLinkDiagram) -> bool
         return True
     if sorted(c.sign for c in d1.crossings) != sorted(c.sign for c in d2.crossings):
         return False
-    for t0 in range(len(d2.crossings)):
-        if _try_match(d1, d2, t0):
-            return True
-    return False
+    mate1, mate2 = _mates(d1._tail, d1._head), _mates(d2._tail, d2._head)
+    return any(_try_match(d1, d2, mate1, mate2, t0) for t0 in range(len(d2.crossings)))
 
 
-def _try_match(d1, d2, t0) -> bool:
+def _try_match(d1, d2, mate1, mate2, t0) -> bool:
+    """Whether ``d1`` maps onto ``d2`` with crossing 0 sent to ``t0``: slot
+    for slot, signs and mates kept, which matches the edges one to one."""
     cmap = {0: t0}
-    emap: dict[int, int] = {}
     targets = {t0}
     queue = [0]
-    mate1, mate2 = _mates(d1._tail, d1._head), _mates(d2._tail, d2._head)
     while queue:
         ci = queue.pop()
         tj = cmap[ci]
-        c1, c2 = d1.crossings[ci], d2.crossings[tj]
-        if c1.sign != c2.sign:
+        if d1.crossings[ci].sign != d2.crossings[tj].sign:
             return False
         for s in range(4):
-            e1, e2 = c1.edges[s], c2.edges[s]
-            if e1 in emap:
-                if emap[e1] != e2:
-                    return False
-            else:
-                if e2 in emap.values():
-                    return False
-                emap[e1] = e2
             x, y = mate1[4 * ci + s], mate2[4 * tj + s]
             if x & 3 != y & 3:
                 return False
@@ -695,11 +702,8 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
     d = OrientedLinkDiagram(
         tuple(Crossing(t, s) for t, s in zip(tuples, signs)), free_loops
     )
-    if cycles:
-        want = sorted(sorted(set(remap.get(t, -1) for t in cyc)) for cyc in cycles)
-        have = sorted(sorted(set(c)) for c in d._components)
-        if want != have:
-            raise ParseError("orientation block inconsistent with crossings")
+    if cycles and not _same_components(d, cycles, remap):
+        raise ParseError("orientation block inconsistent with crossings")
     return d
 
 

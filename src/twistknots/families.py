@@ -282,7 +282,14 @@ def coherent_reduction(
     checks nothing.  So is an empty ``certificate_ns``, which checks no
     twist amount at all.
     """
-    certificate_ns = tuple(certificate_ns)
+    if type(certificate_limit) is not int:
+        raise FamilyError(f"certificate_limit must be an int, got {certificate_limit!r}")
+    try:
+        certificate_ns = tuple(certificate_ns)
+    except TypeError:
+        raise FamilyError(
+            f"certificate_ns must be a sequence of ints, got {certificate_ns!r}"
+        ) from None
     if not certificate_ns:
         raise FamilyError("coherent reduction needs at least one certificate twist amount")
     for n in certificate_ns:

@@ -114,6 +114,8 @@ def kauffman_bracket_jones(
 ) -> LaurentPolynomial:
     """Jones polynomial, unknot-normalized, in doubled-t exponents; a scan
     wider than ``limit`` open pairs raises ``LimitExceeded`` up front."""
+    if type(limit) is not int:
+        raise DiagramError(f"width budget must be an int, got {limit!r}")
     if d.n_components == 0:
         raise DiagramError("the empty diagram has no Jones polynomial")
     order, width = _scan_order(d)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import count, product
+from itertools import count, permutations, product
 
 from twistknots.braids import _closure_crossing
 from twistknots.diagram import (
@@ -374,6 +374,31 @@ def edge_index_bruteforce(d: OrientedLinkDiagram):
             ci, slot = heads[x]
             x = d.crossings[ci].edges[{0: 2, 1: 3, 3: 1}[slot]]
     return [(tails[e], heads[e], comp[e]) for e in sorted(tails)]
+
+
+def structurally_equal_bruteforce(d1: OrientedLinkDiagram, d2: OrientedLinkDiagram) -> bool:
+    """Equality up to renaming edges, by trying every bijection between
+    the crossings (at most 6 of them): each crossing must keep its sign,
+    and slot for slot the edges must rename one to one."""
+    if (d1.free_loops, d1.n_crossings) != (d2.free_loops, d2.n_crossings):
+        return False
+    assert d1.n_crossings <= 6, "the bijections are too many to try"
+    return any(
+        _renames(d1.crossings, [d2.crossings[j] for j in image])
+        for image in permutations(range(d2.n_crossings))
+    )
+
+
+def _renames(crossings1, crossings2) -> bool:
+    """Whether one edge renaming takes each crossing to its partner."""
+    rename = {}
+    for c1, c2 in zip(crossings1, crossings2):
+        if c1.sign != c2.sign:
+            return False
+        for e1, e2 in zip(c1.edges, c2.edges):
+            if rename.setdefault(e1, e2) != e2:
+                return False
+    return len(set(rename.values())) == len(rename)
 
 
 def faces_bruteforce(d: OrientedLinkDiagram) -> list[list[tuple[int, int]]]:
@@ -791,6 +816,24 @@ def planar_bruteforce(crossings) -> bool:
 
 _INCOMING = {1: (True, False, False, True), -1: (True, True, False, False)}
 _EXIT_OF_ENTRY = {0: 2, 1: 3, 3: 1}
+
+
+def normalized_reference(crossings) -> tuple[Crossing, ...]:
+    """Crossings in the normal form of the diagram constructor, worked out
+    on their own: labels that are exactly the ints ``0..E-1`` (bools
+    excluded) are kept, any others renamed by first appearance in slot
+    order, and the crossings are sorted by their edge tuples."""
+    crossings = list(crossings)
+    labels = [e for c in crossings for e in c.edges]
+    if not (
+        all(type(e) is int for e in labels)
+        and sorted(set(labels)) == list(range(len(labels) // 2))
+    ):
+        rank: dict = {}
+        for e in labels:
+            rank.setdefault(e, len(rank))
+        crossings = [Crossing(tuple(rank[e] for e in c.edges), c.sign) for c in crossings]
+    return tuple(sorted(crossings, key=lambda c: c.edges))
 
 
 def validate_reference(crossings):

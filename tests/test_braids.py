@@ -36,6 +36,12 @@ class TestBraidWord:
     def test_list_letters_are_kept_as_tuples(self):
         assert BraidWord(3, [[1, 1], (2, -1)]).letters == ((1, 1), (2, -1))
 
+    @pytest.mark.parametrize("p, q", [(2, 1.5), (1.5, 2), (True, 2), (2, "3"), (-1, 2), (2, 0)])
+    def test_torus_braid_needs_int_p_and_q(self, p, q):
+        # the floats raised a bare TypeError before, and p = -1 gave the empty word
+        with pytest.raises(DiagramError, match="torus braid"):
+            torus_braid(p, q)
+
     def test_torus_braid_shape(self):
         w = torus_braid(4, 3)
         assert w.strands == 3

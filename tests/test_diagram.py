@@ -13,7 +13,6 @@ from twistknots.diagram import (
     OrientedLinkDiagram,
     ParseError,
     _mates,
-    _normalized,
     from_json,
     parse_pd,
     serialize,
@@ -26,7 +25,9 @@ from twistknots.moves import reidemeister_moves
 from .oracles import (
     edge_index_bruteforce,
     faces_bruteforce,
+    normalized_reference,
     planar_bruteforce,
+    structurally_equal_bruteforce,
     validate_reference,
 )
 
@@ -194,6 +195,23 @@ class TestRoundTrip:
         with pytest.raises(DiagramError, match="sign"):
             Crossing((0, 1, 1, 0), sign)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: OrientedLinkDiagram(None), "sequence of Crossing"),
+            (lambda: OrientedLinkDiagram("abc"), "must be Crossing objects"),
+            (lambda: OrientedLinkDiagram((((0, 1, 1, 0), -1),)), "must be Crossing objects"),
+            (lambda: Crossing(5, 1), "tuple or list"),
+            (lambda: Crossing("0110", 1), "tuple or list"),
+            (lambda: OrientedLinkDiagram((Crossing(([0], [1], [1], [0]), -1),)), "hashable"),
+            (lambda: OrientedLinkDiagram.from_raw([([[0], [1], [1], [0]], -1)]), "hashable"),
+        ],
+    )
+    def test_bad_arguments_raise_diagram_error(self, make, message):
+        # each raised a bare TypeError or IndexError before
+        with pytest.raises(DiagramError, match=message):
+            make()
+
     @pytest.mark.parametrize("loops", [1.5, 1.0, True, "1", None, -1])
     def test_free_loops_must_be_a_nonnegative_int(self, loops):
         # 1.5 was kept, and to_json then raised a bare TypeError
@@ -234,6 +252,13 @@ class TestLinking:
             hopf_positive.linking_number(0, 2)
         with pytest.raises(DiagramError):
             hopf_positive.linking_number(0, 0)
+
+    @pytest.mark.parametrize("index", [1.0, True, "1", None, -1, 2])
+    def test_index_must_be_an_int_in_range(self, hopf_positive, index):
+        # 1.0 and True read component 1 before, and "1" raised a TypeError
+        for i, j in ((index, 0), (0, index)):
+            with pytest.raises(DiagramError, match="invalid component index"):
+                hopf_positive.linking_number(i, j)
 
 
 class TestChangeCrossing:
@@ -277,6 +302,20 @@ class TestStructure:
 
     def test_not_equal_to_mirror(self, trefoil_right):
         assert not structurally_equal(trefoil_right, trefoil_right.mirror())
+
+    @pytest.mark.parametrize(
+        "word, other, equal",
+        [
+            ([1, 2, -1, 2], [2, 1, 2, -1], True),  # a cyclic rotation
+            ([1, 2, 1, -2], [1, -2, 1, 2], True),
+            ([1, 1, 2, -2], [1, 2, 1, -2], False),  # same signs, other diagram
+        ],
+    )
+    def test_reordered_letters(self, word, other, equal):
+        d1 = braid_closure(BraidWord.from_ints(3, word))
+        d2 = braid_closure(BraidWord.from_ints(3, other))
+        assert structurally_equal(d1, d2) == equal
+        assert structurally_equal_bruteforce(d1, d2) == equal
 
     def test_disjoint_union_counts(self, trefoil_right, hopf_positive):
         u = trefoil_right.disjoint_union(hopf_positive)
@@ -327,6 +366,41 @@ def braid_words(draw, max_strands=4, max_len=7):
     return BraidWord(strands, tuple(letters))
 
 
+class TestStructuralEquality:
+    """``structurally_equal`` against trying every crossing bijection."""
+
+    @given(braid_words(max_len=6), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_structurally_equal_matches_bruteforce(self, word, data):
+        d = braid_closure(word)
+        # the same letters in another order: equal or not, signs alike
+        letters = data.draw(st.permutations(word.letters))
+        others = [braid_closure(BraidWord(word.strands, tuple(letters)))]
+        # a relabeled copy with its crossings shuffled, always equal
+        names = data.draw(st.permutations(range(2 * d.n_crossings)))
+        offset = data.draw(st.sampled_from((0, 7)))
+        raw = [(tuple(offset + names[e] for e in c.edges), c.sign) for c in d.crossings]
+        copy, _ = OrientedLinkDiagram.from_raw(data.draw(st.permutations(raw)), d.free_loops)
+        assert structurally_equal(d, copy)
+        others += [copy, copy.change_crossing(data.draw(st.integers(0, d.n_crossings - 1)))]
+        for other in others:
+            want = structurally_equal_bruteforce(d, other)
+            assert structurally_equal(d, other) == want
+            assert structurally_equal(other, d) == want
+
+    @given(braid_words(max_len=3), braid_words(max_len=3), st.integers(0, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_split_diagrams_in_either_order(self, w1, w2, loops):
+        d1, d2 = braid_closure(w1), braid_closure(w2)
+        loop = OrientedLinkDiagram.unknot(loops)
+        a = d1.disjoint_union(d2).disjoint_union(loop)
+        b = loop.disjoint_union(d2).disjoint_union(d1)
+        assert structurally_equal(a, b)
+        assert structurally_equal_bruteforce(a, b)
+        c = d1.disjoint_union(d2.mirror()).disjoint_union(loop)
+        assert structurally_equal(a, c) == structurally_equal_bruteforce(a, c)
+
+
 class TestPlanarity:
     @given(oriented_codes(), st.lists(braid_words(), max_size=2))
     @settings(max_examples=150, deadline=None)
@@ -347,7 +421,7 @@ class TestPlanarity:
 def _check_against_reference(crossings, free_loops=0):
     """Construction agrees with the reference validator: the same edge
     index, dart mates and faces, or the same error class and message."""
-    norm = _normalized(crossings)
+    norm = normalized_reference(crossings)
     try:
         want = validate_reference(norm)
     except DiagramError as exc:

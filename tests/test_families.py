@@ -259,6 +259,19 @@ class TestCoherentReduction:
             with pytest.raises(FamilyError, match="must be an int"):
                 coherent_reduction(f, certificate_ns=(1, amount))
 
+    @pytest.mark.parametrize("limit", [None, "x", 1.5, True])
+    def test_certificate_limit_must_be_an_int(self, limit):
+        # checked up front, also on a family that needs no certificate;
+        # 1.5 was accepted and None or "x" raised a bare TypeError
+        for f in (whitehead_family(), torus_family(3, 2)):
+            with pytest.raises(FamilyError, match="certificate_limit"):
+                coherent_reduction(f, certificate_limit=limit)
+
+    @pytest.mark.parametrize("ns", [5, None])
+    def test_certificate_amounts_must_be_a_sequence(self, ns):
+        with pytest.raises(FamilyError, match="sequence of ints"):
+            coherent_reduction(whitehead_family(), certificate_ns=ns)
+
     def test_winding_preserved(self):
         for fam in (whitehead_family(), mazur_family()):
             red = coherent_reduction(fam)
@@ -326,6 +339,12 @@ class TestMirrorFamily:
 
 
 class TestCorpusFiles:
+    @pytest.mark.parametrize("strands", [1.5, "3", True, 1, 0])
+    def test_chain_family_needs_two_int_strands(self, strands):
+        # 1.5 raised a bare TypeError, and 1 named the edge -1
+        with pytest.raises(FamilyError, match="chain family needs an int >= 2"):
+            chain_family(strands)
+
     def test_load_matches_builders(self):
         loaded = load_corpus()
         built = built_families()

@@ -92,27 +92,60 @@ def _scopes(stmt: ast.stmt) -> list[tuple[set[str], list[ast.AST]]]:
     return [({own}, rest)] + [({own, m.name}, [m]) for m in methods]
 
 
+def _module_name(path: Path, package: Path) -> str | None:
+    """The dotted name of a module under ``package``, else None."""
+    if not path.is_relative_to(package):
+        return None
+    return ".".join((package.name, *path.relative_to(package).with_suffix("").parts))
+
+
+def _import_origins(tree: ast.Module, module: str | None) -> dict[str, tuple]:
+    """Each name a ``from ... import`` binds, to the module it comes from
+    and its name there; relative imports are resolved within the package."""
+    origins = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module
+            if node.level and module is not None:
+                base = module.split(".")[: -node.level]
+                source = ".".join(base + [node.module] if node.module else base)
+            for alias in node.names:
+                origins[alias.asname or alias.name] = (source, alias.name)
+    return origins
+
+
 def unreferenced_definitions(sources: dict[Path, str], package: Path) -> list[str]:
     """Module-level functions, classes and assigned names, and methods of
     those classes, dunders excluded, defined under ``package`` that no
     source names outside their own definition, sorted.
 
-    ``sources`` maps each path to its text.  A name counts where it is
-    read as a plain name or as an attribute; being imported is not enough.
+    ``sources`` maps each path to its text.  A definition of module M
+    counts as named where M reads it as a plain name, where a source that
+    imports it from M reads it, or where any source reads it as an
+    attribute.  Being imported is not enough, and neither is a read of
+    the same name in a source that does not import it from M.
     """
-    defined: set[str] = set()
-    named: set[str] = set()
+    defined: set[tuple[str, str]] = set()
+    named: set[tuple[str | None, str]] = set()
+    attributes: set[str] = set()
     for path, source in sources.items():
-        for stmt in ast.parse(source).body:
+        tree = ast.parse(source)
+        module = _module_name(path, package)
+        origins = _import_origins(tree, module)
+        for stmt in tree.body:
             for own, nodes in _scopes(stmt):
-                if path.is_relative_to(package):
-                    defined.update(own - {None})
+                if module is not None:
+                    defined.update((module, name) for name in own - {None})
                 for node in (n for top in nodes for n in ast.walk(top)):
                     if isinstance(node, ast.Name) and node.id not in own:
-                        named.add(node.id)
+                        named.add(origins.get(node.id, (module, node.id)))
                     elif isinstance(node, ast.Attribute) and node.attr not in own:
-                        named.add(node.attr)
-    return sorted(defined - named)
+                        attributes.add(node.attr)
+    return sorted(
+        name
+        for module, name in defined
+        if (module, name) not in named and name not in attributes
+    )
 
 
 def test_unreferenced_detector():
@@ -134,18 +167,32 @@ def test_unreferenced_detector():
             "    def from_init(self): pass\n"
             "    def called(self): return Live\n"
             "    def dead_method(self): return self.dead_method()\n"
+            "SHADOWED = {2: 0}\n"
+            "FROM_SIBLING = 1\n"
+            "def renamed(): pass\n"
+        ),
+        Path("pkg/b.py"): (
+            "from .a import FROM_SIBLING\n"
+            "LOCAL = FROM_SIBLING + 1\n"
+            "def reads_local(): return LOCAL\n"
         ),
         Path("tests/t.py"): (
-            "from pkg.a import used, Dead, Live\n"
+            "from pkg.a import used, Dead, Live, renamed as r\n"
+            "from pkg.b import reads_local\n"
             "used()\n"
+            "r()\n"
+            "reads_local()\n"
             "os.method_named\n"
             "Live().called()\n"
             "class TestLive:\n"
             "    def helper(self): pass\n"
+            # a name of its own: no read of pkg.a's SHADOWED
+            "SHADOWED = {2: 0}\n"
+            "SHADOWED[3] = 1\n"
         ),
     }
     assert unreferenced_definitions(sources, Path("pkg")) == [
-        "DEAD_TABLE", "Dead", "RIGHT", "SELF_READ", "dead_method", "recursive",
+        "DEAD_TABLE", "Dead", "RIGHT", "SELF_READ", "SHADOWED", "dead_method", "recursive",
     ]
 
 

@@ -11,6 +11,7 @@ from twistknots import invariants
 from twistknots.braids import BraidWord, braid_closure, torus_braid
 from twistknots.corpus import load_corpus
 from twistknots.diagram import (
+    DiagramError,
     OrientedLinkDiagram,
     _subdiagram,
     parse_pd,
@@ -68,6 +69,12 @@ class TestJones:
         with pytest.raises(LimitExceeded):
             kauffman_bracket_jones(trefoil_right, limit=1)
         assert kauffman_bracket_jones(trefoil_right, limit=2) == JONES_TREFOIL_RIGHT
+
+    @pytest.mark.parametrize("limit", [None, "2", 2.0, True])
+    def test_limit_must_be_an_int(self, trefoil_right, limit):
+        # None and "2" raised a bare TypeError before
+        with pytest.raises(DiagramError, match="width budget must be an int"):
+            kauffman_bracket_jones(trefoil_right, limit=limit)
 
     def test_matches_bruteforce_on_small_braids(self):
         rng = random.Random(7)
