@@ -12,7 +12,10 @@ n = 13, 40, ``whitehead`` at n = 30 and ``wind3_wrap9`` at n = 10, and
 untwist sites of ``twist(chain_4, n)`` changed) at n = 10, 50, 100,
 ``invariants._scan_order`` on ``twist(wind3_wrap9, n)`` at n = 10, 30,
 ``invariants.signature`` on ``twist(chain_4, n)`` at n = 13, 26, 52
-and ``twist(torus_q3, n)`` at n = 13, 40, ``invariants.kauffman_bracket_jones``
+and ``twist(torus_q3, n)`` at n = 13, 40, and on two split diagrams: three
+copies of ``twist(chain_4, 13)`` side by side (486 crossings) and
+``twist(wind3_wrap9, 0)`` (3 pieces), ``diagram.structurally_equal`` of
+that union and a relabelled, shuffled copy, ``invariants.kauffman_bracket_jones``
 on ``twist(wind3_wrap9, n)`` at n = 1, 10, 30, ``twist(whitehead, 30)``,
 ``twist(largewrap_w0_p4, 7)``, ``twist(torus_q3, 12)`` and the closed full
 twist on 8 strands, and ``moves.reidemeister_moves`` on
@@ -26,7 +29,10 @@ row nonzeros of the elimination or the scan's width and state updates,
 read from their DEBUG records, or the moves out, each result one built
 and validated diagram), the number of calls timed (``REPEATS``,
 ``TWIST_REPEATS`` for the twist layer, ``JONES_REPEATS`` for the scan,
-``MOVE_REPEATS`` for moves) and their median seconds.  A scan row also
+``MOVE_REPEATS`` for moves, ``SPLIT_REPEATS`` for the split diagrams)
+and their median seconds.  A split signature row also holds
+``records_per_call``, the DEBUG records one call logs, and reads its
+white faces and peak from the last one.  A scan row also
 holds ``peak_kib``, the peak Python heap of one more call, untimed, under
 ``tracemalloc``.  A
 move row times the enumeration plus a read of every result, so its
@@ -46,6 +52,7 @@ import logging
 import os
 import pathlib
 import platform
+import random
 import statistics
 import sys
 import time
@@ -57,6 +64,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from twistknots import invariants, moves
 from twistknots.braids import braid_closure, torus_braid
 from twistknots.corpus import chain_family, load_corpus
+from twistknots.diagram import OrientedLinkDiagram, structurally_equal
 from twistknots.families import twist, untwist_schedule
 
 REPEATS = 3
@@ -67,6 +75,8 @@ JONES_REPEATS = 11
 MOVE_REPEATS = 51
 # so does a twist or an untwist schedule
 TWIST_REPEATS = 21
+# and a signature or a structural comparison of a split diagram
+SPLIT_REPEATS = 21
 
 
 def timed(fn, arg, repeats=REPEATS):
@@ -173,6 +183,34 @@ def rows():
             "repeats": REPEATS,
             "s": round(secs, 4),
         }
+    member = twist(chain, 13)
+    union = member.disjoint_union(member).disjoint_union(member)
+    for tag, d in (("3 x chain_4 n=13", union), ("wind3_wrap9 n=0", twist(corpus["wind3_wrap9"], 0))):
+        records.clear()
+        _, secs = timed(invariants.signature, d, SPLIT_REPEATS)
+        yield {
+            "layer": "invariants.signature",
+            "input": f"{tag}, split",
+            "crossings": d.n_crossings,
+            "white_faces": records[-1].args[1],
+            "peak_row_nonzeros": records[-1].args[4],
+            "records_per_call": len(records) // SPLIT_REPEATS,
+            "repeats": SPLIT_REPEATS,
+            "s": round(secs, 5),
+        }
+    shuffle = random.Random(1)
+    names = shuffle.sample(range(2 * union.n_crossings), 2 * union.n_crossings)
+    raw = [(tuple(names[e] for e in c.edges), c.sign) for c in union.crossings]
+    copy, _ = OrientedLinkDiagram.from_raw(shuffle.sample(raw, len(raw)))
+    equal, secs = timed(partial(structurally_equal, union), copy, SPLIT_REPEATS)
+    yield {
+        "layer": "diagram.structurally_equal",
+        "input": "3 x chain_4 n=13, split, against a relabelled shuffled copy",
+        "crossings": union.n_crossings,
+        "equal": equal,
+        "repeats": SPLIT_REPEATS,
+        "s": round(secs, 5),
+    }
     scans = [(f"{name} n={n}", twist(corpus[name], n), repeats) for name, n, repeats in (
         ("wind3_wrap9", 1, JONES_REPEATS), ("wind3_wrap9", 10, REPEATS),
         ("wind3_wrap9", 30, REPEATS), ("whitehead", 30, JONES_REPEATS),

@@ -101,22 +101,13 @@ def _closure_crossing(sgn, a_up, b_up, lo, hi, new_lo, new_hi) -> tuple[tuple, i
     (hi, new_lo).
     """
     sw, se, nw, ne = lo, hi, new_lo, new_hi
+    # the under-strand, lane i+1's for a positive letter and lane i's for a
+    # negative one, picks the port at slot 0; opposite strands flip the sign
     if sgn > 0:
-        if a_up and b_up:
-            return (se, ne, nw, sw), +1
-        if a_up and not b_up:
-            return (nw, sw, se, ne), -1
-        if not a_up and b_up:
-            return (se, ne, nw, sw), -1
-        return (nw, sw, se, ne), +1
+        edges = (se, ne, nw, sw) if b_up else (nw, sw, se, ne)
     else:
-        if a_up and b_up:
-            return (sw, se, ne, nw), -1
-        if a_up and not b_up:
-            return (sw, se, ne, nw), +1
-        if not a_up and b_up:
-            return (ne, nw, sw, se), +1
-        return (ne, nw, sw, se), -1
+        edges = (sw, se, ne, nw) if a_up else (ne, nw, sw, se)
+    return edges, sgn if a_up == b_up else -sgn
 
 
 def braid_strand_crossings(

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -72,6 +73,15 @@ class ParseError(DiagramError):
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message if position is None else f"{message} (at offset {position})")
         self.position = position
+
+
+def _debug(logger: str, message: str, *args) -> None:
+    """Log a DEBUG record on ``logger``, if the program imported
+    ``logging``: only such a program can have a handler for it, so the
+    library never imports it and ``import twistknots`` stays light."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(logger).debug(message, *args)
 
 
 @dataclass(frozen=True)
@@ -565,55 +575,64 @@ def _planarity_error(crossings, comp, n_components, face_of) -> DiagramError:
 
 
 def structurally_equal(d1: OrientedLinkDiagram, d2: OrientedLinkDiagram) -> bool:
-    """Equality up to renaming edges (slots and signs must match rigidly)."""
+    """Equality up to renaming edges (slots and signs must match rigidly).
+    Each piece of ``d1``, from its least crossing, maps onto the first
+    unused crossing of ``d2`` that takes it; greedy is exact, as a piece
+    that maps onto two unused pieces of ``d2`` makes them equal."""
     if d1.free_loops != d2.free_loops:
         return False
     if len(d1.crossings) != len(d2.crossings):
         return False
-    if not d1.crossings:
-        return True
     if sorted(c.sign for c in d1.crossings) != sorted(c.sign for c in d2.crossings):
         return False
     mate1, mate2 = _mates(d1._tail, d1._head), _mates(d2._tail, d2._head)
-    return any(_try_match(d1, d2, mate1, mate2, t0) for t0 in range(len(d2.crossings)))
+    n = len(d1.crossings)
+    matched = [False] * n
+    used = [False] * n
+    for c0 in range(n):
+        if matched[c0]:
+            continue
+        for t0 in range(n):
+            cmap = _try_match(d1, d2, mate1, mate2, c0, t0, used)
+            if cmap is not None:
+                break
+        else:
+            return False
+        for ci, tj in cmap.items():
+            matched[ci] = used[tj] = True
+    return True
 
 
-def _try_match(d1, d2, mate1, mate2, t0) -> bool:
-    """Whether ``d1`` maps onto ``d2`` with crossing 0 sent to ``t0``: slot
-    for slot, signs and mates kept, which matches the edges one to one."""
-    cmap = {0: t0}
+def _try_match(d1, d2, mate1, mate2, c0, t0, used) -> dict[int, int] | None:
+    """The map of the piece of ``d1`` through crossing ``c0`` into the
+    crossings of ``d2`` not ``used``, with ``c0`` sent to ``t0``: slot
+    for slot, signs and mates kept, which matches the edges one to one.
+    ``None`` if there is none."""
+    if used[t0]:
+        return None
+    cmap = {c0: t0}
     targets = {t0}
-    queue = [0]
+    queue = [c0]
     while queue:
         ci = queue.pop()
         tj = cmap[ci]
         if d1.crossings[ci].sign != d2.crossings[tj].sign:
-            return False
+            return None
         for s in range(4):
             x, y = mate1[4 * ci + s], mate2[4 * tj + s]
             if x & 3 != y & 3:
-                return False
+                return None
             oc, od = x >> 2, y >> 2
             if oc in cmap:
                 if cmap[oc] != od:
-                    return False
-            elif od in targets:
-                return False
+                    return None
+            elif od in targets or used[od]:
+                return None
             else:
                 cmap[oc] = od
                 targets.add(od)
                 queue.append(oc)
-    if len(cmap) == len(d1.crossings):
-        return True
-    rest1 = [i for i in range(len(d1.crossings)) if i not in cmap]
-    rest2 = [i for i in range(len(d2.crossings)) if i not in targets]
-    return structurally_equal(_subdiagram(d1, rest1), _subdiagram(d2, rest2))
-
-
-def _subdiagram(d, indices):
-    return OrientedLinkDiagram(
-        tuple(d.crossings[i] for i in indices), free_loops=0
-    )
+    return cmap
 
 
 # -- text serialization -------------------------------------------------------

@@ -20,22 +20,17 @@ coloring with its orientation correction term.  The form is kept as
 sparse rows, one per white face, and eliminated fraction-free in exact
 integers, least-degree row first; each row is rescaled only when a pivot
 meets it, so on a long narrow diagram, whose form is banded, the cost
-grows about linearly in the crossings.
+grows about linearly in the crossings.  A split diagram gets one form
+over all its faces, one block per piece, with one white face left out
+per piece.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 
-from .diagram import (
-    DiagramError,
-    OrientedLinkDiagram,
-    _mates,
-    _piece_of_component,
-    _subdiagram,
-)
+from .diagram import DiagramError, OrientedLinkDiagram, _debug, _mates
 from .polynomials import LaurentPolynomial
 
 # most open pairs a scan may keep; cost grows like the Catalan number of the
@@ -228,14 +223,10 @@ def _bracket_with_loops(d, order, width) -> tuple[int, list[int]]:
     # the repack left no low zero digit and times delta keeps the lowest
     # one nonzero, so this is trimmed at both ends
     coeffs = _digits(v, bits)
-    # only a program that imported logging can have a handler for this
-    # record, so the scan never imports it and `import twistknots` stays light
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger(__name__).debug(
-            "bracket scan: %d crossings, peak %d open pairs, %d state updates, %.3f s",
-            len(d.crossings), width, updates, time.perf_counter() - start,
-        )
+    _debug(
+        __name__, "bracket scan: %d crossings, peak %d open pairs, %d state updates, %.3f s",
+        len(d.crossings), width, updates, time.perf_counter() - start,
+    )
     return lo, coeffs
 
 
@@ -332,50 +323,31 @@ def unlink_jones(n_components: int) -> LaurentPolynomial:
 def signature(d: OrientedLinkDiagram) -> int:
     """Signature of the link via the Goeritz form with orientation
     correction; fixed so the right trefoil gives -2.  A split diagram
-    gets the sum over its pieces, free loops adding 0."""
+    gets one block per piece in one form, free loops adding 0."""
     if not d.crossings:
         return 0
-    pieces = _pieces(d)
-    if len(pieces) == 1:
-        return _piece_signature(d)  # free loops add 0
-    return sum(_piece_signature(_subdiagram(d, p)) for p in pieces)
-
-
-def _pieces(d: OrientedLinkDiagram) -> list[list[int]]:
-    """The crossing indices of each connected piece, by least crossing."""
-    if len(d._components) == 1:
-        return [list(range(len(d.crossings)))]
-    comp = d._comp
-    root = _piece_of_component(d.crossings, comp, len(d._components))
-    pieces: dict[int, list[int]] = {}
-    for ci, c in enumerate(d.crossings):
-        pieces.setdefault(root[comp[c.edges[0]]], []).append(ci)
-    return list(pieces.values())
-
-
-def _piece_signature(d: OrientedLinkDiagram) -> int:
     start = time.perf_counter()
-    rows, mu = _goeritz(d)
+    rows, mu, piece = _goeritz(d)
     whites = len(rows)
-    _leave_out(rows)
+    _leave_out(rows, piece)
     sig, pivots, congruences, peak = _sparse_signature(rows)
-    logging = sys.modules.get("logging")  # see _bracket_with_loops
-    if logging is not None:
-        logging.getLogger(__name__).debug(
-            "signature: %d crossings, %d white faces, %d pivots, "
-            "%d congruence steps, peak %d row nonzeros, %.3f s",
-            len(d.crossings), whites, pivots, congruences, peak,
-            time.perf_counter() - start,
-        )
+    _debug(
+        __name__, "signature: %d crossings, %d white faces, %d pivots, "
+        "%d congruence steps, peak %d row nonzeros, %.3f s",
+        len(d.crossings), whites, pivots, congruences, peak, time.perf_counter() - start,
+    )
     return sig - mu
 
 
-def _goeritz(d: OrientedLinkDiagram) -> tuple[dict[int, dict[int, int]], int]:
-    """Goeritz matrix of a connected diagram as sparse rows keyed by white
-    face, zeros left out, and its orientation correction ``mu``."""
+def _goeritz(d: OrientedLinkDiagram) -> tuple[dict[int, dict[int, int]], int, list[int]]:
+    """Goeritz matrix of a diagram as sparse rows keyed by white face,
+    zeros left out, its orientation correction ``mu`` and each face's
+    piece.  A crossing's corners lie in one piece, so the matrix of a
+    split diagram is block-diagonal, one block per piece, and its
+    signature is the sum of theirs."""
     face_of = d._face_of
     n_faces = max(face_of) + 1
-    color = _checkerboard(d._tail, d._head, face_of, n_faces)
+    color, piece = _checkerboard(d._tail, d._head, face_of, n_faces)
     rows: dict[int, dict[int, int]] = {fi: {} for fi in range(n_faces) if color[fi] == 0}
     mu = 0
     for ci, c in enumerate(d.crossings):
@@ -394,23 +366,29 @@ def _goeritz(d: OrientedLinkDiagram) -> tuple[dict[int, dict[int, int]], int]:
                 row[u] = row.get(u, 0) + eta
     for fi, row in rows.items():
         rows[fi] = {fj: x for fj, x in row.items() if x}
-    return rows, mu
+    return rows, mu, piece
 
 
-def _leave_out(rows: dict[int, dict[int, int]], fi: int | None = None) -> None:
-    """Drop the row and column of white face ``fi``, by default the first
-    of largest degree.  Every row of the Goeritz matrix sums to zero, so
-    each choice leaves a congruent form; a hub face, kept, would fill in
-    every row it meets."""
-    if fi is None:
-        fi = max(rows, key=lambda f: len(rows[f]) - (f in rows[f]))
-    for fj in rows.pop(fi):
-        if fj != fi:
-            del rows[fj][fi]
+def _leave_out(rows: dict[int, dict[int, int]], piece: list[int]) -> None:
+    """Drop, in each piece, the row and column of its first white face of
+    largest degree.  Every row of a piece's block sums to zero, so each
+    choice leaves a congruent form; a hub face, kept, would fill in every
+    row it meets."""
+    hub: dict[int, int] = {}
+    # a stable sort: the first face of each degree stays first
+    for fi in sorted(rows, key=lambda f: len(rows[f]) - (f in rows[f]), reverse=True):
+        hub.setdefault(piece[fi], fi)
+    for fi in hub.values():
+        for fj in rows.pop(fi):
+            if fj != fi:
+                del rows[fj][fi]
 
 
-def _checkerboard(tail, head, face_of, n_faces) -> list[int]:
-    """Face colors 0/1 with the two sides of every edge apart, face 0 white."""
+def _checkerboard(tail, head, face_of, n_faces) -> tuple[list[int], list[int]]:
+    """Face colors 0/1 with the two sides of every edge apart, and each
+    face's piece, named by its least face.  Each component of the face
+    graph, one per piece of the diagram, is colored from its least face,
+    which is white."""
     adj: list[list[int]] = [[] for _ in range(n_faces)]
     for t, h in zip(tail, head):
         f1, f2 = face_of[t], face_of[h]
@@ -419,19 +397,22 @@ def _checkerboard(tail, head, face_of, n_faces) -> list[int]:
         adj[f1].append(f2)
         adj[f2].append(f1)
     color = [-1] * n_faces
-    color[0] = 0
-    queue = [0]
-    while queue:
-        f = queue.pop()
-        for g in adj[f]:
-            if color[g] == -1:
-                color[g] = 1 - color[f]
-                queue.append(g)
-            elif color[g] == color[f]:
-                raise AssertionError("face graph not bipartite")
-    if -1 in color:
-        raise AssertionError("face graph not connected; pieces go one at a time")
-    return color
+    piece = list(range(n_faces))
+    for root in range(n_faces):
+        if color[root] >= 0:
+            continue
+        color[root] = 0
+        queue = [root]
+        while queue:
+            f = queue.pop()
+            for g in adj[f]:
+                if color[g] == -1:
+                    color[g] = 1 - color[f]
+                    piece[g] = root
+                    queue.append(g)
+                elif color[g] == color[f]:
+                    raise AssertionError("face graph not bipartite")
+    return color, piece
 
 
 def _sparse_signature(

@@ -34,11 +34,10 @@ additions, which create crossings, relabel the input's crossing list
 
 from __future__ import annotations
 
-import sys
 import time
 from typing import Iterator
 
-from .diagram import Crossing, OrientedLinkDiagram, _faces, _mates
+from .diagram import Crossing, OrientedLinkDiagram, _debug, _faces, _mates
 
 
 class Move:
@@ -111,13 +110,11 @@ def reidemeister_moves(d: OrientedLinkDiagram) -> list[Move]:
         before = len(out)
         out.extend(kind(d))
         counts.append(len(out) - before)
-    logging = sys.modules.get("logging")  # see greedy_simplify
-    if logging is not None:
-        logging.getLogger(__name__).debug(
-            "reidemeister moves: %d crossings in, %d R1-, %d R2-, %d R3, "
-            "%d R1+, %d R2+ out, %.3f s",
-            d.n_crossings, *counts, time.perf_counter() - start,
-        )
+    _debug(
+        __name__, "reidemeister moves: %d crossings in, %d R1-, %d R2-, %d R3, "
+        "%d R1+, %d R2+ out, %.3f s",
+        d.n_crossings, *counts, time.perf_counter() - start,
+    )
     return out
 
 
@@ -375,14 +372,10 @@ def greedy_simplify(
         free_loops += loops
         work.extend(touched)
     result = d if not trace else _built(d, label, alive, free_loops)
-    # only a program that imported logging can have a handler for this
-    # record, so `import twistknots` stays light
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger(__name__).debug(
-            "greedy simplify: %d crossings in, %d steps, %d crossings out, %.3f s",
-            n, len(trace), result.n_crossings, time.perf_counter() - start,
-        )
+    _debug(
+        __name__, "greedy simplify: %d crossings in, %d steps, %d crossings out, %.3f s",
+        n, len(trace), result.n_crossings, time.perf_counter() - start,
+    )
     return result, trace
 
 

@@ -67,18 +67,10 @@ class LaurentPolynomial:
 
     def __pow__(self, n: int) -> "LaurentPolynomial":
         if n < 0:
-            if len(self.coeffs) != 1:
-                raise ValueError("can only invert monomials")
-            ((e, c),) = self.coeffs.items()
-            if c not in (1, -1):
-                raise ValueError("can only invert unit monomials")
-            base = LaurentPolynomial({-e: c})
-            n = -n
-        else:
-            base = self
+            raise ValueError(f"negative power {n} of a Laurent polynomial")
         out = LaurentPolynomial.one()
         for _ in range(n):
-            out = out * base
+            out = out * self
         return out
 
     def shift(self, k: int) -> "LaurentPolynomial":

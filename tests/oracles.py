@@ -11,7 +11,6 @@ from collections import Counter
 from fractions import Fraction
 from itertools import count, permutations, product
 
-from twistknots.braids import _closure_crossing
 from twistknots.diagram import (
     Crossing,
     DiagramError,
@@ -378,11 +377,11 @@ def edge_index_bruteforce(d: OrientedLinkDiagram):
 
 def structurally_equal_bruteforce(d1: OrientedLinkDiagram, d2: OrientedLinkDiagram) -> bool:
     """Equality up to renaming edges, by trying every bijection between
-    the crossings (at most 6 of them): each crossing must keep its sign,
+    the crossings (at most 7 of them): each crossing must keep its sign,
     and slot for slot the edges must rename one to one."""
     if (d1.free_loops, d1.n_crossings) != (d2.free_loops, d2.n_crossings):
         return False
-    assert d1.n_crossings <= 6, "the bijections are too many to try"
+    assert d1.n_crossings <= 7, "the bijections are too many to try"
     return any(
         _renames(d1.crossings, [d2.crossings[j] for j in image])
         for image in permutations(range(d2.n_crossings))
@@ -935,6 +934,29 @@ def _check_planarity(tail, head, faces) -> None:
             )
 
 
+def closure_crossing_table(sgn, a_up, b_up, lo, hi, new_lo, new_hi) -> tuple[tuple, int]:
+    """Raw ``(edges, sign)`` crossing of one braid letter, read from a
+    table of all eight (sign, a_up, b_up) cases; the ports are as in
+    ``braids._closure_crossing``."""
+    sw, se, nw, ne = lo, hi, new_lo, new_hi
+    if sgn > 0:
+        if a_up and b_up:
+            return (se, ne, nw, sw), +1
+        if a_up and not b_up:
+            return (nw, sw, se, ne), -1
+        if not a_up and b_up:
+            return (se, ne, nw, sw), -1
+        return (nw, sw, se, ne), +1
+    else:
+        if a_up and b_up:
+            return (sw, se, ne, nw), -1
+        if a_up and not b_up:
+            return (sw, se, ne, nw), +1
+        if not a_up and b_up:
+            return (ne, nw, sw, se), +1
+        return (ne, nw, sw, se), -1
+
+
 def twist_bruteforce(
     f: TwistFamily, n: int
 ) -> tuple[OrientedLinkDiagram, list[int], list[int]]:
@@ -966,7 +988,9 @@ def twist_bruteforce(
             i -= 1
             new_lo, new_hi = next(fresh), next(fresh)
             region.append(
-                _closure_crossing(sgn, dirs[i], dirs[i + 1], cur[i], cur[i + 1], new_lo, new_hi)
+                closure_crossing_table(
+                    sgn, dirs[i], dirs[i + 1], cur[i], cur[i + 1], new_lo, new_hi
+                )
             )
             cur[i], cur[i + 1] = new_lo, new_hi
             dirs[i], dirs[i + 1] = dirs[i + 1], dirs[i]

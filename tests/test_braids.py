@@ -1,9 +1,11 @@
+from itertools import product
+
 import pytest
 
-from twistknots.braids import BraidWord, braid_closure, torus_braid
+from twistknots.braids import BraidWord, _closure_crossing, braid_closure, torus_braid
 from twistknots.diagram import DiagramError
 
-from .oracles import jones_bruteforce
+from .oracles import closure_crossing_table, jones_bruteforce
 
 
 class TestBraidWord:
@@ -86,3 +88,10 @@ class TestClosure:
         assert pos.linking_number(0, 1) == 1
         assert neg.linking_number(0, 1) == -1
         assert jones_bruteforce(pos) != jones_bruteforce(neg)
+
+    @pytest.mark.parametrize("sgn,a_up,b_up", product((1, -1), (True, False), (True, False)))
+    def test_letter_rules_match_the_table(self, sgn, a_up, b_up):
+        ports = ("lo", "hi", "new_lo", "new_hi")  # four distinct labels
+        assert _closure_crossing(sgn, a_up, b_up, *ports) == closure_crossing_table(
+            sgn, a_up, b_up, *ports
+        )

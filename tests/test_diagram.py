@@ -400,6 +400,33 @@ class TestStructuralEquality:
         c = d1.disjoint_union(d2.mirror()).disjoint_union(loop)
         assert structurally_equal(a, c) == structurally_equal_bruteforce(a, c)
 
+    @given(braid_words(max_len=7), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rewired_heads_match_bruteforce(self, word, data):
+        """Diagrams that differ from a closure by the heads of two edges
+        swapped, where that validates: the slot check in the matcher
+        meets wirings that no braid closure has."""
+        d = braid_closure(word)
+        n_edges = 2 * d.n_crossings
+        pairs = st.tuples(st.integers(0, n_edges - 1), st.integers(0, n_edges - 1))
+        rewired = [d]
+        for e, f in data.draw(st.lists(pairs, min_size=1, max_size=6)):
+            rows = [list(c.edges) for c in d.crossings]
+            (_, (ci, s)), (_, (cj, t)) = d.edge_ends(e), d.edge_ends(f)
+            rows[ci][s], rows[cj][t] = f, e
+            try:
+                rewired.append(
+                    OrientedLinkDiagram(
+                        tuple(Crossing(tuple(r), c.sign) for r, c in zip(rows, d.crossings)),
+                        d.free_loops,
+                    )
+                )
+            except DiagramError:
+                continue
+        for a in rewired:
+            for b in rewired:
+                assert structurally_equal(a, b) == structurally_equal_bruteforce(a, b)
+
 
 class TestPlanarity:
     @given(oriented_codes(), st.lists(braid_words(), max_size=2))

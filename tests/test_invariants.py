@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 from twistknots import invariants
 from twistknots.braids import BraidWord, braid_closure, torus_braid
 from twistknots.corpus import load_corpus
-from twistknots.diagram import (
-    DiagramError,
-    OrientedLinkDiagram,
-    _subdiagram,
-    parse_pd,
-)
+from twistknots.diagram import DiagramError, OrientedLinkDiagram, parse_pd
 from twistknots.families import twist
 from twistknots.invariants import (
     CERTIFIED_NOT_UNLINK,
@@ -159,7 +154,16 @@ class TestSignature:
             p = p0 + q * n
             assert signature(twist(fams[name], n)) == torus_signature(p, q), (name, n)
 
-    def test_logs_one_record_per_piece(self, caplog, trefoil_right):
+    @given(st.lists(braid_words(max_strands=3, max_len=5), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_unions_sum_their_parts(self, words):
+        parts = [braid_closure(w) for w in words]
+        union = OrientedLinkDiagram(())
+        for part in parts:
+            union = union.disjoint_union(part)
+        assert signature(union) == sum(map(signature, parts))
+
+    def test_logs_one_record_per_call(self, caplog, trefoil_right):
         d = twist(load_corpus()["torus_q3"], 2)  # T(10, 3): 20 crossings
         split = d.disjoint_union(trefoil_right).disjoint_union(
             OrientedLinkDiagram.unknot(1)
@@ -167,17 +171,22 @@ class TestSignature:
         with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
             signature(d)
             assert len(caplog.records) == 1
+            signature(trefoil_right)
             signature(split)
         records = caplog.records
         assert len(records) == 3
         assert {r.name for r in records} == {"twistknots.invariants"}
         assert {r.levelno for r in records} == {logging.DEBUG}
-        assert [r.args[0] for r in records] == [20, 20, 3]
-        for r in records:
+        assert [r.args[0] for r in records] == [20, 3, 23]
+        for r, pieces in zip(records, (1, 1, 2)):
             crossings, whites, pivots, congruences, peak, seconds = r.args
-            # the minor of one fewer face is nonsingular for a knot
-            assert pivots == whites - 1 and congruences == 0
-            assert 1 <= peak <= whites - 1 and seconds >= 0
+            # the minor of one fewer face per piece is nonsingular for knots
+            assert pivots == whites - pieces and congruences == 0
+            assert 1 <= peak <= whites - pieces and seconds >= 0
+        # one form for the split diagram: the two knots' blocks side by side
+        knot, trefoil, both = (r.args for r in records)
+        assert both[1:3] == (knot[1] + trefoil[1], knot[2] + trefoil[2])
+        assert both[4] == max(knot[4], trefoil[4])
 
 
 class TestUnlinkCertificate:
@@ -402,11 +411,18 @@ def _dense(rows):
 
 def _pieces(d):
     """The connected pieces of a diagram with crossings, found by the
-    oracle's union-find over crossings."""
+    oracle's union-find over crossings, each built as a diagram."""
     pieces = {}
     for ci, root in enumerate(piece_roots(d._tail, d._head)):
-        pieces.setdefault(root, []).append(ci)
-    return [_subdiagram(d, p) for p in pieces.values()]
+        pieces.setdefault(root, []).append(d.crossings[ci])
+    return [OrientedLinkDiagram(tuple(p)) for p in pieces.values()]
+
+
+def _drop(rows, fi):
+    """Leave white face ``fi`` out of a Goeritz form: its row and column."""
+    for fj in rows.pop(fi):
+        if fj != fi:
+            del rows[fj][fi]
 
 
 class TestSignatureOracle:
@@ -434,27 +450,45 @@ class TestSignatureOracle:
                 assert congruences == (m[0][1] != 0)
 
     def test_corpus_members(self):
-        seen = 0
+        seen = split = 0
         for tag, d in _corpus_members(max_crossings=60):
             total = 0
-            for piece in _pieces(d):
-                rows, mu = invariants._goeritz(piece)
-                invariants._leave_out(rows)
+            pieces = _pieces(d)
+            for piece in pieces:
+                rows, mu, face_piece = invariants._goeritz(piece)
+                invariants._leave_out(rows, face_piece)
                 total += symmetric_signature_fraction(_dense(rows)) - mu
             assert signature(d) == total, tag
             seen += 1
-        assert seen >= 30
+            split += len(pieces) > 1
+        assert seen >= 30 and split >= 1
 
     def test_any_white_face_may_be_left_out(self):
         seen = 0
         for tag, d in _corpus_members(max_crossings=30):
-            for piece in _pieces(d):
-                expected = invariants._piece_signature(piece)
-                rows, mu = invariants._goeritz(piece)
-                for fi in rows:
-                    minor = {f: dict(row) for f, row in rows.items()}
-                    invariants._leave_out(minor, fi)
-                    got = invariants._sparse_signature(minor)[0] - mu
-                    assert got == expected, (tag, fi)
-                    seen += 1
+            expected = signature(d)
+            rows, mu, piece = invariants._goeritz(d)
+            first = {}  # per piece, its first white face
+            for fi in rows:
+                first.setdefault(piece[fi], fi)
+            # every white face of one piece, the first of each other piece
+            for fi in rows:
+                minor = {f: dict(row) for f, row in rows.items()}
+                for fj in {**first, piece[fi]: fi}.values():
+                    _drop(minor, fj)
+                got = invariants._sparse_signature(minor)[0] - mu
+                assert got == expected, (tag, fi)
+                seen += 1
         assert seen >= 100
+
+
+class TestLaurentPolynomial:
+    def test_powers(self):
+        x = LaurentPolynomial({1: -1, -1: -1})
+        assert x**0 == LaurentPolynomial.one()
+        assert x**3 == x * x * x
+
+    def test_negative_powers_are_refused(self):
+        for p in (LaurentPolynomial.monomial(2), LaurentPolynomial({1: -1, -1: -1})):
+            with pytest.raises(ValueError, match="negative power"):
+                p**-1
