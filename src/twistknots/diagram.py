@@ -41,13 +41,14 @@ count fails.
 The pass leaves an edge index on the diagram: each edge's tail dart,
 head dart and component, and each dart's face (``_face_of``, faces
 numbered in order of their least dart), kept as flat tuples of small
-ints.  Dart ``(ci, slot)`` is coded ``x = 4 * ci + slot``, and ``x ^ 2``
-is the other slot of its strand at that crossing.  Edge ends,
-components, faces and everything built on them read the index instead
-of scanning the crossings again.  ``_mates(tail, head)`` derives each
-dart's mate, the dart at the other end of its edge; every layer reads
-the mate relation through it.  It is not stored on the diagram, which
-would make every construction pay for it.
+ints.  A dart, slot ``slot`` of crossing ``ci``, is held only as its
+code ``x = 4 * ci + slot``, and ``x ^ 2`` is the other slot of its
+strand at that crossing; there is no ``(crossing, slot)`` tuple view.
+Edge ends, components, faces and everything built on them read the
+index instead of scanning the crossings again.  ``_mates(tail, head)``
+derives each dart's mate, the dart at the other end of its edge; every
+layer reads the mate relation through it.  It is not stored on the
+diagram, which would make every construction pay for it.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Sequence
-
-Dart = tuple[int, int]  # (crossing index, slot 0..3)
 
 
 class DiagramError(ValueError):
@@ -105,13 +104,6 @@ class Crossing:
 
 # per sign, whether each slot's edge points into the crossing
 _INCOMING = {1: (True, False, False, True), -1: (True, True, False, False)}
-
-
-def slot_is_incoming(sign: int, slot: int) -> bool:
-    """Whether the edge at this slot points into the crossing."""
-    if slot not in (0, 1, 2, 3):
-        raise DiagramError(f"bad slot {slot}")
-    return _INCOMING[1 if sign > 0 else -1][slot]
 
 
 @dataclass(frozen=True)
@@ -207,19 +199,10 @@ class OrientedLinkDiagram:
     def writhe(self) -> int:
         return sum(c.sign for c in self.crossings)
 
-    def edge_ends(self, edge: int) -> tuple[Dart, Dart]:
-        """(tail, head) darts of an edge: where it leaves and enters."""
-        self._check_edge(edge)
-        t, h = self._tail[edge], self._head[edge]
-        return (t >> 2, t & 3), (h >> 2, h & 3)
-
     def component_of_edge(self, edge: int) -> int:
-        self._check_edge(edge)
-        return self._comp[edge]
-
-    def _check_edge(self, edge) -> None:
         if not (type(edge) is int and 0 <= edge < len(self._comp)):
             raise DiagramError(f"edge {edge!r} not found")
+        return self._comp[edge]
 
     # -- operations -----------------------------------------------------
 
@@ -232,10 +215,6 @@ class OrientedLinkDiagram:
         return OrientedLinkDiagram(
             tuple(_mirror_crossing(c) for c in self.crossings), self.free_loops
         )
-
-    def change_crossing(self, site: int) -> "OrientedLinkDiagram":
-        """Switch over/under at one crossing (sign negates there)."""
-        return self.change_crossings([site])
 
     def change_crossings(self, sites: Iterable[int]) -> "OrientedLinkDiagram":
         sites = set(sites)
@@ -273,20 +252,6 @@ class OrientedLinkDiagram:
         return OrientedLinkDiagram(
             self.crossings + shifted, self.free_loops + other.free_loops
         )
-
-    # -- faces ------------------------------------------------------------
-
-    def faces(self) -> list[list[Dart]]:
-        """Complementary regions via the rotation system.
-
-        Each face is the orbit of ``dart -> rotate(other_end(dart))``; a
-        dart ``(ci, s)`` in a face means the face touches crossing ``ci``
-        at the corner between slots ``s-1`` and ``s``.
-        """
-        return [
-            [(x >> 2, x & 3) for x in face]
-            for face in _faces(self._tail, self._head)
-        ]
 
     # -- text form --------------------------------------------------------
 

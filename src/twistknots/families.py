@@ -62,6 +62,8 @@ class TwistFamily:
     name: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.base, OrientedLinkDiagram):
+            raise FamilyError(f"family base must be an OrientedLinkDiagram, got {self.base!r}")
         if not isinstance(self.marked_edges, (tuple, list)):
             raise FamilyError("marked_edges must be a sequence of (edge, sign)")
         for m in self.marked_edges:
@@ -355,6 +357,11 @@ def family_to_json_dict(f: TwistFamily) -> dict:
 
 
 def family_from_json_dict(data: dict) -> TwistFamily:
+    """The family a family file holds.  Raises ``FamilyError`` for a
+    malformed file, a stated winding the marks do not give, and marks
+    that no one arc in the plane crosses in that order, which ``twist``
+    could not wire into the base: the file's ``twist(f, 1)`` is built
+    once to find out."""
     if not isinstance(data, dict):
         raise FamilyError("family file must hold a JSON object")
     text, raw_marks = data.get("base"), data.get("marked_edges")
@@ -380,6 +387,10 @@ def family_from_json_dict(data: dict) -> TwistFamily:
             f"family file claims winding {data['winding']} but the "
             f"presentation gives {winding_number(f)}"
         )
+    try:
+        twist(f, 1)
+    except DiagramError as exc:
+        raise FamilyError(f"marks {list(f.marked_edges)} cannot be twisted: {exc}") from exc
     return f
 
 

@@ -415,14 +415,11 @@ def _checkerboard(tail, head, face_of, n_faces) -> tuple[list[int], list[int]]:
     return color, piece
 
 
-def _sparse_signature(
-    rows: dict[int, dict[int, int]], order: list[int] | None = None
-) -> tuple[int, int, int, int]:
+def _sparse_signature(rows: dict[int, dict[int, int]]) -> tuple[int, int, int, int]:
     """Signature of a symmetric integer matrix held as sparse rows, with
     its pivot count, congruence steps and peak row nonzeros.
 
     ``rows[i][j]`` is entry (i, j), zeros left out; the rows are used up.
-    ``order``, if given, lists every key.
     Fraction-free elimination: each pivot step leaves the rest as |pivot|
     times its Schur complement, the division by the previous |pivot|
     being exact (every entry is a minor up to sign) and the positive
@@ -431,10 +428,9 @@ def _sparse_signature(
     |pivot| it was last brought to and is rescaled, exactly, only when a
     pivot meets it or it becomes the pivot: a step touches the pivot's
     neighbours alone.  The pivot is a row of least degree with a nonzero
-    diagonal, the lowest key among ties (or the first such row of
-    ``order``).  When every diagonal is zero, adding the row and column
-    of its lowest neighbour j into the lowest row i (or the first of
-    ``order``) makes (i, i) = 2 (i, j).
+    diagonal, the lowest key among ties.  When every diagonal is zero,
+    adding the row and column of its lowest neighbour j into the lowest
+    row i makes (i, i) = 2 (i, j).
     """
     stamp = dict.fromkeys(rows, 1)
     prev = 1
@@ -464,13 +460,10 @@ def _sparse_signature(
     for i in list(rows):
         settle(i)
     while rows:
-        if order is None:
-            p = next((min(b) for b in buckets if b), None)
-        else:
-            p = next((i for i in order if i in rows and i in rows[i]), None)
+        p = next((min(b) for b in buckets if b), None)
         if p is None:
             congruences += 1
-            i = min(rows) if order is None else next(i for i in order if i in rows)
+            i = min(rows)
             j = min(rows[i])
             ri, rj = current(i), current(j)
             # (i, i) = 2 (i, j), (i, k) += (j, k) and (k, i) += (k, j)

@@ -1,10 +1,12 @@
 """Reidemeister moves on oriented PD diagrams.
 
 Enumerates every applicable move of the three kinds, in both directions
-for R1 and R2.  Enumeration builds no diagram: each move keeps the
-builder of its result and the arguments enumeration computed, and the
-first read of ``Move.result`` builds the diagram, so a search that reads
-a few of the moves it lists pays for those alone.  Each result read
+for R1 and R2.  Enumeration builds no diagram: each move is made as
+``Move(kind, site, builder, *args)``, keeping the builder of its result
+and the arguments enumeration computed, and the first read of
+``Move.result`` builds the diagram, so a search that reads a few of the
+moves it lists pays for those alone.  Moves have no equality of their
+own; compare their ``(kind, site, result)`` triples.  Each result read
 costs one construction, which runs the diagram's full validating pass.
 The additions build only the wirings that fit the faces they are drawn
 in, so a result that fails the pass is a bug in this module; it raises
@@ -43,32 +45,21 @@ from .diagram import Crossing, OrientedLinkDiagram, _debug, _faces, _mates
 class Move:
     """One move: its kind, its site and the diagram it leads to.
 
-    ``Move(kind, site, result)`` holds a built result.  The moves this
-    module enumerates hold the builder and its arguments instead, and
-    the first read of ``result`` builds the diagram through the
-    validating constructor and keeps it: each result read costs one
-    validated construction, later reads cost nothing, and a builder
-    fault raises ``DiagramError`` on the read.  Two moves are equal when
-    their kinds, sites and results are, so comparing builds results.
+    ``Move(kind, site, builder, *args)`` records the builder of the result
+    and the arguments enumeration already computed.  The first read of
+    ``result`` runs ``builder(*args)``, which builds the diagram through
+    the validating constructor, and keeps it: each result read costs one
+    validated construction, later reads cost nothing, and a builder fault
+    raises ``DiagramError`` on the read.
     """
 
     __slots__ = ("kind", "site", "_result", "_build")
 
-    def __init__(self, kind: str, site: tuple, result: OrientedLinkDiagram):
+    def __init__(self, kind: str, site: tuple, builder, *args):
         self.kind = kind
         self.site = site
-        self._result = result
-        self._build = None
-
-    @classmethod
-    def _deferred(cls, kind: str, site: tuple, builder, *args) -> Move:
-        """The move whose result is ``builder(*args)``, built on first read."""
-        move = cls.__new__(cls)
-        move.kind = kind
-        move.site = site
-        move._result = None
-        move._build = builder, args
-        return move
+        self._result = None
+        self._build = builder, args
 
     @property
     def result(self) -> OrientedLinkDiagram:
@@ -77,23 +68,6 @@ class Move:
             self._result = builder(*args)
             self._build = None
         return self._result
-
-    def __eq__(self, other):
-        if not isinstance(other, Move):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.site == other.site
-            and self.result == other.result
-        )
-
-    def __hash__(self):
-        # equal moves share kind and site, so this agrees with == and
-        # builds nothing
-        return hash((self.kind, self.site))
-
-    def __repr__(self):
-        return f"Move(kind={self.kind!r}, site={self.site!r}, result={self.result!r})"
 
 
 def reidemeister_moves(d: OrientedLinkDiagram) -> list[Move]:
@@ -127,7 +101,7 @@ def r1_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
     mate = _mates(d._tail, d._head)
     for c in range(d.n_crossings):
         for x in _kinks_at(mate, c):
-            yield Move._deferred("R1-", (c, x & 3), _without, d, mate, (c,))
+            yield Move("R1-", (c, x & 3), _without, d, mate, (c,))
 
 
 def r2_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
@@ -140,7 +114,7 @@ def r2_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
             if x < y:  # a bigon shows at both its darts
                 c2 = y >> 2
                 e, f = d.crossings[c].edges[x & 3], d.crossings[c2].edges[y & 3]
-                yield Move._deferred("R2-", (c, c2, e, f), _without, d, mate, (c, c2))
+                yield Move("R2-", (c, c2, e, f), _without, d, mate, (c, c2))
 
 
 def _without(d, mate, removed) -> OrientedLinkDiagram:
@@ -182,23 +156,15 @@ def r1_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
             ("neg_a", Crossing((e, loop, loop, m), -1)),
             ("neg_b", Crossing((loop, e, m, loop), -1)),
         ):
-            yield Move._deferred(
-                "R1+", (e, kind), _rebuilt, d, update, (crossing,), d.free_loops
-            )
+            yield Move("R1+", (e, kind), _rebuilt, d, update, (crossing,), d.free_loops)
     if d.free_loops:
         for kind, crossing in (
             ("loop_pos", Crossing((loop, loop, m, m), +1)),
             ("loop_neg", Crossing((m, loop, loop, m), -1)),
         ):
-            yield Move._deferred(
+            yield Move(
                 "R1+", ("free_loop", kind), _rebuilt, d, (), (crossing,), d.free_loops - 1
             )
-
-
-def _r2_candidates(over, under):
-    """The four crossing pairs pushing strand ``over=(e1, m, e2)`` across
-    ``under=(g1, h, g2)``, indexed by k (see ``_r2_wiring``)."""
-    return [_r2_wiring(over, under, k) for k in range(4)]
 
 
 def _r2_wiring(over, under, k):
@@ -246,7 +212,7 @@ def r2_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
         updates = (_head_update(d, e, e2), _head_update(d, g, g2))
         for k in sorted(ks):
             pair = _r2_wiring((e, m, e2), (g, h, g2), k)
-            yield Move._deferred("R2+", (e, g, k), _rebuilt, d, updates, pair, d.free_loops)
+            yield Move("R2+", (e, g, k), _rebuilt, d, updates, pair, d.free_loops)
     if d.free_loops:
         yield from _r2_free_loop_additions(d)
 
@@ -259,18 +225,18 @@ def _r2_free_loop_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
         for role, (over, under) in enumerate(
             (((m2, m1, m2), (g, h, g2)), ((g, h, g2), (m2, m1, m2)))
         ):
-            for k, pair in enumerate(_r2_candidates(over, under)):
-                yield Move._deferred(
+            for k in range(4):
+                pair = _r2_wiring(over, under, k)
+                yield Move(
                     "R2+", ("free_loop", g, role, k), _rebuilt, d, update, pair,
                     d.free_loops - 1,
                 )
     # one loop across another, and a loop across itself
     n1, n2 = fresh0 + 4, fresh0 + 5
     if d.free_loops >= 2:
-        for k, pair in enumerate(_r2_candidates((m2, m1, m2), (n2, n1, n2))):
-            yield Move._deferred(
-                "R2+", ("two_loops", k), _rebuilt, d, (), pair, d.free_loops - 2
-            )
+        for k in range(4):
+            pair = _r2_wiring((m2, m1, m2), (n2, n1, n2), k)
+            yield Move("R2+", ("two_loops", k), _rebuilt, d, (), pair, d.free_loops - 2)
     # a lone loop pushed across itself: tongue over both times or under both
     a, t, c, m = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
     for k, pair in enumerate(
@@ -279,9 +245,7 @@ def _r2_free_loop_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
             (Crossing((a, c, t, m), -1), Crossing((t, c, a, m), +1)),
         )
     ):
-        yield Move._deferred(
-            "R2+", ("self_loop", k), _rebuilt, d, (), pair, d.free_loops - 1
-        )
+        yield Move("R2+", ("self_loop", k), _rebuilt, d, (), pair, d.free_loops - 1)
 
 
 # -- R3 -----------------------------------------------------------------
@@ -304,7 +268,7 @@ def r3_moves(d: OrientedLinkDiagram) -> Iterator[Move]:
             continue
         sides = [d.crossings[x >> 2].edges[x & 3] for x in face]
         site = tuple((x >> 2, x & 3) for x in sorted(face))
-        yield Move._deferred("R3", site, _slid, d, sides)
+        yield Move("R3", site, _slid, d, sides)
 
 
 def _slid(d: OrientedLinkDiagram, sides: list[int]) -> OrientedLinkDiagram:

@@ -3,6 +3,12 @@
 Everything here recomputes invariants from first principles (full state
 sums, full chain complexes) without touching the production scanning
 code, so oracle agreement is a genuine cross-check and not a tautology.
+From ``twistknots`` it takes only public names: diagrams are built
+through the validating constructor, and ``replay_removals`` checks the
+listed removals.  Slot orientations, strand exits and R2+ wirings come
+from the tables below, edge ends from ``edge_index_bruteforce`` and faces
+from ``faces_bruteforce``.  The move oracles return ``(kind, site,
+result)`` triples.
 """
 
 from __future__ import annotations
@@ -11,18 +17,18 @@ from collections import Counter
 from fractions import Fraction
 from itertools import count, permutations, product
 
-from twistknots.diagram import (
-    Crossing,
-    DiagramError,
-    OrientedLinkDiagram,
-    slot_is_incoming,
-)
+from twistknots.diagram import Crossing, DiagramError, OrientedLinkDiagram
 from twistknots.families import TwistFamily, full_twist_braid
-from twistknots.moves import Move, _r2_candidates, r1_removals, r2_removals
+from twistknots.moves import r1_removals, r2_removals
 from twistknots.polynomials import LaurentPolynomial
 
 # smoothing pairings by slot: 0 joins (0,1),(2,3); 1 joins (0,3),(1,2)
 _SMOOTH = {0: ((0, 1), (2, 3)), 1: ((0, 3), (1, 2))}
+# per sign, whether each slot's edge points into the crossing
+_INCOMING = {1: (True, False, False, True), -1: (True, True, False, False)}
+# the slot a strand leaves through, by the slot it enters at, and back
+_EXIT_OF_ENTRY = {0: 2, 1: 3, 3: 1}
+_ENTRY_OF_EXIT = {2: 0, 3: 1, 1: 3}
 
 
 class _UF:
@@ -291,6 +297,28 @@ def _filtered_homology_dim(d_out, d_in, h0, gens, qdeg, level):
 # R2+ by generate-and-reject: every wiring of every placement is built
 # and only the ones the diagram validator accepts are kept.
 
+# Pushing strand (e1, m, e2) across strand (g1, h, g2) makes two
+# crossings, the first on e1/g1 and the second on e2/g2, with m and h the
+# new middle edges.  Per wiring k, each crossing's slots 0..3 by the
+# strand piece each holds, and its sign.  k = 0, 1: the strands run
+# parallel; k = 2, 3: antiparallel.
+_R2_WIRINGS = {
+    0: ((("g1", "m", "h", "e1"), +1), (("h", "m", "g2", "e2"), -1)),
+    1: ((("g1", "e1", "h", "m"), -1), (("h", "e2", "g2", "m"), +1)),
+    2: ((("h", "m", "g2", "e1"), +1), (("g1", "m", "h", "e2"), -1)),
+    3: ((("h", "e1", "g2", "m"), -1), (("g1", "e2", "h", "m"), +1)),
+}
+
+
+def r2_wiring_table(over, under, k) -> tuple[Crossing, Crossing]:
+    """The crossing pair of wiring k pushing strand ``over=(e1, m, e2)``
+    across ``under=(g1, h, g2)``, read from ``_R2_WIRINGS``."""
+    name = dict(zip(("e1", "m", "e2", "g1", "h", "g2"), (*over, *under)))
+    return tuple(
+        Crossing(tuple(name[piece] for piece in slots), sign)
+        for slots, sign in _R2_WIRINGS[k]
+    )
+
 
 def _with_crossings(d, heads, added, free_loops):
     """``d`` with the head of each edge in ``heads`` renamed (found by a
@@ -299,7 +327,7 @@ def _with_crossings(d, heads, added, free_loops):
     for edge, new_edge in heads:
         for ci, c in enumerate(d.crossings):
             for slot, e in enumerate(c.edges):
-                if e == edge and slot_is_incoming(c.sign, slot):
+                if e == edge and _INCOMING[c.sign][slot]:
                     raw[ci][0][slot] = new_edge
     raw += [[list(x.edges), x.sign] for x in added]
     try:
@@ -310,18 +338,19 @@ def _with_crossings(d, heads, added, free_loops):
         return None
 
 
-def r2_additions_bruteforce(d: OrientedLinkDiagram) -> list[Move]:
+def r2_additions_bruteforce(d: OrientedLinkDiagram) -> list[tuple]:
+    """The R2+ moves of ``d`` as ``(kind, site, result)`` triples."""
     out = []
 
     def keep(site, heads, added, free_loops):
         result = _with_crossings(d, heads, added, free_loops)
         if result is not None:
-            out.append(Move("R2+", site, result))
+            out.append(("R2+", site, result))
 
     fresh0 = 2 * d.n_crossings
     m, h, e2, g2 = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
     seen_pairs = set()
-    for face in d.faces():
+    for face in faces_bruteforce(d):
         for i, (ci, si) in enumerate(face):
             for j, (cj, sj) in enumerate(face):
                 e = d.crossings[ci].edges[si]
@@ -329,7 +358,8 @@ def r2_additions_bruteforce(d: OrientedLinkDiagram) -> list[Move]:
                 if i == j or e == g or (e, g) in seen_pairs:
                     continue
                 seen_pairs.add((e, g))
-                for k, pair in enumerate(_r2_candidates((e, m, e2), (g, h, g2))):
+                for k in range(4):
+                    pair = r2_wiring_table((e, m, e2), (g, h, g2), k)
                     keep((e, g, k), [(e, e2), (g, g2)], pair, d.free_loops)
     if not d.free_loops:
         return out
@@ -338,11 +368,13 @@ def r2_additions_bruteforce(d: OrientedLinkDiagram) -> list[Move]:
         for role, (over, under) in enumerate(
             (((m2, m1, m2), (g, h, g2)), ((g, h, g2), (m2, m1, m2)))
         ):
-            for k, pair in enumerate(_r2_candidates(over, under)):
+            for k in range(4):
+                pair = r2_wiring_table(over, under, k)
                 keep(("free_loop", g, role, k), [(g, g2)], pair, d.free_loops - 1)
     n1, n2 = fresh0 + 4, fresh0 + 5
     if d.free_loops >= 2:
-        for k, pair in enumerate(_r2_candidates((m2, m1, m2), (n2, n1, n2))):
+        for k in range(4):
+            pair = r2_wiring_table((m2, m1, m2), (n2, n1, n2), k)
             keep(("two_loops", k), [], pair, d.free_loops - 2)
     a, t, c, m = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
     for k, pair in enumerate(
@@ -361,7 +393,7 @@ def edge_index_bruteforce(d: OrientedLinkDiagram):
     tails, heads = {}, {}
     for ci, c in enumerate(d.crossings):
         for slot, e in enumerate(c.edges):
-            (heads if slot_is_incoming(c.sign, slot) else tails)[e] = (ci, slot)
+            (heads if _INCOMING[c.sign][slot] else tails)[e] = (ci, slot)
     comp = {}
     for e in sorted(tails):
         if e in comp:
@@ -371,7 +403,7 @@ def edge_index_bruteforce(d: OrientedLinkDiagram):
         while x not in comp:
             comp[x] = label
             ci, slot = heads[x]
-            x = d.crossings[ci].edges[{0: 2, 1: 3, 3: 1}[slot]]
+            x = d.crossings[ci].edges[_EXIT_OF_ENTRY[slot]]
     return [(tails[e], heads[e], comp[e]) for e in sorted(tails)]
 
 
@@ -493,6 +525,7 @@ def _matching_key(matching: dict) -> tuple:
 def scan_order_max(d: OrientedLinkDiagram) -> tuple[list[int], int]:
     """The greedy scan order by a ``max`` over every crossing left at each
     step, and its peak open pairs."""
+    index = edge_index_bruteforce(d)
     order: list[int] = []
     left = set(range(len(d.crossings)))
     open_edges: set[int] = set()
@@ -508,7 +541,7 @@ def scan_order_max(d: OrientedLinkDiagram) -> tuple[list[int], int]:
         for e in d.crossings[ci].edges:
             if e in open_edges:
                 open_edges.discard(e)
-            elif any(cj != ci for cj, _ in d.edge_ends(e)):
+            elif any(cj != ci for cj, _ in index[e][:2]):
                 open_edges.add(e)  # an edge with both ends here never opens
         width = max(width, len(open_edges) // 2)
     return order, width
@@ -516,6 +549,7 @@ def scan_order_max(d: OrientedLinkDiagram) -> tuple[list[int], int]:
 
 def bracket_with_loops_dict(d: OrientedLinkDiagram) -> LaurentPolynomial:
     """Sum over states of A^{a-b} * delta^{loops} (note: no -1)."""
+    index = edge_index_bruteforce(d)
     states: dict[tuple, LaurentPolynomial] = {(): LaurentPolynomial.one()}
     processed: set[int] = set()
     order, _ = scan_order_max(d)
@@ -523,7 +557,7 @@ def bracket_with_loops_dict(d: OrientedLinkDiagram) -> LaurentPolynomial:
         c = d.crossings[ci]
         glue = []
         for s, e in enumerate(c.edges):
-            a, b = d.edge_ends(e)
+            a, b, _ = index[e]
             mine = (ci, s)
             other = b if a == mine else a
             if other[0] in processed or (other[0] == ci and other < mine):
@@ -615,8 +649,8 @@ def greedy_simplify_stepwise(
         moves = removals_bruteforce(d)
         if not moves:
             return d, trace
-        trace.append((moves[0].kind, moves[0].site))
-        d = moves[0].result
+        kind, site, d = moves[0]
+        trace.append((kind, site))
 
 
 def replay_removals(
@@ -661,9 +695,10 @@ def _spliced(d, removed, keep):
     """The ``keep`` crossings as raw rows once ``removed`` are deleted,
     each chain of edges through them labelled by its smallest edge, and
     the number of strand cycles lying wholly inside them."""
+    index = edge_index_bruteforce(d)
 
     def other(ci, s):
-        a, b = d.edge_ends(d.crossings[ci].edges[s])
+        a, b, _ = index[d.crossings[ci].edges[s]]
         return b if a == (ci, s) else a
 
     chained = set()
@@ -686,7 +721,7 @@ def _spliced(d, removed, keep):
         loops += 1
         e = inner.pop()
         while True:
-            ci, s = d.edge_ends(e)[1]
+            ci, s = index[e][1]
             e = d.crossings[ci].edges[(s + 2) % 4]
             if e not in inner:
                 break
@@ -694,9 +729,10 @@ def _spliced(d, removed, keep):
     return raw, loops
 
 
-def removals_bruteforce(d: OrientedLinkDiagram) -> list[Move]:
-    """The R1- then R2- moves of ``d``, found from edge labels and
-    ``faces_bruteforce`` and built by ``_spliced`` and ``from_raw``.
+def removals_bruteforce(d: OrientedLinkDiagram) -> list[tuple]:
+    """The R1- then R2- moves of ``d`` as ``(kind, site, result)``
+    triples, found from edge labels and ``faces_bruteforce`` and built by
+    ``_spliced`` and ``from_raw``.
 
     A kink is a crossing holding one edge in slots ``s`` and ``s + 1``,
     site ``(c, s)``.  A bigon is a two-dart face at two crossings whose
@@ -726,24 +762,23 @@ def removals_bruteforce(d: OrientedLinkDiagram) -> list[Move]:
         keep = [ci for ci in range(d.n_crossings) if ci not in removed]
         raw, loops = _spliced(d, removed, keep)
         result, _ = OrientedLinkDiagram.from_raw(raw, d.free_loops + loops)
-        out.append(Move(kind, site, result))
+        out.append((kind, site, result))
     return out
 
 
 # ----------------------------------------------------------------------
 # R3 as first written: triangles from ``faces_bruteforce`` and edge
-# labels, each side's ends from ``edge_ends``, and the slid diagram built
-# from an updated copy of the crossing list.
-
-# entry slot of the strand that leaves through a given slot
-_ENTRY_OF_EXIT = {2: 0, 3: 1, 1: 3}
+# labels, each side's ends from ``edge_index_bruteforce``, and the slid
+# diagram built from an updated copy of the crossing list.
 
 
-def r3_moves_bruteforce(d: OrientedLinkDiagram) -> list[Move]:
-    """The R3 moves of ``d``: every face of three darts at three crossings
-    with three distinct side edges, one of which runs over at both its
-    ends, site the sorted face darts.  Each strand through the triangle
-    then swaps which of its two triangle crossings it meets first."""
+def r3_moves_bruteforce(d: OrientedLinkDiagram) -> list[tuple]:
+    """The R3 moves of ``d`` as ``(kind, site, result)`` triples: every
+    face of three darts at three crossings with three distinct side
+    edges, one of which runs over at both its ends, site the sorted face
+    darts.  Each strand through the triangle then swaps which of its two
+    triangle crossings it meets first."""
+    index = edge_index_bruteforce(d)
     out = []
     for face in faces_bruteforce(d):
         if len(face) != 3 or len({ci for ci, _ in face}) != 3:
@@ -751,11 +786,11 @@ def r3_moves_bruteforce(d: OrientedLinkDiagram) -> list[Move]:
         sides = [d.crossings[ci].edges[s] for ci, s in face]
         if len(set(sides)) != 3:
             continue
-        if not any(all(s in (1, 3) for _, s in d.edge_ends(e)) for e in sides):
+        if not any(all(s in (1, 3) for _, s in index[e][:2]) for e in sides):
             continue
         rows = [list(c.edges) for c in d.crossings]
         for t in sides:
-            (tc, ts), (hc, hs) = d.edge_ends(t)
+            (tc, ts), (hc, hs), _ = index[t]
             entry, exit_slot = _ENTRY_OF_EXIT[ts], _EXIT_OF_ENTRY[hs]
             x = d.crossings[tc].edges[entry]
             y = d.crossings[hc].edges[exit_slot]
@@ -765,7 +800,7 @@ def r3_moves_bruteforce(d: OrientedLinkDiagram) -> list[Move]:
             tuple(Crossing(tuple(r), c.sign) for r, c in zip(rows, d.crossings)),
             d.free_loops,
         )
-        out.append(Move("R3", tuple(sorted(face)), result))
+        out.append(("R3", tuple(sorted(face)), result))
     return out
 
 
@@ -812,9 +847,6 @@ def planar_bruteforce(crossings) -> bool:
 # The diagram validator as first written: a checked loop over every slot,
 # strands followed through the crossing list, pieces found by union-find
 # over crossings and faces walked as dart lists.
-
-_INCOMING = {1: (True, False, False, True), -1: (True, True, False, False)}
-_EXIT_OF_ENTRY = {0: 2, 1: 3, 3: 1}
 
 
 def normalized_reference(crossings) -> tuple[Crossing, ...]:
@@ -974,11 +1006,12 @@ def twist_bruteforce(
     raw = [[list(c.edges), c.sign] for c in base.crossings]
     region = []
     if word.letters and f.marked_edges:
+        index = edge_index_bruteforce(base)
         fresh = count(2 * base.n_crossings)
         bottom, top, dirs = [], [], []
         for e, s in f.marked_edges:
             h = next(fresh)
-            _, (hci, hslot) = base.edge_ends(e)
+            _, (hci, hslot), _ = index[e]
             raw[hci][0][hslot] = h
             bottom.append(e if s > 0 else h)
             top.append(h if s > 0 else e)

@@ -13,7 +13,7 @@ from twistknots.corpus import (
     whitehead_family,
     wind3_wrap9_family,
 )
-from twistknots.diagram import DiagramError, structurally_equal
+from twistknots.diagram import DiagramError, parse_pd, structurally_equal
 from twistknots.families import (
     FamilyError,
     ReductionError,
@@ -77,6 +77,12 @@ class TestWinding:
     def test_empty_marks(self):
         f = TwistFamily(torus_family(3, 2).base, ())
         assert winding_number(f) == 0
+
+    @pytest.mark.parametrize("base", [None, "abc", 3, "X+[0,0,1,1]"])
+    def test_base_must_be_a_diagram(self, base):
+        # these raised a bare AttributeError on reading the base's edges
+        with pytest.raises(FamilyError, match="base must be an OrientedLinkDiagram"):
+            TwistFamily(base, ())
 
     def test_parity_invariant(self):
         for fam in built_families().values():
@@ -419,6 +425,33 @@ class TestFamilyFiles:
         data["winding"] = winding
         with pytest.raises(FamilyError, match="integer"):
             family_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "marks, twists",
+        [
+            ([(0, 1), (1, -1)], False),
+            ([(1, -1), (0, 1)], False),
+            ([(0, 1), (1, 1)], False),
+            ([(1, 1), (0, 1)], True),
+            ([(0, -1), (1, -1)], True),
+        ],
+    )
+    def test_marks_no_arc_crosses_are_refused(self, marks, twists):
+        # the refused ones loaded before, and then every twist failed
+        # with "non-planar diagram"
+        data = {
+            "base": "X+[0,0,1,1]",
+            "marked_edges": [{"edge": e, "sign": s} for e, s in marks],
+        }
+        if twists:
+            f = family_from_json_dict(data)
+            for n in (1, -1, 2, -2):
+                assert twist(f, n).n_crossings == 1 + 2 * abs(n)
+        else:
+            with pytest.raises(FamilyError, match=rf"marks \[\({marks[0][0]}, "):
+                family_from_json_dict(data)
+            with pytest.raises(DiagramError, match="non-planar"):
+                twist(TwistFamily(parse_pd(data["base"]), tuple(marks)), 1)
 
     def test_save_load_round_trip(self, tmp_path):
         for name, fam in sorted(built_families().items()):

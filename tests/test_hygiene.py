@@ -10,6 +10,23 @@ PACKAGE = ROOT / "src" / "twistknots"
 SOURCES = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
 # every place that may name a library function or class
 CALLERS = [ROOT / d for d in ("src", "tests", "perfbench", "scripts")]
+# the places that use the library, as opposed to testing it
+USERS = [ROOT / d for d in ("src", "perfbench", "scripts")]
+# deliberately public names that only tests call; every other library
+# definition must be named where the library is used
+PUBLIC_API = {
+    "built_families",
+    "cycle_count",
+    "from_ints",
+    "from_json",
+    "load_family",
+    "mirror_family",
+    "monomial",
+    "shift",
+    "to_json",
+    "unknot",
+    "unlink_certificate",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -203,3 +220,63 @@ def test_every_library_definition_is_named():
         for path in sorted(root.rglob("*.py"))
     }
     assert unreferenced_definitions(sources, PACKAGE) == []
+
+
+def test_only_the_public_api_is_left_to_tests():
+    sources = {
+        path: path.read_text(encoding="utf-8")
+        for root in USERS
+        for path in sorted(root.rglob("*.py"))
+    }
+    assert unreferenced_definitions(sources, PACKAGE) == sorted(PUBLIC_API)
+
+
+def private_imports(source: str, package: str) -> list[str]:
+    """``_``-prefixed names a module takes from ``package``: names a
+    ``from`` import binds, and attributes read on a module bound from the
+    package, in line order."""
+    tree = ast.parse(source)
+    modules: set[str] = set()
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append((node.lineno, alias.name))
+                modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == package:
+                    modules.add(alias.asname or package)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            found.append((node.lineno, node.attr))
+    return [name for _, name in sorted(found)]
+
+
+def test_private_import_detector():
+    source = (
+        "from pkg.a import _hidden, Shown, _other as o\n"
+        "from pkg import b\n"
+        "import pkg.c\n"
+        "import pkg.d as dd\n"
+        "from elsewhere import _fine\n"
+        "b._deep\n"
+        "pkg._top\n"
+        "dd._dotted\n"
+        "Shown()._slot\n"
+        "_fine._x\n"
+    )
+    assert private_imports(source, "pkg") == [
+        "_hidden", "_other", "_deep", "_top", "_dotted",
+    ]
+
+
+def test_oracles_take_no_private_names():
+    source = (ROOT / "tests" / "oracles.py").read_text(encoding="utf-8")
+    assert private_imports(source, PACKAGE.name) == []
