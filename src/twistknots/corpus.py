@@ -1,9 +1,9 @@
 """Shipped twist-family presentations and their constructions.
 
-Each family here is built deterministically from small ingredients; the
-JSON files under ``corpus/`` are generated from these builders (see
-``scripts/build_corpus.py``) and the loader cross-validates the stated
-winding number against the presentation.
+Each family here is built deterministically from small ingredients, and
+the corpus is these builders' output; no copy of it is kept on disk.
+Like every ``TwistFamily``, each is twisted once when it is built, so
+marks that cannot be wired into the base are refused there.
 
 Contents:
 
@@ -21,12 +21,9 @@ Contents:
 
 from __future__ import annotations
 
-import json
-from importlib import resources
-
 from .braids import BraidWord, braid_closure_with_arcs, torus_braid
 from .diagram import parse_pd
-from .families import FamilyError, TwistFamily, family_from_json_dict
+from .families import FamilyError, TwistFamily
 
 # two positive curls on a circle; loop edges 1 and 2, connectors 0 and 3
 _DOUBLE_CURL = "X+[0,3,2,2] X+[3,0,1,1]\nO[0,2,3,1]"
@@ -97,21 +94,7 @@ BUILDERS = {
     "largewrap_w0_p4": largewrap_w0_p4_family,
 }
 
-def built_families() -> dict[str, TwistFamily]:
-    return {name: build() for name, build in BUILDERS.items()}
-
-
-def corpus_dir():
-    return resources.files("twistknots") / "corpus"
-
 
 def load_corpus() -> dict[str, TwistFamily]:
-    """Load the shipped family files (validating stated winding)."""
-    out = {}
-    for entry in sorted(corpus_dir().iterdir(), key=lambda p: p.name):
-        if entry.name.endswith(".json"):
-            data = json.loads(entry.read_text(encoding="utf-8"))
-            fam = family_from_json_dict(data)
-            out[fam.name] = fam
-    return out
-
+    """The shipped families, built, keyed and ordered by name."""
+    return {name: BUILDERS[name]() for name in sorted(BUILDERS)}

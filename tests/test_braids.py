@@ -1,8 +1,14 @@
-from itertools import product
+from itertools import count, product
 
 import pytest
 
-from twistknots.braids import BraidWord, _closure_crossing, braid_closure, torus_braid
+from twistknots.braids import (
+    BraidWord,
+    _closure_crossing,
+    braid_closure,
+    braid_strand_crossings,
+    torus_braid,
+)
 from twistknots.diagram import DiagramError
 
 from .oracles import closure_crossing_table, jones_bruteforce
@@ -30,6 +36,14 @@ class TestBraidWord:
         # a float or bool letter was coerced by int() before
         with pytest.raises(DiagramError, match="letter"):
             BraidWord(3, (letter,))
+
+    def test_letter_sign_must_be_one(self):
+        with pytest.raises(DiagramError, match="letter sign must be"):
+            BraidWord(2, ((1, 2),))
+
+    def test_words_on_different_strand_counts_do_not_concatenate(self):
+        with pytest.raises(DiagramError, match="different strand counts"):
+            BraidWord(2) * BraidWord(3)
 
     def test_letters_must_be_a_sequence(self):
         with pytest.raises(DiagramError, match="letters"):
@@ -72,6 +86,11 @@ class TestClosure:
     def test_crossing_count_equals_word_length(self):
         w = BraidWord.from_ints(3, [1, -2, 1, 1, -2])
         assert braid_closure(w).n_crossings == 5
+
+    def test_untouched_lane_keeps_its_label(self):
+        # lane 2 meets no letter, so it cannot go from label 2 to label 7
+        with pytest.raises(DiagramError, match="untouched lane"):
+            braid_strand_crossings(((1, 1),), [0, 1, 2], [5, 6, 7], [True] * 3, count(10))
 
     def test_untouched_strand_becomes_free_loop(self):
         d = braid_closure(BraidWord.from_ints(3, [1, 1]))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistknots.braids import BraidWord, braid_closure, torus_braid
-from twistknots.corpus import built_families
+from twistknots.corpus import load_corpus
 from twistknots.diagram import (
     Crossing,
     DiagramError,
@@ -83,6 +83,18 @@ class TestParse:
     def test_garbage_rejected_with_position(self):
         with pytest.raises(ParseError):
             parse_pd("X+[0,1,1,0] garbage")
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("X[0,1,1,0] junk X[2,3,3,2]", "unexpected text 'junk'"),
+            ("X+[0,1,1,0] O+[0,1]", "cannot carry a sign"),
+            ("O[0,1]", "orientation cycles without crossings"),
+        ],
+    )
+    def test_malformed_text_rejected(self, text, error):
+        with pytest.raises(ParseError, match=error):
+            parse_pd(text)
 
     def test_signed_kinks(self):
         neg = parse_pd("X-[0,1,1,0]")
@@ -316,6 +328,12 @@ class TestStructure:
 
     def test_not_equal_to_mirror(self, trefoil_right):
         assert not structurally_equal(trefoil_right, trefoil_right.mirror())
+
+    def test_free_loops_must_match(self, trefoil_right):
+        assert not structurally_equal(OrientedLinkDiagram((), 1), OrientedLinkDiagram((), 2))
+        plus_loop = trefoil_right.disjoint_union(OrientedLinkDiagram.unknot())
+        assert not structurally_equal(trefoil_right, plus_loop)
+        assert structurally_equal(plus_loop, plus_loop)
 
     @pytest.mark.parametrize(
         "word, other, equal",
@@ -589,7 +607,7 @@ class TestHypothesis:
 
 # every corpus member at |n| <= 2, up to 150 crossings
 CORPUS_MEMBERS = [
-    twist(f, n) for _, f in sorted(built_families().items()) for n in range(-2, 3)
+    twist(f, n) for _, f in load_corpus().items() for n in range(-2, 3)
 ]
 
 
@@ -637,7 +655,7 @@ class TestUnsignedParse:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_shuffled_torus_7_3(self, seed):
-        d = twist(built_families()["torus_q3"], 1)
+        d = twist(load_corpus()["torus_q3"], 1)
         assert d.n_crossings == 14
         text, oriented = unsigned_text(d, random.Random(seed))
         assert oriented
@@ -675,3 +693,23 @@ class TestUnsignedParse:
     def test_unorientable_input(self, text, error):
         with pytest.raises(DiagramError, match=error):
             parse_pd(text)
+
+    @pytest.mark.parametrize(
+        "text, signed",
+        [
+            # the closure of s1 s1^-1 s1 s1^-1: the strand over all four
+            # crossings is labelled 1-4, and its serial labels fall along
+            # the walk, so the walk's orientation is reversed
+            (
+                "X[5,3,6,4] X[6,3,7,2] X[7,1,8,2] X[8,1,5,4]",
+                "X-[5,3,6,4] X+[6,3,7,2] X-[7,1,8,2] X+[8,1,5,4]",
+            ),
+            # the same diagram with the labels rising along the walk
+            (
+                "X[5,2,6,1] X[6,2,7,3] X[7,4,8,3] X[8,4,5,1]",
+                "X+[5,2,6,1] X-[6,2,7,3] X+[7,4,8,3] X-[8,4,5,1]",
+            ),
+        ],
+    )
+    def test_over_only_strand_follows_its_serial_labels(self, text, signed):
+        assert parse_pd(text) == parse_pd(signed)

@@ -1,3 +1,6 @@
+import re
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 from twistknots import families
 from twistknots.braids import BraidWord, braid_closure, torus_braid
 from twistknots.corpus import (
-    built_families,
+    BUILDERS,
     chain_family,
     load_corpus,
     mazur_family,
@@ -37,7 +40,7 @@ from .oracles import jones_bruteforce, twist_bruteforce
 from .test_diagram import JSON_VALUES, braid_words
 
 # every corpus family, plus the chain families the benchmark sweeps
-SWEPT_FAMILIES = {**built_families(), "chain_3": chain_family(3), "chain_4": chain_family(4)}
+SWEPT_FAMILIES = {**load_corpus(), "chain_3": chain_family(3), "chain_4": chain_family(4)}
 
 # twist amounts that are not ints; a bool is refused too
 NON_INT_AMOUNTS = [True, 1.0, 2.5, "1", None]
@@ -78,6 +81,14 @@ class TestWinding:
         f = TwistFamily(torus_family(3, 2).base, ())
         assert winding_number(f) == 0
 
+    def test_mark_listed_twice_rejected(self):
+        with pytest.raises(FamilyError, match="marked edge 0 listed twice"):
+            TwistFamily(torus_family(3, 2).base, ((0, 1), (0, 1)))
+
+    def test_mark_sign_must_be_one(self):
+        with pytest.raises(FamilyError, match="sign must be"):
+            TwistFamily(torus_family(3, 2).base, ((0, 2),))
+
     @pytest.mark.parametrize("base", [None, "abc", 3, "X+[0,0,1,1]"])
     def test_base_must_be_a_diagram(self, base):
         # these raised a bare AttributeError on reading the base's edges
@@ -85,11 +96,11 @@ class TestWinding:
             TwistFamily(base, ())
 
     def test_parity_invariant(self):
-        for fam in built_families().values():
+        for fam in load_corpus().values():
             assert (winding_number(fam) - fam.eta_hat) % 2 == 0
 
     def test_wrapping_bounds(self):
-        fams = built_families()
+        fams = load_corpus()
         assert fams["wind3_wrap9"].eta_hat == 9
         assert winding_number(fams["wind3_wrap9"]) == 3
         assert fams["torus_q3"].eta_hat == 3
@@ -133,7 +144,7 @@ class TestFullTwistBraid:
 
 class TestTwist:
     def test_zero_twist_is_base(self):
-        for fam in built_families().values():
+        for fam in load_corpus().values():
             assert twist(fam, 0) == fam.base
 
     def test_two_strand_unlink_gives_hopf(self):
@@ -147,7 +158,7 @@ class TestTwist:
         assert jones(twist(f, 1)) == jones_bruteforce(braid_closure(torus_braid(5, 2)))
 
     def test_crossing_count_arithmetic(self):
-        for fam in built_families().values():
+        for fam in load_corpus().values():
             eta = fam.eta_hat
             for n in (-2, -1, 1, 2):
                 if fam.base.n_crossings + abs(n) * eta * (eta - 1) > 90:
@@ -198,6 +209,10 @@ class TestSchedule:
         with pytest.raises(FamilyError):
             untwist_schedule(whitehead_family(), 1)
 
+    def test_zero_amount_rejected(self):
+        with pytest.raises(FamilyError, match="n >= 1"):
+            untwist_schedule(torus_family(3, 2), 0)
+
     def test_length_formula_sweep(self):
         for omega in range(2, 7):
             f = chain_family(omega)
@@ -220,14 +235,14 @@ class TestCoherentReduction:
     def test_already_coherent(self):
         f = torus_family(3, 2)
         red = coherent_reduction(f)
-        assert red.k == 0
+        assert len(red.changes) == 0
         assert red.reduced == f
 
     def test_whitehead_reduces_to_empty(self):
         f = whitehead_family()
         red = coherent_reduction(f)
         assert red.reduced.eta_hat == 0
-        assert red.k == 1
+        assert len(red.changes) == 1
         for n in (0, 1, 3):
             assert twist(red.reduced, n) == red.reduced.base
 
@@ -235,7 +250,7 @@ class TestCoherentReduction:
         f = wind3_wrap9_family()
         red = coherent_reduction(f, certificate_limit=100)
         assert red.reduced.eta_hat == 3
-        assert red.k >= 0
+        assert len(red.changes) >= 0
 
     def test_nine_strand_reduces_within_default_budget(self):
         # 78 crossings at n=1, but a scan width of 7
@@ -256,7 +271,7 @@ class TestCoherentReduction:
             return real(g, n)
 
         monkeypatch.setattr(families, "twist_with_sites", counted)
-        assert coherent_reduction(f, certificate_ns=(1, -2)).k == 1
+        assert len(coherent_reduction(f, certificate_ns=(1, -2)).changes) == 1
         assert sum(g is f for g in seen) == 2
 
     @pytest.mark.parametrize("amount", NON_INT_AMOUNTS)
@@ -296,6 +311,19 @@ class TestCoherentReduction:
                 with pytest.raises(FamilyError, match="at least one"):
                     coherent_reduction(f, certificate_ns=ns)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_pairing_leaves_the_winding_number_of_marks(self, data):
+        # a stand-in, since most random mark lists cannot be twisted and
+        # TwistFamily refuses them
+        base = data.draw(st.sampled_from([f.base for f in SWEPT_FAMILIES.values()]))
+        mark = st.tuples(st.sampled_from(base.edges), st.sampled_from([1, -1]))
+        g = SimpleNamespace(base=base, marked_edges=tuple(data.draw(st.lists(mark, max_size=10))))
+        left = families._paired_marks(g)
+        assert len(left) == winding_number(g)
+        signed = {(base.component_of_edge(e), s) for e, s in left}
+        assert len(signed) == len({c for c, _ in signed})  # one sign per component
+
     def test_one_shot_certificate_amounts(self):
         # the zero check must not use up a generator before the scans
         f = whitehead_family()
@@ -317,7 +345,7 @@ class TestMirrorFamily:
     def test_structural_identity_all_families(self):
         # the mirror keeps each mark's direction through the twist box;
         # building twist(m, n) validates its planarity
-        for fam in built_families().values():
+        for fam in load_corpus().values():
             m = mirror_family(fam)
             for n in (-2, -1, 1, 2):
                 assert structurally_equal(twist(m, n), twist(fam, -n).mirror()), (
@@ -328,7 +356,7 @@ class TestMirrorFamily:
             assert (mm.base, mm.marked_edges) == (fam.base, fam.marked_edges)
 
     def test_winding_preserved(self):
-        for fam in built_families().values():
+        for fam in load_corpus().values():
             assert winding_number(mirror_family(fam)) == winding_number(fam)
 
     def test_empty_marks(self):
@@ -344,6 +372,33 @@ class TestMirrorFamily:
         assert mm.marked_edges == f.marked_edges
 
 
+class TestConstructionCheck:
+    """Every family is twisted once when it is built, however it is built."""
+
+    @pytest.mark.parametrize("name", sorted(SWEPT_FAMILIES))
+    def test_one_flipped_mark_refused(self, name):
+        # each of these constructed, and twist(f, 1) then failed as non-planar
+        f = SWEPT_FAMILIES[name]
+        for i, (e, s) in enumerate(f.marked_edges):
+            marks = f.marked_edges[:i] + ((e, -s),) + f.marked_edges[i + 1:]
+            with pytest.raises(FamilyError, match=re.escape(f"marks {list(marks)} cannot")):
+                TwistFamily(f.base, marks)
+
+    # the changes coherent_reduction finds, the same on a family's mirror
+    REDUCTION_CHANGES = {
+        "chain_3": (), "chain_4": (), "largewrap_w0_p4": (0,), "mazur": (0,),
+        "torus_q2": (), "torus_q3": (), "whitehead": (0,), "wind3_wrap9": (),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SWEPT_FAMILIES))
+    def test_shipped_families_construct(self, name):
+        f = SWEPT_FAMILIES[name]
+        for g in (f, mirror_family(f)):
+            red = coherent_reduction(g)
+            assert red.changes == self.REDUCTION_CHANGES[name], g.name
+            assert red.reduced.eta_hat == winding_number(g)
+
+
 class TestCorpusFiles:
     @pytest.mark.parametrize("strands", [1.5, "3", True, 1, 0])
     def test_chain_family_needs_two_int_strands(self, strands):
@@ -351,16 +406,13 @@ class TestCorpusFiles:
         with pytest.raises(FamilyError, match="chain family needs an int >= 2"):
             chain_family(strands)
 
-    def test_load_matches_builders(self):
-        loaded = load_corpus()
-        built = built_families()
-        assert set(loaded) == set(built)
-        for name in loaded:
-            assert loaded[name].base == built[name].base
-            assert loaded[name].marked_edges == built[name].marked_edges
+    def test_corpus_is_built_in_name_order(self):
+        fams = load_corpus()
+        assert list(fams) == sorted(BUILDERS)
+        assert [f.name for f in fams.values()] == list(fams)
 
     def test_bases_are_what_they_claim(self):
-        fams = built_families()
+        fams = load_corpus()
         # unknot bases simplify to nothing
         for name in ("whitehead", "mazur", "largewrap_w0_p4"):
             simp, _ = greedy_simplify(fams[name].base)
@@ -450,11 +502,21 @@ class TestFamilyFiles:
         else:
             with pytest.raises(FamilyError, match=rf"marks \[\({marks[0][0]}, "):
                 family_from_json_dict(data)
-            with pytest.raises(DiagramError, match="non-planar"):
-                twist(TwistFamily(parse_pd(data["base"]), tuple(marks)), 1)
+            # construction refuses them too, naming the marks
+            with pytest.raises(FamilyError, match=re.escape(f"marks {marks} cannot be twisted")):
+                TwistFamily(parse_pd(data["base"]), tuple(marks))
+
+    def test_unwireable_marks_reported_before_a_wrong_winding(self):
+        data = {
+            "base": "X+[0,0,1,1]",
+            "marked_edges": [{"edge": 0, "sign": 1}, {"edge": 1, "sign": -1}],
+            "winding": 5,
+        }
+        with pytest.raises(FamilyError, match="cannot be twisted"):
+            family_from_json_dict(data)
 
     def test_save_load_round_trip(self, tmp_path):
-        for name, fam in sorted(built_families().items()):
+        for name, fam in load_corpus().items():
             save_family(fam, tmp_path / f"{name}.json")
             assert load_family(tmp_path / f"{name}.json") == fam
 

@@ -15,13 +15,13 @@ USERS = [ROOT / d for d in ("src", "perfbench", "scripts")]
 # deliberately public names that only tests call; every other library
 # definition must be named where the library is used
 PUBLIC_API = {
-    "built_families",
     "cycle_count",
     "from_ints",
     "from_json",
     "load_family",
     "mirror_family",
     "monomial",
+    "save_family",
     "shift",
     "to_json",
     "unknot",
@@ -82,11 +82,12 @@ def _dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _scopes(stmt: ast.stmt) -> list[tuple[set[str], list[ast.AST]]]:
-    """A module-level statement as (own names, nodes) pairs: the statement
-    under its own name, or an assignment under the names it binds,
-    dunders excluded, except that each method of a class, dunders
-    excluded, is a scope of its own under the class's and its own name."""
+def _scopes(stmt: ast.stmt) -> list[tuple[set[str], str | None, list[ast.AST]]]:
+    """A module-level statement as (own names, method, nodes) triples: the
+    statement under its own name, or an assignment under the names it
+    binds, dunders excluded, except that each method of a class, dunders
+    excluded, is a scope of its own under the class's and its own name,
+    with its name as ``method``; ``method`` is None elsewhere."""
     if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
         bound = {
@@ -95,10 +96,10 @@ def _scopes(stmt: ast.stmt) -> list[tuple[set[str], list[ast.AST]]]:
             for n in ast.walk(target)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and not _dunder(n.id)
         }
-        return [(bound, [stmt])]
+        return [(bound, None, [stmt])]
     own = getattr(stmt, "name", None)
     if not isinstance(stmt, ast.ClassDef):
-        return [({own}, [stmt])]
+        return [({own}, None, [stmt])]
     methods = [
         m
         for m in stmt.body
@@ -106,7 +107,7 @@ def _scopes(stmt: ast.stmt) -> list[tuple[set[str], list[ast.AST]]]:
     ]
     rest = [s for s in stmt.body if s not in methods]
     rest += stmt.bases + stmt.keywords + stmt.decorator_list
-    return [({own}, rest)] + [({own, m.name}, [m]) for m in methods]
+    return [({own}, None, rest)] + [({own, m.name}, m.name, [m]) for m in methods]
 
 
 def _module_name(path: Path, package: Path) -> str | None:
@@ -140,9 +141,13 @@ def unreferenced_definitions(sources: dict[Path, str], package: Path) -> list[st
     counts as named where M reads it as a plain name, where a source that
     imports it from M reads it, or where any source reads it as an
     attribute.  Being imported is not enough, and neither is a read of
-    the same name in a source that does not import it from M.
+    the same name in a source that does not import it from M.  A method
+    counts as named only where a source reads it as an attribute: a
+    plain name spelled the same, such as a loop variable, is not a read
+    of it.
     """
     defined: set[tuple[str, str]] = set()
+    methods: set[tuple[str, str]] = set()
     named: set[tuple[str | None, str]] = set()
     attributes: set[str] = set()
     for path, source in sources.items():
@@ -150,19 +155,22 @@ def unreferenced_definitions(sources: dict[Path, str], package: Path) -> list[st
         module = _module_name(path, package)
         origins = _import_origins(tree, module)
         for stmt in tree.body:
-            for own, nodes in _scopes(stmt):
-                if module is not None:
+            for own, method, nodes in _scopes(stmt):
+                if module is not None and method is not None:
+                    methods.add((module, method))
+                elif module is not None:
                     defined.update((module, name) for name in own - {None})
                 for node in (n for top in nodes for n in ast.walk(top)):
                     if isinstance(node, ast.Name) and node.id not in own:
                         named.add(origins.get(node.id, (module, node.id)))
                     elif isinstance(node, ast.Attribute) and node.attr not in own:
                         attributes.add(node.attr)
-    return sorted(
+    unnamed = [
         name
         for module, name in defined
         if (module, name) not in named and name not in attributes
-    )
+    ]
+    return sorted(unnamed + [name for _, name in methods if name not in attributes])
 
 
 def test_unreferenced_detector():
@@ -184,6 +192,9 @@ def test_unreferenced_detector():
             "    def from_init(self): pass\n"
             "    def called(self): return Live\n"
             "    def dead_method(self): return self.dead_method()\n"
+            # read only as a loop variable of the same spelling
+            "    def k(self): return 0\n"
+            "def loops(): return [k for k in range(2)]\n"
             "SHADOWED = {2: 0}\n"
             "FROM_SIBLING = 1\n"
             "def renamed(): pass\n"
@@ -194,10 +205,11 @@ def test_unreferenced_detector():
             "def reads_local(): return LOCAL\n"
         ),
         Path("tests/t.py"): (
-            "from pkg.a import used, Dead, Live, renamed as r\n"
+            "from pkg.a import used, Dead, Live, loops, renamed as r\n"
             "from pkg.b import reads_local\n"
             "used()\n"
             "r()\n"
+            "loops()\n"
             "reads_local()\n"
             "os.method_named\n"
             "Live().called()\n"
@@ -209,7 +221,7 @@ def test_unreferenced_detector():
         ),
     }
     assert unreferenced_definitions(sources, Path("pkg")) == [
-        "DEAD_TABLE", "Dead", "RIGHT", "SELF_READ", "SHADOWED", "dead_method", "recursive",
+        "DEAD_TABLE", "Dead", "RIGHT", "SELF_READ", "SHADOWED", "dead_method", "k", "recursive",
     ]
 
 

@@ -48,6 +48,12 @@ class TestJones:
         assert kauffman_bracket_jones(d) == LaurentPolynomial({1: -1, -1: -1})
         assert unlink_jones(2) == LaurentPolynomial({1: -1, -1: -1})
 
+    def test_empty_diagram_has_no_jones(self):
+        with pytest.raises(DiagramError, match="empty diagram"):
+            kauffman_bracket_jones(OrientedLinkDiagram((), 0))
+        with pytest.raises(DiagramError, match="at least one component"):
+            unlink_jones(0)
+
     def test_right_trefoil_frozen_value(self, trefoil_right):
         # frozen from the independent all-states oracle
         assert jones_bruteforce(trefoil_right) == JONES_TREFOIL_RIGHT
@@ -197,6 +203,10 @@ class TestUnlinkCertificate:
     def test_unlink_inconclusive(self):
         assert unlink_certificate(OrientedLinkDiagram.unknot(3)).verdict == INCONCLUSIVE
 
+    def test_empty_diagram_inconclusive(self):
+        cert = unlink_certificate(OrientedLinkDiagram((), 0))
+        assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "empty diagram")
+
     def test_hopf_certified_by_linking(self, hopf_positive):
         cert = unlink_certificate(hopf_positive)
         assert cert.verdict == CERTIFIED_NOT_UNLINK
@@ -241,7 +251,7 @@ class TestWidthBudget:
 
 
 def _corpus_members(max_crossings=40):
-    for name, f in sorted(load_corpus().items()):
+    for name, f in load_corpus().items():
         for n in range(-3, 4):
             d = twist(f, n)
             if d.n_crossings <= max_crossings:
@@ -276,7 +286,7 @@ class TestScanOracle:
 
     def test_order_matches_max_scan(self):
         seen = 0
-        for name, f in sorted(load_corpus().items()):
+        for name, f in load_corpus().items():
             for n in range(-10, 11):
                 d = twist(f, n)
                 assert invariants._scan_order(d) == scan_order_max(d), (name, n)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistknots.braids import BraidWord, braid_closure
-from twistknots.corpus import built_families, chain_family
+from twistknots.corpus import chain_family, load_corpus
 from twistknots.diagram import (
     DiagramError,
     OrientedLinkDiagram,
@@ -103,7 +103,7 @@ class TestR2:
 
 
 def _small_corpus_members():
-    for name, f in sorted(built_families().items()):
+    for name, f in load_corpus().items():
         for n in range(-2, 3):
             d = twist(f, n)
             if d.n_crossings <= 16:
@@ -149,7 +149,7 @@ class TestRemovalsOracle:
 
     def test_untwisted_members(self):
         # the untwist changes leave bigons to remove
-        fams = built_families()
+        fams = load_corpus()
         for f in (fams["torus_q2"], fams["torus_q3"], chain_family(3), chain_family(4)):
             for n in (1, 2):
                 d = _untwisted(f, n)
@@ -327,12 +327,12 @@ class TestSimplify:
         _check_greedy(changed)
 
     def test_trace_replay_corpus_members(self):
-        for name, f in sorted(built_families().items()):
+        for name, f in load_corpus().items():
             for n in range(-3, 4):
                 _check_greedy(twist(f, n))
 
     def test_trace_replay_untwisted_sweep_inputs(self):
-        fams = built_families()
+        fams = load_corpus()
         for f in (fams["torus_q2"], fams["torus_q3"], chain_family(3), chain_family(4)):
             for n in (1, 2, 3):
                 assert structurally_equal(_check_greedy(_untwisted(f, n)), f.base)
