@@ -19,14 +19,20 @@ which makes the textual normal form round-trip bit-exact.  Inputs whose
 labels are already exactly the ints ``{0..E-1}`` keep them, so
 re-parsing a serialized diagram reproduces it identically; any other
 labels, bools included, are renamed by first appearance.  ``_label_map``
-alone decides this, once per construction: the constructor relabels its
+alone decides this, once per construction from outside labels: the
+constructor relabels its
 ``Crossing`` rows only when needed and sorts them by edges, and
 ``from_raw`` relabels and argsorts raw ``(edges, sign)`` rows through
 ``raw_order`` and builds each ``Crossing`` in its sorted place.  Code
 that reads raw labels afterwards (``from_json_dict``, braid closure
 arcs) finds each one in its crossing slot through the index map.
 
-Both end in one index step, which runs one validating pass.  It fills
+The index step has two ways in.  The constructor relabels and sorts as
+above.  ``_from_dense`` takes ``Crossing`` rows whose labels are already
+``0..E-1`` and only sorts them: ``from_raw`` ends in it, and so do the
+Reidemeister additions of ``moves``, whose fresh labels extend the
+input's and which therefore skip ``_label_map``.  Either way the step
+runs one validating pass in full.  It fills
 each edge's tail and head dart and its successor along the strand, and
 refuses an edge that lacks one tail and one head.  It then follows the
 strands to number the components, and walks the faces on a dart mate
@@ -171,13 +177,27 @@ class OrientedLinkDiagram:
         operations that must address specific crossings after the
         normalizing sort.  The edge tuples are relabeled and sorted once
         by ``raw_order``, each ``Crossing`` is built once, in its sorted
-        place, and the diagram goes straight to the index step; the
-        constructor's normalization does not run.
+        place, and the rows go to ``_from_dense``; the constructor's
+        normalization does not run.
         """
         edges, order, index_map = raw_order(raw)
+        rows = [Crossing(edges[i], raw[i][1]) for i in order]
+        return cls._from_dense(rows, free_loops), index_map
+
+    @classmethod
+    def _from_dense(
+        cls, crossings: Iterable[Crossing], free_loops: int
+    ) -> "OrientedLinkDiagram":
+        """The diagram of ``Crossing`` rows whose labels are already the
+        ints ``0..E-1``: the rows are sorted and go straight to the index
+        step, without the constructor's relabelling.  The validating pass
+        runs in full, so a label beyond ``E - 1`` or an edge end given
+        twice raises ``DiagramError``.  Labels must not be negative, which
+        the pass would read as indices from the end: both callers build
+        theirs from ``0`` up."""
         d = object.__new__(cls)
-        d._index(tuple(Crossing(edges[i], raw[i][1]) for i in order), free_loops)
-        return d, index_map
+        d._index(tuple(sorted(crossings, key=_EDGES)), free_loops)
+        return d
 
     @property
     def n_crossings(self) -> int:
@@ -418,14 +438,19 @@ def _validate(crossings: tuple[Crossing, ...]):
 
 def _edge_error(crossings) -> DiagramError:
     """The error for crossings whose edges lack one tail and one head:
-    a label not seen twice, else the first one seen at a second tail or
-    head, in slot order."""
+    a label not seen twice, else the first label outside ``0..E-1``, else
+    the first one seen at a second tail or head, in slot order."""
     labels = [e for c in crossings for e in c.edges]
     for e in labels:
         k = labels.count(e)
         if k != 2:
             return DiagramError(f"edge multiplicity: edge {e} occurs {k} times")
-    # each label is at two slots, so some (label, points in) pair repeats
+    n_edges = len(labels) // 2
+    for e in labels:
+        if not 0 <= e < n_edges:
+            return DiagramError(f"edge label {e} outside 0..{n_edges - 1}")
+    # each label of 0..E-1 is at two slots, so some (label, points in)
+    # pair repeats
     ends = [(e, i) for c in crossings for e, i in zip(c.edges, _INCOMING[c.sign])]
     e, incoming = next(end for i, end in enumerate(ends) if ends.index(end) < i)
     way = "enters" if incoming else "leaves"

@@ -1,15 +1,16 @@
 """Reidemeister moves on oriented PD diagrams.
 
 Enumerates every applicable move of the three kinds, in both directions
-for R1 and R2.  Enumeration builds no diagram: each move is made as
-``Move(kind, site, builder, *args)``, keeping the builder of its result
-and the arguments enumeration computed, and the first read of
-``Move.result`` builds the diagram, so a search that reads a few of the
-moves it lists pays for those alone.  Moves have no equality of their
-own; compare their ``(kind, site, result)`` triples.  Each result read
-costs one construction, which runs the diagram's full validating pass.
-The additions build only the wirings that fit the faces they are drawn
-in, so a result that fails the pass is a bug in this module; it raises
+for R1 and R2.  Enumeration builds no diagram and no crossing: each move
+is made as ``Move(kind, site, builder, *args)``, keeping the builder of
+its result and what enumeration found (the input, its edges, the kink
+kind or wiring), and the first read of ``Move.result`` builds the
+crossings and the diagram, so a search that reads a few of the moves it
+lists pays for those alone.  Moves have no equality of their own;
+compare their ``(kind, site, result)`` triples.  Each result read costs
+one construction, which runs the diagram's full validating pass.  The
+additions build only the wirings that fit the faces they are drawn in,
+so a result that fails the pass is a bug in this module; it raises
 ``DiagramError`` on read instead of being dropped.
 ``reidemeister_moves`` logs one DEBUG record per call on
 ``twistknots.moves`` with the crossings in, the moves out of each kind
@@ -31,7 +32,12 @@ labels around its triangle (``_slid``).  ``greedy_simplify`` splices its
 own array step after step, names the crossings of its trace by their
 input indices, and validates one diagram, its result.  Only the
 additions, which create crossings, relabel the input's crossing list
-(``_rebuilt``).
+(``_rebuilt``).  They keep the input's labels ``0..2V-1`` and number
+their new edges ``2V..2V+2k-1`` for k new crossings, so their rows are
+already in normal form and skip the constructor's relabelling: they go
+straight to the index step (``OrientedLinkDiagram._from_dense``).  So
+an R2+ of one free loop across another labels the second loop
+``2V + 2, 2V + 3``, the labels a crossed edge's new pieces take.
 """
 
 from __future__ import annotations
@@ -47,10 +53,11 @@ class Move:
 
     ``Move(kind, site, builder, *args)`` records the builder of the result
     and the arguments enumeration already computed.  The first read of
-    ``result`` runs ``builder(*args)``, which builds the diagram through
-    the validating constructor, and keeps it: each result read costs one
-    validated construction, later reads cost nothing, and a builder fault
-    raises ``DiagramError`` on the read.
+    ``result`` runs ``builder(*args)``, which builds the result's crossings
+    and the diagram through the index step and its full validating pass,
+    and keeps it: each result read costs one validated construction,
+    later reads cost nothing, and a builder fault raises ``DiagramError``
+    on every read.
     """
 
     __slots__ = ("kind", "site", "_result", "_build")
@@ -131,13 +138,16 @@ def _without(d, mate, removed) -> OrientedLinkDiagram:
 
 def _rebuilt(d, updates, added, free_loops) -> OrientedLinkDiagram:
     """``d`` with slots relabelled by ``(ci, slot, edge)`` updates, in
-    order, and the ``added`` crossings appended."""
+    order, and the ``added`` crossings appended.  The additions keep the
+    input's labels and number their fresh edges from ``2V`` up, so the
+    rows are already dense and go straight to the index step."""
     crossings = list(d.crossings)
     for ci, slot, e in updates:
         edges = list(crossings[ci].edges)
         edges[slot] = e
         crossings[ci] = Crossing(tuple(edges), crossings[ci].sign)
-    return OrientedLinkDiagram(tuple(crossings) + tuple(added), free_loops)
+    crossings += added
+    return OrientedLinkDiagram._from_dense(crossings, free_loops)
 
 
 def _head_update(d, edge, new_edge):
@@ -147,24 +157,37 @@ def _head_update(d, edge, new_edge):
 
 
 def r1_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
-    loop, m = 2 * d.n_crossings, 2 * d.n_crossings + 1
+    """R1+ moves at sites ``(e, kind)``, four kinks on every edge, then
+    ``("free_loop", kind)``, two kinks on a free loop, if there is one."""
     for e in d.edges:
-        update = (_head_update(d, e, m),)
-        for kind, crossing in (
-            ("pos_a", Crossing((loop, loop, m, e), +1)),
-            ("pos_b", Crossing((e, m, loop, loop), +1)),
-            ("neg_a", Crossing((e, loop, loop, m), -1)),
-            ("neg_b", Crossing((loop, e, m, loop), -1)),
-        ):
-            yield Move("R1+", (e, kind), _rebuilt, d, update, (crossing,), d.free_loops)
+        for kind in ("pos_a", "pos_b", "neg_a", "neg_b"):
+            yield Move("R1+", (e, kind), _kinked, d, e, kind)
     if d.free_loops:
-        for kind, crossing in (
-            ("loop_pos", Crossing((loop, loop, m, m), +1)),
-            ("loop_neg", Crossing((m, loop, loop, m), -1)),
-        ):
-            yield Move(
-                "R1+", ("free_loop", kind), _rebuilt, d, (), (crossing,), d.free_loops - 1
-            )
+        for kind in ("loop_pos", "loop_neg"):
+            yield Move("R1+", ("free_loop", kind), _kinked, d, None, kind)
+
+
+def _kinked(d, e, kind) -> OrientedLinkDiagram:
+    """``d`` with a kink of ``kind`` on edge ``e``, or on a free loop when
+    ``e`` is None.  The kink's loop is edge ``2V`` and the strand leaves
+    the kink on edge ``2V + 1``, which a free loop enters it on too."""
+    loop, m = 2 * d.n_crossings, 2 * d.n_crossings + 1
+    if e is None:
+        return _rebuilt(d, (), (_kink(kind, m, loop, m),), d.free_loops - 1)
+    return _rebuilt(d, (_head_update(d, e, m),), (_kink(kind, e, loop, m),), d.free_loops)
+
+
+def _kink(kind, e, loop, m) -> Crossing:
+    """The crossing of a kink of ``kind`` whose strand enters on ``e``,
+    runs once around the loop edge ``loop`` and leaves on ``m``; the
+    ``loop_`` kinds are ``pos_a`` and ``neg_a`` with ``e == m``."""
+    if kind in ("pos_a", "loop_pos"):
+        return Crossing((loop, loop, m, e), +1)
+    if kind == "pos_b":
+        return Crossing((e, m, loop, loop), +1)
+    if kind in ("neg_a", "loop_neg"):
+        return Crossing((e, loop, loop, m), -1)
+    return Crossing((loop, e, m, loop), -1)
 
 
 def _r2_wiring(over, under, k):
@@ -198,8 +221,6 @@ _R2_WIRING = {(True, False): 0, (False, True): 1, (False, False): 2, (True, True
 def r2_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
     """R2+ moves over every ordered edge pair sharing a face: pairs in the
     order first met, each pair's planar wirings in ascending k."""
-    fresh0 = 2 * d.n_crossings
-    m, h, e2, g2 = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
     label = _labels(d)
     wirings: dict[tuple[int, int], set[int]] = {}
     for face in _faces(d._tail, d._head):
@@ -209,43 +230,60 @@ def r2_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
                 if i != j and e != g:
                     wirings.setdefault((e, g), set()).add(_R2_WIRING[e_tail, g_tail])
     for (e, g), ks in wirings.items():
-        updates = (_head_update(d, e, e2), _head_update(d, g, g2))
         for k in sorted(ks):
-            pair = _r2_wiring((e, m, e2), (g, h, g2), k)
-            yield Move("R2+", (e, g, k), _rebuilt, d, updates, pair, d.free_loops)
+            yield Move("R2+", (e, g, k), _pushed, d, e, g, k)
     if d.free_loops:
         yield from _r2_free_loop_additions(d)
 
 
-def _r2_free_loop_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
+def _pushed(d, e, g, k) -> OrientedLinkDiagram:
+    """``d`` with edge ``e`` pushed across edge ``g`` by wiring ``k``: the
+    finger splits ``e`` into ``e, 2V, 2V + 2`` and ``g`` into
+    ``g, 2V + 1, 2V + 3``."""
     fresh0 = 2 * d.n_crossings
-    m1, m2, h, g2 = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
+    m, h, e2, g2 = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
+    updates = (_head_update(d, e, e2), _head_update(d, g, g2))
+    return _rebuilt(d, updates, _r2_wiring((e, m, e2), (g, h, g2), k), d.free_loops)
+
+
+def _r2_free_loop_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
     for g in d.edges:
-        update = (_head_update(d, g, g2),)
-        for role, (over, under) in enumerate(
-            (((m2, m1, m2), (g, h, g2)), ((g, h, g2), (m2, m1, m2)))
-        ):
+        for role in (0, 1):
             for k in range(4):
-                pair = _r2_wiring(over, under, k)
-                yield Move(
-                    "R2+", ("free_loop", g, role, k), _rebuilt, d, update, pair,
-                    d.free_loops - 1,
-                )
-    # one loop across another, and a loop across itself
-    n1, n2 = fresh0 + 4, fresh0 + 5
+                yield Move("R2+", ("free_loop", g, role, k), _loop_pushed, d, g, role, k)
     if d.free_loops >= 2:
         for k in range(4):
-            pair = _r2_wiring((m2, m1, m2), (n2, n1, n2), k)
-            yield Move("R2+", ("two_loops", k), _rebuilt, d, (), pair, d.free_loops - 2)
-    # a lone loop pushed across itself: tongue over both times or under both
+            yield Move("R2+", ("two_loops", k), _loop_pushed, d, None, 0, k)
+    for k in range(2):
+        yield Move("R2+", ("self_loop", k), _self_pushed, d, k)
+
+
+def _loop_pushed(d, g, role, k) -> OrientedLinkDiagram:
+    """``d`` with a free loop pushed by wiring ``k`` across edge ``g``
+    (``role`` 0) or ``g`` across it (``role`` 1), or, when ``g`` is None,
+    across a second free loop.  The loop becomes edges ``2V, 2V + 1`` and
+    the strand of ``g`` gains ``2V + 2, 2V + 3``; a second loop becomes
+    those two edges alone, so the labels stay dense."""
+    fresh0 = 2 * d.n_crossings
+    m1, m2, h, g2 = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
+    loop = (m2, m1, m2)
+    if g is None:
+        return _rebuilt(d, (), _r2_wiring(loop, (g2, h, g2), k), d.free_loops - 2)
+    strand = (g, h, g2)
+    over, under = (loop, strand) if role == 0 else (strand, loop)
+    return _rebuilt(d, (_head_update(d, g, g2),), _r2_wiring(over, under, k), d.free_loops - 1)
+
+
+def _self_pushed(d, k) -> OrientedLinkDiagram:
+    """``d`` with a lone loop pushed across itself: its tongue passes over
+    both times (``k`` 0) or under both times (``k`` 1)."""
+    fresh0 = 2 * d.n_crossings
     a, t, c, m = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
-    for k, pair in enumerate(
-        (
-            (Crossing((c, t, m, a), +1), Crossing((m, t, c, a), -1)),
-            (Crossing((a, c, t, m), -1), Crossing((t, c, a, m), +1)),
-        )
-    ):
-        yield Move("R2+", ("self_loop", k), _rebuilt, d, (), pair, d.free_loops - 1)
+    if k == 0:
+        pair = Crossing((c, t, m, a), +1), Crossing((m, t, c, a), -1)
+    else:
+        pair = Crossing((a, c, t, m), -1), Crossing((t, c, a, m), +1)
+    return _rebuilt(d, (), pair, d.free_loops - 1)
 
 
 # -- R3 -----------------------------------------------------------------

@@ -371,7 +371,8 @@ def r2_additions_bruteforce(d: OrientedLinkDiagram) -> list[tuple]:
             for k in range(4):
                 pair = r2_wiring_table(over, under, k)
                 keep(("free_loop", g, role, k), [(g, g2)], pair, d.free_loops - 1)
-    n1, n2 = fresh0 + 4, fresh0 + 5
+    # the second loop takes the labels the strand of g takes above
+    n1, n2 = fresh0 + 2, fresh0 + 3
     if d.free_loops >= 2:
         for k in range(4):
             pair = r2_wiring_table((m2, m1, m2), (n2, n1, n2), k)

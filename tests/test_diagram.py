@@ -371,6 +371,19 @@ class TestStructure:
             )
 
 
+class TestDenseEntry:
+    """``_from_dense`` skips the relabelling, not the validating pass."""
+
+    def test_label_beyond_range(self):
+        # the closure of sigma_1 sigma_1 with label 3 renamed 7: every label
+        # occurs twice, once in and once out
+        rows = [Crossing((1, 7, 2, 0), 1), Crossing((7, 1, 0, 2), 1)]
+        closure = braid_closure(BraidWord.from_ints(2, [1, 1]))
+        assert structurally_equal(OrientedLinkDiagram(tuple(rows)), closure)
+        with pytest.raises(DiagramError, match="edge label 7 outside 0..3"):
+            OrientedLinkDiagram._from_dense(rows, 0)
+
+
 @st.composite
 def oriented_codes(draw, max_crossings=5):
     """Crossing lists whose edges each run from one outgoing slot to one
@@ -663,13 +676,13 @@ class TestUnsignedParse:
 
     def test_one_construction_per_parse(self, monkeypatch):
         built = []
-        validate = OrientedLinkDiagram.__post_init__
+        index = OrientedLinkDiagram._index
 
-        def counting(self):
+        def counting(self, crossings, free_loops):
             built.append(self)  # counted even if validation then raises
-            validate(self)
+            index(self, crossings, free_loops)
 
-        monkeypatch.setattr(OrientedLinkDiagram, "__post_init__", counting)
+        monkeypatch.setattr(OrientedLinkDiagram, "_index", counting)
         d = braid_closure(BraidWord.from_ints(3, [1, -2, 1, -2, 1]))
         text, _ = unsigned_text(d, random.Random(0))
         built.clear()

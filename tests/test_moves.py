@@ -3,12 +3,13 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistknots.braids import BraidWord, braid_closure
 from twistknots.corpus import chain_family, load_corpus
 from twistknots.diagram import (
+    Crossing,
     DiagramError,
     OrientedLinkDiagram,
     parse_pd,
@@ -19,6 +20,8 @@ from twistknots.families import twist, untwist_schedule
 from twistknots.invariants import kauffman_bracket_jones
 from twistknots.moves import (
     Move,
+    _kink,
+    _r2_wiring,
     _rebuilt,
     greedy_simplify,
     r1_additions,
@@ -203,14 +206,20 @@ class TestLazyResults:
     """Enumeration builds nothing; each result is built once, on first read."""
 
     def test_one_construction_per_result_read(self, monkeypatch):
-        built = []
-        validate = OrientedLinkDiagram.__post_init__
+        built, made = [], []
+        index, check = OrientedLinkDiagram._index, Crossing.__post_init__
 
-        def counting(self):
+        def counting(self, crossings, free_loops):
             built.append(self)  # counted even if validation then raises
-            validate(self)
+            index(self, crossings, free_loops)
 
-        monkeypatch.setattr(OrientedLinkDiagram, "__post_init__", counting)
+        def counting_crossings(self):
+            made.append(self)
+            check(self)
+
+        # every construction passes through the index step
+        monkeypatch.setattr(OrientedLinkDiagram, "_index", counting)
+        monkeypatch.setattr(Crossing, "__post_init__", counting_crossings)
         # a triangle, a bigon, a kink and two free loops: every builder runs
         d = (
             braid_closure(BraidWord.from_ints(4, [1, 2, 1, 3, -3]))
@@ -218,8 +227,9 @@ class TestLazyResults:
             .disjoint_union(OrientedLinkDiagram.unknot(2))
         )
         built.clear()
+        made.clear()
         moves = reidemeister_moves(d)
-        assert built == []
+        assert built == [] and made == []
         assert {m.kind for m in moves} == {"R1-", "R2-", "R3", "R1+", "R2+"}
         for m in moves:
             m.result
@@ -259,6 +269,63 @@ class TestLazyResults:
         for _ in range(2):
             with pytest.raises(DiagramError):
                 move.result
+
+    @staticmethod
+    def _faulty_results(kind, match, d):
+        """Every ``kind`` result of ``d`` but the self-loop pushes raises
+        ``DiagramError`` matching ``match`` on every read."""
+        faulty = [
+            m for m in reidemeister_moves(d) if m.kind == kind and m.site[0] != "self_loop"
+        ]
+        assert faulty
+        for m in faulty:
+            for _ in range(2):
+                with pytest.raises(DiagramError, match=match):
+                    m.result
+
+    def test_swapped_wiring_slots_raise_on_read(self, monkeypatch, trefoil_right):
+        def swapped(over, under, k):
+            first, second = _r2_wiring(over, under, k)
+            a, b, c, e = first.edges
+            return Crossing((c, b, a, e), first.sign), second
+
+        monkeypatch.setattr("twistknots.moves._r2_wiring", swapped)
+        d = trefoil_right.disjoint_union(OrientedLinkDiagram.unknot(2))
+        self._faulty_results("R2+", "orientation inconsistency", d)
+
+    def test_kink_label_beyond_range_raises_on_read(self, monkeypatch, trefoil_right):
+        # the loop edge labelled 2V + 2: every label occurs twice, once in
+        # and once out, and 2V is left out
+        monkeypatch.setattr(
+            "twistknots.moves._kink", lambda kind, e, loop, m: _kink(kind, e, loop + 2, m)
+        )
+        d = trefoil_right.disjoint_union(OrientedLinkDiagram.unknot(1))
+        self._faulty_results("R1+", "edge label 8 outside 0..7", d)
+
+
+class TestAdditionsSkipNormalization:
+    """Addition results go straight to the index step: the constructor's
+    relabelling, which they skip, would leave them as they are."""
+
+    @given(braid_words(), st.integers(0, 2))
+    @example(BraidWord(2, ((1, 1),)), 2)
+    @settings(max_examples=40, deadline=None)
+    def test_constructor_keeps_results(self, word, loops):
+        d = braid_closure(word).disjoint_union(OrientedLinkDiagram.unknot(loops))
+        fresh0 = 2 * d.n_crossings
+        for m in [*r1_additions(d), *r2_additions(d)]:
+            result = m.result
+            built = OrientedLinkDiagram(result.crossings, result.free_loops)
+            assert result == built, m.site
+            for name in ("_tail", "_head", "_comp", "_components", "_face_of"):
+                assert getattr(result, name) == getattr(built, name), (m.site, name)
+            if m.site[0] == "two_loops":
+                # the second loop once took labels 2V + 4, 2V + 5, which the
+                # constructor renamed
+                m1, m2, n1, n2 = fresh0, fresh0 + 1, fresh0 + 4, fresh0 + 5
+                pair = _r2_wiring((m2, m1, m2), (n2, n1, n2), m.site[1])
+                old = OrientedLinkDiagram(d.crossings + pair, d.free_loops - 2)
+                assert structurally_equal(result, old), m.site
 
 
 class TestMoveLog:
@@ -347,14 +414,14 @@ class TestSimplify:
 
     def test_one_validating_construction(self, monkeypatch):
         built = []
-        validate = OrientedLinkDiagram.__post_init__
+        index = OrientedLinkDiagram._index
 
-        def counting(self):
+        def counting(self, crossings, free_loops):
             built.append(self)
-            validate(self)
+            index(self, crossings, free_loops)
 
         d = _untwisted(chain_family(4), 3)
-        monkeypatch.setattr(OrientedLinkDiagram, "__post_init__", counting)
+        monkeypatch.setattr(OrientedLinkDiagram, "_index", counting)
         result, trace = greedy_simplify(d)
         assert len(trace) == 18
         assert len(built) == 1 and built[0] is result
