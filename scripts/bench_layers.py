@@ -8,8 +8,10 @@ Run from the repository root:
 Times ``families.twist`` on ``chain_4`` at n = 13, 52, ``torus_q3`` at
 n = 13, 40, ``whitehead`` at n = 30 and ``wind3_wrap9`` at n = 10, and
 ``families.untwist_schedule`` on the two coherent ones of those,
-``moves.greedy_simplify`` on untwisted ``chain_4`` members (the
-untwist sites of ``twist(chain_4, n)`` changed) at n = 10, 50, 100,
+``diagram.change_crossings`` of the 78 untwist sites of
+``twist(chain_4, 13)``, ``moves.greedy_simplify`` on untwisted
+``chain_4`` members (the untwist sites of ``twist(chain_4, n)`` changed)
+at n = 10, 50, 100,
 ``invariants._scan_order`` on ``twist(wind3_wrap9, n)`` at n = 10, 30,
 ``invariants.signature`` on ``twist(chain_4, n)`` at n = 13, 26, 52
 and ``twist(torus_q3, n)`` at n = 13, 40, and on two split diagrams: three
@@ -24,11 +26,12 @@ twist on 8 strands, and ``moves.reidemeister_moves`` on
 ``twist(largewrap_w0_p4, 1)``, and the untwisted ``chain_4`` n=2 and
 ``torus_q2`` n=3 members.  Each row holds the crossings in, the cost driver
 (the crossings out of a twist or of the schedule's member and the
-schedule's sites, greedy steps, scan width, the white faces and peak
-row nonzeros of the elimination or the scan's width and state updates,
-read from their DEBUG records, or the moves out, each result one built
-and validated diagram), the number of calls timed (``REPEATS``,
-``TWIST_REPEATS`` for the twist layer, ``JONES_REPEATS`` for the scan,
+schedule's sites, the sites changed, greedy steps, scan width, the
+white faces and peak row nonzeros of the elimination or the scan's
+width and state updates, read from their DEBUG records, or the moves
+out, each result one built and validated diagram), the number of calls
+timed (``REPEATS``, ``TWIST_REPEATS`` for the twist layer and crossing
+changes, ``JONES_REPEATS`` for the scan,
 ``MOVE_REPEATS`` for moves, ``SPLIT_REPEATS`` for the split diagrams)
 and their median seconds.  A split signature row also holds
 ``records_per_call``, the DEBUG records one call logs, and reads its
@@ -137,6 +140,16 @@ def rows():
                 "repeats": TWIST_REPEATS,
                 "s": round(secs, 5),
             }
+    member, sites = twist(chain, 13), untwist_schedule(chain, 13)
+    _, secs = timed(member.change_crossings, sites, TWIST_REPEATS)
+    yield {
+        "layer": "diagram.change_crossings",
+        "input": "chain_4 n=13, untwist sites",
+        "crossings": member.n_crossings,
+        "sites": len(sites),
+        "repeats": TWIST_REPEATS,
+        "s": round(secs, 6),
+    }
     for n in (10, 50, 100):
         d = twist(chain, n).change_crossings(untwist_schedule(chain, n))
         (_, trace), secs = timed(moves.greedy_simplify, d)
@@ -183,7 +196,6 @@ def rows():
             "repeats": REPEATS,
             "s": round(secs, 4),
         }
-    member = twist(chain, 13)
     union = member.disjoint_union(member).disjoint_union(member)
     for tag, d in (("3 x chain_4 n=13", union), ("wind3_wrap9 n=0", twist(corpus["wind3_wrap9"], 0))):
         records.clear()

@@ -45,6 +45,8 @@ class BraidWord:
         return len(self.letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
+        if not isinstance(other, BraidWord):
+            raise DiagramError(f"can only concatenate a braid word, got {other!r}")
         if other.strands != self.strands:
             raise DiagramError("cannot concatenate words on different strand counts")
         return BraidWord(self.strands, self.letters + other.letters)

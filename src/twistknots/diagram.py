@@ -29,20 +29,21 @@ arcs) finds each one in its crossing slot through the index map.
 
 The index step has two ways in.  The constructor relabels and sorts as
 above.  ``_from_dense`` takes ``Crossing`` rows whose labels are already
-``0..E-1`` and only sorts them: ``from_raw`` ends in it, and so do the
-Reidemeister additions of ``moves``, whose fresh labels extend the
-input's and which therefore skip ``_label_map``.  Either way the step
-runs one validating pass in full.  It fills
-each edge's tail and head dart and its successor along the strand, and
-refuses an edge that lacks one tail and one head.  It then follows the
-strands to number the components, and walks the faces on a dart mate
-array.  Split diagrams are first class.  Non-planar inputs (PD codes
-with no realization in the plane) are refused by one Euler
-characteristic count over all connected pieces at once:
-F = V + 2 * pieces.  The pieces are counted by a union over components,
-each crossing joining the components of its under- and over-strand; the
-message naming the first failing piece is only worked out when the
-count fails.
+``0..E-1`` and only sorts them, skipping ``_label_map``: ``from_raw``
+ends in it, and so do rows derived from a diagram's own (``mirror`` and
+``change_crossings`` permute labels within a row, ``disjoint_union``
+shifts the second diagram's by ``2V``) and the Reidemeister move results
+of ``moves`` that remove no crossing.  Either way the step runs one
+validating pass in full.  It fills each edge's tail and head dart and
+its successor along the strand, and refuses an edge that lacks one tail
+and one head.  It then follows the strands to number the components,
+and walks the faces on a dart mate array.  Split diagrams are first
+class.  Non-planar inputs (PD codes with no realization in the plane)
+are refused by one Euler characteristic count over all connected pieces
+at once: F = V + 2 * pieces.  The pieces are counted by a union over
+components, each crossing joining the components of its under- and
+over-strand; the message naming the first failing piece is only worked
+out when the count fails.
 
 The pass leaves an edge index on the diagram: each edge's tail dart,
 head dart and component, and each dart's face (``_face_of``, faces
@@ -193,8 +194,8 @@ class OrientedLinkDiagram:
         step, without the constructor's relabelling.  The validating pass
         runs in full, so a label beyond ``E - 1`` or an edge end given
         twice raises ``DiagramError``.  Labels must not be negative, which
-        the pass would read as indices from the end: both callers build
-        theirs from ``0`` up."""
+        the pass would read as indices from the end: every caller derives
+        its labels from ``0..E-1`` or numbers them from ``0`` up."""
         d = object.__new__(cls)
         d._index(tuple(sorted(crossings, key=_EDGES)), free_loops)
         return d
@@ -232,20 +233,18 @@ class OrientedLinkDiagram:
         Strand orientations are kept, all signs negate, and the operation
         is an involution.
         """
-        return OrientedLinkDiagram(
-            tuple(_mirror_crossing(c) for c in self.crossings), self.free_loops
-        )
+        return OrientedLinkDiagram._from_dense(map(_mirror_crossing, self.crossings), self.free_loops)
 
     def change_crossings(self, sites: Iterable[int]) -> "OrientedLinkDiagram":
-        sites = set(sites)
+        try:
+            sites = set(sites)
+        except TypeError:
+            raise DiagramError(f"crossing sites must be an iterable, got {sites!r}") from None
         for s in sites:
             if not (type(s) is int and 0 <= s < len(self.crossings)):
                 raise DiagramError(f"invalid crossing site {s!r}")
-        new = tuple(
-            _mirror_crossing(c) if i in sites else c
-            for i, c in enumerate(self.crossings)
-        )
-        return OrientedLinkDiagram(new, self.free_loops)
+        new = [_mirror_crossing(c) if i in sites else c for i, c in enumerate(self.crossings)]
+        return OrientedLinkDiagram._from_dense(new, self.free_loops)
 
     def linking_number(self, i: int, j: int) -> int:
         """Half the signed count of crossings between components i and j."""
@@ -265,11 +264,13 @@ class OrientedLinkDiagram:
 
     def disjoint_union(self, other: "OrientedLinkDiagram") -> "OrientedLinkDiagram":
         """Distant union; the other diagram's components come after ours."""
+        if not isinstance(other, OrientedLinkDiagram):
+            raise DiagramError(f"can only unite with a diagram, got {other!r}")
         off = 2 * len(self.crossings)
         shifted = tuple(
             Crossing(tuple(e + off for e in c.edges), c.sign) for c in other.crossings
         )
-        return OrientedLinkDiagram(
+        return OrientedLinkDiagram._from_dense(
             self.crossings + shifted, self.free_loops + other.free_loops
         )
 
@@ -656,6 +657,8 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
     orientation the crossings leave open, raises ``ParseError``.
     Empty input gives the empty diagram.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"PD text must be a string, got {type(text).__name__}")
     # blank out comments so that offsets stay those of ``text``
     stripped = re.sub(r"#[^\n]*", lambda m: " " * len(m.group()), text)
     crossings_raw: list[tuple[list, int | None, int]] = []

@@ -24,20 +24,21 @@ mated to the other end of its edge.  The removals and
 ``greedy_simplify`` share one machine on it: one kink test, one bigon
 test, and one splice that re-mates the darts around the removed
 crossings and gives each re-mated edge the least label of the edges it
-replaces.  R3 finds its triangles on the same faces and mates.  Every
-removal and R3 result is a relabelled copy of the input's per-dart label
-array, built by ``_built``: an R1- or R2- result splices a copy of the
-mate array and takes the labels it leaves, and an R3 result slides the
-labels around its triangle (``_slid``).  ``greedy_simplify`` splices its
-own array step after step, names the crossings of its trace by their
-input indices, and validates one diagram, its result.  Only the
-additions, which create crossings, relabel the input's crossing list
-(``_rebuilt``).  They keep the input's labels ``0..2V-1`` and number
-their new edges ``2V..2V+2k-1`` for k new crossings, so their rows are
-already in normal form and skip the constructor's relabelling: they go
-straight to the index step (``OrientedLinkDiagram._from_dense``).  So
-an R2+ of one free loop across another labels the second loop
-``2V + 2, 2V + 3``, the labels a crossed edge's new pieces take.
+replaces.  R3 finds its triangles on the same faces and mates.  One
+builder, ``_edited``, makes every result from the input's crossing rows:
+it relabels some darts, leaves some crossings out and appends new rows.
+An R1- or R2- result relabels the darts the splice re-mated and leaves
+out the removed crossings; ``greedy_simplify`` splices its own array
+step after step, names the crossings of its trace by their input
+indices, and builds one diagram, its result.  An R3 result slides the
+labels around its triangle (``_slid``).  The additions relabel the head
+darts of the edges they split and append the crossings they create, with
+new edges ``2V..2V+2k-1`` for k new crossings; an R2+ of one free loop
+across another labels the second loop ``2V + 2, 2V + 3``.  A result
+that loses no crossing keeps the labels ``0..E-1``, so its rows are in
+normal form and go straight to the index step
+(``OrientedLinkDiagram._from_dense``); a removal leaves gaps, and the
+constructor renames its rows by first appearance.
 """
 
 from __future__ import annotations
@@ -128,32 +129,11 @@ def _without(d, mate, removed) -> OrientedLinkDiagram:
     """``d`` with the ``removed`` crossings spliced out of a copy of its
     mate array (see ``_remove``)."""
     label = _labels(d)
-    alive = [True] * d.n_crossings
-    loops, _ = _remove(mate.copy(), label, alive, removed)
-    return _built(d, label, alive, d.free_loops + loops)
+    loops, remated = _remove(mate.copy(), label, [True] * d.n_crossings, removed)
+    return _edited(d, [(x, label[x]) for x in remated], removed, (), d.free_loops + loops)
 
 
 # -- additions ----------------------------------------------------------
-
-
-def _rebuilt(d, updates, added, free_loops) -> OrientedLinkDiagram:
-    """``d`` with slots relabelled by ``(ci, slot, edge)`` updates, in
-    order, and the ``added`` crossings appended.  The additions keep the
-    input's labels and number their fresh edges from ``2V`` up, so the
-    rows are already dense and go straight to the index step."""
-    crossings = list(d.crossings)
-    for ci, slot, e in updates:
-        edges = list(crossings[ci].edges)
-        edges[slot] = e
-        crossings[ci] = Crossing(tuple(edges), crossings[ci].sign)
-    crossings += added
-    return OrientedLinkDiagram._from_dense(crossings, free_loops)
-
-
-def _head_update(d, edge, new_edge):
-    """The update pointing the head occurrence of ``edge`` at a new label."""
-    x = d._head[edge]
-    return x >> 2, x & 3, new_edge
 
 
 def r1_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
@@ -173,8 +153,8 @@ def _kinked(d, e, kind) -> OrientedLinkDiagram:
     the kink on edge ``2V + 1``, which a free loop enters it on too."""
     loop, m = 2 * d.n_crossings, 2 * d.n_crossings + 1
     if e is None:
-        return _rebuilt(d, (), (_kink(kind, m, loop, m),), d.free_loops - 1)
-    return _rebuilt(d, (_head_update(d, e, m),), (_kink(kind, e, loop, m),), d.free_loops)
+        return _edited(d, (), (), (_kink(kind, m, loop, m),), d.free_loops - 1)
+    return _edited(d, ((d._head[e], m),), (), (_kink(kind, e, loop, m),), d.free_loops)
 
 
 def _kink(kind, e, loop, m) -> Crossing:
@@ -242,8 +222,8 @@ def _pushed(d, e, g, k) -> OrientedLinkDiagram:
     ``g, 2V + 1, 2V + 3``."""
     fresh0 = 2 * d.n_crossings
     m, h, e2, g2 = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
-    updates = (_head_update(d, e, e2), _head_update(d, g, g2))
-    return _rebuilt(d, updates, _r2_wiring((e, m, e2), (g, h, g2), k), d.free_loops)
+    edits = (d._head[e], e2), (d._head[g], g2)
+    return _edited(d, edits, (), _r2_wiring((e, m, e2), (g, h, g2), k), d.free_loops)
 
 
 def _r2_free_loop_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
@@ -268,10 +248,10 @@ def _loop_pushed(d, g, role, k) -> OrientedLinkDiagram:
     m1, m2, h, g2 = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
     loop = (m2, m1, m2)
     if g is None:
-        return _rebuilt(d, (), _r2_wiring(loop, (g2, h, g2), k), d.free_loops - 2)
+        return _edited(d, (), (), _r2_wiring(loop, (g2, h, g2), k), d.free_loops - 2)
     strand = (g, h, g2)
     over, under = (loop, strand) if role == 0 else (strand, loop)
-    return _rebuilt(d, (_head_update(d, g, g2),), _r2_wiring(over, under, k), d.free_loops - 1)
+    return _edited(d, ((d._head[g], g2),), (), _r2_wiring(over, under, k), d.free_loops - 1)
 
 
 def _self_pushed(d, k) -> OrientedLinkDiagram:
@@ -283,7 +263,7 @@ def _self_pushed(d, k) -> OrientedLinkDiagram:
         pair = Crossing((c, t, m, a), +1), Crossing((m, t, c, a), -1)
     else:
         pair = Crossing((a, c, t, m), -1), Crossing((t, c, a, m), +1)
-    return _rebuilt(d, (), pair, d.free_loops - 1)
+    return _edited(d, (), (), pair, d.free_loops - 1)
 
 
 # -- R3 -----------------------------------------------------------------
@@ -315,15 +295,15 @@ def _slid(d: OrientedLinkDiagram, sides: list[int]) -> OrientedLinkDiagram:
 
     Side ``t`` runs from tail dart ``x`` to head dart ``y``; its strand
     enters at ``x ^ 2`` and leaves at ``y ^ 2``.  Its label moves to those
-    two darts, and ``x`` and ``y`` take the labels that were beyond them.
-    The two sides at a corner hold the two strands of its crossing, so
-    the sides' darts are twelve distinct ones and the labels move in place.
+    two darts, and ``x`` and ``y`` take the input's labels beyond them.
     """
-    label = _labels(d)
+    rows = d.crossings
+    edits = []
     for t in sides:
         x, y = d._tail[t], d._head[t]
-        label[x ^ 2], label[x], label[y], label[y ^ 2] = t, label[y ^ 2], label[x ^ 2], t
-    return _built(d, label, [True] * d.n_crossings, d.free_loops)
+        before, after = rows[x >> 2].edges[(x ^ 2) & 3], rows[y >> 2].edges[(y ^ 2) & 3]
+        edits += (x ^ 2, t), (x, after), (y, before), (y ^ 2, t)
+    return _edited(d, edits, (), (), d.free_loops)
 
 
 # -- simplification ------------------------------------------------------
@@ -342,10 +322,9 @@ def greedy_simplify(
     input crossings: ``("R1-", (c, s))`` for the kink whose loop joins
     slots ``s`` and ``s + 1`` of crossing ``c``, and
     ``("R2-", (c1, s1, c2, s2))`` for the bigon whose two face darts are
-    ``(c1, s1)`` and ``(c2, s2)``.  Each edge of the result is labelled
-    by the least input label along it, and the constructor renames the
-    labels unless they are already ``0..E-1``.  The result is built and
-    validated once, at the end.
+    ``(c1, s1)`` and ``(c2, s2)``.  Each edge of the result takes the
+    least input label along it, which the constructor renames, and the
+    result is built and validated once, at the end.
     """
     start = time.perf_counter()
     n = len(d.crossings)
@@ -353,10 +332,11 @@ def greedy_simplify(
     label = _labels(d)
     alive = [True] * n
     free_loops = d.free_loops
+    remated: list[int] = []
     trace: list[tuple] = []
-    work = list(range(n - 1, -1, -1))  # a stack, lowest crossing on top
+    work = list(range(4 * n - 4, -1, -4))  # a stack of darts, lowest crossing on top
     while work:
-        c = work.pop()
+        c = work.pop() >> 2
         if not alive[c]:
             continue
         kinks = _kinks_at(mate, c)
@@ -370,10 +350,13 @@ def greedy_simplify(
             x, y = bigons[0]
             trace.append(("R2-", (c, x & 3, y >> 2, y & 3)))
             removed = (c, y >> 2)
-        loops, touched = _remove(mate, label, alive, removed)
+        loops, darts = _remove(mate, label, alive, removed)
         free_loops += loops
-        work.extend(touched)
-    result = d if not trace else _built(d, label, alive, free_loops)
+        remated += darts
+        work += darts
+    edits = [(x, label[x]) for x in set(remated) if alive[x >> 2]]
+    gone = [c for c in range(n) if not alive[c]]
+    result = _edited(d, edits, gone, (), free_loops) if trace else d
     _debug(
         __name__, "greedy simplify: %d crossings in, %d steps, %d crossings out, %.3f s",
         n, len(trace), result.n_crossings, time.perf_counter() - start,
@@ -421,13 +404,14 @@ def _remove(
     Each outside dart is re-mated to the next outside dart along its
     strand, and both take the least label of the edges on the way; a
     strand that never leaves the removed crossings is a free loop.
-    Returns the loop count and the crossings of re-mated darts.
+    Returns the loop count and the re-mated darts, each pair of mates in
+    turn; a later splice can remove a crossing of one of them.
     """
     for c in removed:
         alive[c] = False
     darts = [4 * c + s for c in removed for s in range(4)]
     seen = set()
-    touched = []
+    remated = []
     for x in darts:
         y = mate[x]
         if x in seen or not alive[y >> 2]:
@@ -443,7 +427,7 @@ def _remove(
             x = z
         mate[y], mate[z] = z, y
         label[y] = label[z] = least
-        touched += (y >> 2, z >> 2)
+        remated += (y, z)
     loops = 0
     for x in darts:
         if x not in seen:
@@ -451,16 +435,22 @@ def _remove(
             while x not in seen:
                 seen.update((x, x ^ 2))
                 x = mate[x ^ 2]
-    return loops, touched
+    return loops, remated
 
 
-def _built(d, label, alive, free_loops) -> OrientedLinkDiagram:
-    """The diagram of the live crossings, each dart with its label.  A
-    crossing whose labels are unchanged is kept, not built again: an R3
-    result changes three crossings of any number."""
-    crossings = []
-    for c, live in enumerate(alive):
-        if live:
-            edges, old = tuple(label[4 * c : 4 * c + 4]), d.crossings[c]
-            crossings.append(old if edges == old.edges else Crossing(edges, old.sign))
-    return OrientedLinkDiagram(tuple(crossings), free_loops)
+def _edited(d, edits, removed, added, free_loops) -> OrientedLinkDiagram:
+    """``d`` with each ``(dart, label)`` edit made in order, the ``removed``
+    crossings left out and the ``added`` rows appended.  Rows that lost no
+    crossing are labelled ``0..E-1`` and skip the constructor's renaming."""
+    rows = list(d.crossings)
+    for x, e in edits:
+        c = rows[x >> 2]
+        edges = list(c.edges)
+        edges[x & 3] = e
+        rows[x >> 2] = Crossing(tuple(edges), c.sign)
+    rows += added
+    if not removed:
+        return OrientedLinkDiagram._from_dense(rows, free_loops)
+    for c in removed:
+        rows[c] = None
+    return OrientedLinkDiagram(tuple(r for r in rows if r is not None), free_loops)

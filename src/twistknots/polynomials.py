@@ -19,8 +19,9 @@ from typing import Iterable, Mapping
 class LaurentPolynomial:
     """Immutable sparse Laurent polynomial ``sum c_e * X**e`` over Z.
 
-    ``coeffs`` maps integer exponents to nonzero integer coefficients.
-    Zero coefficients are never stored, which makes ``==`` structural.
+    ``coeffs`` maps integer exponents to nonzero integer coefficients, both
+    plain ints.  Zero coefficients are never stored, which makes ``==``
+    structural; an int equals and hashes like its constant polynomial.
     """
 
     __slots__ = ("coeffs",)
@@ -32,10 +33,10 @@ class LaurentPolynomial:
             if not isinstance(e, int) or not isinstance(c, int):
                 raise TypeError("exponents and coefficients must be ints")
             if c:
-                clean[e] = clean.get(e, 0) + c
+                clean[e] = clean.get(e, 0) + c  # an int, even for a bool c
                 if not clean[e]:
                     del clean[e]
-        self.coeffs = dict(sorted(clean.items()))
+        self.coeffs = {int(e): c for e, c in sorted(clean.items())}
 
     # -- constructors -------------------------------------------------
 
@@ -84,12 +85,14 @@ class LaurentPolynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = LaurentPolynomial({0: other})
+            return self.coeffs == ({0: other} if other else {})
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if self.coeffs.keys() <= {0}:  # a constant hashes like its int
+            return hash(self.coeffs.get(0, 0))
         return hash(tuple(self.coeffs.items()))
 
     # -- serialization ---------------------------------------------------

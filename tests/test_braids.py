@@ -45,6 +45,12 @@ class TestBraidWord:
         with pytest.raises(DiagramError, match="different strand counts"):
             BraidWord(2) * BraidWord(3)
 
+    @pytest.mark.parametrize("other", [3, None, ((1, 1),)])
+    def test_words_concatenate_only_with_words(self, other):
+        # these raised a bare AttributeError before
+        with pytest.raises(DiagramError, match="concatenate a braid word"):
+            BraidWord(2) * other
+
     def test_letters_must_be_a_sequence(self):
         with pytest.raises(DiagramError, match="letters"):
             BraidWord(3, 5)

@@ -96,6 +96,12 @@ class TestParse:
         with pytest.raises(ParseError, match=error):
             parse_pd(text)
 
+    @pytest.mark.parametrize("text", [None, 5, b"X+[0,1,1,0]"])
+    def test_text_must_be_a_string(self, text):
+        # None raised a bare TypeError before
+        with pytest.raises(ParseError, match="must be a string"):
+            parse_pd(text)
+
     def test_signed_kinks(self):
         neg = parse_pd("X-[0,1,1,0]")
         assert neg.writhe() == -1
@@ -232,10 +238,12 @@ class TestRoundTrip:
             (lambda: Crossing("0110", 1), "tuple or list"),
             (lambda: OrientedLinkDiagram((Crossing(([0], [1], [1], [0]), -1),)), "hashable"),
             (lambda: OrientedLinkDiagram.from_raw([([[0], [1], [1], [0]], -1)]), "hashable"),
+            (lambda: OrientedLinkDiagram.unknot().disjoint_union(None), "unite with a diagram"),
+            (lambda: OrientedLinkDiagram.unknot().disjoint_union(()), "unite with a diagram"),
         ],
     )
     def test_bad_arguments_raise_diagram_error(self, make, message):
-        # each raised a bare TypeError or IndexError before
+        # each raised a bare TypeError, IndexError or AttributeError before
         with pytest.raises(DiagramError, match=message):
             make()
 
@@ -302,6 +310,12 @@ class TestChangeCrossing:
     def test_invalid_site(self, trefoil_right):
         with pytest.raises(DiagramError):
             trefoil_right.change_crossings([7])
+
+    @pytest.mark.parametrize("sites", [None, 3])
+    def test_sites_must_be_an_iterable(self, trefoil_right, sites):
+        # both raised a bare TypeError before
+        with pytest.raises(DiagramError, match="must be an iterable"):
+            trefoil_right.change_crossings(sites)
 
     @pytest.mark.parametrize("site", [1.0, True, "1", None, -1, 3])
     def test_site_must_be_an_int_in_range(self, trefoil_right, site):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import logging
 import random
 import time
@@ -503,6 +504,22 @@ class TestLaurentPolynomial:
         x = LaurentPolynomial({1: -1, -1: -1})
         assert x**0 == LaurentPolynomial.one()
         assert x**3 == x * x * x
+
+    @pytest.mark.parametrize("value", [3, -1, 0, True])
+    def test_constant_hashes_like_its_int(self, value):
+        # equal to its int but hashed apart before, so missing from sets
+        p = LaurentPolynomial({0: value})
+        assert p == value and hash(p) == hash(value)
+        assert value in {p} and p in {value}
+        assert LaurentPolynomial({1: 3}) != 3
+
+    def test_bools_are_stored_as_ints(self):
+        # a bool exponent was kept and written by pairs() as true
+        p = LaurentPolynomial({True: 2, 3: True})
+        assert p.pairs() == [(1, 2), (3, 1)]
+        assert {type(x) for pair in p.pairs() for x in pair} == {int}
+        assert json.dumps(p.pairs()) == "[[1, 2], [3, 1]]"
+        assert p == LaurentPolynomial({1: 2, 3: 1})
 
     def test_negative_powers_are_refused(self):
         for p in (LaurentPolynomial.monomial(2), LaurentPolynomial({1: -1, -1: -1})):

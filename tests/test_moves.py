@@ -20,9 +20,9 @@ from twistknots.families import twist, untwist_schedule
 from twistknots.invariants import kauffman_bracket_jones
 from twistknots.moves import (
     Move,
+    _edited,
     _kink,
     _r2_wiring,
-    _rebuilt,
     greedy_simplify,
     r1_additions,
     r1_removals,
@@ -264,8 +264,8 @@ class TestLazyResults:
         )
 
     def test_builder_fault_raises_on_read(self, trefoil_right):
-        # an update that leaves edge 0 with one occurrence
-        move = Move("R3", (), _rebuilt, trefoil_right, ((0, 0, 9),), (), 0)
+        # an edit that leaves edge 0 with one occurrence
+        move = Move("R3", (), _edited, trefoil_right, ((0, 9),), (), (), 0)
         for _ in range(2):
             with pytest.raises(DiagramError):
                 move.result
@@ -303,29 +303,41 @@ class TestLazyResults:
         self._faulty_results("R1+", "edge label 8 outside 0..7", d)
 
 
-class TestAdditionsSkipNormalization:
-    """Addition results go straight to the index step: the constructor's
-    relabelling, which they skip, would leave them as they are."""
+class TestDenseResultsSkipNormalization:
+    """R1+, R2+ and R3 results, and the results of ``change_crossings``,
+    ``mirror`` and ``disjoint_union``, keep the labels ``0..E-1`` and go
+    straight to the index step: the constructor's relabelling, which they
+    skip, would leave them as they are."""
 
-    @given(braid_words(), st.integers(0, 2))
-    @example(BraidWord(2, ((1, 1),)), 2)
+    @given(braid_words().map(braid_closure), st.integers(0, 2))
+    @example(braid_closure(BraidWord(2, ((1, 1),))), 2)
+    # members with triangles, so with R3 moves
+    @example(twist(load_corpus()["torus_q3"], 2), 0)
+    @example(twist(load_corpus()["largewrap_w0_p4"], 1), 1)
     @settings(max_examples=40, deadline=None)
-    def test_constructor_keeps_results(self, word, loops):
-        d = braid_closure(word).disjoint_union(OrientedLinkDiagram.unknot(loops))
+    def test_constructor_keeps_results(self, base, loops):
+        d = base.disjoint_union(OrientedLinkDiagram.unknot(loops))
         fresh0 = 2 * d.n_crossings
-        for m in [*r1_additions(d), *r2_additions(d)]:
-            result = m.result
+        moves = [*r3_moves(d), *r1_additions(d), *r2_additions(d)]
+        derived = {
+            "mirror": d.mirror(),
+            "change_crossings": d.change_crossings(range(0, d.n_crossings, 2)),
+            "disjoint_union": base.disjoint_union(d),
+        }
+        results = [(m.site, m.result) for m in moves] + list(derived.items())
+        for site, result in results:
             built = OrientedLinkDiagram(result.crossings, result.free_loops)
-            assert result == built, m.site
+            assert result == built, site
             for name in ("_tail", "_head", "_comp", "_components", "_face_of"):
-                assert getattr(result, name) == getattr(built, name), (m.site, name)
+                assert getattr(result, name) == getattr(built, name), (site, name)
+        for m in moves:
             if m.site[0] == "two_loops":
                 # the second loop once took labels 2V + 4, 2V + 5, which the
                 # constructor renamed
                 m1, m2, n1, n2 = fresh0, fresh0 + 1, fresh0 + 4, fresh0 + 5
                 pair = _r2_wiring((m2, m1, m2), (n2, n1, n2), m.site[1])
                 old = OrientedLinkDiagram(d.crossings + pair, d.free_loops - 2)
-                assert structurally_equal(result, old), m.site
+                assert structurally_equal(m.result, old), m.site
 
 
 class TestMoveLog:
