@@ -4,18 +4,23 @@ The bracket polynomial is computed by scanning crossings one at a time,
 so cost is governed by the width of the scan (its peak number of open
 pairs) rather than 2^crossings; a greedy ordering keeps that width small
 on braid-like diagrams, and one budget, ``WIDTH_BUDGET``, bounds it before
-any state is built.  All states share one ordered frontier of open darts
-(code ``4 * crossing + slot``); a state is the tuple of partner positions
-in it, its value a lowest exponent lo and one integer packing the
+any state is built.  Each open dart (code ``4 * crossing + slot``)
+keeps one frontier position while it is open, freed positions going to
+new darts lowest first; a state's key is one int holding, in a field of
+f bits per position, its partner's position + 1, or 0 for a free
+position.  Its value is a lowest exponent lo and one integer packing the
 coefficients of A^lo, A^(lo+2), ... as signed digits in base 2^bits,
 and a state whose value is 0 is dropped.  Every few crossings the digits
 are repacked to the width the largest coefficient then needs plus a
 proven bound on its growth until the next repack, so no coefficient can
-overflow its digit and the digits stay narrow on long scans.  What
-each slot of the next crossing meets, and where surviving darts move,
-is worked out once per crossing; each state then touches four slots,
-and how a smoothing joins them is looked up in a table shared by all
-scans.  The signature comes from the Goeritz form of a checkerboard
+overflow its digit and the digits stay narrow on long scans.  A state's
+two children depend only on the fields at the positions a crossing
+glues, so each crossing works out, once per pattern of those fields,
+each smoothing's bits to clear and to set, power of A and loops closed,
+from a table of how a smoothing joins the four slots shared by all
+scans, and crossings whose slots meet the same positions share them; a
+child is then two bit operations on its parent's key.
+The signature comes from the Goeritz form of a checkerboard
 coloring with its orientation correction term.  The form is kept as
 sparse rows, one per white face, and eliminated fraction-free in exact
 integers, least-degree row first; each row is rescaled only when a pivot
@@ -29,14 +34,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .diagram import DiagramError, OrientedLinkDiagram, _debug, _mates
 from .polynomials import LaurentPolynomial
 
 # most open pairs a scan may keep; cost grows like the Catalan number of the
-# width.  The closed full twist on k strands (width k) takes 0.19-0.20 s and
-# peaks at 18.6 MB RSS at k=8, and 5.2-6.3 s and 43 MB at k=10 (only with
-# a raised limit) (2-core x86-64, Python 3.11.7)
+# width.  The closed full twist on k strands (width k) takes 0.025-0.046 s
+# and peaks at 16.9 MB RSS at k=8, and 0.48-0.52 s and 22.2 MB at k=10
+# (only with a raised limit), each the Jones call alone in one process
+# (2-core x86-64, Python 3.11.7)
 WIDTH_BUDGET = 8
 
 # crossings scanned between two repacks of the states' digits; the digits
@@ -59,8 +66,9 @@ class LimitExceeded(DiagramError):
     """Scan width (peak open pairs of the scan order) above the budget."""
 
 
-def _scan_order(d: OrientedLinkDiagram) -> tuple[list[int], int]:
-    """Greedy order keeping the open frontier small, and its peak open pairs.
+def _scan_order(mate: list[int]) -> tuple[list[int], int]:
+    """Greedy order of the crossings of the diagram with dart mates
+    ``mate`` that keeps the open frontier small, and its peak open pairs.
 
     Each step takes the crossing with the most edges to crossings already
     placed, the lowest index among ties.  Unplaced crossings with 1..4
@@ -68,8 +76,7 @@ def _scan_order(d: OrientedLinkDiagram) -> tuple[list[int], int]:
     all; when every bucket is empty no unplaced crossing has such an
     edge, and the lowest unplaced index, which only grows, comes next.
     """
-    n = len(d.crossings)
-    mate = _mates(d._tail, d._head)
+    n = len(mate) >> 2
     count = [0] * n
     placed = [False] * n
     buckets: list[set[int]] = [set() for _ in range(5)]  # by count; 0 stays empty
@@ -113,12 +120,13 @@ def kauffman_bracket_jones(
         raise DiagramError(f"width budget must be an int, got {limit!r}")
     if d.n_components == 0:
         raise DiagramError("the empty diagram has no Jones polynomial")
-    order, width = _scan_order(d)
+    mate = _mates(d._tail, d._head)
+    order, width = _scan_order(mate)
     if width > limit:
         raise LimitExceeded(f"scan width {width} exceeds the width budget {limit}")
     w = d.writhe()
     # (-A)^{-3w} <D>, then one delta division for unknot normalization
-    lo, coeffs = _divide_delta(*_bracket_with_loops(d, order, width))
+    lo, coeffs = _divide_delta(*_bracket_with_loops(mate, d.free_loops, order, width))
     lo -= 3 * w
     if lo % 2 and any(coeffs):
         raise AssertionError("bracket exponent parity violated")
@@ -126,11 +134,32 @@ def kauffman_bracket_jones(
     return LaurentPolynomial({lo // 2 + i: sign * c for i, c in enumerate(coeffs)})
 
 
-def _bracket_with_loops(d, order, width) -> tuple[int, list[int]]:
-    """Sum over states of A^{a-b} * delta^{loops} (note: no -1) in a scan
-    ``order`` of that ``width``, as its lowest exponent and the
+def _bracket_with_loops(mate, free_loops, order, width) -> tuple[int, list[int]]:
+    """Sum over states of A^{a-b} * delta^{loops} (note: no -1) of the
+    diagram with dart mates ``mate`` and ``free_loops`` free loops, in a
+    scan ``order`` of that ``width``, as its lowest exponent and the
     coefficients of every second power from it, trimmed to its nonzero
     span.
+
+    A state's key is one int.  Each open dart holds a fixed position
+    from the crossing that opens it to the one that glues it, and a
+    crossing frees its glued positions before it places its new darts,
+    each in the lowest free position.  Position p owns bits
+    ``f * p .. f * p + f - 1`` of the key, ``f = (2 * width + 2).bit_length()``,
+    which hold the position of the dart that p's strand through the
+    scanned crossings ends at, plus 1, and 0 while p is free; a glued or
+    re-paired position is cleared, so equal matchings give equal keys.
+    A new position is taken only when every lower one is held, and at
+    most ``2 * width`` darts are open after any crossing (open edges are
+    even, two per open pair, so at most ``2 * width``), so every position
+    is below ``2 * width`` and a field value, at most ``2 * width``, fits
+    in ``f`` bits.  A state's two children depend only on the fields at
+    the positions a crossing glues (``gmask``), so the crossing works
+    out, once per value of ``key & gmask``, each smoothing's mask of kept
+    bits, bits to set, power of A and loops closed (see _transitions),
+    and a child is ``key & keep | put``.  Those depend on nothing else
+    but ``link``, what each slot meets, so crossings with equal links
+    share them within the scan.
 
     A state's value ``(lo, v)`` packs the coefficient of A^(lo+2i) into
     digit i of ``v`` in base 2^bits, digits balanced (signed), so a
@@ -155,56 +184,57 @@ def _bracket_with_loops(d, order, width) -> tuple[int, list[int]]:
     on a guess.
     """
     start = time.perf_counter()
-    mate = _mates(d._tail, d._head)
+    f = (2 * width + 2).bit_length()
+    field = (1 << f) - 1
     bits = 8
-    frontier: list[int] = []
-    states: dict[tuple[int, ...], tuple[int, int]] = {(): (0, 1)}
+    held: dict[int, int] = {}  # each open dart's position
+    free: list[int] = []  # freed positions, a heap
+    top = 0  # the positions below top have been taken
+    states: dict[int, tuple[int, int]] = {0: (0, 1)}
+    # transitions by link, then by glued pattern: crossings whose slots
+    # link alike share them
+    known: dict[tuple, dict[int, tuple[tuple[int, int, int, int], ...]]] = {}
     updates = 0
     for step, ci in enumerate(order):
         if step % _REPACK_EVERY == 0:
             bits, states = _repacked(states, bits, 3 * _REPACK_EVERY)
-        at = {x: i for i, x in enumerate(frontier)}
-        glued = {}  # frontier position -> the slot glued to it
-        link = []  # per slot: another slot, -1 - a glued position, or None if new
+        glued = {}  # position -> the slot glued to it
+        link = []  # per slot: another slot, -1 - a glued position, or 4 + a new one
+        gmask = 0
         for s in range(4):
             o = mate[4 * ci + s]
             if o >> 2 == ci:
                 link.append(o & 3)
-            elif o in at:
-                glued[at[o]] = s
-                link.append(-1 - at[o])
+            elif o in held:
+                p = held.pop(o)
+                glued[p] = s
+                link.append(-1 - p)
+                gmask |= field << f * p
+                heappush(free, p)
             else:
                 link.append(None)
-        survivors = [i for i in range(len(frontier)) if i not in glued]
-        fresh = [s for s in range(4) if link[s] is None]
-        remap = [0] * len(frontier)
-        for k, i in enumerate(survivors):
-            remap[i] = k
-        for k, s in enumerate(fresh, len(survivors)):
-            link[s] = 4 + k
-        # where the strand through a frontier dart's partner q comes out
-        reach = [glued.get(q, 4 + remap[q]) for q in range(len(frontier))]
-        frontier = [frontier[i] for i in survivors] + [4 * ci + s for s in fresh]
-        pad = [0] * len(fresh)
+        for s in range(4):
+            if link[s] is None:
+                if free:
+                    p = heappop(free)
+                else:
+                    p, top = top, top + 1
+                held[4 * ci + s] = p
+                link[s] = 4 + p
+        moves_of = known.setdefault(tuple(link), {})
         updates += 2 * len(states)
-        parts: dict[tuple[int, ...], tuple[int, int]] = {}
+        parts: dict[int, tuple[int, int]] = {}
         for key, (lo, v) in states.items():
-            ends = tuple([x if x >= 0 else reach[key[-1 - x]] for x in link])
-            walked = _WALKS.get(ends)
-            if walked is None:
-                walked = tuple((sh, *_walk(ends, smooth)) for sh, smooth in _SMOOTH)
-                walked = _WALKS[ends] = _SHAPES.setdefault(walked, walked)
-            base = [remap[key[i]] for i in survivors] + pad
-            for shift, pairs, loops in walked:
-                nxt = base.copy()
-                for s, t in pairs:
-                    a, b = ends[s] - 4, ends[t] - 4
-                    nxt[a], nxt[b] = b, a
+            g = key & gmask
+            moves = moves_of.get(g)
+            if moves is None:
+                moves = moves_of[g] = _transitions(g, gmask, link, glued, f)
+            for keep, put, shift, loops in moves:
+                nxt = key & keep | put
                 plo, pv = lo + shift, v
                 for _ in range(loops):  # times delta = A^-2 * -(1 + A^4)
                     plo -= 2
                     pv = -(pv + (pv << 2 * bits))
-                nxt = tuple(nxt)
                 old = parts.get(nxt)
                 if old is None:
                     parts[nxt] = plo, pv
@@ -214,10 +244,10 @@ def _bracket_with_loops(d, order, width) -> tuple[int, list[int]]:
                     parts[nxt] = plo, pv + (old[1] << bits * (old[0] - plo >> 1))
         # a state whose terms cancelled adds nothing from here on
         states = {key: p for key, p in parts.items() if p[1]}
-    assert len(states) == 1 and () in states, "scan left open strands"
-    bits, states = _repacked(states, bits, d.free_loops)
-    lo, v = states[()]
-    for _ in range(d.free_loops):
+    assert len(states) == 1 and 0 in states, "scan left open strands"
+    bits, states = _repacked(states, bits, free_loops)
+    lo, v = states[0]
+    for _ in range(free_loops):
         lo -= 2
         v = -(v + (v << 2 * bits))
     # the repack left no low zero digit and times delta keeps the lowest
@@ -225,9 +255,43 @@ def _bracket_with_loops(d, order, width) -> tuple[int, list[int]]:
     coeffs = _digits(v, bits)
     _debug(
         __name__, "bracket scan: %d crossings, peak %d open pairs, %d state updates, %.3f s",
-        len(d.crossings), width, updates, time.perf_counter() - start,
+        len(mate) >> 2, width, updates, time.perf_counter() - start,
     )
     return lo, coeffs
+
+
+def _transitions(g, gmask, link, glued, f) -> tuple[tuple[int, int, int, int], ...]:
+    """Per smoothing of a crossing, ``(keep, put, shift, loops)`` for the
+    states whose fields at the glued positions (``gmask``) read ``g``:
+    a child key is ``key & keep | put``, its value gains A^shift and
+    ``loops`` closed loops.  ``link`` and ``glued`` are as in
+    _bracket_with_loops; every open end the smoothing joins is cleared
+    and set to its new partner, and every glued position is cleared."""
+    field = (1 << f) - 1
+    ends = []
+    for x in link:
+        if x < 0:  # glued: where the strand through its partner comes out
+            q = (g >> f * (-1 - x) & field) - 1
+            x = glued[q] if q in glued else 4 + q
+        ends.append(x)
+    ends = tuple(ends)
+    walked = _WALKS.get(ends)
+    if walked is None:
+        walked = tuple((sh, *_walk(ends, smooth)) for sh, smooth in _SMOOTH)
+        walked = _WALKS[ends] = _SHAPES.setdefault(walked, walked)
+    drop = gmask
+    for x in ends:
+        if x >= 4:
+            drop |= field << f * (x - 4)
+    keep = ~drop
+    moves = []
+    for shift, pairs, loops in walked:
+        put = 0
+        for s, t in pairs:
+            a, b = ends[s] - 4, ends[t] - 4
+            put |= b + 1 << f * a | a + 1 << f * b
+        moves.append((keep, put, shift, loops))
+    return tuple(moves)
 
 
 def _repacked(states, bits, growth):
@@ -280,7 +344,7 @@ def _walk(ends: tuple[int, ...], smooth: tuple[int, ...]) -> tuple[tuple, int]:
     """Join a crossing's four slots by a smoothing: the frontier pairs it
     makes, each as the two slots whose open ends it joins, and the loops
     it closes.  ``ends[s]`` is where the strand out of slot ``s`` comes
-    back (a slot) or stays open (4 + new position)."""
+    back (a slot) or stays open (4 + the position of its open end)."""
     seen = [False] * 4
     pairs, loops = [], 0
     for s in sorted(range(4), key=lambda s: ends[s] < 4):  # open ends first

@@ -44,6 +44,7 @@ constructor renames its rows by first appearance.
 from __future__ import annotations
 
 import time
+from itertools import compress
 from typing import Iterator
 
 from .diagram import Crossing, OrientedLinkDiagram, _debug, _faces, _mates
@@ -333,6 +334,7 @@ def greedy_simplify(
     alive = [True] * n
     free_loops = d.free_loops
     remated: list[int] = []
+    gone: list[int] = []
     trace: list[tuple] = []
     work = list(range(4 * n - 4, -1, -4))  # a stack of darts, lowest crossing on top
     while work:
@@ -351,11 +353,11 @@ def greedy_simplify(
             trace.append(("R2-", (c, x & 3, y >> 2, y & 3)))
             removed = (c, y >> 2)
         loops, darts = _remove(mate, label, alive, removed)
+        gone += removed
         free_loops += loops
         remated += darts
         work += darts
     edits = [(x, label[x]) for x in set(remated) if alive[x >> 2]]
-    gone = [c for c in range(n) if not alive[c]]
     result = _edited(d, edits, gone, (), free_loops) if trace else d
     _debug(
         __name__, "greedy simplify: %d crossings in, %d steps, %d crossings out, %.3f s",
@@ -440,17 +442,19 @@ def _remove(
 
 def _edited(d, edits, removed, added, free_loops) -> OrientedLinkDiagram:
     """``d`` with each ``(dart, label)`` edit made in order, the ``removed``
-    crossings left out and the ``added`` rows appended.  Rows that lost no
-    crossing are labelled ``0..E-1`` and skip the constructor's renaming."""
+    crossings left out and the ``added`` rows appended.  Each edited row
+    is built once.  Rows that lost no crossing are labelled ``0..E-1``
+    and skip the constructor's renaming."""
     rows = list(d.crossings)
+    changed: dict[int, list[int]] = {}
     for x, e in edits:
-        c = rows[x >> 2]
-        edges = list(c.edges)
-        edges[x & 3] = e
-        rows[x >> 2] = Crossing(tuple(edges), c.sign)
-    rows += added
+        changed.setdefault(x >> 2, list(rows[x >> 2].edges))[x & 3] = e
+    for c, edges in changed.items():
+        rows[c] = Crossing(tuple(edges), rows[c].sign)
     if not removed:
+        rows += added
         return OrientedLinkDiagram._from_dense(rows, free_loops)
+    keep = [True] * len(rows)
     for c in removed:
-        rows[c] = None
-    return OrientedLinkDiagram(tuple(r for r in rows if r is not None), free_loops)
+        keep[c] = False
+    return OrientedLinkDiagram((*compress(rows, keep), *added), free_loops)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from twistknots import invariants
 from twistknots.braids import BraidWord, braid_closure, torus_braid
 from twistknots.corpus import load_corpus
-from twistknots.diagram import DiagramError, OrientedLinkDiagram, parse_pd
-from twistknots.families import twist
+from twistknots.diagram import DiagramError, OrientedLinkDiagram, _mates, parse_pd
+from twistknots.families import full_twist_braid, twist
 from twistknots.invariants import (
     CERTIFIED_NOT_UNLINK,
     INCONCLUSIVE,
@@ -228,7 +228,7 @@ class TestUnlinkCertificate:
 class TestWidthBudget:
     def test_long_narrow_member_within_budget(self):
         d = twist(load_corpus()["torus_q3"], 20)
-        assert (d.n_crossings, invariants._scan_order(d)[1]) == (128, 3)
+        assert (d.n_crossings, _order(d)[1]) == (128, 3)
         assert kauffman_bracket_jones(d) == kauffman_bracket_jones(d, limit=1000)
         assert unlink_certificate(d).verdict == CERTIFIED_NOT_UNLINK
 
@@ -259,8 +259,13 @@ def _corpus_members(max_crossings=40):
                 yield (name, n), d
 
 
+def _order(d):
+    return invariants._scan_order(_mates(d._tail, d._head))
+
+
 def _scan_bracket(d):
-    lo, coeffs = invariants._bracket_with_loops(d, *invariants._scan_order(d))
+    mate = _mates(d._tail, d._head)
+    lo, coeffs = invariants._bracket_with_loops(mate, d.free_loops, *invariants._scan_order(mate))
     assert coeffs[0] and coeffs[-1], "not trimmed to its nonzero span"
     return LaurentPolynomial({lo + 2 * i: c for i, c in enumerate(coeffs)})
 
@@ -290,7 +295,7 @@ class TestScanOracle:
         for name, f in load_corpus().items():
             for n in range(-10, 11):
                 d = twist(f, n)
-                assert invariants._scan_order(d) == scan_order_max(d), (name, n)
+                assert _order(d) == scan_order_max(d), (name, n)
                 seen += 1
         assert seen == 126
 
@@ -300,7 +305,31 @@ class TestScanOracle:
         d = OrientedLinkDiagram.unknot(loops)
         for word in words:
             d = d.disjoint_union(braid_closure(word))
-        assert invariants._scan_order(d) == scan_order_max(d)
+        assert _order(d) == scan_order_max(d)
+
+    def test_five_bit_key_fields(self):
+        # width 7: each frontier position has a (2 * 7 + 2).bit_length() =
+        # 5-bit field in the state key; the members above stop at width 5
+        d = twist(load_corpus()["wind3_wrap9"], 1)
+        assert (d.n_crossings, _order(d)[1]) == (78, 7)
+        assert _scan_bracket(d) == bracket_with_loops_dict(d)
+
+    @pytest.mark.parametrize(
+        "build, updates",
+        [
+            (lambda: twist(load_corpus()["wind3_wrap9"], 1), 4578),
+            (lambda: braid_closure(full_twist_braid(8, 1)), 17286),
+        ],
+        ids=["wind3_wrap9 n=1", "full twist on 8 strands"],
+    )
+    def test_state_updates_pinned(self, caplog, build, updates):
+        # equal matchings must share one key: a key keeping stale bits of
+        # a freed position would split them and scan more states
+        d = build()
+        with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
+            kauffman_bracket_jones(d)
+        (record,) = caplog.records
+        assert record.args[2] == updates
 
     def test_logs_one_record_per_scan(self, caplog):
         d = twist(load_corpus()["wind3_wrap9"], 1)
