@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the twist, simplification, scan, signature and move layers on their own.
+"""Time the twist, simplification, scan, signature, reduction and move layers on their own.
 
 Run from the repository root:
 
@@ -21,7 +21,9 @@ copies of ``twist(chain_4, 13)`` side by side (486 crossings) and
 that union and a relabelled, shuffled copy, ``invariants.kauffman_bracket_jones``
 on ``twist(wind3_wrap9, n)`` at n = 1, 10, 30, ``twist(whitehead, 30)``,
 ``twist(largewrap_w0_p4, 7)``, ``twist(torus_q3, 12)`` and the closed full
-twist on 8 strands, and ``moves.reidemeister_moves`` on
+twist on 8 strands, ``families.coherent_reduction`` on the non-coherent
+``whitehead``, ``mazur``, ``largewrap_w0_p4`` and ``wind3_wrap9``, and
+``moves.reidemeister_moves`` on
 ``twist(whitehead, n)`` at n = -2, 2, ``twist(mazur, n)`` at n = -1, 1,
 ``twist(torus_q2, 2)``, the R3-bearing ``twist(torus_q3, 2)`` and
 ``twist(largewrap_w0_p4, 1)``, and the untwisted ``chain_4`` n=2 and
@@ -29,10 +31,11 @@ twist on 8 strands, and ``moves.reidemeister_moves`` on
 (the crossings out of a twist or of the schedule's member and the
 schedule's sites, the sites changed, greedy steps, scan width, the
 white faces and peak row nonzeros of the elimination or the scan's
-width and state updates, read from their DEBUG records, or the moves
+width and state updates, read from their DEBUG records, the Jones scans
+one coherent reduction makes, counted from the same records, or the moves
 out, each result one built and validated diagram), the number of calls
 timed (``REPEATS``, ``TWIST_REPEATS`` for the twist layer and crossing
-changes, ``JONES_REPEATS`` for the scan,
+changes, ``JONES_REPEATS`` for the scan and coherent reduction,
 ``MOVE_REPEATS`` for moves, ``SPLIT_REPEATS`` for the split diagrams)
 and their median seconds.  A split signature row also holds
 ``records_per_call``, the DEBUG records one call logs, and reads its
@@ -69,7 +72,7 @@ from twistknots import invariants, moves
 from twistknots.braids import braid_closure, torus_braid
 from twistknots.corpus import chain_family, load_corpus
 from twistknots.diagram import OrientedLinkDiagram, _mates, structurally_equal
-from twistknots.families import twist, untwist_schedule
+from twistknots.families import coherent_reduction, twist, untwist_schedule
 
 REPEATS = 3
 # most scans take milliseconds, so their median takes more calls; the
@@ -252,6 +255,20 @@ def rows():
             "repeats": repeats,
             "s": round(secs, 5),
             "peak_kib": round(peak / 1024, 1),
+        }
+    for name in ("whitehead", "mazur", "largewrap_w0_p4", "wind3_wrap9"):
+        f = corpus[name]
+        records.clear()
+        red, secs = timed(coherent_reduction, f, JONES_REPEATS)
+        scans = sum(r.msg.startswith("bracket scan") for r in records)
+        yield {
+            "layer": "families.coherent_reduction",
+            "input": name,
+            "crossings": f.base.n_crossings,
+            "changes": list(red.changes),
+            "jones_scans": scans // JONES_REPEATS,
+            "repeats": JONES_REPEATS,
+            "s": round(secs, 5),
         }
     inputs = [(f"{name} n={n}", twist(corpus[name], n)) for name, n in (
         ("whitehead", -2), ("whitehead", 2), ("mazur", -1), ("mazur", 1), ("torus_q2", 2),

@@ -696,7 +696,10 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
 
     tokens = [t for items, _, _ in crossings_raw for t in items]
     # keep the serial order of a classical code k..k+E-1, counted from 0
-    values = [int(t) for t in tokens] if all(t.isdecimal() for t in tokens) else []
+    try:
+        values = [int(t) for t in tokens] if all(t.isdecimal() for t in tokens) else []
+    except ValueError as exc:  # a label past the int digit limit
+        raise ParseError(f"edge label too long: {exc}") from None
     k = min(values, default=0)
     serial = bool(values) and set(values) == set(range(k, k + len(tokens) // 2))
     if serial:
@@ -787,4 +790,7 @@ def from_json(text: str) -> OrientedLinkDiagram:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg}", exc.pos) from exc
+    except (ValueError, RecursionError) as exc:
+        # an int past the digit limit, or nesting that overflows the decoder
+        raise ParseError(f"malformed JSON: {exc}") from exc
     return OrientedLinkDiagram.from_json_dict(data)

@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, count
-from typing import Sequence
 
 from .braids import BraidWord, braid_strand_crossings
 from .diagram import (
@@ -74,6 +73,8 @@ class TwistFamily:
     def __post_init__(self):
         if not isinstance(self.base, OrientedLinkDiagram):
             raise FamilyError(f"family base must be an OrientedLinkDiagram, got {self.base!r}")
+        if not isinstance(self.name, str):
+            raise FamilyError(f"family name must be a string, got {self.name!r}")
         if not isinstance(self.marked_edges, (tuple, list)):
             raise FamilyError("marked_edges must be a sequence of (edge, sign)")
         for m in self.marked_edges:
@@ -278,9 +279,7 @@ def _paired_marks(f: TwistFamily) -> tuple[tuple[int, int], ...]:
 
 
 def coherent_reduction(
-    f: TwistFamily,
-    certificate_ns: Sequence[int] = (1,),
-    certificate_limit: int = WIDTH_BUDGET,
+    f: TwistFamily, certificate_limit: int = WIDTH_BUDGET
 ) -> CoherentReduction:
     """Find crossing changes on the base making the family coherent.
 
@@ -289,66 +288,42 @@ def coherent_reduction(
     crosses them in their order, building the reduced family raises
     ``FamilyError``.  A minimal set of base crossing changes (searched
     by size) must then make the twisted diagrams match, which is checked
-    by a Jones certificate at the given twist amounts.
-    ``certificate_limit`` is the width budget of those Jones scans: a
-    twist amount whose diagrams it refuses is skipped, and
-    ``ReductionError`` is raised when it refuses every one.
-    ``n = 0`` is refused: ``twist(f, 0)`` ignores the marks, so it
-    checks nothing.  So is an empty ``certificate_ns``, which checks no
-    twist amount at all.
+    by a Jones certificate at twist amount 1.  ``certificate_limit`` is
+    the width budget of those Jones scans; ``ReductionError`` is raised
+    when it refuses them.
     """
     if type(certificate_limit) is not int:
         raise FamilyError(f"certificate_limit must be an int, got {certificate_limit!r}")
-    try:
-        certificate_ns = tuple(certificate_ns)
-    except TypeError:
-        raise FamilyError(
-            f"certificate_ns must be a sequence of ints, got {certificate_ns!r}"
-        ) from None
-    if not certificate_ns:
-        raise FamilyError("coherent reduction needs at least one certificate twist amount")
-    for n in certificate_ns:
-        _check_amount(n)
-    if 0 in certificate_ns:
-        raise FamilyError("certificate twist amount 0 ignores the marks; use n != 0")
     reduced_marks = _paired_marks(f)
     if reduced_marks == f.marked_edges:
         return CoherentReduction(f, ())
-    twisted = [(n, *twist_with_sites(f, n)[:2]) for n in certificate_ns]
+    name = f"{f.name}_coherent" if f.name else ""
+    reduced = TwistFamily(f.base, reduced_marks, name=name)
+    sides = [twist_with_sites(g, 1)[:2] for g in (f, reduced)]
+    # Changing base crossings commutes with twisting: mirroring a raw row
+    # and cutting a marked edge at its head give the same row in either
+    # order.  So each candidate is checked on these two n = 1 diagrams
+    # with its base sites changed, and only the winning family is built.
     for k in range(_MAX_CHANGES + 1):
         for subset in combinations(range(f.base.n_crossings), k):
-            reduced = TwistFamily(
-                f.base.change_crossings(subset),
-                reduced_marks,
-                name=f"{f.name}_coherent" if f.name else "",
-            )
-            if _square_commutes(twisted, subset, reduced, certificate_limit):
+            try:
+                lhs, rhs = (
+                    kauffman_bracket_jones(
+                        d.change_crossings([sites[i] for i in subset]), limit=certificate_limit
+                    )
+                    for d, sites in sides
+                )
+            except LimitExceeded:
+                raise ReductionError(
+                    "the certificate exceeds the width budget; raise certificate_limit"
+                ) from None
+            if lhs == rhs:
+                if subset:
+                    reduced = TwistFamily(f.base.change_crossings(subset), reduced_marks, name=name)
                 return CoherentReduction(reduced, subset)
     raise ReductionError(
         f"no change set of size <= {_MAX_CHANGES} realizes the reduction"
     )
-
-
-def _square_commutes(twisted, subset, reduced, limit) -> bool:
-    """Whether changing ``subset`` commutes with twisting, by Jones at each
-    ``(n, twisted diagram, base sites)`` the width budget admits."""
-    checked = False
-    for n, lhs_d, base_sites in twisted:
-        lhs = lhs_d.change_crossings([base_sites[i] for i in subset])
-        try:
-            same = kauffman_bracket_jones(lhs, limit=limit) == kauffman_bracket_jones(
-                twist(reduced, n), limit=limit
-            )
-        except LimitExceeded:
-            continue
-        checked = True
-        if not same:
-            return False
-    if not checked:
-        raise ReductionError(
-            "every certificate exceeds the width budget; raise certificate_limit"
-        )
-    return True
 
 
 # -- family files --------------------------------------------------------------
@@ -409,6 +384,8 @@ def load_family(path) -> TwistFamily:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FamilyError(f"family file is not JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, bytes that are not UTF-8 and an int past the digit
+            # limit are ValueErrors; deep nesting overflows the decoder
+            raise FamilyError(f"family file is not JSON: {exc}") from exc
     return family_from_json_dict(data)

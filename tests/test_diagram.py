@@ -151,6 +151,13 @@ class TestParse:
         assert one == zero
         assert structurally_equal(zero, d)
 
+    def test_overlong_decimal_label_raises_parse_error(self):
+        # the serial-code check read it with int() and raised a bare
+        # ValueError past the int digit limit
+        big = "1" * 5000
+        with pytest.raises(ParseError, match="edge label too long"):
+            parse_pd(f"X-[{big},{big}1,{big}1,{big}]")
+
 
 class TestRoundTrip:
     def test_serialize_parse_identity_on_normal_form(self, trefoil_right, figure_eight):
@@ -204,6 +211,14 @@ class TestRoundTrip:
             from_json(json.dumps(doc))
         except DiagramError:
             pass
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100000,  # raised a RecursionError
+        '{"crossings": [[%s, 1, 1, 0]], "orientations": [-1]}' % ("1" * 5000),
+    ], ids=["deep_nesting", "long_int"])  # the long int raised a bare ValueError
+    def test_undecodable_json_raises_parse_error(self, text):
+        with pytest.raises(ParseError, match="malformed JSON"):
+            from_json(text)
 
     def test_json_components_read_through_the_relabeling(self):
         kink = '{"crossings": [[10, 11, 11, 10]], "orientations": [-1], "components": %s}'

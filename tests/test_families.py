@@ -1,4 +1,5 @@
 import re
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -33,7 +34,7 @@ from twistknots.families import (
     untwist_schedule,
     winding_number,
 )
-from twistknots.invariants import kauffman_bracket_jones as jones
+from twistknots.invariants import WIDTH_BUDGET, kauffman_bracket_jones as jones
 from twistknots.moves import greedy_simplify
 
 from .oracles import jones_bruteforce, twist_bruteforce
@@ -41,6 +42,9 @@ from .test_diagram import JSON_VALUES, braid_words
 
 # every corpus family, plus the chain families the benchmark sweeps
 SWEPT_FAMILIES = {**load_corpus(), "chain_3": chain_family(3), "chain_4": chain_family(4)}
+
+# the corpus families that coherent_reduction has to reduce
+NON_COHERENT = ["whitehead", "mazur", "largewrap_w0_p4", "wind3_wrap9"]
 
 # twist amounts that are not ints; a bool is refused too
 NON_INT_AMOUNTS = [True, 1.0, 2.5, "1", None]
@@ -94,6 +98,13 @@ class TestWinding:
         # these raised a bare AttributeError on reading the base's edges
         with pytest.raises(FamilyError, match="base must be an OrientedLinkDiagram"):
             TwistFamily(base, ())
+
+    @pytest.mark.parametrize("name", [5, None, b"fam"])
+    def test_name_must_be_a_string(self, name):
+        # a name of 5 was accepted, and load_family then refused the
+        # file that save_family wrote
+        with pytest.raises(FamilyError, match="family name must be a string"):
+            TwistFamily(torus_family(3, 2).base, (), name=name)
 
     def test_parity_invariant(self):
         for fam in load_corpus().values():
@@ -261,24 +272,55 @@ class TestCoherentReduction:
         with pytest.raises(ReductionError, match="width budget"):
             coherent_reduction(wind3_wrap9_family(), certificate_limit=6)
 
-    def test_twists_the_family_once_per_certificate(self, monkeypatch):
-        f = whitehead_family()
-        seen = []
+    @pytest.mark.parametrize("name", NON_COHERENT)
+    def test_twists_a_bounded_number_of_times(self, monkeypatch, name):
+        # the family and its reduced family are twisted once each, and the
+        # reduced family once more on construction; only a winning
+        # nonempty change set builds (and so twists) one more family
         real = families.twist_with_sites
+        seen = []
 
         def counted(g, n):
-            seen.append(g)
+            seen.append(n)
             return real(g, n)
 
         monkeypatch.setattr(families, "twist_with_sites", counted)
-        assert len(coherent_reduction(f, certificate_ns=(1, -2)).changes) == 1
-        assert sum(g is f for g in seen) == 2
+        f = SWEPT_FAMILIES[name]
+        for g in (f, mirror_family(f)):
+            seen.clear()
+            red = coherent_reduction(g)
+            assert seen == [1] * (4 if red.changes else 3), g.name
 
-    @pytest.mark.parametrize("amount", NON_INT_AMOUNTS)
-    def test_non_int_certificate_rejected(self, amount):
-        for f in (whitehead_family(), torus_family(3, 2)):
-            with pytest.raises(FamilyError, match="must be an int"):
-                coherent_reduction(f, certificate_ns=(1, amount))
+    def test_base_changes_commute_with_twisting(self):
+        # coherent_reduction rests on this: it changes the base sites of
+        # one twisted diagram per side instead of building a family per
+        # change set
+        fams = {**load_corpus(), "chain_3": chain_family(3)}
+        cases = 0
+        for f in fams.values():
+            for marks in (f.marked_edges, families._paired_marks(f)):
+                g = TwistFamily(f.base, marks)
+                twisted = [(n, *twist_with_sites(g, n)[:2]) for n in (1, -1, 2, -2, 3, -3)]
+                for k in range(3):
+                    for subset in combinations(range(f.base.n_crossings), k):
+                        h = TwistFamily(f.base.change_crossings(subset), marks)
+                        for n, d, base_sites in twisted:
+                            changed = d.change_crossings([base_sites[i] for i in subset])
+                            assert structurally_equal(twist(h, n), changed), (f.name, marks, subset, n)
+                            cases += 1
+        assert cases == 1104
+
+    @pytest.mark.parametrize("name", NON_COHERENT)
+    def test_certificate_holds_at_other_twist_amounts(self, name):
+        # the search certifies at n = 1 only; the found changes agree at
+        # n = +-1..+-3 too
+        f = SWEPT_FAMILIES[name]
+        for g in (f, mirror_family(f)):
+            red = coherent_reduction(g)
+            for n in (1, -1, 2, -2, 3, -3):
+                d, base_sites, _ = twist_with_sites(g, n)
+                changed = d.change_crossings([base_sites[i] for i in red.changes])
+                assert jones(changed) == jones(twist(red.reduced, n)), (g.name, n)
 
     @pytest.mark.parametrize("limit", [None, "x", 1.5, True])
     def test_certificate_limit_must_be_an_int(self, limit):
@@ -288,28 +330,10 @@ class TestCoherentReduction:
             with pytest.raises(FamilyError, match="certificate_limit"):
                 coherent_reduction(f, certificate_limit=limit)
 
-    @pytest.mark.parametrize("ns", [5, None])
-    def test_certificate_amounts_must_be_a_sequence(self, ns):
-        with pytest.raises(FamilyError, match="sequence of ints"):
-            coherent_reduction(whitehead_family(), certificate_ns=ns)
-
     def test_winding_preserved(self):
         for fam in (whitehead_family(), mazur_family()):
             red = coherent_reduction(fam)
             assert winding_number(red.reduced) == winding_number(fam)
-
-    def test_zero_twist_certificate_rejected(self):
-        # twist(f, 0) ignores the marks, so n = 0 would check nothing
-        for ns in ((0,), (1, 0)):
-            with pytest.raises(FamilyError, match="0"):
-                coherent_reduction(wind3_wrap9_family(), certificate_ns=ns)
-
-    def test_empty_certificate_rejected(self):
-        # no twist amount checks nothing, coherent family or not
-        for f in (wind3_wrap9_family(), torus_family(3, 2)):
-            for ns in ((), [], iter(())):
-                with pytest.raises(FamilyError, match="at least one"):
-                    coherent_reduction(f, certificate_ns=ns)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -323,13 +347,6 @@ class TestCoherentReduction:
         assert len(left) == winding_number(g)
         signed = {(base.component_of_edge(e), s) for e, s in left}
         assert len(signed) == len({c for c, _ in signed})  # one sign per component
-
-    def test_one_shot_certificate_amounts(self):
-        # the zero check must not use up a generator before the scans
-        f = whitehead_family()
-        ns = (1, -2)
-        assert coherent_reduction(f, certificate_ns=(n for n in ns)) == coherent_reduction(
-            f, certificate_ns=ns)
 
 
 class TestMirrorFamily:
@@ -394,9 +411,16 @@ class TestConstructionCheck:
     def test_shipped_families_construct(self, name):
         f = SWEPT_FAMILIES[name]
         for g in (f, mirror_family(f)):
-            red = coherent_reduction(g)
-            assert red.changes == self.REDUCTION_CHANGES[name], g.name
-            assert red.reduced.eta_hat == winding_number(g)
+            for limit in (WIDTH_BUDGET, 1000):
+                red = coherent_reduction(g, certificate_limit=limit)
+                assert red.changes == self.REDUCTION_CHANGES[name], g.name
+                assert red.reduced.eta_hat == winding_number(g)
+                if red.changes:
+                    assert red.reduced == TwistFamily(
+                        g.base.change_crossings(red.changes),
+                        families._paired_marks(g),
+                        name=f"{g.name}_coherent",
+                    )
 
 
 class TestCorpusFiles:
@@ -526,6 +550,21 @@ class TestFamilyFiles:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FamilyError):
             load_family(path)
+
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe{}",  # not UTF-8: raised a bare UnicodeDecodeError
+        b"[" * 100000,  # raised a RecursionError
+        b"1" * 5000,  # past the int digit limit: raised a bare ValueError
+    ], ids=["not_utf8", "deep_nesting", "long_int"])
+    def test_undecodable_file_raises_family_error(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(FamilyError, match="not JSON"):
+            load_family(path)
+
+    def test_missing_file_stays_an_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            load_family(tmp_path / "missing.json")
 
     @given(mutated_family_dicts())
     @settings(max_examples=300, deadline=None)
