@@ -24,8 +24,8 @@ constructor relabels its
 ``Crossing`` rows only when needed and sorts them by edges, and
 ``from_raw`` relabels and argsorts raw ``(edges, sign)`` rows through
 ``raw_order`` and builds each ``Crossing`` in its sorted place.  Code
-that reads raw labels afterwards (``from_json_dict``, braid closure
-arcs) finds each one in its crossing slot through the index map.
+that reads raw labels afterwards (braid closure arcs) finds each one in
+its crossing slot through the index map.
 
 The index step has two ways in.  The constructor relabels and sorts as
 above.  ``_from_dense`` takes ``Crossing`` rows whose labels are already
@@ -60,7 +60,6 @@ diagram, which would make every construction pay for it.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from collections import Counter
@@ -104,7 +103,7 @@ class Crossing:
             object.__setattr__(self, "edges", tuple(self.edges))
         if len(self.edges) != 4:
             raise DiagramError("crossing needs exactly 4 edges")
-        # an int, so that to_json writes what from_json reads back
+        # the int parse_pd reads, so that serialize/parse_pd round-trips it
         if type(self.sign) is not int or self.sign not in (1, -1):
             raise DiagramError(f"crossing sign must be the int +1 or -1, got {self.sign!r}")
 
@@ -148,7 +147,7 @@ class OrientedLinkDiagram:
     def _index(self, crossings: tuple[Crossing, ...], free_loops: int) -> None:
         """The index step: keep the crossings, already in normal form, and
         the free loops, and fill the edge index from one validating pass."""
-        # an int, so that to_json writes what from_json reads back
+        # the int parse_pd counts, so that serialize/parse_pd round-trips it
         if type(free_loops) is not int or free_loops < 0:
             raise DiagramError(f"free_loops must be an int >= 0, got {free_loops!r}")
         object.__setattr__(self, "crossings", crossings)
@@ -182,7 +181,8 @@ class OrientedLinkDiagram:
         normalization does not run.
         """
         edges, order, index_map = raw_order(raw)
-        rows = [Crossing(edges[i], raw[i][1]) for i in order]
+        signs = [s for _, s in raw]
+        rows = [Crossing(edges[i], signs[i]) for i in order]
         return cls._from_dense(rows, free_loops), index_map
 
     @classmethod
@@ -274,58 +274,12 @@ class OrientedLinkDiagram:
             self.crossings + shifted, self.free_loops + other.free_loops
         )
 
-    # -- text form --------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "crossings": [list(c.edges) for c in self.crossings],
-            "orientations": [c.sign for c in self.crossings],
-            "components": [list(c) for c in self.components],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "OrientedLinkDiagram":
-        if not isinstance(data, dict):
-            raise DiagramError("diagram JSON must be an object")
-        crossings = data.get("crossings", [])
-        signs = data.get("orientations", [])
-        comps = data.get("components")
-        if not (
-            _int_rows(crossings)
-            and _int_rows([signs])
-            and (comps is None or _int_rows(comps))
-        ):
-            raise DiagramError(
-                "diagram JSON needs integer lists 'crossings', 'orientations'"
-                " and 'components'"
-            )
-        if len(crossings) != len(signs):
-            raise DiagramError("crossings and orientations length mismatch")
-        d, index_map = cls.from_raw(
-            list(zip(crossings, signs)), sum(1 for c in comps or [] if not c)
-        )
-        if comps is not None:
-            # read each label in its crossing slot of the normal form
-            label = {}
-            for row, i in zip(crossings, index_map):
-                label.update(zip(row, d.crossings[i].edges))
-            if not _same_components(d, [c for c in comps if c], label):
-                raise DiagramError("components field inconsistent with crossings")
-        return d
-
 
 def _same_components(d: OrientedLinkDiagram, cycles, label: dict) -> bool:
     """Whether the given edge cycles, each label read through ``label``,
     are the components of ``d`` as edge sets."""
     want = sorted(sorted({label.get(e, -1) for e in c}) for c in cycles)
     return want == sorted(sorted(set(c)) for c in d._components)
-
-
-def _int_rows(rows) -> bool:
-    """Whether ``rows`` is a list of lists of ints (bools excluded)."""
-    return isinstance(rows, list) and all(
-        isinstance(row, list) and all(type(x) is int for x in row) for row in rows
-    )
 
 
 def _mirror_crossing(c: Crossing) -> Crossing:
@@ -363,9 +317,13 @@ def raw_order(
     relabeled as construction relabels it, the raw indices in the
     constructor's sorted order (an argsort on those tuples, its sort key),
     and the inverse of that order, the sorted position of each raw
-    crossing.  Builds no ``Crossing`` and validates nothing.
+    crossing.  Builds no ``Crossing`` and validates nothing beyond each
+    row unpacking into an edge iterable and a sign.
     """
-    edges = [tuple(e) for e, _ in raw]
+    try:
+        edges = [tuple(e) for e, _ in raw]
+    except (TypeError, ValueError):  # not rows of an edge iterable and a sign
+        raise DiagramError("raw crossings must be (edges, sign) rows") from None
     remap = _label_map(edges)
     if remap is not None:
         edges = [tuple(map(remap.__getitem__, row)) for row in edges]
@@ -596,7 +554,18 @@ def _try_match(d1, d2, mate1, mate2, c0, t0, used) -> dict[int, int] | None:
     """The map of the piece of ``d1`` through crossing ``c0`` into the
     crossings of ``d2`` not ``used``, with ``c0`` sent to ``t0``: slot
     for slot, signs and mates kept, which matches the edges one to one.
-    ``None`` if there is none."""
+    ``None`` if there is none.
+
+    Mates are compared by crossing, not slot: in valid diagrams the slots
+    then agree.  Signs fix which slots point in and out, so slots can
+    differ only where two edges run from one crossing A to one crossing B
+    and are wired to B's in-slots the other way round in ``d2``.  A
+    crossing's out-slots are adjacent, and so are its in-slots, so one
+    wiring is crossed: its edges close a curve with, of the slots of A
+    and B, only A's in-slots on one side (if A = B, a loop joining
+    opposite slots).  The crossings on that side have as many out-slots
+    as in-slots, so no strand can reach A's in-slots without crossing the
+    curve: the planarity count would have refused ``d1`` or ``d2``."""
     if used[t0]:
         return None
     cmap = {c0: t0}
@@ -608,10 +577,7 @@ def _try_match(d1, d2, mate1, mate2, c0, t0, used) -> dict[int, int] | None:
         if d1.crossings[ci].sign != d2.crossings[tj].sign:
             return None
         for s in range(4):
-            x, y = mate1[4 * ci + s], mate2[4 * tj + s]
-            if x & 3 != y & 3:
-                return None
-            oc, od = x >> 2, y >> 2
+            oc, od = mate1[4 * ci + s] >> 2, mate2[4 * tj + s] >> 2
             if oc in cmap:
                 if cmap[oc] != od:
                     return None
@@ -780,17 +746,3 @@ def _infer_signs(tuples, signs, positions, serial):
                     out[x >> 2] *= -1
     return out
 
-
-def to_json(d: OrientedLinkDiagram) -> str:
-    return json.dumps(d.to_json_dict(), sort_keys=True)
-
-
-def from_json(text: str) -> OrientedLinkDiagram:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc.msg}", exc.pos) from exc
-    except (ValueError, RecursionError) as exc:
-        # an int past the digit limit, or nesting that overflows the decoder
-        raise ParseError(f"malformed JSON: {exc}") from exc
-    return OrientedLinkDiagram.from_json_dict(data)

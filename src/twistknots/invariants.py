@@ -1,4 +1,4 @@
-"""Classical certificates: Jones polynomial, signature, unlink tests.
+"""Classical invariants: the Jones polynomial and the signature.
 
 The bracket polynomial is computed by scanning crossings one at a time,
 so cost is governed by the width of the scan (its peak number of open
@@ -33,7 +33,6 @@ per piece.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .diagram import DiagramError, OrientedLinkDiagram, _debug, _mates
@@ -566,43 +565,3 @@ def _sparse_signature(rows: dict[int, dict[int, int]]) -> tuple[int, int, int, i
             settle(i)
         prev = apv
     return sig, pivots, congruences, peak
-
-
-# -- unlink certificate --------------------------------------------------
-
-
-CERTIFIED_NOT_UNLINK = "CERTIFIED_NOT_UNLINK"
-INCONCLUSIVE = "INCONCLUSIVE"
-
-
-@dataclass(frozen=True)
-class UnlinkCertificate:
-    verdict: str
-    reason: str
-    detail: object = None
-
-
-def unlink_certificate(d: OrientedLinkDiagram) -> UnlinkCertificate:
-    """Sound non-unlink test: a true unlink is never certified against.
-    A Jones scan the width budget refuses leaves it inconclusive."""
-    ncomp = d.n_components
-    if ncomp == 0:
-        return UnlinkCertificate(INCONCLUSIVE, "empty diagram")
-    for i in range(ncomp):
-        for j in range(i + 1, ncomp):
-            lk = d.linking_number(i, j)
-            if lk:
-                return UnlinkCertificate(
-                    CERTIFIED_NOT_UNLINK, f"linking number lk({i},{j}) = {lk}", lk
-                )
-    try:
-        jones = kauffman_bracket_jones(d)
-    except LimitExceeded as exc:
-        return UnlinkCertificate(INCONCLUSIVE, f"Jones not computed: {exc}")
-    if jones != unlink_jones(ncomp):
-        return UnlinkCertificate(
-            CERTIFIED_NOT_UNLINK,
-            f"Jones differs from the {ncomp}-component unlink value",
-            jones,
-        )
-    return UnlinkCertificate(INCONCLUSIVE, "all certificates agree with an unlink")

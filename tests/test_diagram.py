@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -6,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistknots.braids import BraidWord, braid_closure, torus_braid
-from twistknots.corpus import load_corpus
+from twistknots.corpus import chain_family, load_corpus
 from twistknots.diagram import (
     Crossing,
     DiagramError,
@@ -14,11 +13,9 @@ from twistknots.diagram import (
     ParseError,
     _faces,
     _mates,
-    from_json,
     parse_pd,
     serialize,
     structurally_equal,
-    to_json,
 )
 from twistknots.families import twist
 from twistknots.moves import reidemeister_moves
@@ -166,65 +163,32 @@ class TestRoundTrip:
             assert serialize(parse_pd(text)) == text
             assert parse_pd(text) == d
 
-    def test_json_round_trip(self, trefoil_right):
-        assert from_json(to_json(trefoil_right)) == trefoil_right
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"crossings": 5, "orientations": []}',
-            '{"crossings": [[0, 1, 1, 0]], "orientations": [-1], "components": [[[0]]]}',
-            '{"crossings": [[0, 1, 1, 0]], "orientations": [true]}',
-            '{"crossings": [[0, 1.0, 1, 0]], "orientations": [-1]}',
-            '{"crossings": [0], "orientations": [1]}',
-            '{"crossings": [], "orientations": [], "components": 3}',
-            "[1, 2]",
-            "{",
-        ],
-    )
-    def test_mistyped_json_raises_diagram_error(self, text):
-        with pytest.raises(DiagramError):
-            from_json(text)
-
     @given(st.data())
     @settings(max_examples=300, deadline=None)
-    def test_mutated_json_raises_only_diagram_errors(self, data):
+    def test_mutated_rows_raise_only_diagram_errors(self, data):
         d = braid_closure(BraidWord.from_ints(3, [1, -2, 1])).disjoint_union(
             OrientedLinkDiagram.unknot()
         )
-        doc = d.to_json_dict()
-        for _ in range(data.draw(st.integers(1, 3))):
-            key = data.draw(st.sampled_from(sorted(doc)))
-            rows = doc.get(key)
-            if isinstance(rows, list) and rows and data.draw(st.booleans()):
-                i = data.draw(st.integers(0, len(rows) - 1))
-                if isinstance(rows[i], list) and rows[i] and data.draw(st.booleans()):
-                    j = data.draw(st.integers(0, len(rows[i]) - 1))
-                    rows[i][j] = data.draw(JSON_VALUES)
+
+        def mutated(value):
+            # replace the value, or descend into a list to mutate or drop
+            # one of its items
+            if isinstance(value, list) and value and data.draw(st.booleans()):
+                i = data.draw(st.integers(0, len(value) - 1))
+                if data.draw(st.booleans()):
+                    value[i] = mutated(value[i])
                 else:
-                    rows[i] = data.draw(JSON_VALUES)
-            elif data.draw(st.booleans()):
-                doc.pop(key)
-            else:
-                doc[key] = data.draw(JSON_VALUES)
+                    del value[i]
+                return value
+            return data.draw(JSON_VALUES)
+
+        raw = [[list(c.edges), c.sign] for c in d.crossings]
+        for _ in range(data.draw(st.integers(1, 3))):
+            raw = mutated(raw)
         try:
-            from_json(json.dumps(doc))
+            OrientedLinkDiagram.from_raw(raw, d.free_loops)
         except DiagramError:
             pass
-
-    @pytest.mark.parametrize("text", [
-        "[" * 100000,  # raised a RecursionError
-        '{"crossings": [[%s, 1, 1, 0]], "orientations": [-1]}' % ("1" * 5000),
-    ], ids=["deep_nesting", "long_int"])  # the long int raised a bare ValueError
-    def test_undecodable_json_raises_parse_error(self, text):
-        with pytest.raises(ParseError, match="malformed JSON"):
-            from_json(text)
-
-    def test_json_components_read_through_the_relabeling(self):
-        kink = '{"crossings": [[10, 11, 11, 10]], "orientations": [-1], "components": %s}'
-        assert from_json(kink % "[[10, 11]]") == parse_pd("X-[0,1,1,0]")
-        with pytest.raises(DiagramError, match="components"):
-            from_json(kink % "[[10, 12]]")
 
     def test_bool_edge_label_is_relabeled(self):
         # a right trefoil whose labels first appear in the order 0..5
@@ -239,7 +203,8 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("sign", [True, 1.0, -1.0])
     def test_sign_equal_to_one_but_not_int_rejected(self, sign):
-        # kept, it would be written as true or -1.0, which from_json refuses
+        # kept, 1.0 would make writhe a float, and the serialize/parse_pd
+        # round trip would not give back the same values
         with pytest.raises(DiagramError, match="sign"):
             Crossing((0, 1, 1, 0), sign)
 
@@ -253,18 +218,23 @@ class TestRoundTrip:
             (lambda: Crossing("0110", 1), "tuple or list"),
             (lambda: OrientedLinkDiagram((Crossing(([0], [1], [1], [0]), -1),)), "hashable"),
             (lambda: OrientedLinkDiagram.from_raw([([[0], [1], [1], [0]], -1)]), "hashable"),
+            (lambda: OrientedLinkDiagram.from_raw(5), "raw crossings must be"),
+            (lambda: OrientedLinkDiagram.from_raw([(5, 1)]), "raw crossings must be"),
+            (lambda: OrientedLinkDiagram.from_raw([None]), "raw crossings must be"),
+            (lambda: OrientedLinkDiagram.from_raw([((0, 1, 1, 0),)]), "raw crossings must be"),
             (lambda: OrientedLinkDiagram.unknot().disjoint_union(None), "unite with a diagram"),
             (lambda: OrientedLinkDiagram.unknot().disjoint_union(()), "unite with a diagram"),
         ],
     )
     def test_bad_arguments_raise_diagram_error(self, make, message):
-        # each raised a bare TypeError, IndexError or AttributeError before
+        # each raised a bare TypeError, ValueError, IndexError or
+        # AttributeError before
         with pytest.raises(DiagramError, match=message):
             make()
 
     @pytest.mark.parametrize("loops", [1.5, 1.0, True, "1", None, -1])
     def test_free_loops_must_be_a_nonnegative_int(self, loops):
-        # 1.5 was kept, and to_json then raised a bare TypeError
+        # 1.5 was kept, and serialize then raised a bare TypeError
         with pytest.raises(DiagramError, match="free_loops"):
             OrientedLinkDiagram((), loops)
 
@@ -478,8 +448,8 @@ class TestStructuralEquality:
     @settings(max_examples=80, deadline=None)
     def test_rewired_heads_match_bruteforce(self, word, data):
         """Diagrams that differ from a closure by the heads of two edges
-        swapped, where that validates: the slot check in the matcher
-        meets wirings that no braid closure has."""
+        swapped, where that validates: the matcher meets wirings that no
+        braid closure has."""
         d = braid_closure(word)
         n_edges = 2 * d.n_crossings
         pairs = st.tuples(st.integers(0, n_edges - 1), st.integers(0, n_edges - 1))
@@ -500,6 +470,37 @@ class TestStructuralEquality:
         for a in rewired:
             for b in rewired:
                 assert structurally_equal(a, b) == structurally_equal_bruteforce(a, b)
+
+    def test_crossed_parallel_edges_never_validate(self):
+        """Two edges from one crossing to one crossing, their heads
+        swapped, never give a valid diagram.  This is why the matcher
+        compares the crossings of mates and not their slots."""
+        families = [*load_corpus().values(), chain_family(3), chain_family(4)]
+        diagrams = [twist(f, n) for f in families for n in range(-3, 4)]
+        rng = random.Random(0)
+        for _ in range(3000):
+            strands = rng.randint(2, 5)
+            letters = [
+                rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 10))
+            ]
+            diagrams.append(braid_closure(BraidWord.from_ints(strands, letters)))
+        swaps = 0
+        for d in diagrams:
+            parallel: dict[tuple[int, int], list[int]] = {}
+            for e, (t, h) in enumerate(zip(d._tail, d._head)):
+                parallel.setdefault((t >> 2, h >> 2), []).append(e)
+            # a crossing has two out-slots, so no more than two edges share
+            # their tail and head crossings
+            for e, f in (edges for edges in parallel.values() if len(edges) == 2):
+                rows = [list(c.edges) for c in d.crossings]
+                (ci, s), (cj, t) = _dart(d._head[e]), _dart(d._head[f])
+                rows[ci][s], rows[cj][t] = f, e
+                crossed = tuple(Crossing(tuple(r), c.sign) for r, c in zip(rows, d.crossings))
+                with pytest.raises(DiagramError, match="non-planar"):
+                    OrientedLinkDiagram(crossed, d.free_loops)
+                swaps += 1
+        assert swaps > 1000
 
 
 class TestPlanarity:

@@ -17,15 +17,14 @@ USERS = [ROOT / d for d in ("src", "perfbench", "scripts")]
 PUBLIC_API = {
     "cycle_count",
     "from_ints",
-    "from_json",
+    "linking_number",
     "load_family",
     "mirror_family",
     "monomial",
     "save_family",
     "shift",
-    "to_json",
     "unknot",
-    "unlink_certificate",
+    "unlink_jones",
 }
 
 

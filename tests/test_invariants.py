@@ -14,12 +14,9 @@ from twistknots.corpus import load_corpus
 from twistknots.diagram import DiagramError, OrientedLinkDiagram, _mates, parse_pd
 from twistknots.families import full_twist_braid, twist
 from twistknots.invariants import (
-    CERTIFIED_NOT_UNLINK,
-    INCONCLUSIVE,
     LimitExceeded,
     kauffman_bracket_jones,
     signature,
-    unlink_certificate,
     unlink_jones,
 )
 from twistknots.moves import reidemeister_moves
@@ -196,41 +193,28 @@ class TestSignature:
         assert both[4] == max(knot[4], trefoil[4])
 
 
-class TestUnlinkCertificate:
-    def test_trefoil_certified(self, trefoil_right):
-        cert = unlink_certificate(trefoil_right)
-        assert cert.verdict == CERTIFIED_NOT_UNLINK
+class TestUnlinkJones:
+    """Jones values compared with the unlink's."""
 
-    def test_unlink_inconclusive(self):
-        assert unlink_certificate(OrientedLinkDiagram.unknot(3)).verdict == INCONCLUSIVE
-
-    def test_empty_diagram_inconclusive(self):
-        cert = unlink_certificate(OrientedLinkDiagram((), 0))
-        assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "empty diagram")
-
-    def test_hopf_certified_by_linking(self, hopf_positive):
-        cert = unlink_certificate(hopf_positive)
-        assert cert.verdict == CERTIFIED_NOT_UNLINK
-        assert "linking" in cert.reason
-
-    def test_whitehead_link_certified(self):
+    def test_whitehead_link_differs_from_the_unlink(self):
         # Whitehead link: linking number zero but Jones separates it
         w = braid_closure(BraidWord.from_ints(3, [1, -2, 1, -2, 1]))
         assert w.n_components == 2
         assert w.linking_number(0, 1) == 0
-        assert unlink_certificate(w).verdict == CERTIFIED_NOT_UNLINK
+        assert kauffman_bracket_jones(w) != unlink_jones(2)
 
-    def test_r2_unlink_presentation_inconclusive(self):
+    def test_r2_unlink_presentation_has_the_unlink_jones(self):
         d = braid_closure(BraidWord.from_ints(2, [1, -1]))
-        assert unlink_certificate(d).verdict == INCONCLUSIVE
+        assert kauffman_bracket_jones(d) == unlink_jones(2)
 
 
 class TestWidthBudget:
     def test_long_narrow_member_within_budget(self):
         d = twist(load_corpus()["torus_q3"], 20)
         assert (d.n_crossings, _order(d)[1]) == (128, 3)
-        assert kauffman_bracket_jones(d) == kauffman_bracket_jones(d, limit=1000)
-        assert unlink_certificate(d).verdict == CERTIFIED_NOT_UNLINK
+        jones = kauffman_bracket_jones(d)
+        assert jones == kauffman_bracket_jones(d, limit=1000)
+        assert d.n_components == 1 and jones != unlink_jones(1)
 
     def test_wide_diagram_refused_before_any_state(self, monkeypatch):
         d = braid_closure(torus_braid(10, 10))
@@ -243,12 +227,6 @@ class TestWidthBudget:
         with pytest.raises(LimitExceeded, match="width 10 .*budget 8"):
             kauffman_bracket_jones(d)
         assert time.perf_counter() - start < 0.1
-
-    def test_unlink_certificate_says_jones_was_refused(self):
-        d = braid_closure(torus_braid(10, 9))  # a knot, so no linking numbers
-        cert = unlink_certificate(d)
-        assert cert.verdict == INCONCLUSIVE
-        assert "width 9" in cert.reason
 
 
 def _corpus_members(max_crossings=40):
