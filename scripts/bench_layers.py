@@ -14,8 +14,9 @@ n = 13, 40, ``whitehead`` at n = 30 and ``wind3_wrap9`` at n = 10, and
 at n = 10, 50, 100,
 ``invariants._scan_order`` (with the dart mates it reads) on
 ``twist(wind3_wrap9, n)`` at n = 10, 30,
-``invariants.signature`` on ``twist(chain_4, n)`` at n = 13, 26, 52
-and ``twist(torus_q3, n)`` at n = 13, 40, and on two split diagrams: three
+``invariants.signature`` on ``twist(chain_4, n)`` at n = 13, 26, 52,
+``twist(torus_q3, n)`` at n = 13, 40, ``twist(whitehead, 30)`` and
+``twist(torus_q2, 13)``, and on two split diagrams: three
 copies of ``twist(chain_4, 13)`` side by side (486 crossings) and
 ``twist(wind3_wrap9, 0)`` (3 pieces), ``diagram.structurally_equal`` of
 that union and a relabelled, shuffled copy, ``invariants.kauffman_bracket_jones``
@@ -30,13 +31,15 @@ twist on 8 strands, ``families.coherent_reduction`` on the non-coherent
 ``torus_q2`` n=3 members.  Each row holds the crossings in, the cost driver
 (the crossings out of a twist or of the schedule's member and the
 schedule's sites, the sites changed, greedy steps, scan width, the
-white faces and peak row nonzeros of the elimination or the scan's
+white faces (the form's rows, the smaller color class of each piece)
+and peak row nonzeros of the elimination or the scan's
 width and state updates, read from their DEBUG records, the Jones scans
 one coherent reduction makes, counted from the same records, or the moves
 out, each result one built and validated diagram), the number of calls
 timed (``REPEATS``, ``TWIST_REPEATS`` for the twist layer and crossing
 changes, ``JONES_REPEATS`` for the scan and coherent reduction,
-``MOVE_REPEATS`` for moves, ``SPLIT_REPEATS`` for the split diagrams)
+``MOVE_REPEATS`` for moves, ``SPLIT_REPEATS`` for signatures and the
+split diagrams)
 and their median seconds.  A split signature row also holds
 ``records_per_call``, the DEBUG records one call logs, and reads its
 white faces and peak from the last one.  A scan row also
@@ -82,7 +85,7 @@ JONES_REPEATS = 11
 MOVE_REPEATS = 51
 # so does a twist or an untwist schedule
 TWIST_REPEATS = 21
-# and a signature or a structural comparison of a split diagram
+# and a signature, or a structural comparison of a split diagram
 SPLIT_REPEATS = 21
 
 
@@ -190,10 +193,11 @@ def rows():
     log.setLevel(logging.DEBUG)
     log.addHandler(keep)
     torus = corpus["torus_q3"]
-    for f, n in ((chain, 13), (chain, 26), (chain, 52), (torus, 13), (torus, 40)):
+    for f, n in ((chain, 13), (chain, 26), (chain, 52), (torus, 13), (torus, 40),
+                 (corpus["whitehead"], 30), (corpus["torus_q2"], 13)):
         d = twist(f, n)
         records.clear()
-        _, secs = timed(invariants.signature, d)
+        _, secs = timed(invariants.signature, d, SPLIT_REPEATS)
         # crossings, white faces, pivots, congruence steps, peak, seconds;
         # code without the record leaves the cost driver out
         args = records[-1].args if records else (None,) * 6
@@ -203,8 +207,8 @@ def rows():
             "crossings": d.n_crossings,
             "white_faces": args[1],
             "peak_row_nonzeros": args[4],
-            "repeats": REPEATS,
-            "s": round(secs, 4),
+            "repeats": SPLIT_REPEATS,
+            "s": round(secs, 6),
         }
     union = member.disjoint_union(member).disjoint_union(member)
     for tag, d in (("3 x chain_4 n=13", union), ("wind3_wrap9 n=0", twist(corpus["wind3_wrap9"], 0))):

@@ -318,12 +318,17 @@ def raw_order(
     constructor's sorted order (an argsort on those tuples, its sort key),
     and the inverse of that order, the sorted position of each raw
     crossing.  Builds no ``Crossing`` and validates nothing beyond each
-    row unpacking into an edge iterable and a sign.
+    row unpacking into an edge iterable and a sign, the edges a tuple or
+    list as ``Crossing`` takes them (a string's characters are no labels).
     """
     try:
-        edges = [tuple(e) for e, _ in raw]
+        rows = [e for e, _ in raw]
+        edges = list(map(tuple, rows))
     except (TypeError, ValueError):  # not rows of an edge iterable and a sign
         raise DiagramError("raw crossings must be (edges, sign) rows") from None
+    for e in rows:
+        if not isinstance(e, (tuple, list)):
+            raise DiagramError(f"crossing edges must be a tuple or list, got {e!r}")
     remap = _label_map(edges)
     if remap is not None:
         edges = [tuple(map(remap.__getitem__, row)) for row in edges]

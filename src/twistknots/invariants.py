@@ -21,13 +21,18 @@ from a table of how a smoothing joins the four slots shared by all
 scans, and crossings whose slots meet the same positions share them; a
 child is then two bit operations on its parent's key.
 The signature comes from the Goeritz form of a checkerboard
-coloring with its orientation correction term.  The form is kept as
-sparse rows, one per white face, and eliminated fraction-free in exact
-integers, least-degree row first; each row is rescaled only when a pivot
-meets it, so on a long narrow diagram, whose form is banded, the cost
-grows about linearly in the crossings.  A split diagram gets one form
-over all its faces, one block per piece, with one white face left out
-per piece.
+coloring with its orientation correction term.  By Gordon and Litherland
+(On the signature of a link, 1978) either color class of the faces spans
+a surface whose form, so corrected, gives the signature; the white class
+of each piece is its smaller one, so the form has the fewer rows.  On a
+twisted diagram the other class holds every bigon of the twist box:
+``twist(whitehead, 30)`` has 3 white faces against 61.  The form is kept
+as sparse rows, one per white face, and eliminated fraction-free in
+exact integers, least-degree row first; each row is rescaled only when a
+pivot meets it, so on a long narrow diagram, whose form is banded, the
+cost grows about linearly in the crossings.  A split diagram gets one
+form over all its faces, one block per piece, with one white face left
+out per piece.
 """
 
 from __future__ import annotations
@@ -385,8 +390,10 @@ def unlink_jones(n_components: int) -> LaurentPolynomial:
 
 def signature(d: OrientedLinkDiagram) -> int:
     """Signature of the link via the Goeritz form with orientation
-    correction; fixed so the right trefoil gives -2.  A split diagram
-    gets one block per piece in one form, free loops adding 0."""
+    correction; fixed so the right trefoil gives -2.  The form is built
+    on the smaller checkerboard surface of each piece (see _checkerboard;
+    Gordon-Litherland holds for either), one row per white face.  A split
+    diagram gets one block per piece in one form, free loops adding 0."""
     if not d.crossings:
         return 0
     start = time.perf_counter()
@@ -405,9 +412,14 @@ def signature(d: OrientedLinkDiagram) -> int:
 def _goeritz(d: OrientedLinkDiagram) -> tuple[dict[int, dict[int, int]], int, list[int]]:
     """Goeritz matrix of a diagram as sparse rows keyed by white face,
     zeros left out, its orientation correction ``mu`` and each face's
-    piece.  A crossing's corners lie in one piece, so the matrix of a
-    split diagram is block-diagonal, one block per piece, and its
-    signature is the sum of theirs."""
+    piece.  The white faces, color 0 of _checkerboard, are the smaller
+    class of each piece.  Which class is white sets ``eta`` at every
+    crossing: choosing the other class negates each ``eta``, and the
+    crossings counted in ``mu`` (``eta`` equal to the sign) become the
+    others, so Gordon-Litherland's correction follows the surface.  A
+    crossing's corners lie in one piece, so the matrix of a split diagram
+    is block-diagonal, one block per piece, and its signature is the sum
+    of theirs."""
     face_of = d._face_of
     n_faces = max(face_of) + 1
     color, piece = _checkerboard(d._tail, d._head, face_of, n_faces)
@@ -450,8 +462,9 @@ def _leave_out(rows: dict[int, dict[int, int]], piece: list[int]) -> None:
 def _checkerboard(tail, head, face_of, n_faces) -> tuple[list[int], list[int]]:
     """Face colors 0/1 with the two sides of every edge apart, and each
     face's piece, named by its least face.  Each component of the face
-    graph, one per piece of the diagram, is colored from its least face,
-    which is white."""
+    graph, one per piece of the diagram, has its smaller color class
+    white (0), its least face's class on a tie: that piece's Goeritz
+    block then has the fewer rows."""
     adj: list[list[int]] = [[] for _ in range(n_faces)]
     for t, h in zip(tail, head):
         f1, f2 = face_of[t], face_of[h]
@@ -465,16 +478,18 @@ def _checkerboard(tail, head, face_of, n_faces) -> tuple[list[int], list[int]]:
         if color[root] >= 0:
             continue
         color[root] = 0
-        queue = [root]
-        while queue:
-            f = queue.pop()
+        faces = [root]  # the piece's faces, in the order they are colored
+        for f in faces:
             for g in adj[f]:
                 if color[g] == -1:
                     color[g] = 1 - color[f]
                     piece[g] = root
-                    queue.append(g)
+                    faces.append(g)
                 elif color[g] == color[f]:
                     raise AssertionError("face graph not bipartite")
+        if 2 * sum(color[f] for f in faces) < len(faces):  # more faces of color 0
+            for f in faces:
+                color[f] ^= 1
     return color, piece
 
 

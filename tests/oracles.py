@@ -633,6 +633,68 @@ def symmetric_signature_fraction(matrix: list[list[int]]) -> int:
     return sig
 
 
+def checkerboard_bruteforce(d: OrientedLinkDiagram, white: int) -> tuple[dict, list[int], list[int]]:
+    """Faces 2-colored with the two sides of every edge apart: the face
+    of each dart ``(crossing, slot)`` (an index into ``faces_bruteforce``),
+    each face's color 0/1 and each face's piece (its least face), the
+    least face of each piece colored ``white``.  The corner between slots
+    s and s+1 of a crossing lies in the face of dart (crossing, s+1), and
+    the corners on the two sides of a slot's edge lie across that edge."""
+    face_at = {x: fi for fi, face in enumerate(faces_bruteforce(d)) for x in face}
+    n_faces = len(set(face_at.values()))
+    adj: list[set[int]] = [set() for _ in range(n_faces)]
+    for ci, s in face_at:
+        f, g = face_at[(ci, s)], face_at[(ci, (s + 1) % 4)]
+        adj[f].add(g)
+        adj[g].add(f)
+    color = [-1] * n_faces
+    piece = list(range(n_faces))
+    for root in range(n_faces):
+        if color[root] < 0:
+            color[root] = white
+            todo = [root]
+            while todo:
+                f = todo.pop()
+                for g in adj[f]:
+                    assert color[g] != color[f], "faces across an edge share a color"
+                    if color[g] < 0:
+                        color[g], piece[g] = 1 - color[f], root
+                        todo.append(g)
+    return face_at, color, piece
+
+
+def goeritz_signature_bruteforce(d: OrientedLinkDiagram, white: int) -> int:
+    """Signature of ``d`` by Gordon–Litherland on the checkerboard surface
+    of the color-0 faces of ``checkerboard_bruteforce(d, white)``: the
+    signature of the dense Goeritz matrix of those faces, the first face
+    of each piece left out, minus the correction mu.  Either color class
+    spans a surface, so both values of ``white`` give the signature.
+
+    At a crossing the corners after slot 0 and after slot 2 (counter-
+    clockwise from the two ends of the under strand) face each other and
+    share a color; eta is +1 where they are color 0 and -1 where the
+    other two are.  The faces u, v of the two color-0 corners (maybe one
+    face) get -eta at (u, v) and (v, u) and +eta at (u, u) and (v, v),
+    and mu sums eta over the crossings whose sign is eta."""
+    face_at, color, piece = checkerboard_bruteforce(d, white)
+    whites = [fi for fi, x in enumerate(color) if x == 0]
+    first = {}
+    for fi in whites:
+        first.setdefault(piece[fi], fi)
+    kept = [fi for fi in whites if first[piece[fi]] != fi]
+    g: Counter = Counter()
+    mu = 0
+    for ci, c in enumerate(d.crossings):
+        corner = [face_at[(ci, (s + 1) % 4)] for s in range(4)]
+        eta = 1 if color[corner[0]] == 0 else -1
+        u, v = (corner[0], corner[2]) if eta == 1 else (corner[1], corner[3])
+        for a, b, x in ((u, v, -eta), (v, u, -eta), (u, u, eta), (v, v, eta)):
+            g[a, b] += x
+        if eta == c.sign:
+            mu += eta
+    return symmetric_signature_fraction([[g[a, b] for b in kept] for a in kept]) - mu
+
+
 # ----------------------------------------------------------------------
 # Greedy simplification as first written: every step enumerates the
 # removals of the whole diagram, takes the first, and builds and

@@ -232,6 +232,18 @@ class TestRoundTrip:
         with pytest.raises(DiagramError, match=message):
             make()
 
+    @pytest.mark.parametrize("edges", ["0110", b"\x00\x01\x01\x00", {0: 1, 1: 0}])
+    def test_raw_edges_must_be_a_tuple_or_list(self, edges):
+        # from_raw read the string's characters as labels and built the
+        # kink X-[0,1,1,0], while Crossing refuses the same row
+        message = f"crossing edges must be a tuple or list, got {edges!r}"
+        for make in (Crossing, lambda e, s: OrientedLinkDiagram.from_raw([(e, s)])):
+            with pytest.raises(DiagramError) as refused:
+                make(edges, -1)
+            assert str(refused.value) == message
+        kink, _ = OrientedLinkDiagram.from_raw([([0, 1, 1, 0], -1)])
+        assert kink == parse_pd("X-[0,1,1,0]")
+
     @pytest.mark.parametrize("loops", [1.5, 1.0, True, "1", None, -1])
     def test_free_loops_must_be_a_nonnegative_int(self, loops):
         # 1.5 was kept, and serialize then raised a bare TypeError

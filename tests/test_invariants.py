@@ -24,6 +24,8 @@ from twistknots.polynomials import LaurentPolynomial
 
 from .oracles import (
     bracket_with_loops_dict,
+    checkerboard_bruteforce,
+    goeritz_signature_bruteforce,
     jones_bruteforce,
     piece_roots,
     scan_order_max,
@@ -191,6 +193,28 @@ class TestSignature:
         knot, trefoil, both = (r.args for r in records)
         assert both[1:3] == (knot[1] + trefoil[1], knot[2] + trefoil[2])
         assert both[4] == max(knot[4], trefoil[4])
+
+    def test_white_faces_are_the_smaller_class_of_each_piece(self, caplog, trefoil_right):
+        # the form has one row per white face; the larger class, which on a
+        # twisted diagram holds the bigons of the twist box, gave 61 and 29
+        corpus = load_corpus()
+        pinned = [(twist(corpus["whitehead"], 30), 3), (twist(corpus["torus_q2"], 13), 2)]
+        members = [d for _, d in _corpus_members(max_crossings=60)]
+        members.append(twist(corpus["whitehead"], 30).disjoint_union(trefoil_right))
+        with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
+            for d, _ in pinned:
+                signature(d)
+            for d in members:
+                signature(d)
+        whites = [r.args[1] for r in caplog.records]
+        assert whites[:2] == [n for _, n in pinned]
+        for d, got in zip(members, whites[2:]):
+            _, color, piece = checkerboard_bruteforce(d, 0)
+            sizes = {}
+            for fi, x in enumerate(color):
+                sizes.setdefault(piece[fi], [0, 0])[x] += 1
+            assert got == sum(map(min, sizes.values()))
+        assert len(whites) == 2 + len(members) and whites[-1] == 3 + 2
 
 
 class TestUnlinkJones:
@@ -486,6 +510,26 @@ class TestSignatureOracle:
             seen += 1
             split += len(pieces) > 1
         assert seen >= 30 and split >= 1
+
+    @pytest.mark.parametrize("white", [0, 1])
+    def test_either_checkerboard_surface(self, white):
+        # Gordon-Litherland holds on both checkerboard surfaces; white=1
+        # builds the form on the class the least face of each piece is not in
+        seen = split = 0
+        for tag, d in _corpus_members(max_crossings=60):
+            assert goeritz_signature_bruteforce(d, white) == signature(d), tag
+            seen += 1
+            split += len(_pieces(d)) > 1
+        assert seen >= 30 and split >= 1
+        rng = random.Random(24)
+        for _ in range(500):
+            strands = rng.randint(2, 6)
+            word = tuple(
+                (rng.randint(1, strands - 1), rng.choice((1, -1)))
+                for _ in range(rng.randint(1, 12))
+            )
+            d = braid_closure(BraidWord(strands, word))
+            assert goeritz_signature_bruteforce(d, white) == signature(d), word
 
     def test_any_white_face_may_be_left_out(self):
         seen = 0
