@@ -21,8 +21,10 @@ copies of ``twist(chain_4, 13)`` side by side (486 crossings) and
 ``twist(wind3_wrap9, 0)`` (3 pieces), ``diagram.structurally_equal`` of
 that union and a relabelled, shuffled copy, ``invariants.kauffman_bracket_jones``
 on ``twist(wind3_wrap9, n)`` at n = 1, 10, 30, ``twist(whitehead, 30)``,
-``twist(largewrap_w0_p4, 7)``, ``twist(torus_q3, 12)`` and the closed full
-twist on 8 strands, ``families.coherent_reduction`` on the non-coherent
+``twist(largewrap_w0_p4, 7)``, ``twist(torus_q3, 12)``, the closed full
+twist on 8 strands, and the short scans ``twist(whitehead, 1)``,
+``twist(torus_q3, 0)`` and ``twist(mazur, 10)``, where a call's fixed
+cost outweighs its states, ``families.coherent_reduction`` on the non-coherent
 ``whitehead``, ``mazur``, ``largewrap_w0_p4`` and ``wind3_wrap9``, and
 ``moves.reidemeister_moves`` on
 ``twist(whitehead, n)`` at n = -2, 2, ``twist(mazur, n)`` at n = -1, 1,
@@ -33,11 +35,14 @@ twist on 8 strands, ``families.coherent_reduction`` on the non-coherent
 schedule's sites, the sites changed, greedy steps, scan width, the
 white faces (the form's rows, the smaller color class of each piece)
 and peak row nonzeros of the elimination or the scan's
-width and state updates, read from their DEBUG records, the Jones scans
+width, state updates, transitions derived and repacks, read from their
+DEBUG records (code whose record lacks the last two leaves them out), the
+Jones scans
 one coherent reduction makes, counted from the same records, or the moves
 out, each result one built and validated diagram), the number of calls
 timed (``REPEATS``, ``TWIST_REPEATS`` for the twist layer and crossing
 changes, ``JONES_REPEATS`` for the scan and coherent reduction,
+``SHORT_JONES_REPEATS`` for the short scans,
 ``MOVE_REPEATS`` for moves, ``SPLIT_REPEATS`` for signatures and the
 split diagrams)
 and their median seconds.  A split signature row also holds
@@ -81,6 +86,8 @@ REPEATS = 3
 # most scans take milliseconds, so their median takes more calls; the
 # long scans of wind3_wrap9 n=10, 30 take seconds and get REPEATS
 JONES_REPEATS = 11
+# the short scans take a millisecond or less
+SHORT_JONES_REPEATS = 101
 # a move enumeration takes milliseconds, so its median takes more calls
 MOVE_REPEATS = 51
 # so does a twist or an untwist schedule
@@ -177,12 +184,12 @@ def rows():
     wind = corpus["wind3_wrap9"]
     for n in (10, 30):
         d = twist(wind, n)
-        (_, width), secs = timed(scan_order, d)
+        plan, secs = timed(scan_order, d)
         yield {
             "layer": "invariants._scan_order",
             "input": f"wind3_wrap9 n={n}",
             "crossings": d.n_crossings,
-            "width": width,
+            "width": plan[1],
             "repeats": REPEATS,
             "s": round(secs, 4),
         }
@@ -242,10 +249,15 @@ def rows():
         ("wind3_wrap9", 30, REPEATS), ("whitehead", 30, JONES_REPEATS),
         ("largewrap_w0_p4", 7, JONES_REPEATS), ("torus_q3", 12, JONES_REPEATS))]
     scans.append(("full twist on 8 strands", braid_closure(torus_braid(8, 8)), JONES_REPEATS))
+    scans += [(f"{name} n={n}", twist(corpus[name], n), SHORT_JONES_REPEATS) for name, n in (
+        ("whitehead", 1), ("torus_q3", 0), ("mazur", 10))]
     for tag, d, repeats in scans:
         records.clear()
         _, secs = timed(invariants.kauffman_bracket_jones, d, repeats)
-        _, width, updates, _ = records[-1].args  # crossings, width, updates, seconds
+        # crossings, width, updates, transitions derived, repacks, seconds
+        args = records[-1].args
+        width, updates = args[1:3]
+        derived, repacks = args[3:5] if len(args) == 6 else (None, None)
         tracemalloc.start()
         invariants.kauffman_bracket_jones(d)
         peak = tracemalloc.get_traced_memory()[1]
@@ -256,6 +268,8 @@ def rows():
             "crossings": d.n_crossings,
             "width": width,
             "state_updates": updates,
+            "transitions": derived,
+            "repacks": repacks,
             "repeats": repeats,
             "s": round(secs, 5),
             "peak_kib": round(peak / 1024, 1),

@@ -292,8 +292,8 @@ def coherent_reduction(
     the width budget of those Jones scans; ``ReductionError`` is raised
     when it refuses them.
     """
-    if type(certificate_limit) is not int:
-        raise FamilyError(f"certificate_limit must be an int, got {certificate_limit!r}")
+    if type(certificate_limit) is not int or certificate_limit < 0:
+        raise FamilyError(f"certificate_limit must be an int >= 0, got {certificate_limit!r}")
     reduced_marks = _paired_marks(f)
     if reduced_marks == f.marked_edges:
         return CoherentReduction(f, ())

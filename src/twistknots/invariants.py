@@ -4,22 +4,25 @@ The bracket polynomial is computed by scanning crossings one at a time,
 so cost is governed by the width of the scan (its peak number of open
 pairs) rather than 2^crossings; a greedy ordering keeps that width small
 on braid-like diagrams, and one budget, ``WIDTH_BUDGET``, bounds it before
-any state is built.  Each open dart (code ``4 * crossing + slot``)
-keeps one frontier position while it is open, freed positions going to
-new darts lowest first; a state's key is one int holding, in a field of
-f bits per position, its partner's position + 1, or 0 for a free
-position.  Its value is a lowest exponent lo and one integer packing the
-coefficients of A^lo, A^(lo+2), ... as signed digits in base 2^bits,
-and a state whose value is 0 is dropped.  Every few crossings the digits
-are repacked to the width the largest coefficient then needs plus a
-proven bound on its growth until the next repack, so no coefficient can
-overflow its digit and the digits stay narrow on long scans.  A state's
-two children depend only on the fields at the positions a crossing
-glues, so each crossing works out, once per pattern of those fields,
-each smoothing's bits to clear and to set, power of A and loops closed,
-from a table of how a smoothing joins the four slots shared by all
-scans, and crossings whose slots meet the same positions share them; a
-child is then two bit operations on its parent's key.
+any state is built.  The pass that orders the crossings also plans the
+scan: each open dart (code ``4 * crossing + slot``) keeps one frontier
+position while it is open, freed positions going to new darts lowest
+first, and each step gets its crossing's link, a tuple saying what each
+slot meets, equal links being one tuple.  A state's key is one int
+holding, in a field of f bits per position, its partner's position + 1,
+or 0 for a free position.  Its value is a lowest exponent lo and one
+integer packing the coefficients of A^lo, A^(lo+2), ... as signed digits
+in base 2^bits, and a state whose value is 0 is dropped.  After every
+few crossings the digits are repacked to the width the largest
+coefficient then needs plus a proven bound on its growth until the next
+repack, so no coefficient can overflow its digit and the digits stay
+narrow on long scans; a repack that keeps the width only trims.  A
+state's two children depend only on the fields at the positions a
+crossing glues, so the scan works out, once per link and pattern of
+those fields, each smoothing's bits to clear and to set, power of A and
+loops closed, from a table of how a smoothing joins the four slots
+shared by all scans; a child is then two bit operations on its parent's
+key, and its value one multiplication when the smoothing closes a loop.
 The signature comes from the Goeritz form of a checkerboard
 coloring with its orientation correction term.  By Gordon and Litherland
 (On the signature of a link, 1978) either color class of the faces spans
@@ -38,7 +41,6 @@ out per piece.
 from __future__ import annotations
 
 import time
-from heapq import heappop, heappush
 
 from .diagram import DiagramError, OrientedLinkDiagram, _debug, _mates
 from .polynomials import LaurentPolynomial
@@ -70,15 +72,27 @@ class LimitExceeded(DiagramError):
     """Scan width (peak open pairs of the scan order) above the budget."""
 
 
-def _scan_order(mate: list[int]) -> tuple[list[int], int]:
+def _scan_order(mate: list[int]) -> tuple[list[int], int, list[tuple[int, ...]]]:
     """Greedy order of the crossings of the diagram with dart mates
-    ``mate`` that keeps the open frontier small, and its peak open pairs.
+    ``mate`` that keeps the open frontier small, its peak open pairs, and
+    the scan's plan: each step's link.
 
     Each step takes the crossing with the most edges to crossings already
     placed, the lowest index among ties.  Unplaced crossings with 1..4
     such edges sit in a bucket per count, at most one per open edge in
     all; when every bucket is empty no unplaced crossing has such an
     edge, and the lowest unplaced index, which only grows, comes next.
+
+    Each open dart holds a fixed frontier position from the crossing that
+    opens it to the one that glues it, and a crossing frees its glued
+    positions before it places its new darts, each in the lowest free
+    position.  A new position is taken only when every lower one is
+    held, and at most ``2 * width`` darts are open after any step (two
+    per open pair), so every position is below ``2 * width``.  A step's
+    link holds, per slot of its crossing, what the slot meets: another
+    slot of the crossing (0..3), ``-1 - p`` for the open dart at
+    position p that it glues, or ``4 + p`` for the new dart it places at
+    p.  Equal links are one tuple.
     """
     n = len(mate) >> 2
     count = [0] * n
@@ -86,7 +100,11 @@ def _scan_order(mate: list[int]) -> tuple[list[int], int]:
     buckets: list[set[int]] = [set() for _ in range(5)]  # by count; 0 stays empty
     lowest = 0
     order: list[int] = []
-    open_edges = width = 0
+    links: list[tuple[int, ...]] = []
+    distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
+    pos = [0] * len(mate)  # each open dart's position
+    taken = 0  # the held positions, as bits
+    open_edges = peak = 0
     for _ in range(n):
         k = 4
         while k and not buckets[k]:
@@ -100,19 +118,34 @@ def _scan_order(mate: list[int]) -> tuple[list[int], int]:
             ci = lowest
         placed[ci] = True
         order.append(ci)
-        for x in mate[4 * ci : 4 * ci + 4]:
+        base = 4 * ci
+        link = mate[base : base + 4]
+        new = []
+        for s, x in enumerate(link):
             cj = x >> 2
             if cj == ci:
-                continue  # an edge with both ends here never opens
-            if placed[cj]:
+                link[s] = x & 3  # an edge with both ends here never opens
+            elif placed[cj]:
                 open_edges -= 1
+                p = pos[x]
+                taken ^= 1 << p
+                link[s] = -1 - p
             else:
-                open_edges += 1
+                new.append(s)
                 buckets[count[cj]].discard(cj)
                 count[cj] += 1
                 buckets[count[cj]].add(cj)
-        width = max(width, open_edges // 2)
-    return order, width
+        for s in new:
+            p = (~taken & taken + 1).bit_length() - 1  # the lowest free position
+            taken |= 1 << p
+            pos[base + s] = p
+            link[s] = 4 + p
+            open_edges += 1
+        link = tuple(link)
+        links.append(distinct.setdefault(link, link))
+        if open_edges > peak:
+            peak = open_edges
+    return order, peak >> 1, links
 
 
 def kauffman_bracket_jones(
@@ -120,17 +153,18 @@ def kauffman_bracket_jones(
 ) -> LaurentPolynomial:
     """Jones polynomial, unknot-normalized, in doubled-t exponents; a scan
     wider than ``limit`` open pairs raises ``LimitExceeded`` up front."""
-    if type(limit) is not int:
-        raise DiagramError(f"width budget must be an int, got {limit!r}")
+    if not isinstance(d, OrientedLinkDiagram):
+        raise DiagramError(f"the Jones polynomial needs a diagram, got {d!r}")
+    if type(limit) is not int or limit < 0:
+        raise DiagramError(f"width budget must be an int >= 0, got {limit!r}")
     if d.n_components == 0:
         raise DiagramError("the empty diagram has no Jones polynomial")
-    mate = _mates(d._tail, d._head)
-    order, width = _scan_order(mate)
+    _, width, links = _scan_order(_mates(d._tail, d._head))
     if width > limit:
         raise LimitExceeded(f"scan width {width} exceeds the width budget {limit}")
     w = d.writhe()
     # (-A)^{-3w} <D>, then one delta division for unknot normalization
-    lo, coeffs = _divide_delta(*_bracket_with_loops(mate, d.free_loops, order, width))
+    lo, coeffs = _divide_delta(*_bracket_with_loops(links, width, d.free_loops))
     lo -= 3 * w
     if lo % 2 and any(coeffs):
         raise AssertionError("bracket exponent parity violated")
@@ -138,40 +172,35 @@ def kauffman_bracket_jones(
     return LaurentPolynomial({lo // 2 + i: sign * c for i, c in enumerate(coeffs)})
 
 
-def _bracket_with_loops(mate, free_loops, order, width) -> tuple[int, list[int]]:
+def _bracket_with_loops(links, width, free_loops) -> tuple[int, list[int]]:
     """Sum over states of A^{a-b} * delta^{loops} (note: no -1) of the
-    diagram with dart mates ``mate`` and ``free_loops`` free loops, in a
-    scan ``order`` of that ``width``, as its lowest exponent and the
-    coefficients of every second power from it, trimmed to its nonzero
-    span.
+    diagram with ``free_loops`` free loops whose scan, of that ``width``,
+    has the per-step ``links`` of _scan_order, as its lowest exponent and
+    the coefficients of every second power from it, trimmed to its
+    nonzero span.
 
-    A state's key is one int.  Each open dart holds a fixed position
-    from the crossing that opens it to the one that glues it, and a
-    crossing frees its glued positions before it places its new darts,
-    each in the lowest free position.  Position p owns bits
+    A state's key is one int.  Position p owns bits
     ``f * p .. f * p + f - 1`` of the key, ``f = (2 * width + 2).bit_length()``,
     which hold the position of the dart that p's strand through the
     scanned crossings ends at, plus 1, and 0 while p is free; a glued or
     re-paired position is cleared, so equal matchings give equal keys.
-    A new position is taken only when every lower one is held, and at
-    most ``2 * width`` darts are open after any crossing (open edges are
-    even, two per open pair, so at most ``2 * width``), so every position
-    is below ``2 * width`` and a field value, at most ``2 * width``, fits
-    in ``f`` bits.  A state's two children depend only on the fields at
-    the positions a crossing glues (``gmask``), so the crossing works
-    out, once per value of ``key & gmask``, each smoothing's mask of kept
-    bits, bits to set, power of A and loops closed (see _transitions),
-    and a child is ``key & keep | put``.  Those depend on nothing else
-    but ``link``, what each slot meets, so crossings with equal links
-    share them within the scan.
+    Every position is below ``2 * width`` (see _scan_order), so a field
+    value, at most ``2 * width``, fits in ``f`` bits.  A state's two
+    children depend only on the fields at the positions a crossing glues
+    (``gmask``), so the scan works out, once per value of
+    ``key & gmask``, each smoothing's mask of kept bits, bits to set,
+    power of A and loops closed (see _transitions), and a child is
+    ``key & keep | put``.  Those depend on nothing else but the link, so
+    ``gmask`` and the table of transitions are derived once per distinct
+    link and shared by its steps.
 
     A state's value ``(lo, v)`` packs the coefficient of A^(lo+2i) into
-    digit i of ``v`` in base 2^bits, digits balanced (signed), so a
+    digit i of ``v`` in base B = 2^bits, digits balanced (signed), so a
     smoothing moves ``lo`` by +-1, a closed loop (times delta) is
-    ``lo - 2`` with ``-(v + v * base^2)``, and parts with the same key
-    add once the higher ``lo`` is shifted down to the lower one.  Terms
-    that cancel leave zero low digits; each repack drops them, raising
-    ``lo``, so a value stays about as long as its nonzero span.
+    ``lo - 2`` with ``v * (-1 - B^2)``, and parts with the same key add
+    once the higher ``lo`` is shifted down to the lower one.  Terms that
+    cancel leave zero low digits; each repack drops them, raising ``lo``,
+    so a value stays about as long as its nonzero span.
 
     The digits stay exact.  Say a repack finds S states, every
     coefficient below 2^t in absolute value.  A value j crossings later
@@ -180,65 +209,50 @@ def _bracket_with_loops(mate, free_loops, order, width) -> tuple[int, list[int]]
     steps runs through one of the 2j arcs their smoothings draw, so
     L <= 2j, and the coefficients of delta^L sum to 2^L in absolute
     value.  So every coefficient then, and every partial sum on the way,
-    is below S * 2^(t + 3j).  A repack every m = ``_REPACK_EVERY``
-    crossings picks digits of at least t + bitlength(S) + 3m + 2 bits,
-    and the last one, before the F free loops multiply by delta^F, of
-    t + 1 + F + 2 bits, so each coefficient is below a quarter of the
-    base, and ``v == 0`` exactly when the value is 0: no state is dropped
-    on a guess.
+    is below S * 2^(t + 3j).  The digits take at least
+    t + bitlength(S) + 3m + 2 bits for the next m = ``_REPACK_EVERY``
+    crossings: the start state's (S = 1, its one coefficient 1 taking
+    t = 8 bits) for crossings 0..m-1, then a repack's after crossings m,
+    2m, ..., and the last repack, before the F free loops multiply by
+    delta^F, picks t + 1 + F + 2 bits, so each coefficient is below a
+    quarter of the base, and ``v == 0`` exactly when the value is 0: no
+    state is dropped on a guess.
     """
     start = time.perf_counter()
     f = (2 * width + 2).bit_length()
-    field = (1 << f) - 1
-    bits = 8
-    held: dict[int, int] = {}  # each open dart's position
-    free: list[int] = []  # freed positions, a heap
-    top = 0  # the positions below top have been taken
+    masks = [((1 << f) - 1) << f * p for p in range(2 * width)]  # each position's field
+    bits = _digit_bits(1, 1, 3 * _REPACK_EVERY)
+    # (-1 - B^2)^k: delta^k on a value, its A^-2k being in the shift, for
+    # the k <= 2 loops a smoothing closes
+    grow = [(-1 - (1 << 2 * bits)) ** k for k in range(3)]
     states: dict[int, tuple[int, int]] = {0: (0, 1)}
-    # transitions by link, then by glued pattern: crossings whose slots
-    # link alike share them
-    known: dict[tuple, dict[int, tuple[tuple[int, int, int, int], ...]]] = {}
-    updates = 0
-    for step, ci in enumerate(order):
-        if step % _REPACK_EVERY == 0:
+    # per distinct link: gmask and the transitions by glued pattern
+    plans: dict[tuple, tuple[int, dict[int, tuple]]] = {}
+    updates = derived = repacks = 0
+    for step, link in enumerate(links):
+        if step and not step % _REPACK_EVERY:
             bits, states = _repacked(states, bits, 3 * _REPACK_EVERY)
-        glued = {}  # position -> the slot glued to it
-        link = []  # per slot: another slot, -1 - a glued position, or 4 + a new one
-        gmask = 0
-        for s in range(4):
-            o = mate[4 * ci + s]
-            if o >> 2 == ci:
-                link.append(o & 3)
-            elif o in held:
-                p = held.pop(o)
-                glued[p] = s
-                link.append(-1 - p)
-                gmask |= field << f * p
-                heappush(free, p)
-            else:
-                link.append(None)
-        for s in range(4):
-            if link[s] is None:
-                if free:
-                    p = heappop(free)
-                else:
-                    p, top = top, top + 1
-                held[4 * ci + s] = p
-                link[s] = 4 + p
-        moves_of = known.setdefault(tuple(link), {})
+            grow = [(-1 - (1 << 2 * bits)) ** k for k in range(3)]
+            repacks += 1
+        plan = plans.get(link)
+        if plan is None:
+            gmask = 0
+            for x in link:
+                if x < 0:
+                    gmask |= masks[-1 - x]
+            plan = plans[link] = gmask, {}
+        gmask, moves_of = plan
         updates += 2 * len(states)
         parts: dict[int, tuple[int, int]] = {}
         for key, (lo, v) in states.items():
             g = key & gmask
             moves = moves_of.get(g)
             if moves is None:
-                moves = moves_of[g] = _transitions(g, gmask, link, glued, f)
+                moves = moves_of[g] = _transitions(g, link, masks, f)
+                derived += 1
             for keep, put, shift, loops in moves:
                 nxt = key & keep | put
-                plo, pv = lo + shift, v
-                for _ in range(loops):  # times delta = A^-2 * -(1 + A^4)
-                    plo -= 2
-                    pv = -(pv + (pv << 2 * bits))
+                plo, pv = lo + shift, v * grow[loops] if loops else v
                 old = parts.get(nxt)
                 if old is None:
                     parts[nxt] = plo, pv
@@ -250,43 +264,46 @@ def _bracket_with_loops(mate, free_loops, order, width) -> tuple[int, list[int]]
         states = {key: p for key, p in parts.items() if p[1]}
     assert len(states) == 1 and 0 in states, "scan left open strands"
     bits, states = _repacked(states, bits, free_loops)
+    repacks += 1
     lo, v = states[0]
-    for _ in range(free_loops):
-        lo -= 2
-        v = -(v + (v << 2 * bits))
+    lo -= 2 * free_loops
+    v *= (-1 - (1 << 2 * bits)) ** free_loops
     # the repack left no low zero digit and times delta keeps the lowest
     # one nonzero, so this is trimmed at both ends
     coeffs = _digits(v, bits)
     _debug(
-        __name__, "bracket scan: %d crossings, peak %d open pairs, %d state updates, %.3f s",
-        len(mate) >> 2, width, updates, time.perf_counter() - start,
+        __name__, "bracket scan: %d crossings, peak %d open pairs, %d state updates, "
+        "%d transitions derived, %d repacks, %.3f s",
+        len(links), width, updates, derived, repacks, time.perf_counter() - start,
     )
     return lo, coeffs
 
 
-def _transitions(g, gmask, link, glued, f) -> tuple[tuple[int, int, int, int], ...]:
+def _transitions(g, link, masks, f) -> tuple[tuple[int, int, int, int], ...]:
     """Per smoothing of a crossing, ``(keep, put, shift, loops)`` for the
-    states whose fields at the glued positions (``gmask``) read ``g``:
-    a child key is ``key & keep | put``, its value gains A^shift and
-    ``loops`` closed loops.  ``link`` and ``glued`` are as in
-    _bracket_with_loops; every open end the smoothing joins is cleared
-    and set to its new partner, and every glued position is cleared."""
+    states whose fields at the glued positions read ``g``: a child key
+    is ``key & keep | put``, its value gains A^shift, each closed loop's
+    A^-2 included, and ``loops`` closed loops.  ``link`` is the
+    crossing's (see _scan_order) and ``masks[p]`` position p's field;
+    every glued position and every open end the smoothing joins is
+    cleared, and each end is set to its new partner."""
     field = (1 << f) - 1
+    drop = 0
     ends = []
     for x in link:
-        if x < 0:  # glued: where the strand through its partner comes out
+        if x < 0:  # glued: where the strand through its partner comes out,
+            # a slot when the crossing glues that end too
+            drop |= masks[-1 - x]
             q = (g >> f * (-1 - x) & field) - 1
-            x = glued[q] if q in glued else 4 + q
+            x = link.index(-1 - q) if -1 - q in link else 4 + q
+        if x >= 4:
+            drop |= masks[x - 4]
         ends.append(x)
     ends = tuple(ends)
     walked = _WALKS.get(ends)
     if walked is None:
         walked = tuple((sh, *_walk(ends, smooth)) for sh, smooth in _SMOOTH)
         walked = _WALKS[ends] = _SHAPES.setdefault(walked, walked)
-    drop = gmask
-    for x in ends:
-        if x >= 4:
-            drop |= field << f * (x - 4)
     keep = ~drop
     moves = []
     for shift, pairs, loops in walked:
@@ -294,39 +311,57 @@ def _transitions(g, gmask, link, glued, f) -> tuple[tuple[int, int, int, int], .
         for s, t in pairs:
             a, b = ends[s] - 4, ends[t] - 4
             put |= b + 1 << f * a | a + 1 << f * b
-        moves.append((keep, put, shift, loops))
+        moves.append((keep, put, shift - 2 * loops, loops))
     return tuple(moves)
+
+
+def _digit_bits(q: int, count: int, growth: int) -> int:
+    """Whole bytes of digits for ``count`` states whose coefficients c
+    fit ``q`` bytes as c + 2^(8q-1) and grow by ``growth`` bits: 8q bits,
+    the growth, the states' count and 2 spare bits."""
+    return 8 * q + count.bit_length() + growth + 2 + 7 & -8
 
 
 def _repacked(states, bits, growth):
     """The states without their low zero digits, in digits of whole bytes
     wide enough for every coefficient to grow by ``growth`` bits and the
-    number of states times over (see _bracket_with_loops), and that width."""
+    number of states times over (see _bracket_with_loops), and that width.
+
+    A scan repacks after crossings m, 2m, ... (m = ``_REPACK_EVERY``) and
+    once before its free loops; the start state is never repacked, its
+    width coming from the same rule (_digit_bits).  A repack that keeps
+    the width only trims: the trimmed values are already in its digits."""
     w = bits >> 3
-    trimmed, sizes = {}, {}
+    memo: dict[tuple[int, int, int], int] = {}
+
+    def each(x, w, n):  # _each, each mask built once per repack
+        m = memo.get((x, w, n))
+        if m is None:
+            m = memo[x, w, n] = _each(x, w, n)
+        return m
+
+    # the fewest bytes q that hold every digit c as c + 2^(8q-1): then each
+    # digit's bytes above q are zero, one mask test per state
+    q = 1
+    trimmed, sizes = {}, []
     for key, (lo, v) in states.items():
         z = ((v & -v).bit_length() - 1) // bits  # the low digits that are 0
         v >>= z * bits
         trimmed[key] = lo + 2 * z, v
-        sizes[key] = abs(v).bit_length() // bits + 1
-    # the fewest bytes q that hold every digit c as c + 2^(8q-1): then each
-    # digit's bytes above q are zero, one mask test per state
-    q = 1
-    for key, (_, v) in trimmed.items():
-        n = sizes[key]
-        while v + _each(1 << 8 * q - 1, w, n) & _each((1 << bits) - (1 << 8 * q), w, n):
+        n = abs(v).bit_length() // bits + 1
+        sizes.append(n)
+        while v + each(1 << 8 * q - 1, w, n) & each((1 << bits) - (1 << 8 * q), w, n):
             q += 1
-    # |c| <= 2^(8q-1), so 8q bits, the growth, the states' count and 2
-    # spare bits, rounded up to whole bytes
-    wide = 8 * q + len(states).bit_length() + growth + 2 + 7 & -8
+    wide = _digit_bits(q, len(states), growth)
+    if wide == bits:
+        return bits, trimmed
     w2, out = wide >> 3, {}
-    for key, (lo, v) in trimmed.items():
-        n = sizes[key]
-        raw = (v + _each(1 << 8 * q - 1, w, n)).to_bytes(w * n, "little")
+    for (key, (lo, v)), n in zip(trimmed.items(), sizes):
+        raw = (v + each(1 << 8 * q - 1, w, n)).to_bytes(w * n, "little")
         moved = bytearray(w2 * n)
         for j in range(q):  # byte j of every digit
             moved[j::w2] = raw[j::w]
-        out[key] = lo, int.from_bytes(moved, "little") - _each(1 << 8 * q - 1, w2, n)
+        out[key] = lo, int.from_bytes(moved, "little") - each(1 << 8 * q - 1, w2, n)
     return wide, out
 
 
@@ -394,6 +429,8 @@ def signature(d: OrientedLinkDiagram) -> int:
     on the smaller checkerboard surface of each piece (see _checkerboard;
     Gordon-Litherland holds for either), one row per white face.  A split
     diagram gets one block per piece in one form, free loops adding 0."""
+    if not isinstance(d, OrientedLinkDiagram):
+        raise DiagramError(f"the signature needs a diagram, got {d!r}")
     if not d.crossings:
         return 0
     start = time.perf_counter()

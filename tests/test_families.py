@@ -330,6 +330,14 @@ class TestCoherentReduction:
             with pytest.raises(FamilyError, match="certificate_limit"):
                 coherent_reduction(f, certificate_limit=limit)
 
+    def test_negative_certificate_limit_refused_up_front(self):
+        # was ReductionError("... raise certificate_limit") from the first
+        # scan, and no error at all on a family that needs no certificate
+        for f in (whitehead_family(), torus_family(3, 2)):
+            with pytest.raises(FamilyError, match="certificate_limit must be an int >= 0") as err:
+                coherent_reduction(f, certificate_limit=-1)
+            assert not isinstance(err.value, ReductionError)
+
     def test_winding_preserved(self):
         for fam in (whitehead_family(), mazur_family()):
             red = coherent_reduction(fam)

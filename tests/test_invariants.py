@@ -77,6 +77,19 @@ class TestJones:
         with pytest.raises(DiagramError, match="width budget must be an int"):
             kauffman_bracket_jones(trefoil_right, limit=limit)
 
+    def test_negative_limit_refused_up_front(self, trefoil_right):
+        # was LimitExceeded("scan width 0 exceeds the width budget -1"),
+        # as if a scan could be too wide for it
+        for d in (trefoil_right, OrientedLinkDiagram.unknot()):
+            with pytest.raises(DiagramError, match="width budget must be an int >= 0") as err:
+                kauffman_bracket_jones(d, limit=-1)
+            assert not isinstance(err.value, LimitExceeded)
+
+    def test_needs_a_diagram(self):
+        # None raised a bare AttributeError
+        with pytest.raises(DiagramError, match="needs a diagram"):
+            kauffman_bracket_jones(None)
+
     def test_matches_bruteforce_on_small_braids(self):
         rng = random.Random(7)
         for _ in range(15):
@@ -112,6 +125,11 @@ class TestSignature:
         # oracle: symmetrized Seifert matrix [[-2, 1], [1, -2]] has both
         # eigenvalues negative (-1 and -3), so the signature is -2
         assert signature(trefoil_right) == -2
+
+    def test_needs_a_diagram(self):
+        # None raised a bare AttributeError
+        with pytest.raises(DiagramError, match="needs a diagram"):
+            signature(None)
 
     def test_mirror_antisymmetry(self, trefoil_right, figure_eight, hopf_positive):
         for d in (trefoil_right, figure_eight, hopf_positive):
@@ -261,13 +279,17 @@ def _corpus_members(max_crossings=40):
                 yield (name, n), d
 
 
-def _order(d):
+def _plan(d):
     return invariants._scan_order(_mates(d._tail, d._head))
 
 
+def _order(d):
+    return _plan(d)[:2]
+
+
 def _scan_bracket(d):
-    mate = _mates(d._tail, d._head)
-    lo, coeffs = invariants._bracket_with_loops(mate, d.free_loops, *invariants._scan_order(mate))
+    _, width, links = _plan(d)
+    lo, coeffs = invariants._bracket_with_loops(links, width, d.free_loops)
     assert coeffs[0] and coeffs[-1], "not trimmed to its nonzero span"
     return LaurentPolynomial({lo + 2 * i: c for i, c in enumerate(coeffs)})
 
@@ -309,6 +331,40 @@ class TestScanOracle:
             d = d.disjoint_union(braid_closure(word))
         assert _order(d) == scan_order_max(d)
 
+    def test_plan_places_and_frees_each_position_once(self):
+        # every position is below 2 * width, and every glued position was
+        # placed by an earlier step, for the dart glued, and is freed once
+        diagrams = [twist(f, n) for f in load_corpus().values() for n in range(-10, 11)]
+        rng = random.Random(25)
+        for _ in range(300):
+            strands = rng.randint(2, 6)
+            word = tuple(
+                (rng.randint(1, strands - 1), rng.choice((1, -1)))
+                for _ in range(rng.randint(1, 12))
+            )
+            diagrams.append(braid_closure(BraidWord(strands, word)))
+        for d in diagrams:
+            mate = _mates(d._tail, d._head)
+            order, width, links = invariants._scan_order(mate)
+            assert len(links) == d.n_crossings
+            # equal links are one tuple
+            assert len({id(link) for link in links}) == len(set(links))
+            held = {}  # open dart -> its position
+            for ci, link in zip(order, links):
+                placed = []
+                for s, x in enumerate(link):
+                    dart = 4 * ci + s
+                    if 0 <= x < 4:
+                        assert link[x] == s and mate[dart] == 4 * ci + x
+                    elif x < 0:
+                        assert held.pop(mate[dart]) == -1 - x
+                    else:
+                        placed.append((dart, x - 4))
+                for dart, p in placed:
+                    assert p < 2 * width and p not in held.values()
+                    held[dart] = p
+            assert not held
+
     def test_five_bit_key_fields(self):
         # width 7: each frontier position has a (2 * 7 + 2).bit_length() =
         # 5-bit field in the state key; the members above stop at width 5
@@ -317,21 +373,29 @@ class TestScanOracle:
         assert _scan_bracket(d) == bracket_with_loops_dict(d)
 
     @pytest.mark.parametrize(
-        "build, updates",
+        "build, width, updates",
         [
-            (lambda: twist(load_corpus()["wind3_wrap9"], 1), 4578),
-            (lambda: braid_closure(full_twist_braid(8, 1)), 17286),
+            (lambda: twist(load_corpus()["wind3_wrap9"], 1), 7, 4578),
+            (lambda: braid_closure(full_twist_braid(8, 1)), 8, 17286),
+            # twisting one way or the other scans differently
+            (lambda: twist(load_corpus()["largewrap_w0_p4"], 7), 5, 1368),
+            (lambda: twist(load_corpus()["largewrap_w0_p4"], -7), 3, 668),
+            (lambda: twist(load_corpus()["mazur"], 10), 3, 596),
+            (lambda: twist(load_corpus()["mazur"], -10), 4, 610),
         ],
-        ids=["wind3_wrap9 n=1", "full twist on 8 strands"],
+        ids=[
+            "wind3_wrap9 n=1", "full twist on 8 strands", "largewrap_w0_p4 n=7",
+            "largewrap_w0_p4 n=-7", "mazur n=10", "mazur n=-10",
+        ],
     )
-    def test_state_updates_pinned(self, caplog, build, updates):
+    def test_state_updates_pinned(self, caplog, build, width, updates):
         # equal matchings must share one key: a key keeping stale bits of
         # a freed position would split them and scan more states
         d = build()
         with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
             kauffman_bracket_jones(d)
         (record,) = caplog.records
-        assert record.args[2] == updates
+        assert record.args[1:3] == (width, updates)
 
     def test_logs_one_record_per_scan(self, caplog):
         d = twist(load_corpus()["wind3_wrap9"], 1)
@@ -340,9 +404,13 @@ class TestScanOracle:
         (record,) = caplog.records
         assert record.name == "twistknots.invariants"
         assert record.levelno == logging.DEBUG
-        crossings, peak, updates, seconds = record.args
+        crossings, peak, updates, derived, repacks, seconds = record.args
         # only states whose terms cancel are dropped, so the count is fixed
         assert (crossings, peak, updates) == (78, 7, 4578)
+        # one derivation per link and glued pattern met; a repack after
+        # crossings 8, 16, ..., 72 and one before the free loops, none on
+        # the start state
+        assert (derived, repacks) == (532, 10)
         assert seconds >= 0
 
 
@@ -412,9 +480,10 @@ class TestPackedDigits:
         d = twist(load_corpus()["wind3_wrap9"], 10)
         assert d.n_crossings == 726
         kauffman_bracket_jones(d)
-        # one repack per _REPACK_EVERY crossings and one before the free loops
+        # one repack after every _REPACK_EVERY crossings and one before the
+        # free loops; the start state has its width without one
         every = invariants._REPACK_EVERY
-        assert len(widths) == -(-726 // every) + 1
+        assert len(widths) == (726 - 1) // every + 1
         # every coefficient fits a byte and there are under 128 states:
         # 8 + 7 + 3 * every + 2 bits, in whole bytes, however long the scan
         assert max(widths) == (8 + 7 + 3 * every + 2 + 7) // 8 * 8
