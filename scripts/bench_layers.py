@@ -5,7 +5,10 @@ Run from the repository root:
 
     python3 scripts/bench_layers.py --label after --out BENCH_jones.json
 
-Times ``families.twist`` on ``chain_4`` at n = 13, 52, ``torus_q3`` at
+Times ``families.TwistFamily`` construction of ``load_corpus()`` plus
+``chain_family(3)`` and ``chain_family(4)`` (each family splices and
+validates its n = 1 member when it is made),
+``families.twist`` on ``chain_4`` at n = 13, 52, ``torus_q3`` at
 n = 13, 40, ``whitehead`` at n = 30 and ``wind3_wrap9`` at n = 10, and
 ``families.untwist_schedule`` on the two coherent ones of those,
 ``diagram.change_crossings`` of the 78 untwist sites of
@@ -31,7 +34,8 @@ cost outweighs its states, ``families.coherent_reduction`` on the non-coherent
 ``twist(torus_q2, 2)``, the R3-bearing ``twist(torus_q3, 2)`` and
 ``twist(largewrap_w0_p4, 1)``, and the untwisted ``chain_4`` n=2 and
 ``torus_q2`` n=3 members.  Each row holds the crossings in, the cost driver
-(the crossings out of a twist or of the schedule's member and the
+(the families built and their base crossings, the crossings out of a
+twist or of the schedule's member and the
 schedule's sites, the sites changed, greedy steps, scan width, the
 white faces (the form's rows, the smaller color class of each piece)
 and peak row nonzeros of the elimination or the scan's
@@ -136,7 +140,21 @@ def read_r3(d):
     return out
 
 
+def build_families(_):
+    """The corpus plus the chain families the benchmark sweeps."""
+    return [*load_corpus().values(), chain_family(3), chain_family(4)]
+
+
 def rows():
+    fams, secs = timed(build_families, None, TWIST_REPEATS)
+    yield {
+        "layer": "families.TwistFamily",
+        "input": "load_corpus(), chain_family(3), chain_family(4)",
+        "families": len(fams),
+        "crossings": sum(f.base.n_crossings for f in fams),
+        "repeats": TWIST_REPEATS,
+        "s": round(secs, 5),
+    }
     chain = chain_family(4)
     corpus = load_corpus()
     members = ((chain, 13), (chain, 52), (corpus["torus_q3"], 13), (corpus["torus_q3"], 40),

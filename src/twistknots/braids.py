@@ -132,9 +132,9 @@ def braid_strand_crossings(
 
     One pass: the last letter on each lane takes the lane's top label
     directly.  Every letter still draws two fresh labels, used or not, so
-    the labels never come out dense by chance; construction then always
-    renames them by first appearance, and the crossing order of a
-    diagram built from them does not depend on which letters end a lane.
+    the labels come out dense only when the last letter ends every lane,
+    as on two strands; construction renames any others by first
+    appearance.
     """
     last = [-1] * len(bottom_edges)
     for x, (i, _) in enumerate(letters):

@@ -32,8 +32,9 @@ above.  ``_from_dense`` takes ``Crossing`` rows whose labels are already
 ``0..E-1`` and only sorts them, skipping ``_label_map``: ``from_raw``
 ends in it, and so do rows derived from a diagram's own (``mirror`` and
 ``change_crossings`` permute labels within a row, ``disjoint_union``
-shifts the second diagram's by ``2V``) and the Reidemeister move results
-of ``moves`` that remove no crossing.  Either way the step runs one
+shifts the second diagram's by ``2V``), the twisted members ``families``
+builds from a family's box plan, and the Reidemeister move results of
+``moves`` that remove no crossing.  Either way the step runs one
 validating pass in full.  It fills each edge's tail and head dart and
 its successor along the strand, and refuses an edge that lacks one tail
 and one head.  It then follows the strands to number the components,

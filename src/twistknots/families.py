@@ -17,16 +17,23 @@ turns the block into ``H * H^{-1}``, which cancels freely; that is the
 untwisting schedule and it has exactly ``turns * k(k-1)/2`` sites per
 full twist on ``k`` strands.
 
-A member is built in one pass.  The base's crossings, each marked edge
-cut at its head, and the braid region's crossings, each lane's last
-letter wired straight to the lane's top label, are listed as raw
-``(edges, sign)`` tuples.  ``OrientedLinkDiagram.from_raw`` relabels and
-sorts them once, builds each ``Crossing`` once and validates one
-diagram.  ``untwist_schedule`` reads its sites from the same raw list
-through ``raw_order``, the ordering step of ``from_raw``, and builds no
-diagram.  A twist amount, and the ``turns`` of ``full_twist_braid``,
-must be an ``int``; anything else, a bool included, raises
-``FamilyError``.
+A member is built from the family's box plan: per twist sign, the rows
+of one splice of three full twists, relabeled as construction relabels
+them and kept on the family.  With ``nb`` base crossings and ``k``
+marks, its base rows use labels ``0..2nb+k-1`` for every n; of its three
+blocks of ``k(k-1)`` rows, the first touches the base only through its
+bottom labels, the last only through its top labels, and each middle
+block is the one before it with every label shifted by ``D = 2k(k-1)``.
+So ``|n| >= 2`` appends the first block, ``|n| - 2`` shifted middle
+blocks, and the last block with its labels ``>= 2nb+k`` shifted by
+``(|n| - 3) * D``.  ``|n| = 1`` has its own rows, from its own splice;
+construction makes the one of ``n = 1``.  The rows are argsorted on the
+constructor's sort key, and every member is still fully validated by
+``_from_dense``; ``untwist_schedule`` reads its sites from the same
+argsort and builds no diagram.  A twist amount, and the ``turns`` of
+``full_twist_braid``, must be an ``int``; anything else, a bool
+included, raises ``FamilyError``, as does a family that is not a
+``TwistFamily``.
 
 Every ``TwistFamily`` is twisted once when it is built: marks that no
 one arc in the plane crosses in their order cannot be wired into the
@@ -38,11 +45,12 @@ for every way a family is made: directly, from a file, by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, count
 
 from .braids import BraidWord, braid_strand_crossings
 from .diagram import (
+    Crossing,
     DiagramError,
     OrientedLinkDiagram,
     parse_pd,
@@ -69,6 +77,9 @@ class TwistFamily:
     base: OrientedLinkDiagram
     marked_edges: tuple[tuple[int, int], ...]
     name: str = ""
+    # the box plan: the rows of the n = +-1 and +-3 splices, each made on
+    # first use by _member_rows
+    _plans: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.base, OrientedLinkDiagram):
@@ -96,6 +107,7 @@ class TwistFamily:
             seen.add(e)
             if s not in (1, -1):
                 raise FamilyError(f"marked edge sign must be +1/-1, got {s}")
+        object.__setattr__(self, "_plans", {})
         try:
             twist(self, 1)
         except DiagramError as exc:
@@ -153,18 +165,17 @@ def _check_amount(n) -> None:
         raise FamilyError(f"twist amount must be an int, got {n!r}")
 
 
-def _twisted_raw(f: TwistFamily, n: int) -> list[tuple[tuple[int, ...], int]]:
-    """Raw ``(edges, sign)`` crossings of the n-times-twisted diagram.
+def _check_family(f) -> None:
+    if not isinstance(f, TwistFamily):
+        raise FamilyError(f"expected a TwistFamily, got {f!r}")
 
-    The base's crossings come first, in order, each marked edge cut at
-    its head by a fresh label; then one crossing per letter of ``|n|``
-    full-twist blocks, in word order.
-    """
-    _check_amount(n)
+
+def _splice(f: TwistFamily, n: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Edge rows, relabeled as construction relabels them, and signs of
+    ``twist(f, n)`` spliced the long way: the base's crossings with each
+    marked edge cut at its head, then one crossing per letter of ``|n|``
+    full twists."""
     base = f.base
-    k = len(f.marked_edges)
-    if k < 2 or n == 0:
-        return [(c.edges, c.sign) for c in base.crossings]
     rows = [list(c.edges) for c in base.crossings]
     fresh = count(2 * base.n_crossings)
     bottom, top, dirs = [], [], []
@@ -172,17 +183,37 @@ def _twisted_raw(f: TwistFamily, n: int) -> list[tuple[tuple[int, ...], int]]:
         h = next(fresh)
         x = base._head[e]
         rows[x >> 2][x & 3] = h
-        if s > 0:
-            bottom.append(e)
-            top.append(h)
-            dirs.append(True)
-        else:
-            bottom.append(h)
-            top.append(e)
-            dirs.append(False)
-    block = full_twist_braid(k, 1 if n > 0 else -1).letters
+        bottom.append(e if s > 0 else h)
+        top.append(h if s > 0 else e)
+        dirs.append(s > 0)
     raw = [(tuple(row), c.sign) for row, c in zip(rows, base.crossings)]
-    return raw + braid_strand_crossings(block * abs(n), bottom, top, dirs, fresh)
+    block = full_twist_braid(len(bottom), 1 if n > 0 else -1).letters
+    raw += braid_strand_crossings(block * abs(n), bottom, top, dirs, fresh)
+    edges, _, _ = raw_order(raw)
+    return edges, [s for _, s in raw]
+
+
+def _member_rows(f: TwistFamily, n: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Edge rows, in their final labels, and signs of ``twist(f, n)``:
+    the base's crossings first, then one per letter in word order.  For
+    ``|n| = 1`` they are the plan's own lists, which callers never change."""
+    k = len(f.marked_edges)
+    if k < 2 or n == 0:
+        return [c.edges for c in f.base.crossings], [c.sign for c in f.base.crossings]
+    m = abs(n)
+    key = n if m == 1 else n // m * 3  # the +-1 splice, or the +-3 one of n's sign
+    rows, signs = f._plans.get(key) or f._plans.setdefault(key, _splice(f, key))
+    if m == 1:
+        return rows, signs
+    nb, size = f.base.n_crossings, k * (k - 1)
+    low, shift = 2 * nb + k, 2 * size
+    first, middle, last = (rows[nb + b * size:nb + (b + 1) * size] for b in range(3))
+    out = rows[:nb] + first
+    for s in range(0, (m - 2) * shift, shift):
+        out += [(a + s, b + s, c + s, d + s) for a, b, c, d in middle]
+    s = (m - 3) * shift
+    out += [tuple(x + s if x >= low else x for x in row) for row in last]
+    return out, signs[:nb] + signs[nb:nb + size] * m
 
 
 def twist_with_sites(
@@ -192,9 +223,16 @@ def twist_with_sites(
 
     Returns ``(diagram, base_sites, twist_sites)``: positions in the
     twisted diagram of each base crossing and of each inserted braid
-    letter (in word order).
+    letter (in word order).  The box plan's rows are argsorted on the
+    constructor's sort key and fully validated by ``_from_dense``.
     """
-    diagram, index_map = OrientedLinkDiagram.from_raw(_twisted_raw(f, n), f.base.free_loops)
+    _check_family(f)
+    _check_amount(n)
+    rows, signs = _member_rows(f, n)
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    crossings = [Crossing(rows[i], signs[i]) for i in order]
+    diagram = OrientedLinkDiagram._from_dense(crossings, f.base.free_loops)
+    index_map = sorted(range(len(order)), key=order.__getitem__)
     nb = f.base.n_crossings
     return diagram, index_map[:nb], index_map[nb:]
 
@@ -205,9 +243,10 @@ def untwist_schedule(f: TwistFamily, n: int) -> list[int]:
 
     Needs a coherent family (marked passes all one direction per the
     presentation, ``eta_hat == omega``) and ``n >= 1``.  The sites are
-    read from the raw crossings and ``raw_order``, the ordering step of
-    ``from_raw``; no diagram is built.
+    the places of the second half of each block's letters in the argsort
+    of the box plan's rows; no diagram is built.
     """
+    _check_family(f)
     _check_amount(n)
     if f.eta_hat != f.omega:
         raise FamilyError(
@@ -218,15 +257,10 @@ def untwist_schedule(f: TwistFamily, n: int) -> list[int]:
     k = f.eta_hat
     if k <= 1:
         return []
-    _, _, index_map = raw_order(_twisted_raw(f, n))
-    twist_sites = index_map[f.base.n_crossings:]
-    block = k * (k - 1)
-    half = block // 2
-    sites = []
-    for b in range(n):
-        for p in range(half, block):
-            sites.append(twist_sites[b * block + p])
-    return sorted(sites)
+    rows, _ = _member_rows(f, n)
+    nb, block = f.base.n_crossings, k * (k - 1)
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    return [p for p, i in enumerate(order) if i >= nb and (i - nb) % block >= block // 2]
 
 
 def mirror_family(f: TwistFamily) -> TwistFamily:
@@ -292,6 +326,7 @@ def coherent_reduction(
     the width budget of those Jones scans; ``ReductionError`` is raised
     when it refuses them.
     """
+    _check_family(f)
     if type(certificate_limit) is not int or certificate_limit < 0:
         raise FamilyError(f"certificate_limit must be an int >= 0, got {certificate_limit!r}")
     reduced_marks = _paired_marks(f)

@@ -183,8 +183,19 @@ class TestTwist:
 
     @pytest.mark.parametrize("name", sorted(SWEPT_FAMILIES))
     def test_matches_bruteforce(self, name):
-        for n in range(-6, 7):
-            assert_twist_matches_bruteforce(SWEPT_FAMILIES[name], n)
+        # |n| >= 4 repeats the box plan's middle block; the long twists
+        # are left to the families on at most four strands
+        f = SWEPT_FAMILIES[name]
+        far = range(7, 21) if f.eta_hat <= 4 else ()
+        for n in [*range(-6, 7), *far, *(-n for n in far)]:
+            assert_twist_matches_bruteforce(f, n)
+
+    def test_one_mark_family_keeps_the_base(self):
+        f = chain_family(3)
+        g = TwistFamily(f.base, f.marked_edges[:1])
+        for n in (3, -3):
+            assert_twist_matches_bruteforce(g, n)
+            assert twist(g, n) == g.base
 
     @given(braid_words(max_strands=5), st.data())
     @settings(max_examples=60, deadline=None)
@@ -195,7 +206,7 @@ class TestTwist:
         hi = data.draw(st.integers(lo + 1, word.strands))
         marks = tuple((a, 1) for a in arcs[lo:hi] if a >= 0)
         f = TwistFamily(base, marks)
-        for n in data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)):
+        for n in data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3)):
             assert_twist_matches_bruteforce(f, n)
 
     @pytest.mark.parametrize("amount", NON_INT_AMOUNTS)
@@ -207,6 +218,38 @@ class TestTwist:
         # a family with one mark builds no twist, but the amount is still checked
         with pytest.raises(FamilyError, match="must be an int"):
             twist(TwistFamily(f.base, f.marked_edges[:1]), amount)
+
+    @pytest.mark.parametrize("family", [None, SWEPT_FAMILIES["chain_3"].base, 3])
+    @pytest.mark.parametrize("fn", [twist, twist_with_sites, untwist_schedule, coherent_reduction])
+    def test_non_family_rejected(self, fn, family):
+        # None raised a bare AttributeError in each of them
+        args = (family,) if fn is coherent_reduction else (family, 1)
+        with pytest.raises(FamilyError, match="expected a TwistFamily"):
+            fn(*args)
+
+    def test_box_plan_spliced_once(self, monkeypatch):
+        # per sign, the |n| = 1 rows (construction splices n = 1) and one
+        # |n| = 3 splice serve every member and schedule
+        real = families._splice
+        seen = []
+
+        def counted(g, n):
+            seen.append(n)
+            return real(g, n)
+
+        monkeypatch.setattr(families, "_splice", counted)
+        f = chain_family(4)
+        for n in range(-20, 21):
+            twist(f, n)
+            if n >= 1:
+                untwist_schedule(f, n)
+        assert sorted(seen) == [-3, -1, 1, 3]
+        # the plan the family holds leaves its identity untouched
+        fresh = TwistFamily(f.base, f.marked_edges, f.name)
+        assert f == fresh
+        assert hash(f) == hash(fresh)
+        assert repr(f) == repr(fresh)
+        assert family_to_json_dict(f) == family_to_json_dict(fresh)
 
 
 class TestSchedule:
