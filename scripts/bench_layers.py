@@ -17,9 +17,11 @@ n = 13, 40, ``whitehead`` at n = 30 and ``wind3_wrap9`` at n = 10, and
 at n = 10, 50, 100,
 ``invariants._scan_order`` (with the dart mates it reads) on
 ``twist(wind3_wrap9, n)`` at n = 10, 30,
-``invariants.signature`` on ``twist(chain_4, n)`` at n = 13, 26, 52,
-``twist(torus_q3, n)`` at n = 13, 40, ``twist(whitehead, 30)`` and
-``twist(torus_q2, 13)``, and on two split diagrams: three
+``invariants.signature`` on ``twist(chain_4, n)`` at n = 13, 26, 52, 200,
+``twist(torus_q3, n)`` at n = 13, 40, ``twist(whitehead, 30)``,
+``twist(torus_q2, 13)`` and ``twist(largewrap_w0_p4, 50)`` (chain_4 and
+largewrap_w0_p4 keep long rows along the twist box in their forms), and
+on two split diagrams: three
 copies of ``twist(chain_4, 13)`` side by side (486 crossings) and
 ``twist(wind3_wrap9, 0)`` (3 pieces), ``diagram.structurally_equal`` of
 that union and a relabelled, shuffled copy, ``invariants.kauffman_bracket_jones``
@@ -218,8 +220,9 @@ def rows():
     log.setLevel(logging.DEBUG)
     log.addHandler(keep)
     torus = corpus["torus_q3"]
-    for f, n in ((chain, 13), (chain, 26), (chain, 52), (torus, 13), (torus, 40),
-                 (corpus["whitehead"], 30), (corpus["torus_q2"], 13)):
+    for f, n in ((chain, 13), (chain, 26), (chain, 52), (chain, 200), (torus, 13), (torus, 40),
+                 (corpus["whitehead"], 30), (corpus["torus_q2"], 13),
+                 (corpus["largewrap_w0_p4"], 50)):
         d = twist(f, n)
         records.clear()
         _, secs = timed(invariants.signature, d, SPLIT_REPEATS)

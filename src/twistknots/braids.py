@@ -45,8 +45,7 @@ class BraidWord:
         return len(self.letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if not isinstance(other, BraidWord):
-            raise DiagramError(f"can only concatenate a braid word, got {other!r}")
+        _check_word(other, "can only concatenate")
         if other.strands != self.strands:
             raise DiagramError("cannot concatenate words on different strand counts")
         return BraidWord(self.strands, self.letters + other.letters)
@@ -82,7 +81,18 @@ class BraidWord:
     @classmethod
     def from_ints(cls, strands: int, word: Iterable[int]) -> "BraidWord":
         """Signed-integer shorthand: ``2`` means sigma_2, ``-2`` its inverse."""
-        return cls(strands, tuple((abs(k), 1 if k > 0 else -1) for k in word))
+        ints = tuple(word) if isinstance(word, Iterable) else None
+        # bools are refused, as in BraidWord, and so are floats
+        if ints is None or any(type(k) is not int for k in ints):
+            raise DiagramError(f"braid word must be a sequence of ints, got {word!r}")
+        return cls(strands, tuple((abs(k), 1 if k > 0 else -1) for k in ints))
+
+
+def _check_word(w, needs: str) -> None:
+    """Raise DiagramError unless ``w`` is a braid word; ``needs`` names the
+    caller, as in "a closure needs", and the message goes on "a braid word"."""
+    if not isinstance(w, BraidWord):
+        raise DiagramError(f"{needs} a braid word, got {w!r}")
 
 
 def torus_braid(p: int, q: int) -> BraidWord:
@@ -177,6 +187,7 @@ def braid_closure_with_arcs(
     map.  Lanes whose strand meets no crossing close into free loops and
     report ``-1`` (they own no edge).
     """
+    _check_word(word, "a closure needs")
     n = word.strands
     fresh = count(0)
     bottom = [next(fresh) for _ in range(n)]

@@ -81,6 +81,13 @@ class ParseError(DiagramError):
         self.position = position
 
 
+def _check_diagram(d, needs: str) -> None:
+    """Raise DiagramError unless ``d`` is a diagram; ``needs`` names the
+    caller, as in "serialize needs", and the message goes on "a diagram"."""
+    if not isinstance(d, OrientedLinkDiagram):
+        raise DiagramError(f"{needs} a diagram, got {d!r}")
+
+
 def _debug(logger: str, message: str, *args) -> None:
     """Log a DEBUG record on ``logger``, if the program imported
     ``logging``: only such a program can have a handler for it, so the
@@ -265,8 +272,7 @@ class OrientedLinkDiagram:
 
     def disjoint_union(self, other: "OrientedLinkDiagram") -> "OrientedLinkDiagram":
         """Distant union; the other diagram's components come after ours."""
-        if not isinstance(other, OrientedLinkDiagram):
-            raise DiagramError(f"can only unite with a diagram, got {other!r}")
+        _check_diagram(other, "can only unite with")
         off = 2 * len(self.crossings)
         shifted = tuple(
             Crossing(tuple(e + off for e in c.edges), c.sign) for c in other.crossings
@@ -534,6 +540,8 @@ def structurally_equal(d1: OrientedLinkDiagram, d2: OrientedLinkDiagram) -> bool
     Each piece of ``d1``, from its least crossing, maps onto the first
     unused crossing of ``d2`` that takes it; greedy is exact, as a piece
     that maps onto two unused pieces of ``d2`` makes them equal."""
+    _check_diagram(d1, "structural equality needs")
+    _check_diagram(d2, "structural equality needs")
     if d1.free_loops != d2.free_loops:
         return False
     if sorted(c.sign for c in d1.crossings) != sorted(c.sign for c in d2.crossings):
@@ -604,6 +612,7 @@ _TOKEN = re.compile(r"([XO])([+-]?)\[([^\]]*)\]")
 
 def serialize(d: OrientedLinkDiagram) -> str:
     """Textual normal form: signed crossing tuples plus orientation block."""
+    _check_diagram(d, "serialize needs")
     parts = []
     if d.crossings:
         parts.append(

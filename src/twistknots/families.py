@@ -125,6 +125,7 @@ class TwistFamily:
 
 def winding_number(f: TwistFamily) -> int:
     """Sum over components of |net signed passes| through the disk."""
+    _check_family(f)
     per_comp: dict[int, int] = {}
     for e, s in f.marked_edges:
         ci = f.base.component_of_edge(e)
@@ -133,6 +134,8 @@ def winding_number(f: TwistFamily) -> int:
 
 
 def half_twist_word(strands: int) -> BraidWord:
+    if type(strands) is not int or strands < 1:
+        raise DiagramError(f"half twist needs an int >= 1 of strands, got {strands!r}")
     letters = []
     for k in range(2, strands + 1):
         for j in range(k - 1, 0, -1):
@@ -143,10 +146,8 @@ def half_twist_word(strands: int) -> BraidWord:
 def full_twist_braid(strands: int, turns: int) -> BraidWord:
     """|turns| full twists; letter signs match the sign of ``turns``."""
     _check_amount(turns)
-    if type(strands) is not int or strands < 1:
-        raise DiagramError(f"full twist needs an int >= 1 of strands, got {strands!r}")
     if strands == 1 or turns == 0:
-        return BraidWord(strands)
+        return BraidWord(strands)  # which checks the strand count
     h = half_twist_word(strands)
     block = h * h.reversed_word()
     word = BraidWord(strands, block.letters * abs(turns))
@@ -274,6 +275,7 @@ def mirror_family(f: TwistFamily) -> TwistFamily:
     ``twist(mirror_family(f), n)`` is structurally equal to
     ``twist(f, -n).mirror()``, and the winding number is unchanged.
     """
+    _check_family(f)
     return TwistFamily(
         f.base.mirror(),
         f.marked_edges,
@@ -365,6 +367,7 @@ def coherent_reduction(
 
 
 def family_to_json_dict(f: TwistFamily) -> dict:
+    _check_family(f)
     return {
         "name": f.name,
         "base": serialize(f.base),
@@ -410,8 +413,9 @@ def family_from_json_dict(data: dict) -> TwistFamily:
 
 
 def save_family(f: TwistFamily, path) -> None:
+    data = family_to_json_dict(f)  # before the file is opened, and so emptied
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(family_to_json_dict(f), fh, indent=1, sort_keys=True)
+        json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

@@ -31,18 +31,20 @@ of each piece is its smaller one, so the form has the fewer rows.  On a
 twisted diagram the other class holds every bigon of the twist box:
 ``twist(whitehead, 30)`` has 3 white faces against 61.  The form is kept
 as sparse rows, one per white face, and eliminated fraction-free in
-exact integers, least-degree row first; each row is rescaled only when a
-pivot meets it, so on a long narrow diagram, whose form is banded, the
-cost grows about linearly in the crossings.  A split diagram gets one
-form over all its faces, one block per piece, with one white face left
-out per piece.
+exact integers, least-degree row first.  Each entry keeps the scale it
+was last written at and is read at the current one, so a pivot writes
+only the entries between two of its neighbours and no row is ever
+rewritten whole: on a long narrow diagram, whose form is banded apart
+from a few long rows along the twist box, the cost grows about linearly
+in the crossings.  A split diagram gets one form over all its faces, one
+block per piece, with one white face left out per piece.
 """
 
 from __future__ import annotations
 
 import time
 
-from .diagram import DiagramError, OrientedLinkDiagram, _debug, _mates
+from .diagram import DiagramError, OrientedLinkDiagram, _check_diagram, _debug, _mates
 from .polynomials import LaurentPolynomial
 
 # most open pairs a scan may keep; cost grows like the Catalan number of the
@@ -60,12 +62,12 @@ _REPACK_EVERY = 8
 # joins slots (0,1) and (2,3), the B-type (0,3) and (1,2)
 _SMOOTH = ((1, (1, 0, 3, 2)), (-1, (3, 2, 1, 0)))
 
-# the (power of A, joined slot pairs, closed loops) of each smoothing, by the
-# ends of a crossing's four slots (see _walk); shared by every scan, as a
-# walk depends only on which slots the ends join.  Equal walks are stored
-# once, in _SHAPES: the scans' peak RSS shows the copies otherwise
+# the (power of A, joined slot pairs, closed loops) of each smoothing, by a
+# crossing's slot pattern: each slot's end is another slot, or 4 when open
+# (see _walk).  A walk reads nothing else, and slots that are each other's
+# ends pair up, so the patterns are the partial matchings of four slots:
+# at most ten, shared by every scan
 _WALKS: dict[tuple[int, ...], tuple[tuple[int, tuple, int], ...]] = {}
-_SHAPES: dict[tuple, tuple] = {}
 
 
 class LimitExceeded(DiagramError):
@@ -153,8 +155,7 @@ def kauffman_bracket_jones(
 ) -> LaurentPolynomial:
     """Jones polynomial, unknot-normalized, in doubled-t exponents; a scan
     wider than ``limit`` open pairs raises ``LimitExceeded`` up front."""
-    if not isinstance(d, OrientedLinkDiagram):
-        raise DiagramError(f"the Jones polynomial needs a diagram, got {d!r}")
+    _check_diagram(d, "the Jones polynomial needs")
     if type(limit) is not int or limit < 0:
         raise DiagramError(f"width budget must be an int >= 0, got {limit!r}")
     if d.n_components == 0:
@@ -289,7 +290,7 @@ def _transitions(g, link, masks, f) -> tuple[tuple[int, int, int, int], ...]:
     cleared, and each end is set to its new partner."""
     field = (1 << f) - 1
     drop = 0
-    ends = []
+    ends, pattern = [], []
     for x in link:
         if x < 0:  # glued: where the strand through its partner comes out,
             # a slot when the crossing glues that end too
@@ -299,11 +300,11 @@ def _transitions(g, link, masks, f) -> tuple[tuple[int, int, int, int], ...]:
         if x >= 4:
             drop |= masks[x - 4]
         ends.append(x)
-    ends = tuple(ends)
-    walked = _WALKS.get(ends)
+        pattern.append(x if x < 4 else 4)
+    pattern = tuple(pattern)
+    walked = _WALKS.get(pattern)
     if walked is None:
-        walked = tuple((sh, *_walk(ends, smooth)) for sh, smooth in _SMOOTH)
-        walked = _WALKS[ends] = _SHAPES.setdefault(walked, walked)
+        walked = _WALKS[pattern] = tuple((sh, *_walk(pattern, smooth)) for sh, smooth in _SMOOTH)
     keep = ~drop
     moves = []
     for shift, pairs, loops in walked:
@@ -379,21 +380,21 @@ def _each(x: int, w: int, n: int) -> int:
     return int.from_bytes(x.to_bytes(w, "little") * n, "little")
 
 
-def _walk(ends: tuple[int, ...], smooth: tuple[int, ...]) -> tuple[tuple, int]:
+def _walk(pattern: tuple[int, ...], smooth: tuple[int, ...]) -> tuple[tuple, int]:
     """Join a crossing's four slots by a smoothing: the frontier pairs it
     makes, each as the two slots whose open ends it joins, and the loops
-    it closes.  ``ends[s]`` is where the strand out of slot ``s`` comes
-    back (a slot) or stays open (4 + the position of its open end)."""
+    it closes.  ``pattern[s]`` is the slot where the strand out of slot
+    ``s`` comes back, or 4 when it stays open."""
     seen = [False] * 4
     pairs, loops = [], 0
-    for s in sorted(range(4), key=lambda s: ends[s] < 4):  # open ends first
+    for s in sorted(range(4), key=lambda s: pattern[s] < 4):  # open ends first
         if seen[s]:
             continue
         x = t = s
         while x < 4 and not seen[x]:
             seen[x] = seen[smooth[x]] = True
             t = smooth[x]
-            x = ends[t]
+            x = pattern[t]
         if x >= 4:
             pairs.append((s, t))
         else:
@@ -414,8 +415,9 @@ def _divide_delta(lo: int, coeffs: list[int]) -> tuple[int, list[int]]:
 
 def unlink_jones(n_components: int) -> LaurentPolynomial:
     """Jones value of the crossing-free unlink (doubled-t exponents)."""
-    if n_components < 1:
-        raise DiagramError("need at least one component")
+    # bools and floats are refused: a component count is an int
+    if type(n_components) is not int or n_components < 1:
+        raise DiagramError(f"need at least one component (an int), got {n_components!r}")
     delta_t = LaurentPolynomial({1: -1, -1: -1})  # -t^(1/2) - t^(-1/2)
     return delta_t ** (n_components - 1)
 
@@ -429,8 +431,7 @@ def signature(d: OrientedLinkDiagram) -> int:
     on the smaller checkerboard surface of each piece (see _checkerboard;
     Gordon-Litherland holds for either), one row per white face.  A split
     diagram gets one block per piece in one form, free loops adding 0."""
-    if not isinstance(d, OrientedLinkDiagram):
-        raise DiagramError(f"the signature needs a diagram, got {d!r}")
+    _check_diagram(d, "the signature needs")
     if not d.crossings:
         return 0
     start = time.perf_counter()
@@ -538,16 +539,16 @@ def _sparse_signature(rows: dict[int, dict[int, int]]) -> tuple[int, int, int, i
     Fraction-free elimination: each pivot step leaves the rest as |pivot|
     times its Schur complement, the division by the previous |pivot|
     being exact (every entry is a minor up to sign) and the positive
-    factors keeping every sign the rational elimination would see.  A row
-    the pivot does not meet only changes scale, so each row keeps the
-    |pivot| it was last brought to and is rescaled, exactly, only when a
-    pivot meets it or it becomes the pivot: a step touches the pivot's
-    neighbours alone.  The pivot is a row of least degree with a nonzero
-    diagonal, the lowest key among ties.  When every diagonal is zero,
-    adding the row and column of its lowest neighbour j into the lowest
-    row i makes (i, i) = 2 (i, j).
+    factors keeping every sign the rational elimination would see.  An
+    entry the pivot does not meet only changes scale, so each entry is
+    kept as ``(x, s)``, its value ``x`` at the scale ``s`` it was last
+    written at, and read as ``x * prev // s`` at the current scale
+    ``prev``, exactly: a step writes only the entries (i, j) with both i
+    and j neighbours of the pivot, at scale |pivot|.  The pivot is a row
+    of least degree with a nonzero diagonal, the lowest key among ties.
+    When every diagonal is zero, adding the row and column of its lowest
+    neighbour j into the lowest row i makes (i, i) = 2 (i, j).
     """
-    stamp = dict.fromkeys(rows, 1)
     prev = 1
     sig = pivots = congruences = peak = 0
     # rows with a nonzero diagonal by their length; buckets[0] stays empty
@@ -563,16 +564,14 @@ def _sparse_signature(rows: dict[int, dict[int, int]]) -> tuple[int, int, int, i
             where[i] = len(row)
             buckets[len(row)].add(i)
         elif not row:
-            del rows[i], stamp[i]  # a zero row adds nothing
+            del rows[i]  # a zero row adds nothing
 
-    def current(i):
-        s = stamp[i]
-        if s != prev:
-            rows[i] = {j: x * prev // s for j, x in rows[i].items()}
-            stamp[i] = prev
-        return rows[i]
+    def at(row, j):
+        x, s = row.get(j, (0, 1))
+        return x * prev // s
 
     for i in list(rows):
+        rows[i] = {j: (x, 1) for j, x in rows[i].items()}
         settle(i)
     while rows:
         p = next((min(b) for b in buckets if b), None)
@@ -580,40 +579,37 @@ def _sparse_signature(rows: dict[int, dict[int, int]]) -> tuple[int, int, int, i
             congruences += 1
             i = min(rows)
             j = min(rows[i])
-            ri, rj = current(i), current(j)
+            ri, rj = rows[i], rows[j]
             # (i, i) = 2 (i, j), (i, k) += (j, k) and (k, i) += (k, j)
-            ri[i] = 2 * ri[j]
-            for k, x in rj.items():
+            ri[i] = 2 * at(ri, j), prev
+            for k in rj:
                 if k != i:
-                    ri[k] = ri.get(k, 0) + x
                     rk = rows[k]
-                    rk[i] = rk.get(i, 0) + rk[j]
-                    if not rk[i]:
+                    x = at(ri, k) + at(rj, k)
+                    if x:
+                        ri[k] = rk[i] = x, prev
+                    else:
                         del rk[i], ri[k]
                     settle(k)
             settle(i)
             continue
         pivots += 1
-        r = current(p)
         buckets[where.pop(p)].discard(p)
-        del rows[p], stamp[p]
+        r = {j: x * prev // s for j, (x, s) in rows.pop(p).items()}
         pv = r.pop(p)
         sig += 1 if pv > 0 else -1
         apv = abs(pv)
         for i, f in r.items():
-            row = current(i)
+            row = rows[i]
             del row[p]
             if pv < 0:
                 f = -f
-            met = {j: (apv * row.get(j, 0) - f * y) // prev for j, y in r.items()}
-            if apv != prev:
-                row = {j: apv * x // prev for j, x in row.items()}
-            row.update(met)
-            for j, x in met.items():
-                if not x:
+            for j, y in r.items():
+                x = (apv * at(row, j) - f * y) // prev
+                if x:
+                    row[j] = x, apv
+                elif j in row:
                     del row[j]
-            rows[i] = row
-            stamp[i] = apv
             settle(i)
         prev = apv
     return sig, pivots, congruences, peak

@@ -47,7 +47,7 @@ import time
 from itertools import compress
 from typing import Iterator
 
-from .diagram import Crossing, OrientedLinkDiagram, _debug, _faces, _mates
+from .diagram import Crossing, OrientedLinkDiagram, _check_diagram, _debug, _faces, _mates
 
 
 class Move:
@@ -107,6 +107,7 @@ def reidemeister_moves(d: OrientedLinkDiagram) -> list[Move]:
 def r1_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
     """R1- moves at sites ``(c, s)``, the kinks whose loop joins slots
     ``s`` and ``s + 1`` of crossing ``c``, in crossing and slot order."""
+    _check_diagram(d, "Reidemeister moves need")
     mate = _mates(d._tail, d._head)
     for c in range(d.n_crossings):
         for x in _kinks_at(mate, c):
@@ -117,6 +118,7 @@ def r2_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
     """R2- moves at sites ``(c1, c2, e, f)``, the bigons in the order of
     their least face dart ``(c1, s1)``: ``e`` is that dart's edge and
     ``f`` the edge of the other face dart, at crossing ``c2``."""
+    _check_diagram(d, "Reidemeister moves need")
     mate = _mates(d._tail, d._head)
     for c in range(d.n_crossings):
         for x, y in _bigons_at(mate, c):
@@ -140,6 +142,7 @@ def _without(d, mate, removed) -> OrientedLinkDiagram:
 def r1_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
     """R1+ moves at sites ``(e, kind)``, four kinks on every edge, then
     ``("free_loop", kind)``, two kinks on a free loop, if there is one."""
+    _check_diagram(d, "Reidemeister moves need")
     for e in d.edges:
         for kind in ("pos_a", "pos_b", "neg_a", "neg_b"):
             yield Move("R1+", (e, kind), _kinked, d, e, kind)
@@ -202,6 +205,7 @@ _R2_WIRING = {(True, False): 0, (False, True): 1, (False, False): 2, (True, True
 def r2_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
     """R2+ moves over every ordered edge pair sharing a face: pairs in the
     order first met, each pair's planar wirings in ascending k."""
+    _check_diagram(d, "Reidemeister moves need")
     label = _labels(d)
     wirings: dict[tuple[int, int], set[int]] = {}
     for face in _faces(d._tail, d._head):
@@ -279,6 +283,7 @@ def r3_moves(d: OrientedLinkDiagram) -> Iterator[Move]:
     sides are then three edges.  The move needs one side passing over at
     both its ends, all of which lie on the triangle.
     """
+    _check_diagram(d, "Reidemeister moves need")
     mate = _mates(d._tail, d._head)
     for face in _faces(d._tail, d._head):
         if len(face) != 3 or len({x >> 2 for x in face}) != 3:
@@ -327,6 +332,7 @@ def greedy_simplify(
     least input label along it, which the constructor renames, and the
     result is built and validated once, at the end.
     """
+    _check_diagram(d, "greedy simplification needs")
     start = time.perf_counter()
     n = len(d.crossings)
     mate = _mates(d._tail, d._head)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistknots import families
-from twistknots.braids import BraidWord, braid_closure, torus_braid
+from twistknots.braids import BraidWord, braid_closure, braid_closure_with_arcs, torus_braid
 from twistknots.corpus import (
     BUILDERS,
     chain_family,
@@ -17,7 +17,7 @@ from twistknots.corpus import (
     whitehead_family,
     wind3_wrap9_family,
 )
-from twistknots.diagram import DiagramError, parse_pd, structurally_equal
+from twistknots.diagram import DiagramError, parse_pd, serialize, structurally_equal
 from twistknots.families import (
     FamilyError,
     ReductionError,
@@ -26,6 +26,7 @@ from twistknots.families import (
     family_from_json_dict,
     family_to_json_dict,
     full_twist_braid,
+    half_twist_word,
     load_family,
     mirror_family,
     save_family,
@@ -34,8 +35,16 @@ from twistknots.families import (
     untwist_schedule,
     winding_number,
 )
-from twistknots.invariants import WIDTH_BUDGET, kauffman_bracket_jones as jones
-from twistknots.moves import greedy_simplify
+from twistknots.invariants import WIDTH_BUDGET, kauffman_bracket_jones as jones, unlink_jones
+from twistknots.moves import (
+    greedy_simplify,
+    r1_additions,
+    r1_removals,
+    r2_additions,
+    r2_removals,
+    r3_moves,
+    reidemeister_moves,
+)
 
 from .oracles import jones_bruteforce, twist_bruteforce
 from .test_diagram import JSON_VALUES, braid_words
@@ -159,7 +168,7 @@ class TestTwist:
             assert twist(fam, 0) == fam.base
 
     def test_two_strand_unlink_gives_hopf(self):
-        base, arcs = _closure_with_arcs(BraidWord.from_ints(2, [1, -1]))
+        base, arcs = braid_closure_with_arcs(BraidWord.from_ints(2, [1, -1]))
         f = TwistFamily(base, tuple((a, 1) for a in arcs))
         got = jones(twist(f, 1))
         assert got == jones_bruteforce(braid_closure(torus_braid(2, 2)))
@@ -201,7 +210,7 @@ class TestTwist:
     @settings(max_examples=60, deadline=None)
     def test_braid_closure_families_match_bruteforce(self, word, data):
         # a run of neighbouring closure arcs, passing the disk together
-        base, arcs = _closure_with_arcs(word)
+        base, arcs = braid_closure_with_arcs(word)
         lo = data.draw(st.integers(0, word.strands - 1))
         hi = data.draw(st.integers(lo + 1, word.strands))
         marks = tuple((a, 1) for a in arcs[lo:hi] if a >= 0)
@@ -395,7 +404,13 @@ class TestCoherentReduction:
         mark = st.tuples(st.sampled_from(base.edges), st.sampled_from([1, -1]))
         g = SimpleNamespace(base=base, marked_edges=tuple(data.draw(st.lists(mark, max_size=10))))
         left = families._paired_marks(g)
-        assert len(left) == winding_number(g)
+        # the winding number of the marks, as winding_number defines it; it
+        # refuses the stand-in
+        net: dict[int, int] = {}
+        for e, s in g.marked_edges:
+            c = base.component_of_edge(e)
+            net[c] = net.get(c, 0) + s
+        assert len(left) == sum(abs(v) for v in net.values())
         signed = {(base.component_of_edge(e), s) for e, s in left}
         assert len(signed) == len({c for c, _ in signed})  # one sign per component
 
@@ -617,6 +632,15 @@ class TestFamilyFiles:
         with pytest.raises(OSError):
             load_family(tmp_path / "missing.json")
 
+    def test_refused_family_leaves_the_file_as_it_was(self, tmp_path):
+        # the file was opened, so emptied, before the family was read
+        path = tmp_path / "whitehead.json"
+        save_family(whitehead_family(), path)
+        before = path.read_bytes()
+        with pytest.raises(FamilyError, match="expected a TwistFamily"):
+            save_family(None, path)
+        assert path.read_bytes() == before
+
     @given(mutated_family_dicts())
     @settings(max_examples=300, deadline=None)
     def test_mutated_files_raise_only_diagram_errors(self, data):
@@ -626,7 +650,54 @@ class TestFamilyFiles:
             pass
 
 
-def _closure_with_arcs(word):
-    from twistknots.braids import braid_closure_with_arcs
+_TREFOIL = braid_closure(BraidWord.from_ints(2, [1, 1, 1]))
 
-    return braid_closure_with_arcs(word)
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: structurally_equal(_TREFOIL, None), DiagramError,
+                     "structural equality needs a diagram", id="structurally_equal(d, None)"),
+        pytest.param(lambda: structurally_equal(None, _TREFOIL), DiagramError,
+                     "structural equality needs a diagram", id="structurally_equal(None, d)"),
+        pytest.param(lambda: serialize(None), DiagramError, "serialize needs a diagram",
+                     id="serialize"),
+        pytest.param(lambda: greedy_simplify(None), DiagramError,
+                     "greedy simplification needs a diagram", id="greedy_simplify"),
+        pytest.param(lambda: reidemeister_moves(None), DiagramError,
+                     "Reidemeister moves need a diagram", id="reidemeister_moves"),
+        *(
+            pytest.param(lambda kind=kind: list(kind(None)), DiagramError,
+                         "Reidemeister moves need a diagram", id=kind.__name__)
+            for kind in (r1_removals, r2_removals, r3_moves, r1_additions, r2_additions)
+        ),
+        pytest.param(lambda: winding_number(None), FamilyError, "expected a TwistFamily",
+                     id="winding_number"),
+        pytest.param(lambda: mirror_family(None), FamilyError, "expected a TwistFamily",
+                     id="mirror_family"),
+        pytest.param(lambda: family_to_json_dict(None), FamilyError, "expected a TwistFamily",
+                     id="family_to_json_dict"),
+        pytest.param(lambda: braid_closure(None), DiagramError, "a closure needs a braid word",
+                     id="braid_closure"),
+        pytest.param(lambda: braid_closure_with_arcs("x"), DiagramError,
+                     "a closure needs a braid word", id="braid_closure_with_arcs"),
+        pytest.param(lambda: BraidWord.from_ints(3, None), DiagramError, "sequence of ints",
+                     id="from_ints(3, None)"),
+        pytest.param(lambda: BraidWord.from_ints(3, ["a"]), DiagramError, "sequence of ints",
+                     id="from_ints(3, ['a'])"),
+        pytest.param(lambda: BraidWord.from_ints(3, [True]), DiagramError, "sequence of ints",
+                     id="from_ints(3, [True])"),
+        pytest.param(lambda: half_twist_word("a"), DiagramError, "int >= 1 of strands",
+                     id="half_twist_word"),
+        *(
+            pytest.param(lambda n=n: unlink_jones(n), DiagramError, "at least one component",
+                         id=f"unlink_jones({n!r})")
+            for n in ("a", 2.5, True)
+        ),
+    ],
+)
+def test_wrong_typed_arguments_raise_library_errors(call, error, message):
+    # each raised a bare AttributeError or TypeError, and unlink_jones(True)
+    # returned 1
+    with pytest.raises(error, match=message):
+        call()
