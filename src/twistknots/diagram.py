@@ -176,18 +176,22 @@ class OrientedLinkDiagram:
 
     @classmethod
     def from_raw(
-        cls, raw: Sequence[tuple[Sequence[int], int]], free_loops: int = 0
+        cls, raw: Iterable[tuple[Sequence[int], int]], free_loops: int = 0
     ) -> tuple["OrientedLinkDiagram", list[int]]:
         """Build a diagram and report where each raw crossing ended up.
 
         Returns ``(diagram, index_map)`` with ``index_map[i]`` the position
         in ``diagram.crossings`` of the ``i``-th raw crossing.  Needed by
         operations that must address specific crossings after the
-        normalizing sort.  The edge tuples are relabeled and sorted once
-        by ``raw_order``, each ``Crossing`` is built once, in its sorted
-        place, and the rows go to ``_from_dense``; the constructor's
-        normalization does not run.
+        normalizing sort.  ``raw`` may be any iterable and is read once.
+        The edge tuples are relabeled and sorted once by ``raw_order``,
+        each ``Crossing`` is built once, in its sorted place, and the rows
+        go to ``_from_dense``; the constructor's normalization does not run.
         """
+        try:
+            raw = list(raw)
+        except TypeError:
+            raise DiagramError("raw crossings must be (edges, sign) rows") from None
         edges, order, index_map = raw_order(raw)
         signs = [s for _, s in raw]
         rows = [Crossing(edges[i], signs[i]) for i in order]

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import time
 from itertools import compress
-from typing import Iterator
 
 from .diagram import Crossing, OrientedLinkDiagram, _check_diagram, _debug, _faces, _mates
 
@@ -104,28 +103,29 @@ def reidemeister_moves(d: OrientedLinkDiagram) -> list[Move]:
 # -- removals -----------------------------------------------------------
 
 
-def r1_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
+def r1_removals(d: OrientedLinkDiagram) -> list[Move]:
     """R1- moves at sites ``(c, s)``, the kinks whose loop joins slots
     ``s`` and ``s + 1`` of crossing ``c``, in crossing and slot order."""
     _check_diagram(d, "Reidemeister moves need")
     mate = _mates(d._tail, d._head)
-    for c in range(d.n_crossings):
-        for x in _kinks_at(mate, c):
-            yield Move("R1-", (c, x & 3), _without, d, mate, (c,))
+    return [Move("R1-", (c, x & 3), _without, d, mate, (c,))
+            for c in range(d.n_crossings) for x in _kinks_at(mate, c)]
 
 
-def r2_removals(d: OrientedLinkDiagram) -> Iterator[Move]:
+def r2_removals(d: OrientedLinkDiagram) -> list[Move]:
     """R2- moves at sites ``(c1, c2, e, f)``, the bigons in the order of
     their least face dart ``(c1, s1)``: ``e`` is that dart's edge and
     ``f`` the edge of the other face dart, at crossing ``c2``."""
     _check_diagram(d, "Reidemeister moves need")
     mate = _mates(d._tail, d._head)
+    out = []
     for c in range(d.n_crossings):
         for x, y in _bigons_at(mate, c):
             if x < y:  # a bigon shows at both its darts
                 c2 = y >> 2
                 e, f = d.crossings[c].edges[x & 3], d.crossings[c2].edges[y & 3]
-                yield Move("R2-", (c, c2, e, f), _without, d, mate, (c, c2))
+                out.append(Move("R2-", (c, c2, e, f), _without, d, mate, (c, c2)))
+    return out
 
 
 def _without(d, mate, removed) -> OrientedLinkDiagram:
@@ -139,16 +139,16 @@ def _without(d, mate, removed) -> OrientedLinkDiagram:
 # -- additions ----------------------------------------------------------
 
 
-def r1_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
+def r1_additions(d: OrientedLinkDiagram) -> list[Move]:
     """R1+ moves at sites ``(e, kind)``, four kinks on every edge, then
     ``("free_loop", kind)``, two kinks on a free loop, if there is one."""
     _check_diagram(d, "Reidemeister moves need")
-    for e in d.edges:
-        for kind in ("pos_a", "pos_b", "neg_a", "neg_b"):
-            yield Move("R1+", (e, kind), _kinked, d, e, kind)
+    out = [Move("R1+", (e, kind), _kinked, d, e, kind)
+           for e in d.edges for kind in ("pos_a", "pos_b", "neg_a", "neg_b")]
     if d.free_loops:
-        for kind in ("loop_pos", "loop_neg"):
-            yield Move("R1+", ("free_loop", kind), _kinked, d, None, kind)
+        out += [Move("R1+", ("free_loop", kind), _kinked, d, None, kind)
+                for kind in ("loop_pos", "loop_neg")]
+    return out
 
 
 def _kinked(d, e, kind) -> OrientedLinkDiagram:
@@ -202,7 +202,7 @@ def _r2_wiring(over, under, k):
 _R2_WIRING = {(True, False): 0, (False, True): 1, (False, False): 2, (True, True): 3}
 
 
-def r2_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
+def r2_additions(d: OrientedLinkDiagram) -> list[Move]:
     """R2+ moves over every ordered edge pair sharing a face: pairs in the
     order first met, each pair's planar wirings in ascending k."""
     _check_diagram(d, "Reidemeister moves need")
@@ -214,11 +214,11 @@ def r2_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
             for j, (g, g_tail) in enumerate(sides):
                 if i != j and e != g:
                     wirings.setdefault((e, g), set()).add(_R2_WIRING[e_tail, g_tail])
-    for (e, g), ks in wirings.items():
-        for k in sorted(ks):
-            yield Move("R2+", (e, g, k), _pushed, d, e, g, k)
+    out = [Move("R2+", (e, g, k), _pushed, d, e, g, k)
+           for (e, g), ks in wirings.items() for k in sorted(ks)]
     if d.free_loops:
-        yield from _r2_free_loop_additions(d)
+        out += _r2_free_loop_additions(d)
+    return out
 
 
 def _pushed(d, e, g, k) -> OrientedLinkDiagram:
@@ -231,16 +231,13 @@ def _pushed(d, e, g, k) -> OrientedLinkDiagram:
     return _edited(d, edits, (), _r2_wiring((e, m, e2), (g, h, g2), k), d.free_loops)
 
 
-def _r2_free_loop_additions(d: OrientedLinkDiagram) -> Iterator[Move]:
-    for g in d.edges:
-        for role in (0, 1):
-            for k in range(4):
-                yield Move("R2+", ("free_loop", g, role, k), _loop_pushed, d, g, role, k)
+def _r2_free_loop_additions(d: OrientedLinkDiagram) -> list[Move]:
+    out = [Move("R2+", ("free_loop", g, role, k), _loop_pushed, d, g, role, k)
+           for g in d.edges for role in (0, 1) for k in range(4)]
     if d.free_loops >= 2:
-        for k in range(4):
-            yield Move("R2+", ("two_loops", k), _loop_pushed, d, None, 0, k)
-    for k in range(2):
-        yield Move("R2+", ("self_loop", k), _self_pushed, d, k)
+        out += [Move("R2+", ("two_loops", k), _loop_pushed, d, None, 0, k) for k in range(4)]
+    out += [Move("R2+", ("self_loop", k), _self_pushed, d, k) for k in range(2)]
+    return out
 
 
 def _loop_pushed(d, g, role, k) -> OrientedLinkDiagram:
@@ -274,7 +271,7 @@ def _self_pushed(d, k) -> OrientedLinkDiagram:
 # -- R3 -----------------------------------------------------------------
 
 
-def r3_moves(d: OrientedLinkDiagram) -> Iterator[Move]:
+def r3_moves(d: OrientedLinkDiagram) -> list[Move]:
     """R3 moves at sites ``(c1, s1), (c2, s2), (c3, s3)``, the three face
     darts of a triangle in dart order, the triangles in the order of
     their least dart.
@@ -285,6 +282,7 @@ def r3_moves(d: OrientedLinkDiagram) -> Iterator[Move]:
     """
     _check_diagram(d, "Reidemeister moves need")
     mate = _mates(d._tail, d._head)
+    out = []
     for face in _faces(d._tail, d._head):
         if len(face) != 3 or len({x >> 2 for x in face}) != 3:
             continue
@@ -292,7 +290,8 @@ def r3_moves(d: OrientedLinkDiagram) -> Iterator[Move]:
             continue
         sides = [d.crossings[x >> 2].edges[x & 3] for x in face]
         site = tuple((x >> 2, x & 3) for x in sorted(face))
-        yield Move("R3", site, _slid, d, sides)
+        out.append(Move("R3", site, _slid, d, sides))
+    return out
 
 
 def _slid(d: OrientedLinkDiagram, sides: list[int]) -> OrientedLinkDiagram:

@@ -1,0 +1,82 @@
+"""A smoke run of ``scripts/bench_layers.py``: every row once, so a
+change of a call's output or DEBUG record shape breaks tier-1 rather than
+the next layer-bench run."""
+
+import importlib.util
+import logging
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from twistknots.corpus import chain_family
+from twistknots.diagram import parse_pd, serialize
+from twistknots.families import twist
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_layers.py"
+REPEAT_CONSTANTS = ("REPEATS", "JONES_REPEATS", "SHORT_JONES_REPEATS", "MOVE_REPEATS",
+                    "TWIST_REPEATS", "SPLIT_REPEATS")
+# the (layer, input) rows the layer bench must keep, by layer
+KEPT_ROWS = {
+    "families.TwistFamily": ["load_corpus(), chain_family(3), chain_family(4)"],
+    "families.twist": ["chain_4 n=13", "chain_4 n=52", "torus_q3 n=13", "torus_q3 n=40",
+                       "whitehead n=30", "wind3_wrap9 n=10"],
+    "families.untwist_schedule": ["chain_4 n=13", "chain_4 n=52", "torus_q3 n=13", "torus_q3 n=40"],
+    "diagram.change_crossings": ["chain_4 n=13, untwist sites"],
+    "moves.greedy_simplify": [f"chain_4 n={n}, untwist sites changed" for n in (10, 50, 100)],
+    "invariants._scan_order": ["wind3_wrap9 n=10", "wind3_wrap9 n=30"],
+    "invariants.signature": ["chain_4 n=13", "chain_4 n=26", "chain_4 n=52", "chain_4 n=200",
+                             "torus_q3 n=13", "torus_q3 n=40", "whitehead n=30", "torus_q2 n=13",
+                             "largewrap_w0_p4 n=50", "3 x chain_4 n=13, split",
+                             "wind3_wrap9 n=0, split"],
+    "diagram.structurally_equal": ["3 x chain_4 n=13, split, against a relabelled shuffled copy"],
+    "invariants.kauffman_bracket_jones": [
+        "wind3_wrap9 n=1", "wind3_wrap9 n=10", "wind3_wrap9 n=30", "whitehead n=30",
+        "largewrap_w0_p4 n=7", "torus_q3 n=12", "full twist on 8 strands", "whitehead n=1",
+        "torus_q3 n=0", "mazur n=10"],
+    "families.coherent_reduction": ["whitehead", "mazur", "largewrap_w0_p4", "wind3_wrap9"],
+    "moves.reidemeister_moves": [
+        "whitehead n=-2", "whitehead n=2", "mazur n=-1", "mazur n=1", "torus_q2 n=2",
+        "torus_q3 n=2", "largewrap_w0_p4 n=1", "chain_4 n=2, untwist sites changed",
+        "torus_q2 n=3, untwist sites changed"],
+    "diagram.parse_pd": ["chain_4 n=52", "chain_4 n=52, signs stripped"],
+}
+
+
+# stands in for tracemalloc: traces nothing and reports a zero peak
+UNTRACED = SimpleNamespace(start=lambda: None, stop=lambda: None,
+                           get_traced_memory=lambda: (0, 0))
+
+
+@pytest.fixture(scope="module")
+def bench_rows():
+    spec = importlib.util.spec_from_file_location("bench_layers", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    log = logging.getLogger("twistknots.invariants")
+    before = log.level, list(log.handlers)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in REPEAT_CONSTANTS:
+            patch.setattr(bench, name, 1)
+        # the heap peak is a measurement, not a driver, and tracing makes
+        # the long scans about 13 times slower
+        patch.setattr(bench, "tracemalloc", UNTRACED)
+        out = list(bench.rows())
+    assert (log.level, log.handlers) == before  # the record capture is undone
+    return out
+
+
+def test_every_row_runs_once_with_its_drivers(bench_rows):
+    pairs = [(row["layer"], row["input"]) for row in bench_rows]
+    assert len(set(pairs)) == len(pairs)
+    assert {(layer, i) for layer, inputs in KEPT_ROWS.items() for i in inputs} <= set(pairs)
+    for row in bench_rows:
+        assert row["repeats"] == 1
+        assert None not in row.values(), row
+
+
+def test_parse_rows_read_back_the_member():
+    d = twist(chain_family(4), 52)
+    text = serialize(d)
+    assert parse_pd(text) == d
+    assert parse_pd(text.replace("X+", "X").replace("X-", "X")) == d

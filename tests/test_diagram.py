@@ -649,6 +649,19 @@ class TestHypothesis:
         ]
 
     @pytest.mark.parametrize("relabel", [False, True])
+    def test_from_raw_reads_any_iterable_once(self, relabel):
+        # raw_order consumed an iterator, and the signs were then read
+        # from an empty one: a bare IndexError
+        d = braid_closure(torus_braid(3, 4))
+        rows = [([7 + 3 * e if relabel else e for e in c.edges], c.sign) for c in d.crossings]
+        want = OrientedLinkDiagram.from_raw(rows)
+        edges, signs = zip(*rows)
+        assert OrientedLinkDiagram.from_raw(iter(rows)) == want
+        assert OrientedLinkDiagram.from_raw(zip(edges, signs)) == want
+        with pytest.raises(DiagramError, match="raw crossings must be"):
+            OrientedLinkDiagram.from_raw(None)
+
+    @pytest.mark.parametrize("relabel", [False, True])
     @pytest.mark.parametrize("flip", [False, True])
     def test_from_raw_refuses_repeated_crossing(self, relabel, flip):
         # a repeated crossing gives its edges a second head and tail

@@ -667,7 +667,7 @@ _TREFOIL = braid_closure(BraidWord.from_ints(2, [1, 1, 1]))
         pytest.param(lambda: reidemeister_moves(None), DiagramError,
                      "Reidemeister moves need a diagram", id="reidemeister_moves"),
         *(
-            pytest.param(lambda kind=kind: list(kind(None)), DiagramError,
+            pytest.param(lambda kind=kind: kind(None), DiagramError,
                          "Reidemeister moves need a diagram", id=kind.__name__)
             for kind in (r1_removals, r2_removals, r3_moves, r1_additions, r2_additions)
         ),
