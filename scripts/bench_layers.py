@@ -33,7 +33,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from twistknots import braids, diagram, invariants, moves
 from twistknots.corpus import chain_family, load_corpus
-from twistknots.families import coherent_reduction, twist, untwist_schedule
+from twistknots.families import coherent_reduction, full_twist_braid, twist, untwist_schedule
 
 REPEATS = 3
 # most scans take milliseconds, so their median takes more calls; the
@@ -211,8 +211,12 @@ def rows():
         ("invariants.kauffman_bracket_jones", *member("whitehead", 30), jones, J),
         ("invariants.kauffman_bracket_jones", *member("largewrap_w0_p4", 7), jones, J),
         ("invariants.kauffman_bracket_jones", *member("torus_q3", 12), jones, J),
+        # one full twist on 8 strands in two braid words: (s1...s7)^8, and
+        # Delta^2, which scans with a third of the state updates
         ("invariants.kauffman_bracket_jones", "full twist on 8 strands",
          braids.braid_closure(braids.torus_braid(8, 8)), jones, J),
+        ("invariants.kauffman_bracket_jones", "full twist on 8 strands, as Delta^2",
+         braids.braid_closure(full_twist_braid(8, 1)), jones, J),
         # short scans, where a call's fixed cost outweighs its states
         ("invariants.kauffman_bracket_jones", *member("whitehead", 1), jones, SHORT_JONES_REPEATS),
         ("invariants.kauffman_bracket_jones", *member("torus_q3", 0), jones, SHORT_JONES_REPEATS),

@@ -33,6 +33,10 @@ _TRIPLE_CURL = "X+[0,3,2,2] X+[1,5,4,4] X+[3,0,1,5]\nO[0,2,3,1,5,4]"
 
 def torus_family(p: int, q: int, name: str = "") -> TwistFamily:
     """T(p, q) presented on its q coherent closure arcs."""
+    # with p = 0 or q = 1 a lane meets no crossing and closes into a free
+    # loop, which owns no edge to mark
+    if not (type(p) is int and type(q) is int and p >= 1 and q >= 2):
+        raise FamilyError(f"torus family needs ints p >= 1 and q >= 2, got p={p!r}, q={q!r}")
     base, arcs = braid_closure_with_arcs(torus_braid(p, q))
     return TwistFamily(
         base, tuple((a, 1) for a in arcs), name=name or f"torus_{p}_{q}"

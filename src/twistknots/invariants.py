@@ -4,10 +4,17 @@ The bracket polynomial is computed by scanning crossings one at a time,
 so cost is governed by the width of the scan (its peak number of open
 pairs) rather than 2^crossings; a greedy ordering keeps that width small
 on braid-like diagrams, and one budget, ``WIDTH_BUDGET``, bounds it before
-any state is built.  The pass that orders the crossings also plans the
-scan: each open dart (code ``4 * crossing + slot``) keeps one frontier
-position while it is open, freed positions going to new darts lowest
-first, and each step gets its crossing's link, a tuple saying what each
+any state is built.  The order takes a crossing with the most edges to
+crossings already placed, and among those the one whose unplaced
+neighbours have the most such edges, so the edges it opens lead to
+crossings that close them soon and the frontier stays compact (the
+frontier-keeping order of Bar-Natan, arXiv:math/0606318).  On the
+width-7 twist boxes of ``twist(wind3_wrap9, 10)`` that takes a quarter of
+the state updates that the lowest index among ties takes (20,088 against
+81,600), at the same width.  The pass that orders the crossings also
+plans the scan: each open dart (code ``4 * crossing + slot``) keeps one
+frontier position while it is open, freed positions going to new darts
+lowest first, and each step gets its crossing's link, a tuple saying what each
 slot meets, equal links being one tuple.  A state's key is one int
 holding, in a field of f bits per position, its partner's position + 1,
 or 0 for a free position.  Its value is a lowest exponent lo and one
@@ -80,10 +87,18 @@ def _scan_order(mate: list[int]) -> tuple[list[int], int, list[tuple[int, ...]]]
     the scan's plan: each step's link.
 
     Each step takes the crossing with the most edges to crossings already
-    placed, the lowest index among ties.  Unplaced crossings with 1..4
-    such edges sit in a bucket per count, at most one per open edge in
-    all; when every bucket is empty no unplaced crossing has such an
-    edge, and the lowest unplaced index, which only grows, comes next.
+    placed.  Among ties it takes the one whose unplaced neighbours have
+    the most such edges, summed over its edges to other unplaced
+    crossings, and then the lowest index.  The edges a crossing opens
+    stay open until their other ends are placed, so preferring
+    neighbours already held by the placed crossings closes them soon:
+    the scan follows one front instead of opening a second one where
+    the indices happen to be low.  Unplaced crossings with 1..4 such
+    edges sit in a bucket per count, at most one per open edge in all,
+    and the sum is worked out only when the top bucket holds more than
+    one, so a step costs O(width).  When every bucket is empty no
+    unplaced crossing has such an edge, and the lowest unplaced index,
+    which only grows, comes next.
 
     Each open dart holds a fixed frontier position from the crossing that
     opens it to the one that glues it, and a crossing frees its glued
@@ -112,13 +127,28 @@ def _scan_order(mate: list[int]) -> tuple[list[int], int, list[tuple[int, ...]]]
         while k and not buckets[k]:
             k -= 1
         if k:
-            ci = min(buckets[k])
-            buckets[k].discard(ci)
+            top = buckets[k]
+            if len(top) == 1:
+                ci = top.pop()
+            else:
+                # c's own count is 0 while it is scored, for the edges
+                # with both ends at c
+                ci = best = -1
+                for c in top:
+                    count[c] = 0
+                    x = 4 * c
+                    score = (count[mate[x] >> 2] + count[mate[x + 1] >> 2]
+                             + count[mate[x + 2] >> 2] + count[mate[x + 3] >> 2])
+                    count[c] = k
+                    if score > best or score == best and c < ci:
+                        ci, best = c, score
+                top.discard(ci)
         else:
             while placed[lowest]:
                 lowest += 1
             ci = lowest
         placed[ci] = True
+        count[ci] = 0  # a placed neighbour adds nothing to a tie-break
         order.append(ci)
         base = 4 * ci
         link = mate[base : base + 4]

@@ -523,20 +523,31 @@ def _matching_key(matching: dict) -> tuple:
     return tuple(sorted(pairs))
 
 
-def scan_order_max(d: OrientedLinkDiagram) -> tuple[list[int], int]:
+def scan_order_max(d: OrientedLinkDiagram, lowest_index: bool = False) -> tuple[list[int], int]:
     """The greedy scan order by a ``max`` over every crossing left at each
-    step, and its peak open pairs."""
+    step, and its peak open pairs.  The key is (open edges, neighbour sum,
+    -index): the most edges to placed crossings, then, per edge to another
+    crossing left, the most open edges at that crossing, then the lowest
+    index.  ``lowest_index=True`` leaves the neighbour sum out, the rule
+    the tie-break is measured against."""
     index = edge_index_bruteforce(d)
     order: list[int] = []
     left = set(range(len(d.crossings)))
     open_edges: set[int] = set()
     width = 0
+
+    def opened(c):
+        return sum(e in open_edges for e in d.crossings[c].edges)
+
+    def neighbour_sum(c):
+        if lowest_index:
+            return 0
+        ends = [cj for e in d.crossings[c].edges for cj, _ in index[e][:2]]
+        return sum(opened(cj) for cj in ends if cj != c and cj in left)
+
     while left:
-        # prefer staying connected to the current region, then low indices
-        ci = max(
-            left,
-            key=lambda c: (sum(e in open_edges for e in d.crossings[c].edges), -c),
-        )
+        most = max(map(opened, left))
+        ci = max((c for c in left if opened(c) == most), key=lambda c: (neighbour_sum(c), -c))
         left.discard(ci)
         order.append(ci)
         for e in d.crossings[ci].edges:
@@ -550,11 +561,32 @@ def scan_order_max(d: OrientedLinkDiagram) -> tuple[list[int], int]:
 
 def bracket_with_loops_dict(d: OrientedLinkDiagram) -> LaurentPolynomial:
     """Sum over states of A^{a-b} * delta^{loops} (note: no -1)."""
+    *_, states = _dict_scan(d, scan_order_max(d)[0])
+    assert len(states) == 1 and () in states, "scan left open strands"
+    total = states[()]
+    if d.free_loops:
+        total = total * _DELTA_A**d.free_loops
+    return total
+
+
+def state_updates_dict(d: OrientedLinkDiagram, lowest_index: bool = False) -> int:
+    """The state updates of a scan in ``scan_order_max(d, lowest_index)``
+    order, counted as the scan logs them: two per state with a nonzero
+    value before each crossing.  The scan drops a state whose value is 0,
+    and its children add 0, so the nonzero states are the same."""
+    *steps, _ = _dict_scan(d, scan_order_max(d, lowest_index)[0])
+    return sum(2 * sum(map(bool, states.values())) for states in steps)
+
+
+def _dict_scan(d: OrientedLinkDiagram, order: list[int]):
+    """The states of a scan of the crossings in ``order``, each a
+    matching of open darts with its polynomial: before each crossing,
+    then after the last.  States whose polynomial is 0 are kept."""
     index = edge_index_bruteforce(d)
     states: dict[tuple, LaurentPolynomial] = {(): LaurentPolynomial.one()}
     processed: set[int] = set()
-    order, _ = scan_order_max(d)
     for ci in order:
+        yield states
         c = d.crossings[ci]
         glue = []
         for s, e in enumerate(c.edges):
@@ -585,11 +617,7 @@ def bracket_with_loops_dict(d: OrientedLinkDiagram) -> LaurentPolynomial:
                 else:
                     new_states[k2] = contrib
         states = new_states
-    assert len(states) == 1 and () in states, "scan left open strands"
-    total = states[()]
-    if d.free_loops:
-        total = total * _DELTA_A**d.free_loops
-    return total
+    yield states
 
 
 def symmetric_signature_fraction(matrix: list[list[int]]) -> int:

@@ -32,7 +32,8 @@ KEPT_ROWS = {
     "diagram.structurally_equal": ["3 x chain_4 n=13, split, against a relabelled shuffled copy"],
     "invariants.kauffman_bracket_jones": [
         "wind3_wrap9 n=1", "wind3_wrap9 n=10", "wind3_wrap9 n=30", "whitehead n=30",
-        "largewrap_w0_p4 n=7", "torus_q3 n=12", "full twist on 8 strands", "whitehead n=1",
+        "largewrap_w0_p4 n=7", "torus_q3 n=12", "full twist on 8 strands",
+        "full twist on 8 strands, as Delta^2", "whitehead n=1",
         "torus_q3 n=0", "mazur n=10"],
     "families.coherent_reduction": ["whitehead", "mazur", "largewrap_w0_p4", "wind3_wrap9"],
     "moves.reidemeister_moves": [

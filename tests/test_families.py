@@ -496,6 +496,13 @@ class TestCorpusFiles:
         with pytest.raises(FamilyError, match="chain family needs an int >= 2"):
             chain_family(strands)
 
+    @pytest.mark.parametrize("p, q", [(3, 1), (0, 3), (1, 1), (2.0, 2), (3, True)])
+    def test_torus_family_needs_every_lane_crossed(self, p, q):
+        # (3, 1) and (0, 3) leave a lane on no crossing, a free loop, and
+        # named its arc as the marked edge -1
+        with pytest.raises(FamilyError, match=f"p >= 1 and q >= 2, got p={p!r}, q={q!r}"):
+            torus_family(p, q)
+
     def test_corpus_is_built_in_name_order(self):
         fams = load_corpus()
         assert list(fams) == sorted(BUILDERS)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from twistknots import invariants
 from twistknots.braids import BraidWord, braid_closure, torus_braid
-from twistknots.corpus import load_corpus
+from twistknots.corpus import chain_family, load_corpus
 from twistknots.diagram import DiagramError, OrientedLinkDiagram, _mates, parse_pd
 from twistknots.families import full_twist_braid, twist
 from twistknots.invariants import (
@@ -29,6 +29,7 @@ from .oracles import (
     jones_bruteforce,
     piece_roots,
     scan_order_max,
+    state_updates_dict,
     symmetric_signature_fraction,
 )
 from .test_diagram import braid_words
@@ -282,16 +283,21 @@ def _corpus_members(max_crossings=40):
 def _scan_diagrams():
     """Every corpus member at n = -10..10 and 300 seeded braid closures of
     2-6 strands and 1-12 letters."""
-    diagrams = [twist(f, n) for f in load_corpus().values() for n in range(-10, 11)]
+    members = [twist(f, n) for f in load_corpus().values() for n in range(-10, 11)]
+    return members + _seeded_closures()
+
+
+def _seeded_closures():
     rng = random.Random(25)
+    closures = []
     for _ in range(300):
         strands = rng.randint(2, 6)
         word = tuple(
             (rng.randint(1, strands - 1), rng.choice((1, -1)))
             for _ in range(rng.randint(1, 12))
         )
-        diagrams.append(braid_closure(BraidWord(strands, word)))
-    return diagrams
+        closures.append(braid_closure(BraidWord(strands, word)))
+    return closures
 
 
 def _plan(d):
@@ -346,6 +352,25 @@ class TestScanOracle:
             d = d.disjoint_union(braid_closure(word))
         assert _order(d) == scan_order_max(d)
 
+    def test_tie_rule_never_widens_the_corpus(self, caplog):
+        # ties go to the frontier: never wider than the lowest-index rule
+        # on a corpus or chain member, and fewer state updates in all
+        families = [*load_corpus().values(), chain_family(3), chain_family(4)]
+        for f in families:
+            for n in range(-12, 13):
+                d = twist(f, n)
+                assert _order(d)[1] <= scan_order_max(d, lowest_index=True)[1], n
+        ours = reference = 0
+        for d in _seeded_closures():
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
+                kauffman_bracket_jones(d)
+            updates = caplog.records[-1].args[2]
+            assert updates == state_updates_dict(d)
+            ours += updates
+            reference += state_updates_dict(d, lowest_index=True)
+        assert ours <= reference
+
     def test_plan_places_and_frees_each_position_once(self):
         # every position is below 2 * width, and every glued position was
         # placed by an earlier step, for the dart glued, and is freed once
@@ -389,17 +414,19 @@ class TestScanOracle:
     @pytest.mark.parametrize(
         "build, width, updates",
         [
-            (lambda: twist(load_corpus()["wind3_wrap9"], 1), 7, 4578),
+            (lambda: twist(load_corpus()["wind3_wrap9"], 1), 7, 1980),
             (lambda: braid_closure(full_twist_braid(8, 1)), 8, 17286),
+            # the same full twist as (s1...s7)^8 still scans with 3x the updates
+            (lambda: braid_closure(torus_braid(8, 8)), 8, 51752),
             # twisting one way or the other scans differently
-            (lambda: twist(load_corpus()["largewrap_w0_p4"], 7), 5, 1368),
+            (lambda: twist(load_corpus()["largewrap_w0_p4"], 7), 3, 654),
             (lambda: twist(load_corpus()["largewrap_w0_p4"], -7), 3, 668),
             (lambda: twist(load_corpus()["mazur"], 10), 3, 596),
-            (lambda: twist(load_corpus()["mazur"], -10), 4, 610),
+            (lambda: twist(load_corpus()["mazur"], -10), 3, 594),
         ],
         ids=[
-            "wind3_wrap9 n=1", "full twist on 8 strands", "largewrap_w0_p4 n=7",
-            "largewrap_w0_p4 n=-7", "mazur n=10", "mazur n=-10",
+            "wind3_wrap9 n=1", "full twist on 8 strands", "(s1...s7)^8",
+            "largewrap_w0_p4 n=7", "largewrap_w0_p4 n=-7", "mazur n=10", "mazur n=-10",
         ],
     )
     def test_state_updates_pinned(self, caplog, build, width, updates):
@@ -420,11 +447,11 @@ class TestScanOracle:
         assert record.levelno == logging.DEBUG
         crossings, peak, updates, derived, repacks, seconds = record.args
         # only states whose terms cancel are dropped, so the count is fixed
-        assert (crossings, peak, updates) == (78, 7, 4578)
+        assert (crossings, peak, updates) == (78, 7, 1980)
         # one derivation per link and glued pattern met; a repack after
         # crossings 8, 16, ..., 72 and one before the free loops, none on
         # the start state
-        assert (derived, repacks) == (532, 10)
+        assert (derived, repacks) == (311, 10)
         assert seconds >= 0
 
 
@@ -479,12 +506,13 @@ class TestPackedDigits:
         assert out[(1,)][0] == -3 and invariants._digits(out[(1,)][1], wide) == big
 
     def test_digits_do_not_widen_with_the_scan(self, monkeypatch):
-        widths = []
+        widths, counts = [], []
         repacked = invariants._repacked
 
         def spy(states, bits, growth):
             wide, out = repacked(states, bits, growth)
             widths.append(wide)
+            counts.append(len(states))
             # cancelled low terms are dropped, so no value grows longer
             # than its nonzero span
             assert all(invariants._digits(v, wide)[0] for _, v in out.values())
@@ -498,9 +526,10 @@ class TestPackedDigits:
         # free loops; the start state has its width without one
         every = invariants._REPACK_EVERY
         assert len(widths) == (726 - 1) // every + 1
-        # every coefficient fits a byte and there are under 128 states:
-        # 8 + 7 + 3 * every + 2 bits, in whole bytes, however long the scan
-        assert max(widths) == (8 + 7 + 3 * every + 2 + 7) // 8 * 8
+        # every coefficient fits a byte and there are under 64 states:
+        # 8 + 6 + 3 * every + 2 bits, in whole bytes, however long the scan
+        assert max(counts) < 64
+        assert max(widths) == (8 + 6 + 3 * every + 2 + 7) // 8 * 8
 
 
 @st.composite
