@@ -10,11 +10,12 @@ label, the argument, the call and the number of calls timed.  One loop
 times ``repeats`` calls of each row's call on its argument and writes
 the median seconds ``s`` next to the cost drivers that the layer's
 reader in ``DRIVERS`` takes from the last call's output or from the
-DEBUG records (``twistknots.invariants``) that call logged.  The scan's
-and the move layer's readers add timings of their own (see
-``jones_drivers`` and ``move_drivers``).  The rows go into the
-``--out`` JSON file under ``--label`` and other labels are kept, so one
-file holds the numbers of a change before and after.
+DEBUG records (``twistknots.invariants``) that call logged.  The move
+layer's reader adds timings of its own (see ``move_drivers``), and the
+rows in ``HEAP_ROWS`` add the peak heap of one more call (``peak_kib``).
+The rows go into the ``--out`` JSON file under ``--label`` and other
+labels are kept, so one file holds the numbers of a change before and
+after.
 """
 
 import argparse
@@ -96,16 +97,20 @@ def signature_drivers(d, _, log, secs):
 
 
 def jones_drivers(d, _, log, secs):
-    """The scan's width, state updates, transitions derived and repacks,
-    and ``peak_kib``, the peak Python heap of one more call, untimed,
-    under ``tracemalloc``."""
+    """The scan's width, state updates, transitions derived and repacks."""
     _, width, updates, derived, repacks, _ = log[-1].args
+    return {"crossings": d.n_crossings, "width": width, "state_updates": updates,
+            "transitions": derived, "repacks": repacks}
+
+
+def peak_kib(call, arg):
+    """The peak Python heap of one more call, untimed, under
+    ``tracemalloc``, which makes the call about 20 times slower."""
     tracemalloc.start()
-    invariants.kauffman_bracket_jones(d)
+    call(arg)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return {"crossings": d.n_crossings, "width": width, "state_updates": updates,
-            "transitions": derived, "repacks": repacks, "peak_kib": round(peak / 1024, 1)}
+    return round(peak / 1024, 1)
 
 
 def move_drivers(d, built, log, secs):
@@ -120,6 +125,11 @@ def move_drivers(d, built, log, secs):
     return {"crossings": d.n_crossings, "moves_out": len(built), "enumerate_s": round(enumerate_s, 6),
             "us_per_result": round(1e6 * secs / len(built), 2), "removals_out": len(removals),
             "removals_s": round(removals_s, 6), "r3_out": len(r3), "r3_s": round(r3_s, 6)}
+
+
+# the rows that also report ``peak_kib``: the wide scans, whose states
+# hold the heap
+HEAP_ROWS = {("invariants.kauffman_bracket_jones", f"wind3_wrap9 n={n}") for n in (1, 10, 30)}
 
 
 DRIVERS = {
@@ -189,6 +199,9 @@ def rows():
         ("moves.greedy_simplify", *untwisted("chain_4", 100), greedy, R),
         ("invariants._scan_order", *member("wind3_wrap9", 10), scan_order, R),
         ("invariants._scan_order", *member("wind3_wrap9", 30), scan_order, R),
+        # narrow members, where planning is a fifth to a third of a Jones call
+        ("invariants._scan_order", *member("whitehead", 30), scan_order, SHORT_JONES_REPEATS),
+        ("invariants._scan_order", *member("torus_q3", 12), scan_order, SHORT_JONES_REPEATS),
         # chain_4 and largewrap_w0_p4 keep long rows along the twist box in their forms
         ("invariants.signature", *member("chain_4", 13), sig, S),
         ("invariants.signature", *member("chain_4", 26), sig, S),
@@ -249,8 +262,10 @@ def rows():
             out, secs = timed(call, arg, repeats)
             # every call logs the same records, so the last call's are the last share
             last = keep.buffer[len(keep.buffer) - len(keep.buffer) // repeats:]
-            yield {"layer": layer, "input": label, **DRIVERS[layer](arg, out, last, secs),
-                   "repeats": repeats, "s": round(secs, 6)}
+            row = {"layer": layer, "input": label, **DRIVERS[layer](arg, out, last, secs)}
+            if (layer, label) in HEAP_ROWS:
+                row["peak_kib"] = peak_kib(call, arg)
+            yield {**row, "repeats": repeats, "s": round(secs, 6)}
     finally:
         log.removeHandler(keep)
         log.setLevel(level)

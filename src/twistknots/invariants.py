@@ -30,6 +30,14 @@ those fields, each smoothing's bits to clear and to set, power of A and
 loops closed, from a table of how a smoothing joins the four slots
 shared by all scans; a child is then two bit operations on its parent's
 key, and its value one multiplication when the smoothing closes a loop.
+So the work is split by what it depends on: once per crossing, the
+planning pass places it and builds its link; once per distinct link,
+the mask of its glued fields; once per link and glued pattern, the
+transitions; once per state, its two children, a state being dropped
+as soon as its terms cancel.  A repack costs one mask per byte width
+tried and one test per state, and the result's coefficients are read
+off the packed value a byte lane at a time and stored as they come,
+already ordered and nonzero.
 The signature comes from the Goeritz form of a checkerboard
 coloring with its orientation correction term.  By Gordon and Litherland
 (On the signature of a link, 1978) either color class of the faces spans
@@ -50,6 +58,7 @@ block per piece, with one white face left out per piece.
 from __future__ import annotations
 
 import time
+from heapq import heappop, heappush
 
 from .diagram import DiagramError, OrientedLinkDiagram, _check_diagram, _debug, _mates
 from .polynomials import LaurentPolynomial
@@ -110,74 +119,83 @@ def _scan_order(mate: list[int]) -> tuple[list[int], int, list[tuple[int, ...]]]
     slot of the crossing (0..3), ``-1 - p`` for the open dart at
     position p that it glues, or ``4 + p`` for the new dart it places at
     p.  Equal links are one tuple.
+
+    The pass works once per crossing on flat lists: the counts, the
+    placed flags and each open dart's position.  The freed positions
+    wait in a heap, so the lowest free one is one pop, and as a
+    position is first taken only when every lower one is held, the
+    positions ever used are the peak open darts: the width needs no
+    count of its own.
     """
     n = len(mate) >> 2
     count = [0] * n
     placed = [False] * n
-    buckets: list[set[int]] = [set() for _ in range(5)]  # by count; 0 stays empty
+    # unplaced crossings by their count of edges to placed ones, 1..4
+    b1, b2, b3, b4 = buckets = (set(), set(), set(), set())
     lowest = 0
     order: list[int] = []
     links: list[tuple[int, ...]] = []
     distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
     pos = [0] * len(mate)  # each open dart's position
-    taken = 0  # the held positions, as bits
-    open_edges = peak = 0
+    freed: list[int] = []  # a heap of the free positions below ``used``
+    used = 0  # the positions ever held: 0 .. used - 1
     for _ in range(n):
-        k = 4
-        while k and not buckets[k]:
-            k -= 1
-        if k:
-            top = buckets[k]
-            if len(top) == 1:
-                ci = top.pop()
-            else:
-                # c's own count is 0 while it is scored, for the edges
-                # with both ends at c
-                ci = best = -1
-                for c in top:
-                    count[c] = 0
-                    x = 4 * c
-                    score = (count[mate[x] >> 2] + count[mate[x + 1] >> 2]
-                             + count[mate[x + 2] >> 2] + count[mate[x + 3] >> 2])
-                    count[c] = k
-                    if score > best or score == best and c < ci:
-                        ci, best = c, score
-                top.discard(ci)
-        else:
+        top = b4 or b3 or b2 or b1
+        if not top:
             while placed[lowest]:
                 lowest += 1
             ci = lowest
+        elif len(top) == 1:
+            ci = top.pop()
+        else:
+            # c's own count is 0 while it is scored, for the edges with
+            # both ends at c
+            ci = best = -1
+            for c in top:
+                k = count[c]
+                count[c] = 0
+                x = 4 * c
+                score = (count[mate[x] >> 2] + count[mate[x + 1] >> 2]
+                         + count[mate[x + 2] >> 2] + count[mate[x + 3] >> 2])
+                count[c] = k
+                if score > best or score == best and c < ci:
+                    ci, best = c, score
+            top.discard(ci)
         placed[ci] = True
         count[ci] = 0  # a placed neighbour adds nothing to a tie-break
         order.append(ci)
         base = 4 * ci
         link = mate[base : base + 4]
         new = []
-        for s, x in enumerate(link):
+        for s in range(4):
+            x = link[s]
             cj = x >> 2
             if cj == ci:
                 link[s] = x & 3  # an edge with both ends here never opens
             elif placed[cj]:
-                open_edges -= 1
                 p = pos[x]
-                taken ^= 1 << p
+                heappush(freed, p)
                 link[s] = -1 - p
             else:
                 new.append(s)
-                buckets[count[cj]].discard(cj)
-                count[cj] += 1
-                buckets[count[cj]].add(cj)
+                k = count[cj]
+                if k:
+                    buckets[k - 1].discard(cj)
+                count[cj] = k + 1
+                buckets[k].add(cj)
         for s in new:
-            p = (~taken & taken + 1).bit_length() - 1  # the lowest free position
-            taken |= 1 << p
+            if freed:
+                p = heappop(freed)
+            else:
+                p = used
+                used += 1
             pos[base + s] = p
             link[s] = 4 + p
-            open_edges += 1
         link = tuple(link)
         links.append(distinct.setdefault(link, link))
-        if open_edges > peak:
-            peak = open_edges
-    return order, peak >> 1, links
+    # a position is first taken when every lower one is held, so the most
+    # darts open at once is the number of positions used
+    return order, used >> 1, links
 
 
 def kauffman_bracket_jones(
@@ -200,7 +218,9 @@ def kauffman_bracket_jones(
     if lo % 2 and any(coeffs):
         raise AssertionError("bracket exponent parity violated")
     sign = -1 if w % 2 else 1
-    return LaurentPolynomial({lo // 2 + i: sign * c for i, c in enumerate(coeffs)})
+    # the exponents rise and zeros are left out, as the class stores them
+    lo //= 2
+    return LaurentPolynomial._of_terms({lo + i: sign * c for i, c in enumerate(coeffs) if c})
 
 
 def _bracket_with_loops(links, width, free_loops) -> tuple[int, list[int]]:
@@ -262,8 +282,10 @@ def _bracket_with_loops(links, width, free_loops) -> tuple[int, list[int]]:
     updates = derived = repacks = 0
     for step, link in enumerate(links):
         if step and not step % _REPACK_EVERY:
-            bits, states = _repacked(states, bits, 3 * _REPACK_EVERY)
-            grow = [(-1 - (1 << 2 * bits)) ** k for k in range(3)]
+            wide, states = _repacked(states, bits, 3 * _REPACK_EVERY)
+            if wide != bits:
+                bits = wide
+                grow = [(-1 - (1 << 2 * bits)) ** k for k in range(3)]
             repacks += 1
         plan = plans.get(link)
         if plan is None:
@@ -287,13 +309,19 @@ def _bracket_with_loops(links, width, free_loops) -> tuple[int, list[int]]:
                 old = parts.get(nxt)
                 if old is None:
                     parts[nxt] = plo, pv
-                elif old[0] <= plo:
-                    parts[nxt] = old[0], old[1] + (pv << bits * (plo - old[0] >> 1))
+                    continue
+                olo, ov = old
+                if olo <= plo:
+                    plo, pv = olo, ov + (pv << bits * (plo - olo >> 1))
                 else:
-                    parts[nxt] = plo, pv + (old[1] << bits * (old[0] - plo >> 1))
-        # a state whose terms cancelled adds nothing from here on
-        states = {key: p for key, p in parts.items() if p[1]}
-    assert len(states) == 1 and 0 in states, "scan left open strands"
+                    pv += ov << bits * (olo - plo >> 1)
+                if pv:
+                    parts[nxt] = plo, pv
+                else:  # the terms cancelled: the state adds nothing from here on
+                    del parts[nxt]
+        states = parts
+    if len(states) != 1 or 0 not in states:  # raised, so python -O keeps the check
+        raise AssertionError("scan left open strands")
     bits, states = _repacked(states, bits, free_loops)
     repacks += 1
     lo, v = states[0]
@@ -317,7 +345,13 @@ def _transitions(g, link, masks, f) -> tuple[tuple[int, int, int, int], ...]:
     A^-2 included, and ``loops`` closed loops.  ``link`` is the
     crossing's (see _scan_order) and ``masks[p]`` position p's field;
     every glued position and every open end the smoothing joins is
-    cleared, and each end is set to its new partner."""
+    cleared, and each end is set to its new partner.
+
+    The scan derives this once per link and glued pattern.  What the
+    link alone fixes (the new darts' positions and fields, the slots an
+    edge of the crossing joins) is read off the link again on each
+    derivation: a link meets about three patterns, and keeping those
+    facts per link cost as much as it saved."""
     field = (1 << f) - 1
     drop = 0
     ends, pattern = [], []
@@ -361,38 +395,47 @@ def _repacked(states, bits, growth):
     A scan repacks after crossings m, 2m, ... (m = ``_REPACK_EVERY``) and
     once before its free loops; the start state is never repacked, its
     width coming from the same rule (_digit_bits).  A repack that keeps
-    the width only trims: the trimmed values are already in its digits."""
+    the width only trims: the trimmed values are already in its digits.
+
+    Most repacks hold two to five states, so the fixed cost is kept to
+    one int, a 1 in each digit of the longest value, whose shifts are
+    the masks of every byte width tried; per state there is one trim
+    and one mask test, and one byte-lane copy per kept byte when the
+    width changes.  Shorter values read as that many digits too, their
+    top digits 0."""
     w = bits >> 3
-    memo: dict[tuple[int, int, int], int] = {}
-
-    def each(x, w, n):  # _each, each mask built once per repack
-        m = memo.get((x, w, n))
-        if m is None:
-            m = memo[x, w, n] = _each(x, w, n)
-        return m
-
-    # the fewest bytes q that hold every digit c as c + 2^(8q-1): then each
-    # digit's bytes above q are zero, one mask test per state
-    q = 1
-    trimmed, sizes = {}, []
+    trimmed = {}
+    size = 1  # bits of the longest value
     for key, (lo, v) in states.items():
         z = ((v & -v).bit_length() - 1) // bits  # the low digits that are 0
         v >>= z * bits
         trimmed[key] = lo + 2 * z, v
-        n = abs(v).bit_length() // bits + 1
-        sizes.append(n)
-        while v + each(1 << 8 * q - 1, w, n) & each((1 << bits) - (1 << 8 * q), w, n):
+        b = abs(v).bit_length()
+        if b > size:
+            size = b
+    # every value read as n digits, the longest one's top digit not small;
+    # the digit masks below are shifts of ``one``, a 1 in each digit
+    n = size // bits + 1
+    one = _each(1, w, n)
+    # the fewest bytes q that hold every digit c as c + 2^(8q-1): then each
+    # digit's bytes above q are zero, one mask test per state
+    q = 1
+    half, high = one << 7, (one << bits) - (one << 8)
+    for _, v in trimmed.values():
+        while v + half & high:
             q += 1
+            half, high = one << 8 * q - 1, (one << bits) - (one << 8 * q)
     wide = _digit_bits(q, len(states), growth)
     if wide == bits:
         return bits, trimmed
     w2, out = wide >> 3, {}
-    for (key, (lo, v)), n in zip(trimmed.items(), sizes):
-        raw = (v + each(1 << 8 * q - 1, w, n)).to_bytes(w * n, "little")
+    half2 = _each(1 << 8 * q - 1, w2, n)
+    for key, (lo, v) in trimmed.items():
+        raw = (v + half).to_bytes(w * n, "little")
         moved = bytearray(w2 * n)
         for j in range(q):  # byte j of every digit
             moved[j::w2] = raw[j::w]
-        out[key] = lo, int.from_bytes(moved, "little") - each(1 << 8 * q - 1, w2, n)
+        out[key] = lo, int.from_bytes(moved, "little") - half2
     return wide, out
 
 
@@ -402,7 +445,12 @@ def _digits(v: int, bits: int) -> list[int]:
     w, half = bits >> 3, 1 << bits - 1
     n = abs(v).bit_length() // bits + 1  # the top digit is not small
     raw = (v + _each(half, w, n)).to_bytes(w * n, "little")
-    return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * n, w)]
+    # each digit's top byte less 128 is its signed top; the lower bytes
+    # follow, one pass over all the digits per byte
+    digits = [b - 128 for b in raw[w - 1 :: w]]
+    for j in range(w - 2, -1, -1):
+        digits = [d << 8 | b for d, b in zip(digits, raw[j::w])]
+    return digits
 
 
 def _each(x: int, w: int, n: int) -> int:

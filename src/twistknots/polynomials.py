@@ -41,6 +41,16 @@ class LaurentPolynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _of_terms(cls, coeffs: dict[int, int]) -> "LaurentPolynomial":
+        """The polynomial that stores ``coeffs`` as it is: for a caller
+        whose exponents are ints in increasing order and whose
+        coefficients are nonzero ints, so nothing is left to check, sum
+        or sort."""
+        p = cls.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
+    @classmethod
     def one(cls) -> "LaurentPolynomial":
         return cls({0: 1})
 

@@ -24,7 +24,8 @@ KEPT_ROWS = {
     "families.untwist_schedule": ["chain_4 n=13", "chain_4 n=52", "torus_q3 n=13", "torus_q3 n=40"],
     "diagram.change_crossings": ["chain_4 n=13, untwist sites"],
     "moves.greedy_simplify": [f"chain_4 n={n}, untwist sites changed" for n in (10, 50, 100)],
-    "invariants._scan_order": ["wind3_wrap9 n=10", "wind3_wrap9 n=30"],
+    "invariants._scan_order": ["wind3_wrap9 n=10", "wind3_wrap9 n=30", "whitehead n=30",
+                               "torus_q3 n=12"],
     "invariants.signature": ["chain_4 n=13", "chain_4 n=26", "chain_4 n=52", "chain_4 n=200",
                              "torus_q3 n=13", "torus_q3 n=40", "whitehead n=30", "torus_q2 n=13",
                              "largewrap_w0_p4 n=50", "3 x chain_4 n=13, split",
@@ -74,6 +75,9 @@ def test_every_row_runs_once_with_its_drivers(bench_rows):
     for row in bench_rows:
         assert row["repeats"] == 1
         assert None not in row.values(), row
+    # only the wide scans take the untimed traced call for their heap peak
+    heap = {(row["layer"], row["input"]) for row in bench_rows if "peak_kib" in row}
+    assert heap == {("invariants.kauffman_bracket_jones", f"wind3_wrap9 n={n}") for n in (1, 10, 30)}
 
 
 def test_parse_rows_read_back_the_member():

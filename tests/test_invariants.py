@@ -1,8 +1,12 @@
 import itertools
 import json
 import logging
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -412,31 +416,39 @@ class TestScanOracle:
         assert _scan_bracket(d) == bracket_with_loops_dict(d)
 
     @pytest.mark.parametrize(
-        "build, width, updates",
+        "build, counters",
         [
-            (lambda: twist(load_corpus()["wind3_wrap9"], 1), 7, 1980),
-            (lambda: braid_closure(full_twist_braid(8, 1)), 8, 17286),
+            (lambda: twist(load_corpus()["wind3_wrap9"], 1), (7, 1980, 311, 10)),
+            (lambda: braid_closure(full_twist_braid(8, 1)), (8, 17286, 743, 7)),
             # the same full twist as (s1...s7)^8 still scans with 3x the updates
-            (lambda: braid_closure(torus_braid(8, 8)), 8, 51752),
+            (lambda: braid_closure(torus_braid(8, 8)), (8, 51752, 1022, 7)),
             # twisting one way or the other scans differently
-            (lambda: twist(load_corpus()["largewrap_w0_p4"], 7), 3, 654),
-            (lambda: twist(load_corpus()["largewrap_w0_p4"], -7), 3, 668),
-            (lambda: twist(load_corpus()["mazur"], 10), 3, 596),
-            (lambda: twist(load_corpus()["mazur"], -10), 3, 594),
+            (lambda: twist(load_corpus()["largewrap_w0_p4"], 7), (3, 654, 70, 11)),
+            (lambda: twist(load_corpus()["largewrap_w0_p4"], -7), (3, 668, 63, 11)),
+            (lambda: twist(load_corpus()["mazur"], 10), (3, 596, 46, 8)),
+            (lambda: twist(load_corpus()["mazur"], -10), (3, 594, 42, 8)),
+            # narrow scans, where planning and derivation weigh most
+            (lambda: twist(load_corpus()["whitehead"], 30), (2, 246, 11, 8)),
+            (lambda: twist(load_corpus()["torus_q3"], 12), (3, 772, 48, 10)),
+            (lambda: twist(load_corpus()["whitehead"], 1), (2, 14, 7, 1)),
+            (lambda: twist(load_corpus()["torus_q3"], 0), (3, 58, 26, 1)),
         ],
         ids=[
             "wind3_wrap9 n=1", "full twist on 8 strands", "(s1...s7)^8",
             "largewrap_w0_p4 n=7", "largewrap_w0_p4 n=-7", "mazur n=10", "mazur n=-10",
+            "whitehead n=30", "torus_q3 n=12", "whitehead n=1", "torus_q3 n=0",
         ],
     )
-    def test_state_updates_pinned(self, caplog, build, width, updates):
+    def test_state_updates_pinned(self, caplog, build, counters):
         # equal matchings must share one key: a key keeping stale bits of
-        # a freed position would split them and scan more states
+        # a freed position would split them and scan more states.  The
+        # whole tuple is (width, state updates, transitions derived,
+        # repacks): the scan's work, whatever its bookkeeping costs
         d = build()
         with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
             kauffman_bracket_jones(d)
         (record,) = caplog.records
-        assert record.args[1:3] == (width, updates)
+        assert record.args[1:5] == counters
 
     def test_logs_one_record_per_scan(self, caplog):
         d = twist(load_corpus()["wind3_wrap9"], 1)
@@ -453,6 +465,34 @@ class TestScanOracle:
         # the start state
         assert (derived, repacks) == (311, 10)
         assert seconds >= 0
+
+
+    def test_a_plan_cut_short_raises_under_python_O(self):
+        # the end-of-scan check is a raise, not an assert that python -O
+        # strips: a plan that misses its last steps leaves strands open
+        # and raises AssertionError, not a KeyError from the missing state
+        code = (
+            "from twistknots import invariants\n"
+            "from twistknots.corpus import load_corpus\n"
+            "from twistknots.diagram import _mates\n"
+            "from twistknots.families import twist\n"
+            "print(__debug__)\n"
+            "d = twist(load_corpus()['whitehead'], 2)\n"
+            "_, width, links = invariants._scan_order(_mates(d._tail, d._head))\n"
+            "for cut in (1, 2, 3):\n"
+            "    try:\n"
+            "        invariants._bracket_with_loops(links[:-cut], width, d.free_loops)\n"
+            "    except AssertionError as exc:\n"
+            "        print(cut, exc)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "False", "1 scan left open strands", "2 scan left open strands",
+            "3 scan left open strands"]
 
 
 class TestPackedDigits:
