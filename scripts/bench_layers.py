@@ -13,6 +13,9 @@ reader in ``DRIVERS`` takes from the last call's output or from the
 DEBUG records (``twistknots.invariants``) that call logged.  The move
 layer's reader adds timings of its own (see ``move_drivers``), and the
 rows in ``HEAP_ROWS`` add the peak heap of one more call (``peak_kib``).
+A Jones row also reports the entries of the transition table that every
+scan shares after the row, and a row labelled "cold table" clears that
+table before each call (see ``cold``).
 The rows go into the ``--out`` JSON file under ``--label`` and other
 labels are kept, so one file holds the numbers of a change before and
 after.
@@ -96,11 +99,23 @@ def signature_drivers(d, _, log, secs):
             **({"records_per_call": len(log)} if split else {})}
 
 
+def cold(call):
+    """``call`` right after the transition table that every scan shares is
+    cleared, so the call derives each transition its scan meets; the
+    clear, timed with it, frees the entries of the call before."""
+    def run(arg):
+        invariants._TRANSITIONS.clear()
+        return call(arg)
+    return run
+
+
 def jones_drivers(d, _, log, secs):
-    """The scan's width, state updates, transitions derived and repacks."""
+    """The scan's width, state updates, transitions met and repacks, and the
+    entries of the shared transition table after the row."""
     _, width, updates, derived, repacks, _ = log[-1].args
+    table = sum(len(by_g) for _, by_g in invariants._TRANSITIONS.values())
     return {"crossings": d.n_crossings, "width": width, "state_updates": updates,
-            "transitions": derived, "repacks": repacks}
+            "transitions": derived, "repacks": repacks, "table_entries": table}
 
 
 def peak_kib(call, arg):
@@ -160,6 +175,9 @@ def rows():
 
     def member(name, n):
         return f"{name} n={n}", twist(fam[name], n)
+
+    def cold_member(name, n):
+        return f"{name} n={n}, cold table", twist(fam[name], n)
 
     def untwisted(name, n):
         d = twist(fam[name], n).change_crossings(untwist_schedule(fam[name], n))
@@ -224,6 +242,10 @@ def rows():
         ("invariants.kauffman_bracket_jones", *member("whitehead", 30), jones, J),
         ("invariants.kauffman_bracket_jones", *member("largewrap_w0_p4", 7), jones, J),
         ("invariants.kauffman_bracket_jones", *member("torus_q3", 12), jones, J),
+        # the same scans deriving every transition they meet
+        ("invariants.kauffman_bracket_jones", *cold_member("wind3_wrap9", 1), cold(jones), J),
+        ("invariants.kauffman_bracket_jones", *cold_member("whitehead", 30), cold(jones), J),
+        ("invariants.kauffman_bracket_jones", *cold_member("torus_q3", 12), cold(jones), J),
         # one full twist on 8 strands in two braid words: (s1...s7)^8, and
         # Delta^2, which scans with a third of the state updates
         ("invariants.kauffman_bracket_jones", "full twist on 8 strands",

@@ -30,10 +30,15 @@ those fields, each smoothing's bits to clear and to set, power of A and
 loops closed, from a table of how a smoothing joins the four slots
 shared by all scans; a child is then two bit operations on its parent's
 key, and its value one multiplication when the smoothing closes a loop.
-So the work is split by what it depends on: once per crossing, the
-planning pass places it and builds its link; once per distinct link,
-the mask of its glued fields; once per link and glued pattern, the
-transitions; once per state, its two children, a state being dropped
+Those transitions depend on the field width, the link and the pattern
+alone, and the members of a twist family repeat one twist block, so
+they meet the same ones for every n: one table shared by every scan
+keeps them, and each is derived once per process.  So the work is split
+by what it depends on: once per crossing, the planning pass places it
+and builds its link; once per process, field width and link, the mask
+of its glued fields, and once per process, field width, link and glued
+pattern, the transitions; once per scan, link and pattern met, a lookup
+in that table; once per state, its two children, a state being dropped
 as soon as its terms cancel.  A repack costs one mask per byte width
 tried and one test per state, and the result's coefficients are read
 off the packed value a byte lane at a time and stored as they come,
@@ -84,6 +89,13 @@ _SMOOTH = ((1, (1, 0, 3, 2)), (-1, (3, 2, 1, 0)))
 # ends pair up, so the patterns are the partial matchings of four slots:
 # at most ten, shared by every scan
 _WALKS: dict[tuple[int, ...], tuple[tuple[int, tuple, int], ...]] = {}
+
+# per (bits per field, link): the mask of the link's glued fields and the
+# transitions by glued pattern (see _transitions).  A key holds only a
+# crossing's local pattern, never a diagram, so this is a memo of a pure
+# function shared by every scan, as _WALKS is: the members of a twist
+# family repeat one twist block and meet the same keys for every n
+_TRANSITIONS: dict[tuple[int, tuple[int, ...]], tuple[int, dict[int, tuple[int, ...]]]] = {}
 
 
 class LimitExceeded(DiagramError):
@@ -241,9 +253,13 @@ def _bracket_with_loops(links, width, free_loops) -> tuple[int, list[int]]:
     (``gmask``), so the scan works out, once per value of
     ``key & gmask``, each smoothing's mask of kept bits, bits to set,
     power of A and loops closed (see _transitions), and a child is
-    ``key & keep | put``.  Those depend on nothing else but the link, so
-    ``gmask`` and the table of transitions are derived once per distinct
-    link and shared by its steps.
+    ``key & keep | put``.  Those depend on nothing else but ``f`` and
+    the link, so ``gmask`` and the transitions by glued pattern are kept
+    in ``_TRANSITIONS``, shared by every scan: each (f, link, pattern) is
+    derived at most once per process.  The scan keeps its own record of
+    the (link, pattern) pairs it met, and its DEBUG record's
+    "transitions derived" counts those, whether derived or found in the
+    table, so the count does not depend on what ran before.
 
     A state's value ``(lo, v)`` packs the coefficient of A^(lo+2i) into
     digit i of ``v`` in base B = 2^bits, digits balanced (signed), so a
@@ -277,8 +293,9 @@ def _bracket_with_loops(links, width, free_loops) -> tuple[int, list[int]]:
     # the k <= 2 loops a smoothing closes
     grow = [(-1 - (1 << 2 * bits)) ** k for k in range(3)]
     states: dict[int, tuple[int, int]] = {0: (0, 1)}
-    # per distinct link: gmask and the transitions by glued pattern
-    plans: dict[tuple, tuple[int, dict[int, tuple]]] = {}
+    # per link this scan met: its entry of _TRANSITIONS and, by glued
+    # pattern met, the transitions, so the count derived is the scan's own
+    plans: dict[tuple, tuple[int, dict[int, tuple], dict[int, tuple]]] = {}
     updates = derived = repacks = 0
     for step, link in enumerate(links):
         if step and not step % _REPACK_EVERY:
@@ -289,36 +306,54 @@ def _bracket_with_loops(links, width, free_loops) -> tuple[int, list[int]]:
             repacks += 1
         plan = plans.get(link)
         if plan is None:
-            gmask = 0
-            for x in link:
-                if x < 0:
-                    gmask |= masks[-1 - x]
-            plan = plans[link] = gmask, {}
-        gmask, moves_of = plan
+            entry = _TRANSITIONS.get((f, link))
+            if entry is None:
+                gmask = 0
+                for x in link:
+                    if x < 0:
+                        gmask |= masks[-1 - x]
+                entry = _TRANSITIONS[f, link] = gmask, {}
+            plan = plans[link] = *entry, {}
+        gmask, known, met = plan
         updates += 2 * len(states)
         parts: dict[int, tuple[int, int]] = {}
         for key, (lo, v) in states.items():
             g = key & gmask
-            moves = moves_of.get(g)
+            moves = met.get(g)
             if moves is None:
-                moves = moves_of[g] = _transitions(g, link, masks, f)
+                moves = known.get(g)
+                if moves is None:
+                    moves = known[g] = _transitions(g, link, masks, f)
+                met[g] = moves
                 derived += 1
-            for keep, put, shift, loops in moves:
-                nxt = key & keep | put
-                plo, pv = lo + shift, v * grow[loops] if loops else v
-                old = parts.get(nxt)
-                if old is None:
-                    parts[nxt] = plo, pv
-                    continue
+            # the A- then the B-smoothing's child, written out: a loop over
+            # the two would build a tuple per child on the hottest path
+            keep, put_a, shift_a, loops_a, put_b, shift_b, loops_b = moves
+            key &= keep
+            nxt, plo, pv = key | put_a, lo + shift_a, v * grow[loops_a] if loops_a else v
+            old = parts.get(nxt)
+            if old is not None:
                 olo, ov = old
                 if olo <= plo:
                     plo, pv = olo, ov + (pv << bits * (plo - olo >> 1))
                 else:
                     pv += ov << bits * (olo - plo >> 1)
-                if pv:
-                    parts[nxt] = plo, pv
-                else:  # the terms cancelled: the state adds nothing from here on
-                    del parts[nxt]
+            if pv:
+                parts[nxt] = plo, pv
+            else:  # the terms cancelled: the state adds nothing from here on
+                del parts[nxt]
+            nxt, plo, pv = key | put_b, lo + shift_b, v * grow[loops_b] if loops_b else v
+            old = parts.get(nxt)
+            if old is not None:
+                olo, ov = old
+                if olo <= plo:
+                    plo, pv = olo, ov + (pv << bits * (plo - olo >> 1))
+                else:
+                    pv += ov << bits * (olo - plo >> 1)
+            if pv:
+                parts[nxt] = plo, pv
+            else:
+                del parts[nxt]
         states = parts
     if len(states) != 1 or 0 not in states:  # raised, so python -O keeps the check
         raise AssertionError("scan left open strands")
@@ -338,20 +373,23 @@ def _bracket_with_loops(links, width, free_loops) -> tuple[int, list[int]]:
     return lo, coeffs
 
 
-def _transitions(g, link, masks, f) -> tuple[tuple[int, int, int, int], ...]:
-    """Per smoothing of a crossing, ``(keep, put, shift, loops)`` for the
-    states whose fields at the glued positions read ``g``: a child key
-    is ``key & keep | put``, its value gains A^shift, each closed loop's
-    A^-2 included, and ``loops`` closed loops.  ``link`` is the
-    crossing's (see _scan_order) and ``masks[p]`` position p's field;
-    every glued position and every open end the smoothing joins is
-    cleared, and each end is set to its new partner.
+def _transitions(g, link, masks, f) -> tuple[int, ...]:
+    """``(keep, put, shift, loops, put, shift, loops)``, the A- then the
+    B-smoothing of a crossing, for the states whose fields at the glued
+    positions read ``g``: a child key is ``key & keep | put``, its value
+    gains A^shift, each closed loop's A^-2 included, and ``loops`` closed
+    loops.  ``keep`` is the same for both smoothings, so one flat tuple
+    holds them.  ``link`` is the crossing's (see _scan_order) and
+    ``masks[p]`` position p's field; every glued position and every open
+    end the smoothing joins is cleared, and each end is set to its new
+    partner.
 
-    The scan derives this once per link and glued pattern.  What the
-    link alone fixes (the new darts' positions and fields, the slots an
-    edge of the crossing joins) is read off the link again on each
-    derivation: a link meets about three patterns, and keeping those
-    facts per link cost as much as it saved."""
+    Each (f, link, g) is derived at most once per process and kept in
+    ``_TRANSITIONS`` (see _bracket_with_loops).  What the link alone
+    fixes (the new darts' positions and fields, the slots an edge of the
+    crossing joins) is read off the link again on each derivation: a
+    link meets about three patterns, and keeping those facts per link
+    cost as much as it saved."""
     field = (1 << f) - 1
     drop = 0
     ends, pattern = [], []
@@ -369,14 +407,13 @@ def _transitions(g, link, masks, f) -> tuple[tuple[int, int, int, int], ...]:
     walked = _WALKS.get(pattern)
     if walked is None:
         walked = _WALKS[pattern] = tuple((sh, *_walk(pattern, smooth)) for sh, smooth in _SMOOTH)
-    keep = ~drop
-    moves = []
+    moves = [~drop]
     for shift, pairs, loops in walked:
         put = 0
         for s, t in pairs:
             a, b = ends[s] - 4, ends[t] - 4
             put |= b + 1 << f * a | a + 1 << f * b
-        moves.append((keep, put, shift - 2 * loops, loops))
+        moves += put, shift - 2 * loops, loops
     return tuple(moves)
 
 

@@ -33,7 +33,8 @@ KEPT_ROWS = {
     "diagram.structurally_equal": ["3 x chain_4 n=13, split, against a relabelled shuffled copy"],
     "invariants.kauffman_bracket_jones": [
         "wind3_wrap9 n=1", "wind3_wrap9 n=10", "wind3_wrap9 n=30", "whitehead n=30",
-        "largewrap_w0_p4 n=7", "torus_q3 n=12", "full twist on 8 strands",
+        "largewrap_w0_p4 n=7", "torus_q3 n=12", "wind3_wrap9 n=1, cold table",
+        "whitehead n=30, cold table", "torus_q3 n=12, cold table", "full twist on 8 strands",
         "full twist on 8 strands, as Delta^2", "whitehead n=1",
         "torus_q3 n=0", "mazur n=10"],
     "families.coherent_reduction": ["whitehead", "mazur", "largewrap_w0_p4", "wind3_wrap9"],
@@ -85,3 +86,16 @@ def test_parse_rows_read_back_the_member():
     text = serialize(d)
     assert parse_pd(text) == d
     assert parse_pd(text.replace("X+", "X").replace("X-", "X")) == d
+
+
+def test_cold_table_rows_scan_as_the_warm_ones(bench_rows):
+    # a scan's counters do not depend on what the shared transition table
+    # held before it, and a call right after the table is cleared leaves
+    # in it exactly the (link, pattern) pairs it met
+    jones = {row["input"]: row for row in bench_rows
+             if row["layer"] == "invariants.kauffman_bracket_jones"}
+    drivers = ("crossings", "width", "state_updates", "transitions", "repacks")
+    for label in ("wind3_wrap9 n=1", "whitehead n=30", "torus_q3 n=12"):
+        cold, warm = jones[f"{label}, cold table"], jones[label]
+        assert [cold[k] for k in drivers] == [warm[k] for k in drivers]
+        assert cold["table_entries"] == cold["transitions"]

@@ -31,6 +31,7 @@ from .oracles import (
     checkerboard_bruteforce,
     goeritz_signature_bruteforce,
     jones_bruteforce,
+    lee_s_bruteforce,
     piece_roots,
     scan_order_max,
     state_updates_dict,
@@ -240,6 +241,19 @@ class TestSignature:
         assert len(whites) == 2 + len(members) and whites[-1] == 3 + 2
 
 
+class TestLeeOracle:
+    """The Rasmussen invariant s from the whole Lee complex, on knots small
+    enough for it (2^crossings states): the values a scanning s must
+    reproduce."""
+
+    def test_pinned_values(self, trefoil_right, trefoil_left, figure_eight):
+        knots = [trefoil_right, trefoil_left, figure_eight, twist(load_corpus()["whitehead"], 0)]
+        assert [lee_s_bruteforce(d) for d in knots] == [2, -2, 0, 0]
+        # each is alternating, where s = -signature (Rasmussen,
+        # arXiv:math/0402131)
+        assert [-signature(d) for d in knots] == [2, -2, 0, 0]
+
+
 class TestUnlinkJones:
     """Jones values compared with the unlink's."""
 
@@ -274,6 +288,26 @@ class TestWidthBudget:
         with pytest.raises(LimitExceeded, match="width 10 .*budget 8"):
             kauffman_bracket_jones(d)
         assert time.perf_counter() - start < 0.1
+
+
+# (id, build, (width, state updates, transitions derived, repacks)) of
+# one Jones scan each
+PINNED_SCANS = [
+    ("wind3_wrap9 n=1", lambda: twist(load_corpus()["wind3_wrap9"], 1), (7, 1980, 311, 10)),
+    ("full twist on 8 strands", lambda: braid_closure(full_twist_braid(8, 1)), (8, 17286, 743, 7)),
+    # the same full twist as (s1...s7)^8 still scans with 3x the updates
+    ("(s1...s7)^8", lambda: braid_closure(torus_braid(8, 8)), (8, 51752, 1022, 7)),
+    # twisting one way or the other scans differently
+    ("largewrap_w0_p4 n=7", lambda: twist(load_corpus()["largewrap_w0_p4"], 7), (3, 654, 70, 11)),
+    ("largewrap_w0_p4 n=-7", lambda: twist(load_corpus()["largewrap_w0_p4"], -7), (3, 668, 63, 11)),
+    ("mazur n=10", lambda: twist(load_corpus()["mazur"], 10), (3, 596, 46, 8)),
+    ("mazur n=-10", lambda: twist(load_corpus()["mazur"], -10), (3, 594, 42, 8)),
+    # narrow scans, where planning and derivation weigh most
+    ("whitehead n=30", lambda: twist(load_corpus()["whitehead"], 30), (2, 246, 11, 8)),
+    ("torus_q3 n=12", lambda: twist(load_corpus()["torus_q3"], 12), (3, 772, 48, 10)),
+    ("whitehead n=1", lambda: twist(load_corpus()["whitehead"], 1), (2, 14, 7, 1)),
+    ("torus_q3 n=0", lambda: twist(load_corpus()["torus_q3"], 0), (3, 58, 26, 1)),
+]
 
 
 def _corpus_members(max_crossings=40):
@@ -415,30 +449,8 @@ class TestScanOracle:
         assert (d.n_crossings, _order(d)[1]) == (78, 7)
         assert _scan_bracket(d) == bracket_with_loops_dict(d)
 
-    @pytest.mark.parametrize(
-        "build, counters",
-        [
-            (lambda: twist(load_corpus()["wind3_wrap9"], 1), (7, 1980, 311, 10)),
-            (lambda: braid_closure(full_twist_braid(8, 1)), (8, 17286, 743, 7)),
-            # the same full twist as (s1...s7)^8 still scans with 3x the updates
-            (lambda: braid_closure(torus_braid(8, 8)), (8, 51752, 1022, 7)),
-            # twisting one way or the other scans differently
-            (lambda: twist(load_corpus()["largewrap_w0_p4"], 7), (3, 654, 70, 11)),
-            (lambda: twist(load_corpus()["largewrap_w0_p4"], -7), (3, 668, 63, 11)),
-            (lambda: twist(load_corpus()["mazur"], 10), (3, 596, 46, 8)),
-            (lambda: twist(load_corpus()["mazur"], -10), (3, 594, 42, 8)),
-            # narrow scans, where planning and derivation weigh most
-            (lambda: twist(load_corpus()["whitehead"], 30), (2, 246, 11, 8)),
-            (lambda: twist(load_corpus()["torus_q3"], 12), (3, 772, 48, 10)),
-            (lambda: twist(load_corpus()["whitehead"], 1), (2, 14, 7, 1)),
-            (lambda: twist(load_corpus()["torus_q3"], 0), (3, 58, 26, 1)),
-        ],
-        ids=[
-            "wind3_wrap9 n=1", "full twist on 8 strands", "(s1...s7)^8",
-            "largewrap_w0_p4 n=7", "largewrap_w0_p4 n=-7", "mazur n=10", "mazur n=-10",
-            "whitehead n=30", "torus_q3 n=12", "whitehead n=1", "torus_q3 n=0",
-        ],
-    )
+    @pytest.mark.parametrize("build, counters", [pin[1:] for pin in PINNED_SCANS],
+                             ids=[pin[0] for pin in PINNED_SCANS])
     def test_state_updates_pinned(self, caplog, build, counters):
         # equal matchings must share one key: a key keeping stale bits of
         # a freed position would split them and scan more states.  The
@@ -460,11 +472,59 @@ class TestScanOracle:
         crossings, peak, updates, derived, repacks, seconds = record.args
         # only states whose terms cancel are dropped, so the count is fixed
         assert (crossings, peak, updates) == (78, 7, 1980)
-        # one derivation per link and glued pattern met; a repack after
-        # crossings 8, 16, ..., 72 and one before the free loops, none on
-        # the start state
+        # one per (link, glued pattern) the scan met, whether derived or
+        # found in the table that every scan shares (each is derived once
+        # per process); a repack after crossings 8, 16, ..., 72 and one
+        # before the free loops, none on the start state
         assert (derived, repacks) == (311, 10)
         assert seconds >= 0
+
+    def test_shared_transitions_leave_every_scan_as_it_was(self, caplog):
+        # each pinned scan gives the same value and the same whole counter
+        # tuple right after the table is cleared, after every other pinned
+        # scan has filled it, and once more with its own entries there too
+        diagrams = [build() for _, build, _ in PINNED_SCANS]
+
+        def scanned(d):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
+                value = kauffman_bracket_jones(d)
+            (record,) = caplog.records
+            return value, record.args[1:5]
+
+        cold = []
+        for d in diagrams:
+            invariants._TRANSITIONS.clear()
+            cold.append(scanned(d))
+        assert [counters for _, counters in cold] == [pin[2] for pin in PINNED_SCANS]
+        for i, d in enumerate(diagrams):
+            invariants._TRANSITIONS.clear()
+            for other in diagrams[:i] + diagrams[i + 1 :]:
+                kauffman_bracket_jones(other)
+            assert scanned(d) == cold[i]
+        assert [scanned(d) for d in diagrams] == cold
+
+    def test_shared_transitions_are_fresh_derivations(self):
+        # a key holds a field width and a link, nothing of a diagram: the
+        # corpus meets every key by |n| = 3, so a sweep further adds none,
+        # and each entry is what _transitions derives for its key
+        invariants._TRANSITIONS.clear()
+        fams = load_corpus().values()
+        for n in range(-5, 6):
+            for f in fams:
+                kauffman_bracket_jones(twist(f, n))
+        size = {key: len(by_g) for key, (_, by_g) in invariants._TRANSITIONS.items()}
+        for n in (-8, -7, -6, 6, 7, 8):
+            for f in fams:
+                kauffman_bracket_jones(twist(f, n))
+        assert {key: len(by_g) for key, (_, by_g) in invariants._TRANSITIONS.items()} == size
+        for (f, link), (gmask, by_g) in invariants._TRANSITIONS.items():
+            assert type(f) is int and len(link) == 4 and all(type(x) is int for x in link)
+            # a field can name any position below 2^f - 1
+            masks = [((1 << f) - 1) << f * p for p in range((1 << f) - 1)]
+            assert gmask == sum(masks[-1 - x] for x in link if x < 0)
+            for g, moves in by_g.items():
+                assert moves == invariants._transitions(g, link, masks, f)
 
 
     def test_a_plan_cut_short_raises_under_python_O(self):
