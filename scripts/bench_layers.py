@@ -47,7 +47,8 @@ JONES_REPEATS = 11
 SHORT_JONES_REPEATS = 101
 # a move enumeration takes milliseconds, so its median takes more calls
 MOVE_REPEATS = 51
-# so does a parse, a twist, an untwist schedule or a crossing change
+# so does a parse, a twist, an untwist schedule, a crossing change or the
+# simplification of a sweep witness
 TWIST_REPEATS = 21
 # and a signature, or a structural comparison of a split diagram
 SPLIT_REPEATS = 21
@@ -168,7 +169,7 @@ DRIVERS = {
 
 
 def rows():
-    fam = {**load_corpus(), "chain_4": chain_family(4)}
+    fam = {**load_corpus(), "chain_3": chain_family(3), "chain_4": chain_family(4)}
 
     def twist_args(name, n):
         return f"{name} n={n}", (fam[name], n)
@@ -215,6 +216,9 @@ def rows():
         ("moves.greedy_simplify", *untwisted("chain_4", 10), greedy, R),
         ("moves.greedy_simplify", *untwisted("chain_4", 50), greedy, R),
         ("moves.greedy_simplify", *untwisted("chain_4", 100), greedy, R),
+        # the largest bounds_sweep witnesses of the other families
+        ("moves.greedy_simplify", *untwisted("torus_q3", 13), greedy, T),
+        ("moves.greedy_simplify", *untwisted("chain_3", 13), greedy, T),
         ("invariants._scan_order", *member("wind3_wrap9", 10), scan_order, R),
         ("invariants._scan_order", *member("wind3_wrap9", 30), scan_order, R),
         # narrow members, where planning is a fifth to a third of a Jones call
@@ -230,6 +234,7 @@ def rows():
         ("invariants.signature", *member("whitehead", 30), sig, S),
         ("invariants.signature", *member("torus_q2", 13), sig, S),
         ("invariants.signature", *member("largewrap_w0_p4", 50), sig, S),
+        ("invariants.signature", *member("chain_3", 13), sig, S),
         # split diagrams: three copies side by side (486 crossings), and 3 pieces
         ("invariants.signature", "3 x chain_4 n=13, split", union, sig, S),
         ("invariants.signature", "wind3_wrap9 n=0, split", twist(fam["wind3_wrap9"], 0), sig, S),

@@ -23,12 +23,14 @@ KEPT_ROWS = {
                        "whitehead n=30", "wind3_wrap9 n=10"],
     "families.untwist_schedule": ["chain_4 n=13", "chain_4 n=52", "torus_q3 n=13", "torus_q3 n=40"],
     "diagram.change_crossings": ["chain_4 n=13, untwist sites"],
-    "moves.greedy_simplify": [f"chain_4 n={n}, untwist sites changed" for n in (10, 50, 100)],
+    "moves.greedy_simplify": [*(f"chain_4 n={n}, untwist sites changed" for n in (10, 50, 100)),
+                              "torus_q3 n=13, untwist sites changed",
+                              "chain_3 n=13, untwist sites changed"],
     "invariants._scan_order": ["wind3_wrap9 n=10", "wind3_wrap9 n=30", "whitehead n=30",
                                "torus_q3 n=12"],
     "invariants.signature": ["chain_4 n=13", "chain_4 n=26", "chain_4 n=52", "chain_4 n=200",
                              "torus_q3 n=13", "torus_q3 n=40", "whitehead n=30", "torus_q2 n=13",
-                             "largewrap_w0_p4 n=50", "3 x chain_4 n=13, split",
+                             "largewrap_w0_p4 n=50", "chain_3 n=13", "3 x chain_4 n=13, split",
                              "wind3_wrap9 n=0, split"],
     "diagram.structurally_equal": ["3 x chain_4 n=13, split, against a relabelled shuffled copy"],
     "invariants.kauffman_bracket_jones": [

@@ -121,6 +121,61 @@ class TestJones:
                 assert kauffman_bracket_jones(move.result) == j, move.kind
 
 
+def _three_copies(d):
+    return d.disjoint_union(d).disjoint_union(d)
+
+
+# (id, build, (crossings, white faces, pivots, congruence steps, peak row
+# nonzeros)) of one signature call each: every signature input of
+# scripts/bench_layers.py
+PINNED_SIGNATURES = [
+    ("chain_4 n=13", lambda: twist(chain_family(4), 13), (162, 56, 55, 0, 28)),
+    ("chain_4 n=26", lambda: twist(chain_family(4), 26), (318, 108, 107, 0, 54)),
+    ("chain_4 n=52", lambda: twist(chain_family(4), 52), (630, 212, 211, 0, 106)),
+    ("chain_4 n=200", lambda: twist(chain_family(4), 200), (2406, 804, 803, 0, 402)),
+    ("torus_q3 n=13", lambda: twist(load_corpus()["torus_q3"], 13), (86, 31, 30, 0, 3)),
+    ("torus_q3 n=40", lambda: twist(load_corpus()["torus_q3"], 40), (248, 85, 84, 0, 3)),
+    ("whitehead n=30", lambda: twist(load_corpus()["whitehead"], 30), (62, 3, 2, 0, 2)),
+    ("torus_q2 n=13", lambda: twist(load_corpus()["torus_q2"], 13), (29, 2, 1, 0, 1)),
+    ("largewrap_w0_p4 n=50", lambda: twist(load_corpus()["largewrap_w0_p4"], 50),
+     (602, 203, 202, 0, 102)),
+    ("chain_3 n=13", lambda: twist(chain_family(3), 13), (82, 29, 27, 0, 3)),
+    ("3 x chain_4 n=13, split", lambda: _three_copies(twist(chain_family(4), 13)),
+     (486, 168, 165, 0, 28)),
+    ("wind3_wrap9 n=0, split", lambda: twist(load_corpus()["wind3_wrap9"], 0), (6, 3, 0, 0, 0)),
+]
+
+# the same counters of every corpus, chain_3 and chain_4 member, n = -3..3
+PINNED_SIGNATURE_MEMBERS = {
+    "largewrap_w0_p4": [(38, 15, 14, 0, 8), (26, 11, 10, 0, 6), (14, 7, 6, 0, 4), (2, 1, 0, 0, 0),
+                        (14, 7, 6, 0, 4), (26, 11, 10, 0, 6), (38, 15, 14, 0, 8)],
+    "mazur": [(21, 8, 7, 0, 3), (15, 6, 5, 0, 3), (9, 4, 3, 0, 2), (3, 2, 1, 0, 1),
+              (9, 4, 3, 0, 3), (15, 6, 5, 0, 3), (21, 8, 7, 0, 3)],
+    "torus_q2": [(9, 2, 1, 0, 1), (7, 2, 1, 0, 1), (5, 2, 1, 0, 1), (3, 2, 1, 0, 1),
+                 (5, 2, 1, 0, 1), (7, 2, 1, 0, 1), (9, 2, 1, 0, 1)],
+    "torus_q3": [(26, 11, 10, 0, 3), (20, 9, 8, 0, 3), (14, 7, 6, 0, 3), (8, 5, 4, 0, 3),
+                 (14, 7, 6, 0, 3), (20, 9, 8, 0, 3), (26, 11, 10, 0, 3)],
+    "whitehead": [(8, 3, 2, 0, 2), (6, 3, 2, 0, 2), (4, 3, 2, 0, 2), (2, 1, 0, 0, 0),
+                  (4, 3, 2, 0, 2), (6, 3, 2, 0, 2), (8, 3, 2, 0, 2)],
+    "wind3_wrap9": [(222, 101, 100, 1, 8), (150, 69, 66, 0, 8), (78, 37, 36, 1, 6), (6, 3, 0, 0, 0),
+                    (78, 37, 36, 0, 7), (150, 69, 66, 0, 8), (222, 101, 100, 1, 8)],
+    "chain_3": [(22, 9, 7, 0, 3), (16, 7, 6, 0, 3), (10, 5, 3, 0, 4), (4, 3, 2, 0, 1),
+                (10, 5, 3, 0, 4), (16, 7, 6, 0, 3), (22, 9, 7, 0, 3)],
+    "chain_4": [(42, 16, 15, 0, 8), (30, 12, 11, 0, 6), (18, 8, 7, 0, 4), (6, 4, 3, 0, 2),
+                (18, 8, 7, 0, 4), (30, 12, 11, 0, 6), (42, 16, 15, 0, 8)],
+}
+
+
+def _signature_counters(caplog, d):
+    """The (crossings, white faces, pivots, congruence steps, peak row
+    nonzeros) of the one record a signature call logs."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
+        signature(d)
+    (record,) = caplog.records
+    return record.args[:5]
+
+
 class TestSignature:
     def test_unknot(self):
         assert signature(OrientedLinkDiagram.unknot()) == 0
@@ -239,6 +294,20 @@ class TestSignature:
                 sizes.setdefault(piece[fi], [0, 0])[x] += 1
             assert got == sum(map(min, sizes.values()))
         assert len(whites) == 2 + len(members) and whites[-1] == 3 + 2
+
+    @pytest.mark.parametrize("build, counters", [pin[1:] for pin in PINNED_SIGNATURES],
+                             ids=[pin[0] for pin in PINNED_SIGNATURES])
+    def test_counters_pinned(self, caplog, build, counters):
+        # the elimination's work: which rows it pivots on and how wide they
+        # grow, not only the value it ends at
+        assert _signature_counters(caplog, build()) == counters
+
+    def test_member_counters_pinned(self, caplog):
+        fams = {**load_corpus(), "chain_3": chain_family(3), "chain_4": chain_family(4)}
+        assert set(PINNED_SIGNATURE_MEMBERS) == set(fams)
+        for name, pins in PINNED_SIGNATURE_MEMBERS.items():
+            got = [_signature_counters(caplog, twist(fams[name], n)) for n in range(-3, 4)]
+            assert got == pins, name
 
 
 class TestLeeOracle:
@@ -525,6 +594,23 @@ class TestScanOracle:
             assert gmask == sum(masks[-1 - x] for x in link if x < 0)
             for g, moves in by_g.items():
                 assert moves == invariants._transitions(g, link, masks, f)
+
+    def test_transition_table_stops_growing_on_twist_families(self):
+        # the table is kept for the process, so it must not grow with n on
+        # the families the sweeps twist: their members at |n| <= 3 meet
+        # every (field width, link, pattern) that those at |n| <= 6 meet
+        fams = [*load_corpus().values(), chain_family(3), chain_family(4)]
+
+        def swept(ns):
+            for n in ns:
+                for f in fams:
+                    kauffman_bracket_jones(twist(f, n))
+            table = invariants._TRANSITIONS
+            return len(table), sum(len(by_g) for _, by_g in table.values())
+
+        invariants._TRANSITIONS.clear()
+        near = swept(range(-3, 4))
+        assert swept((-6, -5, -4, 4, 5, 6)) == near
 
 
     def test_a_plan_cut_short_raises_under_python_O(self):

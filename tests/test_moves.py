@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import random
 import time
@@ -389,6 +390,64 @@ def _untwisted(f, n):
     return twist(f, n).change_crossings(untwist_schedule(f, n))
 
 
+# (steps, crossings out, the first 16 hex digits of the sha256 of
+# repr(trace)) of greedy_simplify on each untwisted sweep input, n = 1..13
+PINNED_GREEDY_UNTWISTED = {
+    "torus_q2": [(1, 3, 'f8c62862dfb9baca'), (2, 3, 'aac6ba97a02c3d35'), (3, 3, 'b417b2ac9abd0874'),
+                 (4, 3, '31baf326993a8e2f'), (5, 3, '2aff6b8410b4f840'), (6, 3, '6eae234f006df997'),
+                 (7, 3, 'ebae7994278085a7'), (8, 3, 'c56e0f170d32fb5c'), (9, 3, 'a7ba5e6907b63038'),
+                 (10, 3, 'e25119ef8596b5d0'), (11, 3, '8b3a2ef5f3d52522'),
+                 (12, 3, '475ddccef1cae8ae'), (13, 3, '85818f6c4897cea1')],
+    "torus_q3": [(3, 8, '065473a553307da4'), (6, 8, '17901c506646b281'), (9, 8, '8b051eaa8ef93026'),
+                 (12, 8, 'fb1d198e12d4b65e'), (15, 8, '01a9cdc69a01aada'),
+                 (18, 8, '71d09b8f1d2b8958'), (21, 8, '4646297e572a7741'),
+                 (24, 8, '38094d41c953c6aa'), (27, 8, '255d161220511ec4'),
+                 (30, 8, '4a9bb5f03b3641f8'), (33, 8, '18938334f327f823'),
+                 (36, 8, '86e9c813f4b6c920'), (39, 8, '4f76288a0d332744')],
+    "chain_3": [(3, 4, '65fa64cdd65fe404'), (6, 4, 'c72043c2a72a3fa4'), (9, 4, '2d16e41df6452418'),
+                (12, 4, 'ff880938b560ce41'), (15, 4, '5665b23ce4bb0517'),
+                (18, 4, 'ec1482c5f91b94a8'), (21, 4, '5576f762575acb7f'),
+                (24, 4, '2bd084628a70d174'), (27, 4, '20373f1696dec78e'),
+                (30, 4, 'dd0fd36c6429dcfa'), (33, 4, 'fa55a8f9ddf4b6d2'),
+                (36, 4, 'b3cd63b7d89aaf72'), (39, 4, 'afc195ed6a76208d')],
+    "chain_4": [(6, 6, '8c58f09c062ed27b'), (12, 6, '2773f82ca1084f0b'), (18, 6, 'f8a272564b627f20'),
+                (24, 6, 'c4d80a2bd4d820e3'), (30, 6, 'a51855d60dd68d09'),
+                (36, 6, '7b6557ac94035e86'), (42, 6, '67b0de9299dd17f0'),
+                (48, 6, '53797f7ca5f9c8f6'), (54, 6, '14b00459e696cfc0'),
+                (60, 6, '1aa73dbf18b62a7b'), (66, 6, '2acdb73db60379bb'),
+                (72, 6, 'f956755500364f11'), (78, 6, '7a9b03dd8a404a1c')],
+}
+
+# the same of each corpus member, n = -3..3; '4f53cda18c2baa0c' is no step
+PINNED_GREEDY_MEMBERS = {
+    "largewrap_w0_p4": [(2, 35, '55184cee74e10177'), (2, 23, '55184cee74e10177'),
+                        (2, 11, '55184cee74e10177'), (2, 0, 'e2099556ca1e1e01'),
+                        (0, 14, '4f53cda18c2baa0c'), (0, 26, '4f53cda18c2baa0c'),
+                        (0, 38, '4f53cda18c2baa0c')],
+    "mazur": [(1, 19, '10e23cd673f4d115'), (1, 13, '87c2e2c962e618c3'), (1, 7, '74d3aa6cd3284cff'),
+              (3, 0, 'cf28eeae6ba53899'), (0, 9, '4f53cda18c2baa0c'), (0, 15, '4f53cda18c2baa0c'),
+              (0, 21, '4f53cda18c2baa0c')],
+    "torus_q2": [(3, 3, '1036838e9023adb6'), (4, 0, 'aea3629987f63aa9'), (3, 0, '780afc8899f05f1a'),
+                 (0, 3, '4f53cda18c2baa0c'), (0, 5, '4f53cda18c2baa0c'), (0, 7, '4f53cda18c2baa0c'),
+                 (0, 9, '4f53cda18c2baa0c')],
+    "torus_q3": [(3, 20, 'ae560126dd80c1da'), (3, 14, 'b2f3efc496dbb0bf'),
+                 (3, 8, '5d18eda03e7d3390'), (0, 8, '4f53cda18c2baa0c'), (0, 14, '4f53cda18c2baa0c'),
+                 (0, 20, '4f53cda18c2baa0c'), (0, 26, '4f53cda18c2baa0c')],
+    "whitehead": [(0, 8, '4f53cda18c2baa0c'), (0, 6, '4f53cda18c2baa0c'), (0, 4, '4f53cda18c2baa0c'),
+                  (2, 0, 'e2099556ca1e1e01'), (0, 4, '4f53cda18c2baa0c'),
+                  (0, 6, '4f53cda18c2baa0c'), (0, 8, '4f53cda18c2baa0c')],
+    "wind3_wrap9": [(114, 18, '0af073728f61c163'), (78, 12, 'ccaa4af067bdf6f2'),
+                    (42, 6, 'f39718dc5e07d573'), (6, 0, '9f254d0826670107'),
+                    (42, 6, '124b7d78d400e51a'), (78, 12, 'e854d8bd5308eae1'),
+                    (114, 18, 'f6d30f387816f08b')],
+}
+
+
+def _greedy_pin(d):
+    result, trace = greedy_simplify(d)
+    return len(trace), result.n_crossings, hashlib.sha256(repr(trace).encode()).hexdigest()[:16]
+
+
 class TestSimplify:
     def test_greedy_reduces_free_word(self):
         w = BraidWord.from_ints(3, [1, 2, -2, -1, 1, -1])
@@ -409,6 +468,15 @@ class TestSimplify:
         for name, f in load_corpus().items():
             for n in range(-3, 4):
                 _check_greedy(twist(f, n))
+
+    def test_traces_pinned(self):
+        # which removal greedy takes at each step, not only where it ends
+        fams = {**load_corpus(), "chain_3": chain_family(3), "chain_4": chain_family(4)}
+        for name, pins in PINNED_GREEDY_UNTWISTED.items():
+            assert [_greedy_pin(_untwisted(fams[name], n)) for n in range(1, 14)] == pins, name
+        assert set(PINNED_GREEDY_MEMBERS) == set(load_corpus())
+        for name, pins in PINNED_GREEDY_MEMBERS.items():
+            assert [_greedy_pin(twist(fams[name], n)) for n in range(-3, 4)] == pins, name
 
     def test_trace_replay_untwisted_sweep_inputs(self):
         fams = load_corpus()
