@@ -49,21 +49,29 @@ coloring with its orientation correction term.  By Gordon and Litherland
 a surface whose form, so corrected, gives the signature; the white class
 of each piece is its smaller one, so the form has the fewer rows.  On a
 twisted diagram the other class holds every bigon of the twist box:
-``twist(whitehead, 30)`` has 3 white faces against 61.  The form is kept
-as sparse rows, one per white face, and eliminated fraction-free in
-exact integers, least-degree row first.  Each entry keeps the scale it
-was last written at and is read at the current one, so a pivot writes
-only the entries between two of its neighbours and no row is ever
-rewritten whole: on a long narrow diagram, whose form is banded apart
-from a few long rows along the twist box, the cost grows about linearly
-in the crossings.  A split diagram gets one form over all its faces, one
-block per piece, with one white face left out per piece.
+``twist(whitehead, 30)`` has 3 white faces against 61.  One
+breadth-first pass over the face graph colors the faces and counts the
+classes, and one pass over the crossings writes the form: each crossing
+adds its entry to the two rows it joins, an entry the crossings cancel
+is dropped where it cancels, and each diagonal is minus its row's sum.
+The form is kept as sparse rows, one per white face, and eliminated
+fraction-free in exact integers, least-degree row first.  Each entry
+keeps the scale it was last written at and is read at the current one,
+so a pivot writes only the entries between two of its neighbours and no
+row is ever rewritten whole: on a long narrow diagram, whose form is
+banded apart from a few long rows along the twist box, the cost grows
+about linearly in the crossings.  A pivot step reads and writes each
+entry in place and files each row it wrote by its new length as it
+leaves it.  A split diagram gets one form over all its faces, one block
+per piece, with one white face left out per piece.
 """
 
 from __future__ import annotations
 
 import time
 from heapq import heappop, heappush
+from itertools import compress
+from operator import attrgetter, not_
 
 from .diagram import DiagramError, OrientedLinkDiagram, _check_diagram, _debug, _mates
 from .polynomials import LaurentPolynomial
@@ -74,6 +82,8 @@ from .polynomials import LaurentPolynomial
 # (only with a raised limit), each the Jones call alone in one process
 # (2-core x86-64, Python 3.11.7)
 WIDTH_BUDGET = 8
+
+_SIGN = attrgetter("sign")
 
 # crossings scanned between two repacks of the states' digits; the digits
 # carry 3 bits of headroom per crossing until the next repack
@@ -563,37 +573,47 @@ def signature(d: OrientedLinkDiagram) -> int:
 
 
 def _goeritz(d: OrientedLinkDiagram) -> tuple[dict[int, dict[int, int]], int, list[int]]:
-    """Goeritz matrix of a diagram as sparse rows keyed by white face,
-    zeros left out, its orientation correction ``mu`` and each face's
-    piece.  The white faces, color 0 of _checkerboard, are the smaller
-    class of each piece.  Which class is white sets ``eta`` at every
-    crossing: choosing the other class negates each ``eta``, and the
+    """Goeritz matrix of a diagram as sparse rows keyed by white face in
+    ascending order, zeros left out, its orientation correction ``mu`` and
+    each face's piece.  The white faces, color 0 of _checkerboard, are the
+    smaller class of each piece.  Which class is white sets ``eta`` at
+    every crossing: choosing the other class negates each ``eta``, and the
     crossings counted in ``mu`` (``eta`` equal to the sign) become the
     others, so Gordon-Litherland's correction follows the surface.  A
     crossing's corners lie in one piece, so the matrix of a split diagram
     is block-diagonal, one block per piece, and its signature is the sum
-    of theirs."""
+    of theirs.
+
+    One pass over the crossings writes each crossing's off-diagonal
+    entry into both rows it joins and drops it there if the crossings so
+    far cancel it; the diagonal is left to the end, where each row's is
+    minus the sum of the row, as every row of the form sums to zero."""
     face_of = d._face_of
     n_faces = max(face_of) + 1
     color, piece = _checkerboard(d._tail, d._head, face_of, n_faces)
-    rows: dict[int, dict[int, int]] = {fi: {} for fi in range(n_faces) if color[fi] == 0}
+    rows: dict[int, dict[int, int]] = {fi: {} for fi in compress(range(n_faces), map(not_, color))}
     mu = 0
-    for ci, c in enumerate(d.crossings):
-        # the corner between slots s and s+1 lies in the face of dart
-        # 4 * ci + s + 1; opposite corners share a color
-        if color[face_of[4 * ci + 1]] == 0:  # corners (0,1) and (2,3) white
-            eta, wi, wj = 1, face_of[4 * ci + 1], face_of[4 * ci + 3]
+    # f<s> is the face of a crossing's slot-s dart, which holds the corner
+    # between slots s - 1 and s; opposite corners share a color
+    corners = face_of[0::4], face_of[1::4], face_of[2::4], face_of[3::4]
+    for f0, f1, f2, f3, sign in zip(*corners, map(_SIGN, d.crossings)):
+        if color[f1]:  # corners (1,2) and (3,0) white
+            eta, wi, wj = -1, f2, f0
         else:
-            eta, wi, wj = -1, face_of[4 * ci + 2], face_of[4 * ci]
-        if eta == c.sign:
+            eta, wi, wj = 1, f1, f3
+        if eta == sign:
             mu += eta
         if wi != wj:
-            for u, v in ((wi, wj), (wj, wi)):
-                row = rows[u]
-                row[v] = row.get(v, 0) - eta
-                row[u] = row.get(u, 0) + eta
+            ri = rows[wi]
+            x = ri.get(wj, 0) - eta
+            if x:
+                ri[wj] = rows[wj][wi] = x
+            else:
+                del ri[wj], rows[wj][wi]
     for fi, row in rows.items():
-        rows[fi] = {fj: x for fj, x in row.items() if x}
+        x = -sum(row.values())
+        if x:
+            row[fi] = x
     return rows, mu, piece
 
 
@@ -617,7 +637,9 @@ def _checkerboard(tail, head, face_of, n_faces) -> tuple[list[int], list[int]]:
     face's piece, named by its least face.  Each component of the face
     graph, one per piece of the diagram, has its smaller color class
     white (0), its least face's class on a tie: that piece's Goeritz
-    block then has the fewer rows."""
+    block then has the fewer rows.  A breadth-first pass colors each face
+    as it reaches it and counts the class sizes as it goes; a piece whose
+    least face's class is the larger has its colors flipped."""
     adj: list[list[int]] = [[] for _ in range(n_faces)]
     for t, h in zip(tail, head):
         f1, f2 = face_of[t], face_of[h]
@@ -632,15 +654,19 @@ def _checkerboard(tail, head, face_of, n_faces) -> tuple[list[int], list[int]]:
             continue
         color[root] = 0
         faces = [root]  # the piece's faces, in the order they are colored
+        ones = 0
         for f in faces:
+            other = 1 - color[f]
             for g in adj[f]:
-                if color[g] == -1:
-                    color[g] = 1 - color[f]
+                c = color[g]
+                if c < 0:
+                    color[g] = other
                     piece[g] = root
                     faces.append(g)
-                elif color[g] == color[f]:
+                    ones += other
+                elif c != other:
                     raise AssertionError("face graph not bipartite")
-        if 2 * sum(color[f] for f in faces) < len(faces):  # more faces of color 0
+        if 2 * ones < len(faces):  # more faces of color 0
             for f in faces:
                 color[f] ^= 1
     return color, piece
@@ -659,57 +685,55 @@ def _sparse_signature(rows: dict[int, dict[int, int]]) -> tuple[int, int, int, i
     kept as ``(x, s)``, its value ``x`` at the scale ``s`` it was last
     written at, and read as ``x * prev // s`` at the current scale
     ``prev``, exactly: a step writes only the entries (i, j) with both i
-    and j neighbours of the pivot, at scale |pivot|.  The pivot is a row
-    of least degree with a nonzero diagonal, the lowest key among ties.
-    When every diagonal is zero, adding the row and column of its lowest
-    neighbour j into the lowest row i makes (i, i) = 2 (i, j).
+    and j neighbours of the pivot, at scale |pivot|, and files each row
+    it wrote by its new length.  The pivot is a row of least degree with
+    a nonzero diagonal, the lowest key among ties.  When every diagonal
+    is zero, adding the row and column of its lowest neighbour j into the
+    lowest row i makes (i, i) = 2 (i, j); no other diagonal changes.
     """
     prev = 1
-    sig = pivots = congruences = peak = 0
+    sig = pivots = congruences = 0
     # rows with a nonzero diagonal by their length; buckets[0] stays empty
     buckets: list[set[int]] = [set() for _ in range(len(rows) + 1)]
     where: dict[int, int] = {}
-
-    def settle(i):
-        nonlocal peak
-        row = rows[i]
-        peak = max(peak, len(row))
-        buckets[where.pop(i, 0)].discard(i)
+    for i in list(rows):
+        row = rows[i] = {j: (x, 1) for j, x in rows[i].items()}
         if i in row:
             where[i] = len(row)
             buckets[len(row)].add(i)
         elif not row:
             del rows[i]  # a zero row adds nothing
-
-    def at(row, j):
-        x, s = row.get(j, (0, 1))
-        return x * prev // s
-
-    for i in list(rows):
-        rows[i] = {j: (x, 1) for j, x in rows[i].items()}
-        settle(i)
+    peak = max(map(len, rows.values()), default=0)
     while rows:
-        p = next((min(b) for b in buckets if b), None)
-        if p is None:
+        for bucket in buckets:
+            if bucket:
+                break
+        else:
             congruences += 1
             i = min(rows)
-            j = min(rows[i])
-            ri, rj = rows[i], rows[j]
+            ri = rows[i]
+            j = min(ri)
             # (i, i) = 2 (i, j), (i, k) += (j, k) and (k, i) += (k, j)
-            ri[i] = 2 * at(ri, j), prev
-            for k in rj:
+            x, s = ri[j]
+            ri[i] = 2 * (x * prev // s), prev
+            for k, (y, t) in rows[j].items():
                 if k != i:
                     rk = rows[k]
-                    x = at(ri, k) + at(rj, k)
+                    x, s = ri.get(k, (0, 1))
+                    x = x * prev // s + y * prev // t
                     if x:
                         ri[k] = rk[i] = x, prev
                     else:
                         del rk[i], ri[k]
-                    settle(k)
-            settle(i)
+                    peak = max(peak, len(rk))
+            peak = max(peak, len(ri))
+            where[i] = len(ri)
+            buckets[len(ri)].add(i)
             continue
+        p = min(bucket)
         pivots += 1
-        buckets[where.pop(p)].discard(p)
+        bucket.discard(p)
+        del where[p]
         r = {j: x * prev // s for j, (x, s) in rows.pop(p).items()}
         pv = r.pop(p)
         sig += 1 if pv > 0 else -1
@@ -720,11 +744,25 @@ def _sparse_signature(rows: dict[int, dict[int, int]]) -> tuple[int, int, int, i
             if pv < 0:
                 f = -f
             for j, y in r.items():
-                x = (apv * at(row, j) - f * y) // prev
-                if x:
-                    row[j] = x, apv
-                elif j in row:
-                    del row[j]
-            settle(i)
+                if j in row:
+                    x, s = row[j]
+                    x = (apv * (x * prev // s) - f * y) // prev
+                    if x:
+                        row[j] = x, apv
+                    else:
+                        del row[j]
+                else:
+                    x = -f * y // prev
+                    if x:
+                        row[j] = x, apv
+            n = len(row)
+            if n > peak:
+                peak = n
+            buckets[where.pop(i, 0)].discard(i)
+            if i in row:
+                where[i] = n
+                buckets[n].add(i)
+            elif not n:
+                del rows[i]
         prev = apv
     return sig, pivots, congruences, peak

@@ -21,10 +21,15 @@ Move kinds: ``R1-``, ``R1+``, ``R2-``, ``R2+``, ``R3``.
 Every kind reads the diagram through dart codes (dart ``(c, s)`` coded
 ``4 * c + s``) and the dart mate array of ``diagram._mates``, each dart
 mated to the other end of its edge.  The removals and
-``greedy_simplify`` share one machine on it: one kink test, one bigon
-test, and one splice that re-mates the darts around the removed
-crossings and gives each re-mated edge the least label of the edges it
-replaces.  R3 finds its triangles on the same faces and mates.  One
+``greedy_simplify`` share one machine on it: one kink test, which
+compares a crossing's four mates with its next slots, one bigon test,
+which reads each slot's mate and the mate of the dart after it, and
+one splice that re-mates the darts around the removed crossings and
+gives each re-mated edge the least label of the edges it replaces.  The
+splice marks each removed dart it walks by mating it to -1, so it keeps
+no set of walked darts and needs an array its caller owns: a removal
+result splices a copy, ``greedy_simplify`` its working array.
+R3 finds its triangles on the same faces and mates.  One
 builder, ``_edited``, makes every result from the input's crossing rows:
 it relabels some darts, leaves some crossings out and appends new rows.
 An R1- or R2- result relabels the darts the splice re-mated and leaves
@@ -327,9 +332,14 @@ def greedy_simplify(
     input crossings: ``("R1-", (c, s))`` for the kink whose loop joins
     slots ``s`` and ``s + 1`` of crossing ``c``, and
     ``("R2-", (c1, s1, c2, s2))`` for the bigon whose two face darts are
-    ``(c1, s1)`` and ``(c2, s2)``.  Each edge of the result takes the
-    least input label along it, which the constructor renames, and the
-    result is built and validated once, at the end.
+    ``(c1, s1)`` and ``(c2, s2)``.  A stack of darts says which crossing
+    to look at next: one per crossing at the start, the lowest on top,
+    then the darts each removal re-mates.  The crossing is tested for a
+    kink, then for a bigon, and the first one found is removed; a dart of
+    a crossing removed since it was stacked is passed over.  Each edge of
+    the result takes the least input label along it, which the
+    constructor renames, and the result is built and validated once, at
+    the end.
     """
     _check_diagram(d, "greedy simplification needs")
     start = time.perf_counter()
@@ -380,26 +390,34 @@ def _kinks_at(mate: list[int], c: int) -> list[int]:
     """The darts of crossing ``c`` mated to the next slot: each one is
     slot ``s`` of a kink whose loop joins slots ``s`` and ``s + 1``."""
     x = 4 * c
+    m0, m1, m2, m3 = mate[x:x + 4]
     kinks = []
-    for s in range(4):
-        if mate[x + s] == x + ((s + 1) & 3):
-            kinks.append(x + s)
+    if m0 == x + 1:
+        kinks.append(x)
+    if m1 == x + 2:
+        kinks.append(x + 1)
+    if m2 == x + 3:
+        kinks.append(x + 2)
+    if m3 == x:
+        kinks.append(x + 3)
     return kinks
 
 
 def _bigons_at(mate: list[int], c: int) -> list[tuple[int, int]]:
     """The two-dart faces ``x -> y -> x`` with ``x`` at crossing ``c``
-    (``y`` the dart after ``x``'s mate) and ``y`` at another crossing,
-    whose edge at ``x`` runs over at both ends or under at both ends."""
+    (``y`` the dart after ``x``'s mate, whose own mate is the dart before
+    ``x``) and ``y`` at another crossing, whose edge at ``x`` runs over at
+    both ends or under at both ends."""
     bigons = []
-    for x in range(4 * c, 4 * c + 4):
-        m = mate[x]
-        y = m - (m & 3) + ((m + 1) & 3)
-        if y >> 2 == c or (x ^ m) & 1:
-            continue
-        m = mate[y]
-        if m - (m & 3) + ((m + 1) & 3) == x:
-            bigons.append((x, y))
+    x = 4 * c
+    before = x + 3  # the dart before x at its crossing
+    for m in mate[x:x + 4]:
+        if not (x ^ m) & 1:
+            y = m + 1 if (m + 1) & 3 else m - 3
+            if mate[y] == before and y >> 2 != c:
+                bigons.append((x, y))
+        before = x
+        x += 1
     return bigons
 
 
@@ -410,25 +428,28 @@ def _remove(
 
     Each outside dart is re-mated to the next outside dart along its
     strand, and both take the least label of the edges on the way; a
-    strand that never leaves the removed crossings is a free loop.
-    Returns the loop count and the re-mated darts, each pair of mates in
-    turn; a later splice can remove a crossing of one of them.
+    strand that never leaves the removed crossings is a free loop.  The
+    walk marks each removed dart it passes by mating it to -1, so a
+    strand is walked once, from whichever end comes first; nothing reads
+    a removed crossing's darts afterwards.  Returns the loop count and
+    the re-mated darts, each pair of mates in turn; a later splice can
+    remove a crossing of one of them.
     """
     for c in removed:
         alive[c] = False
-    darts = [4 * c + s for c in removed for s in range(4)]
-    seen = set()
+    darts = [x for c in removed for x in range(4 * c, 4 * c + 4)]
     remated = []
     for x in darts:
         y = mate[x]
-        if x in seen or not alive[y >> 2]:
+        if y < 0 or not alive[y >> 2]:
             continue
         least = label[x]
         while True:  # x ^ 2 is the other slot of x's strand at its crossing
-            seen.update((x, x ^ 2))
-            if label[x ^ 2] < least:
-                least = label[x ^ 2]
-            z = mate[x ^ 2]
+            w = x ^ 2
+            if label[w] < least:
+                least = label[w]
+            z = mate[w]
+            mate[x] = mate[w] = -1
             if alive[z >> 2]:
                 break
             x = z
@@ -437,11 +458,13 @@ def _remove(
         remated += (y, z)
     loops = 0
     for x in darts:
-        if x not in seen:
+        if mate[x] >= 0:
             loops += 1
-            while x not in seen:
-                seen.update((x, x ^ 2))
-                x = mate[x ^ 2]
+            while mate[x] >= 0:
+                w = x ^ 2
+                z = mate[w]
+                mate[x] = mate[w] = -1
+                x = z
     return loops, remated
 
 
