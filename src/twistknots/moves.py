@@ -335,11 +335,13 @@ def greedy_simplify(
     ``(c1, s1)`` and ``(c2, s2)``.  A stack of darts says which crossing
     to look at next: one per crossing at the start, the lowest on top,
     then the darts each removal re-mates.  The crossing is tested for a
-    kink, then for a bigon, and the first one found is removed; a dart of
-    a crossing removed since it was stacked is passed over.  Each edge of
-    the result takes the least input label along it, which the
-    constructor renames, and the result is built and validated once, at
-    the end.
+    kink, then for a bigon, and the first one found is removed.  A dart
+    is passed over if its crossing was removed since it was stacked, or
+    if the crossing found nothing and none of its darts was re-mated
+    since: what both tests find depends only on the mates of the
+    crossing's own darts, mating being symmetric.  Each edge of the
+    result takes the least input label along it, which the constructor
+    renames, and the result is built and validated once, at the end.
     """
     _check_diagram(d, "greedy simplification needs")
     start = time.perf_counter()
@@ -347,6 +349,8 @@ def greedy_simplify(
     mate = _mates(d._tail, d._head)
     label = _labels(d)
     alive = [True] * n
+    # tested, nothing found and none of its darts re-mated since
+    clean = [False] * n
     free_loops = d.free_loops
     remated: list[int] = []
     gone: list[int] = []
@@ -354,7 +358,7 @@ def greedy_simplify(
     work = list(range(4 * n - 4, -1, -4))  # a stack of darts, lowest crossing on top
     while work:
         c = work.pop() >> 2
-        if not alive[c]:
+        if clean[c] or not alive[c]:
             continue
         kinks = _kinks_at(mate, c)
         if kinks:
@@ -363,6 +367,7 @@ def greedy_simplify(
         else:
             bigons = _bigons_at(mate, c)
             if not bigons:
+                clean[c] = True
                 continue
             x, y = bigons[0]
             trace.append(("R2-", (c, x & 3, y >> 2, y & 3)))
@@ -372,6 +377,8 @@ def greedy_simplify(
         free_loops += loops
         remated += darts
         work += darts
+        for x in darts:
+            clean[x >> 2] = False
     edits = [(x, label[x]) for x in set(remated) if alive[x >> 2]]
     result = _edited(d, edits, gone, (), free_loops) if trace else d
     _debug(
