@@ -28,10 +28,10 @@ one splice that re-mates the darts around the removed crossings and
 gives each re-mated edge the least label of the edges it replaces.  The
 splice marks each removed dart it walks by mating it to -1, so it keeps
 no set of walked darts and needs an array its caller owns: a removal
-result splices a copy, ``greedy_simplify`` its working array.
-R3 finds its triangles on the same faces and mates.  One
-builder, ``_edited``, makes every result from the input's crossing rows:
-it relabels some darts, leaves some crossings out and appends new rows.
+result splices a copy, ``greedy_simplify`` its working array.  R3 finds
+its triangles on the same faces and mates.  One builder, ``_edited``,
+makes every result from the input's crossing rows: it relabels some
+darts, leaves some crossings out and appends new rows.
 An R1- or R2- result relabels the darts the splice re-mated and leaves
 out the removed crossings; ``greedy_simplify`` splices its own array
 step after step, names the crossings of its trace by their input
