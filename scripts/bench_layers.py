@@ -9,10 +9,12 @@ Run from the repository root:
 label, the argument, the call and the number of calls timed.  One loop
 times ``repeats`` calls of each row's call on its argument and writes
 the median seconds ``s`` next to the cost drivers that the layer's
-reader in ``DRIVERS`` takes from the last call's output or from the
-DEBUG records (``twistknots.invariants``) that call logged.  The move
-layer's reader adds timings of its own (see ``move_drivers``), and the
-rows in ``HEAP_ROWS`` add the peak heap of one more call (``peak_kib``).
+reader in ``DRIVERS`` takes from the last call's output, by name.  The
+Jones and signature rows time ``invariants._jones`` and
+``invariants._signature``, which return the value with the counters of
+its scan or form, so no DEBUG record is read.  The move layer's reader
+adds timings of its own (see ``move_drivers``), and the rows in
+``HEAP_ROWS`` add the peak heap of one more call (``peak_kib``).
 A Jones row also reports the entries of the transition table that every
 scan shares after the row, and a row labelled "cold table" clears that
 table before each call (see ``cold``).
@@ -23,7 +25,6 @@ after.
 
 import argparse
 import json
-import logging.handlers
 import os
 import pathlib
 import platform
@@ -87,17 +88,14 @@ def results(*finders):
 all_moves = results(moves.reidemeister_moves)
 
 
-# -- each layer's cost drivers, from (argument, last output, the last call's
-# DEBUG records, seconds); a record's fields are unpacked once, by name
+# -- each layer's cost drivers, from (argument, last output, seconds)
 
 
-def signature_drivers(d, _, log, secs):
-    """The form's rows (white faces) and peak row nonzeros; a split
-    diagram's row also counts the records one call logs."""
-    _, whites, _, _, peak, _ = log[-1].args
-    split = len(diagram._faces(d._tail, d._head)) > d.n_crossings + 2  # F = V + 2 * pieces
-    return {"crossings": d.n_crossings, "white_faces": whites, "peak_row_nonzeros": peak,
-            **({"records_per_call": len(log)} if split else {})}
+def signature_drivers(d, out, secs):
+    """The form's rows (white faces) and peak row nonzeros."""
+    _, form = out
+    return {"crossings": form.crossings, "white_faces": form.white_faces,
+            "peak_row_nonzeros": form.peak_row_nonzeros}
 
 
 def cold(call):
@@ -110,13 +108,13 @@ def cold(call):
     return run
 
 
-def jones_drivers(d, _, log, secs):
+def jones_drivers(d, out, secs):
     """The scan's width, state updates, transitions met and repacks, and the
     entries of the shared transition table after the row."""
-    _, width, updates, derived, repacks, _ = log[-1].args
+    _, scan = out
     table = sum(len(by_g) for _, by_g in invariants._TRANSITIONS.values())
-    return {"crossings": d.n_crossings, "width": width, "state_updates": updates,
-            "transitions": derived, "repacks": repacks, "table_entries": table}
+    return {"crossings": scan.crossings, "width": scan.width, "state_updates": scan.updates,
+            "transitions": scan.transitions, "repacks": scan.repacks, "table_entries": table}
 
 
 def peak_kib(call, arg):
@@ -129,7 +127,7 @@ def peak_kib(call, arg):
     return round(peak / 1024, 1)
 
 
-def move_drivers(d, built, log, secs):
+def move_drivers(d, built, secs):
     """The row times the enumeration plus a read of every result, so ``s``
     and ``us_per_result`` count every construction whether results are
     built on enumeration or on first read.  ``enumerate_s`` times the
@@ -149,21 +147,21 @@ HEAP_ROWS = {("invariants.kauffman_bracket_jones", f"wind3_wrap9 n={n}") for n i
 
 
 DRIVERS = {
-    "families.TwistFamily": lambda arg, fs, *_: {
+    "families.TwistFamily": lambda arg, fs, _: {
         "families": len(fs), "crossings": sum(f.base.n_crossings for f in fs)},
-    "diagram.parse_pd": lambda text, d, *_: {"crossings": d.n_crossings},
-    "families.twist": lambda f_n, d, *_: {"crossings_out": d.n_crossings},
-    "families.untwist_schedule": lambda f_n, sites, *_: {
+    "diagram.parse_pd": lambda text, d, _: {"crossings": d.n_crossings},
+    "families.twist": lambda f_n, d, _: {"crossings_out": d.n_crossings},
+    "families.untwist_schedule": lambda f_n, sites, _: {
         "crossings_out": twist(*f_n).n_crossings, "sites": len(sites)},
-    "diagram.change_crossings": lambda s, d, *_: {"crossings": d.n_crossings, "sites": len(s)},
+    "diagram.change_crossings": lambda s, d, _: {"crossings": d.n_crossings, "sites": len(s)},
     # the output is (diagram, trace), and the plan (order, width, links)
-    "moves.greedy_simplify": lambda d, out, *_: {"crossings": d.n_crossings, "steps": len(out[1])},
-    "invariants._scan_order": lambda d, plan, *_: {"crossings": d.n_crossings, "width": plan[1]},
+    "moves.greedy_simplify": lambda d, out, _: {"crossings": d.n_crossings, "steps": len(out[1])},
+    "invariants._scan_order": lambda d, plan, _: {"crossings": d.n_crossings, "width": plan[1]},
     "invariants.signature": signature_drivers,
-    "diagram.structurally_equal": lambda ds, eq, *_: {"crossings": ds[0].n_crossings, "equal": eq},
+    "diagram.structurally_equal": lambda ds, eq, _: {"crossings": ds[0].n_crossings, "equal": eq},
     "invariants.kauffman_bracket_jones": jones_drivers,
-    "families.coherent_reduction": lambda f, red, log, _: {"crossings": f.base.n_crossings,
-        "changes": list(red.changes), "jones_scans": sum("bracket scan" in r.msg for r in log)},
+    "families.coherent_reduction": lambda f, red, _: {"crossings": f.base.n_crossings,
+        "changes": list(red.changes), "candidates": red.candidates},
     "moves.reidemeister_moves": move_drivers,
 }
 
@@ -193,7 +191,8 @@ def rows():
     raw = [(tuple(names[e] for e in c.edges), c.sign) for c in union.crossings]
     copy, _ = diagram.OrientedLinkDiagram.from_raw(shuffle.sample(raw, len(raw)))
     R, T, S, M, reduce = REPEATS, TWIST_REPEATS, SPLIT_REPEATS, MOVE_REPEATS, coherent_reduction
-    J, jones, sig = JONES_REPEATS, invariants.kauffman_bracket_jones, invariants.signature
+    # the Jones and signature rows time the calls that also return their counters
+    J, jones, sig = JONES_REPEATS, invariants._jones, invariants._signature
     at, sched, greedy = unpacked(twist), unpacked(untwist_schedule), moves.greedy_simplify
     table = [
         # each family splices and validates its n = 1 member when it is made
@@ -278,24 +277,12 @@ def rows():
         ("moves.reidemeister_moves", *untwisted("chain_4", 2), all_moves, M),
         ("moves.reidemeister_moves", *untwisted("torus_q2", 3), all_moves, M),
     ]
-    keep = logging.handlers.BufferingHandler(capacity=1 << 30)
-    log = logging.getLogger("twistknots.invariants")
-    level = log.level
-    log.setLevel(logging.DEBUG)
-    log.addHandler(keep)
-    try:
-        for layer, label, arg, call, repeats in table:
-            keep.buffer.clear()
-            out, secs = timed(call, arg, repeats)
-            # every call logs the same records, so the last call's are the last share
-            last = keep.buffer[len(keep.buffer) - len(keep.buffer) // repeats:]
-            row = {"layer": layer, "input": label, **DRIVERS[layer](arg, out, last, secs)}
-            if (layer, label) in HEAP_ROWS:
-                row["peak_kib"] = peak_kib(call, arg)
-            yield {**row, "repeats": repeats, "s": round(secs, 6)}
-    finally:
-        log.removeHandler(keep)
-        log.setLevel(level)
+    for layer, label, arg, call, repeats in table:
+        out, secs = timed(call, arg, repeats)
+        row = {"layer": layer, "input": label, **DRIVERS[layer](arg, out, secs)}
+        if (layer, label) in HEAP_ROWS:
+            row["peak_kib"] = peak_kib(call, arg)
+        yield {**row, "repeats": repeats, "s": round(secs, 6)}
 
 
 def main():

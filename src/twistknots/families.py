@@ -293,6 +293,8 @@ _MAX_CHANGES = 2
 class CoherentReduction:
     reduced: TwistFamily
     changes: tuple[int, ...]
+    # the change sets whose Jones certificate was checked, two scans each
+    candidates: int
 
 
 def _paired_marks(f: TwistFamily) -> tuple[tuple[int, int], ...]:
@@ -326,14 +328,16 @@ def coherent_reduction(
     by size) must then make the twisted diagrams match, which is checked
     by a Jones certificate at twist amount 1.  ``certificate_limit`` is
     the width budget of those Jones scans; ``ReductionError`` is raised
-    when it refuses them.
+    when it refuses them.  ``candidates`` counts the change sets checked,
+    the winning one included, each by two scans; a family that is
+    already coherent needs none.
     """
     _check_family(f)
     if type(certificate_limit) is not int or certificate_limit < 0:
         raise FamilyError(f"certificate_limit must be an int >= 0, got {certificate_limit!r}")
     reduced_marks = _paired_marks(f)
     if reduced_marks == f.marked_edges:
-        return CoherentReduction(f, ())
+        return CoherentReduction(f, (), 0)
     name = f"{f.name}_coherent" if f.name else ""
     reduced = TwistFamily(f.base, reduced_marks, name=name)
     sides = [twist_with_sites(g, 1)[:2] for g in (f, reduced)]
@@ -341,6 +345,7 @@ def coherent_reduction(
     # and cutting a marked edge at its head give the same row in either
     # order.  So each candidate is checked on these two n = 1 diagrams
     # with its base sites changed, and only the winning family is built.
+    candidates = 0
     for k in range(_MAX_CHANGES + 1):
         for subset in combinations(range(f.base.n_crossings), k):
             try:
@@ -354,10 +359,11 @@ def coherent_reduction(
                 raise ReductionError(
                     "the certificate exceeds the width budget; raise certificate_limit"
                 ) from None
+            candidates += 1
             if lhs == rhs:
                 if subset:
                     reduced = TwistFamily(f.base.change_crossings(subset), reduced_marks, name=name)
-                return CoherentReduction(reduced, subset)
+                return CoherentReduction(reduced, subset, candidates)
     raise ReductionError(
         f"no change set of size <= {_MAX_CHANGES} realizes the reduction"
     )

@@ -64,11 +64,18 @@ about linearly in the crossings.  A pivot step reads and writes each
 entry in place and files each row it wrote by its new length as it
 leaves it.  A split diagram gets one form over all its faces, one block
 per piece, with one white face left out per piece.
+
+Counters are read from the record each invariant returns with its value:
+``_jones`` returns the polynomial and its scan's ``ScanStats``, and
+``_signature`` the signature and its form's ``FormStats``.  Each logs
+the record, with the call's seconds, as one DEBUG record on
+``twistknots.invariants``; the public functions return the value alone.
 """
 
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from heapq import heappop, heappush
 from itertools import compress
 from operator import attrgetter, not_
@@ -110,6 +117,17 @@ _TRANSITIONS: dict[tuple[int, tuple[int, ...]], tuple[int, dict[int, tuple[int, 
 
 class LimitExceeded(DiagramError):
     """Scan width (peak open pairs of the scan order) above the budget."""
+
+
+# the work of one Jones scan: crossings scanned, peak open pairs, state
+# updates (two children per state per crossing), (link, glued pattern)
+# pairs met, and repacks of the states' digits
+ScanStats = namedtuple("ScanStats", "crossings width updates transitions repacks")
+
+# the work of one signature's Goeritz form: crossings, rows before one
+# white face per piece is left out, pivots, congruence steps, and the
+# most nonzeros any row held
+FormStats = namedtuple("FormStats", "crossings white_faces pivots congruences peak_row_nonzeros")
 
 
 def _scan_order(mate: list[int]) -> tuple[list[int], int, list[tuple[int, ...]]]:
@@ -224,7 +242,18 @@ def kauffman_bracket_jones(
     d: OrientedLinkDiagram, limit: int = WIDTH_BUDGET
 ) -> LaurentPolynomial:
     """Jones polynomial, unknot-normalized, in doubled-t exponents; a scan
-    wider than ``limit`` open pairs raises ``LimitExceeded`` up front."""
+    wider than ``limit`` open pairs raises ``LimitExceeded`` up front.
+    The scan's counters are ``_jones``'s."""
+    return _jones(d, limit)[0]
+
+
+def _jones(
+    d: OrientedLinkDiagram, limit: int = WIDTH_BUDGET
+) -> tuple[LaurentPolynomial, ScanStats]:
+    """The Jones polynomial of ``d`` and its scan's counters, logged as
+    one DEBUG record "bracket scan" with the seconds of the whole call,
+    planning included.  A scan the budget refuses logs nothing."""
+    start = time.perf_counter()
     _check_diagram(d, "the Jones polynomial needs")
     if type(limit) is not int or limit < 0:
         raise DiagramError(f"width budget must be an int >= 0, got {limit!r}")
@@ -235,22 +264,28 @@ def kauffman_bracket_jones(
         raise LimitExceeded(f"scan width {width} exceeds the width budget {limit}")
     w = d.writhe()
     # (-A)^{-3w} <D>, then one delta division for unknot normalization
-    lo, coeffs = _divide_delta(*_bracket_with_loops(links, width, d.free_loops))
+    lo, coeffs, stats = _bracket_with_loops(links, width, d.free_loops)
+    lo, coeffs = _divide_delta(lo, coeffs)
     lo -= 3 * w
     if lo % 2 and any(coeffs):
         raise AssertionError("bracket exponent parity violated")
     sign = -1 if w % 2 else 1
     # the exponents rise and zeros are left out, as the class stores them
     lo //= 2
-    return LaurentPolynomial._of_terms({lo + i: sign * c for i, c in enumerate(coeffs) if c})
+    jones = LaurentPolynomial._of_terms({lo + i: sign * c for i, c in enumerate(coeffs) if c})
+    _debug(
+        __name__, "bracket scan: %d crossings, peak %d open pairs, %d state updates, "
+        "%d transitions derived, %d repacks, %.3f s", *stats, time.perf_counter() - start,
+    )
+    return jones, stats
 
 
-def _bracket_with_loops(links, width, free_loops) -> tuple[int, list[int]]:
+def _bracket_with_loops(links, width, free_loops) -> tuple[int, list[int], ScanStats]:
     """Sum over states of A^{a-b} * delta^{loops} (note: no -1) of the
     diagram with ``free_loops`` free loops whose scan, of that ``width``,
     has the per-step ``links`` of _scan_order, as its lowest exponent and
     the coefficients of every second power from it, trimmed to its
-    nonzero span.
+    nonzero span, and the scan's counters.
 
     A state's key is one int.  Position p owns bits
     ``f * p .. f * p + f - 1`` of the key, ``f = (2 * width + 2).bit_length()``,
@@ -267,9 +302,9 @@ def _bracket_with_loops(links, width, free_loops) -> tuple[int, list[int]]:
     the link, so ``gmask`` and the transitions by glued pattern are kept
     in ``_TRANSITIONS``, shared by every scan: each (f, link, pattern) is
     derived at most once per process.  The scan keeps its own record of
-    the (link, pattern) pairs it met, and its DEBUG record's
-    "transitions derived" counts those, whether derived or found in the
-    table, so the count does not depend on what ran before.
+    the (link, pattern) pairs it met, and its ``ScanStats.transitions``
+    counts those, whether derived or found in the table, so the count
+    does not depend on what ran before.
 
     A state's value ``(lo, v)`` packs the coefficient of A^(lo+2i) into
     digit i of ``v`` in base B = 2^bits, digits balanced (signed), so a
@@ -295,7 +330,6 @@ def _bracket_with_loops(links, width, free_loops) -> tuple[int, list[int]]:
     quarter of the base, and ``v == 0`` exactly when the value is 0: no
     state is dropped on a guess.
     """
-    start = time.perf_counter()
     f = (2 * width + 2).bit_length()
     masks = [((1 << f) - 1) << f * p for p in range(2 * width)]  # each position's field
     bits = _digit_bits(1, 1, 3 * _REPACK_EVERY)
@@ -374,13 +408,7 @@ def _bracket_with_loops(links, width, free_loops) -> tuple[int, list[int]]:
     v *= (-1 - (1 << 2 * bits)) ** free_loops
     # the repack left no low zero digit and times delta keeps the lowest
     # one nonzero, so this is trimmed at both ends
-    coeffs = _digits(v, bits)
-    _debug(
-        __name__, "bracket scan: %d crossings, peak %d open pairs, %d state updates, "
-        "%d transitions derived, %d repacks, %.3f s",
-        len(links), width, updates, derived, repacks, time.perf_counter() - start,
-    )
-    return lo, coeffs
+    return lo, _digits(v, bits), ScanStats(len(links), width, updates, derived, repacks)
 
 
 def _transitions(g, link, masks, f) -> tuple[int, ...]:
@@ -555,21 +583,30 @@ def signature(d: OrientedLinkDiagram) -> int:
     correction; fixed so the right trefoil gives -2.  The form is built
     on the smaller checkerboard surface of each piece (see _checkerboard;
     Gordon-Litherland holds for either), one row per white face.  A split
-    diagram gets one block per piece in one form, free loops adding 0."""
+    diagram gets one block per piece in one form, free loops adding 0.
+    The form's counters are ``_signature``'s."""
+    return _signature(d)[0]
+
+
+def _signature(d: OrientedLinkDiagram) -> tuple[int, FormStats]:
+    """The signature of ``d`` and its form's counters, logged as one
+    DEBUG record "signature" with the seconds of the form and its
+    elimination.  A crossing-free diagram has no form: its counters are
+    all 0 and it logs nothing."""
     _check_diagram(d, "the signature needs")
     if not d.crossings:
-        return 0
+        return 0, FormStats(0, 0, 0, 0, 0)
     start = time.perf_counter()
     rows, mu, piece = _goeritz(d)
     whites = len(rows)
     _leave_out(rows, piece)
     sig, pivots, congruences, peak = _sparse_signature(rows)
+    stats = FormStats(len(d.crossings), whites, pivots, congruences, peak)
     _debug(
         __name__, "signature: %d crossings, %d white faces, %d pivots, "
-        "%d congruence steps, peak %d row nonzeros, %.3f s",
-        len(d.crossings), whites, pivots, congruences, peak, time.perf_counter() - start,
+        "%d congruence steps, peak %d row nonzeros, %.3f s", *stats, time.perf_counter() - start,
     )
-    return sig - mu
+    return sig - mu, stats
 
 
 def _goeritz(d: OrientedLinkDiagram) -> tuple[dict[int, dict[int, int]], int, list[int]]:
@@ -621,12 +658,15 @@ def _leave_out(rows: dict[int, dict[int, int]], piece: list[int]) -> None:
     """Drop, in each piece, the row and column of its first white face of
     largest degree.  Every row of a piece's block sums to zero, so each
     choice leaves a congruent form; a hub face, kept, would fill in every
-    row it meets."""
-    hub: dict[int, int] = {}
-    # a stable sort: the first face of each degree stays first
-    for fi in sorted(rows, key=lambda f: len(rows[f]) - (f in rows[f]), reverse=True):
-        hub.setdefault(piece[fi], fi)
-    for fi in hub.values():
+    row it meets.  One pass over the rows keeps each piece's (degree,
+    face) so far, a later face replacing it only at a larger degree."""
+    hub: dict[int, tuple[int, int]] = {}
+    for fi, row in rows.items():
+        degree = len(row) - (fi in row)
+        best = hub.get(piece[fi])
+        if best is None or degree > best[0]:
+            hub[piece[fi]] = degree, fi
+    for _, fi in hub.values():
         for fj in rows.pop(fi):
             if fj != fi:
                 del rows[fj][fi]

@@ -1,9 +1,10 @@
 """A smoke run of ``scripts/bench_layers.py``: every row once, so a
-change of a call's output or DEBUG record shape breaks tier-1 rather than
-the next layer-bench run."""
+change of a call's output or counter record shape breaks tier-1 rather
+than the next layer-bench run, and the rows read the counters pinned in
+the invariant tests."""
 
+import ast
 import importlib.util
-import logging
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,6 +13,8 @@ import pytest
 from twistknots.corpus import chain_family
 from twistknots.diagram import parse_pd, serialize
 from twistknots.families import twist
+
+from .test_invariants import PINNED_SIGNATURES
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_layers.py"
 REPEAT_CONSTANTS = ("REPEATS", "JONES_REPEATS", "SHORT_JONES_REPEATS", "MOVE_REPEATS",
@@ -58,17 +61,13 @@ def bench_rows():
     spec = importlib.util.spec_from_file_location("bench_layers", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    log = logging.getLogger("twistknots.invariants")
-    before = log.level, list(log.handlers)
     with pytest.MonkeyPatch.context() as patch:
         for name in REPEAT_CONSTANTS:
             patch.setattr(bench, name, 1)
         # the heap peak is a measurement, not a driver, and tracing makes
         # the long scans about 13 times slower
         patch.setattr(bench, "tracemalloc", UNTRACED)
-        out = list(bench.rows())
-    assert (log.level, log.handlers) == before  # the record capture is undone
-    return out
+        return list(bench.rows())
 
 
 def test_every_row_runs_once_with_its_drivers(bench_rows):
@@ -101,3 +100,26 @@ def test_cold_table_rows_scan_as_the_warm_ones(bench_rows):
         cold, warm = jones[f"{label}, cold table"], jones[label]
         assert [cold[k] for k in drivers] == [warm[k] for k in drivers]
         assert cold["table_entries"] == cold["transitions"]
+
+
+def test_rows_read_the_pinned_counters(bench_rows):
+    # each reader takes its fields by name from the record its call
+    # returns: the scan's and the form's match the invariant tests' pins
+    rows = {(row["layer"], row["input"]): row for row in bench_rows}
+    scan = rows["invariants.kauffman_bracket_jones", "wind3_wrap9 n=1"]
+    assert [scan[k] for k in ("crossings", "width", "state_updates", "transitions", "repacks")] == [
+        78, 7, 1980, 311, 10]
+    form = rows["invariants.signature", "chain_4 n=13"]
+    (pinned,) = [pin for label, _, pin in PINNED_SIGNATURES if label == "chain_4 n=13"]
+    assert (form["crossings"], form["white_faces"], form["peak_row_nonzeros"]) == (
+        pinned[0], pinned[1], pinned[4])
+    assert [rows["families.coherent_reduction", name]["candidates"]
+            for name in ("whitehead", "mazur", "largewrap_w0_p4", "wind3_wrap9")] == [2, 2, 2, 1]
+
+
+def test_script_imports_no_logging():
+    tree = ast.parse(SCRIPT.read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "logging" not in {m.split(".")[0] for m in modules if m}

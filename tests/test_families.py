@@ -1,3 +1,4 @@
+import logging
 import re
 from itertools import combinations
 from types import SimpleNamespace
@@ -342,6 +343,20 @@ class TestCoherentReduction:
             seen.clear()
             red = coherent_reduction(g)
             assert seen == [1] * (4 if red.changes else 3), g.name
+
+    def test_candidates_count_the_certificates_checked(self, caplog):
+        # each change set checked takes two Jones scans, one per side, and
+        # each scan logs one "bracket scan" record; a coherent family
+        # checks none
+        want = {"torus_q3": 0, "wind3_wrap9": 1, "whitehead": 2, "mazur": 2,
+                "largewrap_w0_p4": 2}
+        for name, candidates in want.items():
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
+                red = coherent_reduction(SWEPT_FAMILIES[name])
+            assert red.candidates == candidates, name
+            scans = [r for r in caplog.records if r.msg.startswith("bracket scan")]
+            assert len(scans) == 2 * candidates == len(caplog.records), name
 
     def test_base_changes_commute_with_twisting(self):
         # coherent_reduction rests on this: it changes the base sites of

@@ -166,16 +166,6 @@ PINNED_SIGNATURE_MEMBERS = {
 }
 
 
-def _signature_counters(caplog, d):
-    """The (crossings, white faces, pivots, congruence steps, peak row
-    nonzeros) of the one record a signature call logs."""
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
-        signature(d)
-    (record,) = caplog.records
-    return record.args[:5]
-
-
 class TestSignature:
     def test_unknot(self):
         assert signature(OrientedLinkDiagram.unknot()) == 0
@@ -253,39 +243,41 @@ class TestSignature:
         split = d.disjoint_union(trefoil_right).disjoint_union(
             OrientedLinkDiagram.unknot(1)
         )
+        diagrams = (d, trefoil_right, split)
         with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
-            signature(d)
-            assert len(caplog.records) == 1
-            signature(trefoil_right)
-            signature(split)
+            assert invariants._signature(OrientedLinkDiagram.unknot(2)) == (0, (0, 0, 0, 0, 0))
+            assert not caplog.records  # no crossings, no form
+            got = [invariants._signature(x) for x in diagrams]
+        assert [signature(x) for x in diagrams] == [sig for sig, _ in got]
         records = caplog.records
         assert len(records) == 3
         assert {r.name for r in records} == {"twistknots.invariants"}
         assert {r.levelno for r in records} == {logging.DEBUG}
-        assert [r.args[0] for r in records] == [20, 3, 23]
-        for r, pieces in zip(records, (1, 1, 2)):
-            crossings, whites, pivots, congruences, peak, seconds = r.args
+        forms = [form for _, form in got]
+        for r, form in zip(records, forms):
+            assert r.msg == ("signature: %d crossings, %d white faces, %d pivots, "
+                             "%d congruence steps, peak %d row nonzeros, %.3f s")
+            assert r.args[:-1] == form and r.args[-1] >= 0
+        assert [form.crossings for form in forms] == [20, 3, 23]
+        for form, pieces in zip(forms, (1, 1, 2)):
             # the minor of one fewer face per piece is nonsingular for knots
-            assert pivots == whites - pieces and congruences == 0
-            assert 1 <= peak <= whites - pieces and seconds >= 0
+            assert form.pivots == form.white_faces - pieces and form.congruences == 0
+            assert 1 <= form.peak_row_nonzeros <= form.white_faces - pieces
         # one form for the split diagram: the two knots' blocks side by side
-        knot, trefoil, both = (r.args for r in records)
-        assert both[1:3] == (knot[1] + trefoil[1], knot[2] + trefoil[2])
-        assert both[4] == max(knot[4], trefoil[4])
+        knot, trefoil, both = forms
+        assert both.white_faces == knot.white_faces + trefoil.white_faces
+        assert both.pivots == knot.pivots + trefoil.pivots
+        assert both.peak_row_nonzeros == max(knot.peak_row_nonzeros, trefoil.peak_row_nonzeros)
 
-    def test_white_faces_are_the_smaller_class_of_each_piece(self, caplog, trefoil_right):
+    def test_white_faces_are_the_smaller_class_of_each_piece(self, trefoil_right):
         # the form has one row per white face; the larger class, which on a
         # twisted diagram holds the bigons of the twist box, gave 61 and 29
         corpus = load_corpus()
         pinned = [(twist(corpus["whitehead"], 30), 3), (twist(corpus["torus_q2"], 13), 2)]
         members = [d for _, d in _corpus_members(max_crossings=60)]
         members.append(twist(corpus["whitehead"], 30).disjoint_union(trefoil_right))
-        with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
-            for d, _ in pinned:
-                signature(d)
-            for d in members:
-                signature(d)
-        whites = [r.args[1] for r in caplog.records]
+        diagrams = [d for d, _ in pinned] + members
+        whites = [invariants._signature(d)[1].white_faces for d in diagrams]
         assert whites[:2] == [n for _, n in pinned]
         for d, got in zip(members, whites[2:]):
             _, color, piece = checkerboard_bruteforce(d, 0)
@@ -297,16 +289,16 @@ class TestSignature:
 
     @pytest.mark.parametrize("build, counters", [pin[1:] for pin in PINNED_SIGNATURES],
                              ids=[pin[0] for pin in PINNED_SIGNATURES])
-    def test_counters_pinned(self, caplog, build, counters):
+    def test_counters_pinned(self, build, counters):
         # the elimination's work: which rows it pivots on and how wide they
         # grow, not only the value it ends at
-        assert _signature_counters(caplog, build()) == counters
+        assert invariants._signature(build())[1] == counters
 
-    def test_member_counters_pinned(self, caplog):
+    def test_member_counters_pinned(self):
         fams = {**load_corpus(), "chain_3": chain_family(3), "chain_4": chain_family(4)}
         assert set(PINNED_SIGNATURE_MEMBERS) == set(fams)
         for name, pins in PINNED_SIGNATURE_MEMBERS.items():
-            got = [_signature_counters(caplog, twist(fams[name], n)) for n in range(-3, 4)]
+            got = [invariants._signature(twist(fams[name], n))[1] for n in range(-3, 4)]
             assert got == pins, name
 
 
@@ -417,7 +409,7 @@ def _order(d):
 
 def _scan_bracket(d):
     _, width, links = _plan(d)
-    lo, coeffs = invariants._bracket_with_loops(links, width, d.free_loops)
+    lo, coeffs, _ = invariants._bracket_with_loops(links, width, d.free_loops)
     assert coeffs[0] and coeffs[-1], "not trimmed to its nonzero span"
     return LaurentPolynomial({lo + 2 * i: c for i, c in enumerate(coeffs)})
 
@@ -459,7 +451,7 @@ class TestScanOracle:
             d = d.disjoint_union(braid_closure(word))
         assert _order(d) == scan_order_max(d)
 
-    def test_tie_rule_never_widens_the_corpus(self, caplog):
+    def test_tie_rule_never_widens_the_corpus(self):
         # ties go to the frontier: never wider than the lowest-index rule
         # on a corpus or chain member, and fewer state updates in all
         families = [*load_corpus().values(), chain_family(3), chain_family(4)]
@@ -469,10 +461,7 @@ class TestScanOracle:
                 assert _order(d)[1] <= scan_order_max(d, lowest_index=True)[1], n
         ours = reference = 0
         for d in _seeded_closures():
-            caplog.clear()
-            with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
-                kauffman_bracket_jones(d)
-            updates = caplog.records[-1].args[2]
+            updates = invariants._jones(d)[1].updates
             assert updates == state_updates_dict(d)
             ours += updates
             reference += state_updates_dict(d, lowest_index=True)
@@ -520,46 +509,41 @@ class TestScanOracle:
 
     @pytest.mark.parametrize("build, counters", [pin[1:] for pin in PINNED_SCANS],
                              ids=[pin[0] for pin in PINNED_SCANS])
-    def test_state_updates_pinned(self, caplog, build, counters):
+    def test_state_updates_pinned(self, build, counters):
         # equal matchings must share one key: a key keeping stale bits of
         # a freed position would split them and scan more states.  The
         # whole tuple is (width, state updates, transitions derived,
         # repacks): the scan's work, whatever its bookkeeping costs
-        d = build()
-        with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
-            kauffman_bracket_jones(d)
-        (record,) = caplog.records
-        assert record.args[1:5] == counters
+        assert invariants._jones(build())[1][1:] == counters
 
     def test_logs_one_record_per_scan(self, caplog):
         d = twist(load_corpus()["wind3_wrap9"], 1)
         with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
-            kauffman_bracket_jones(d, limit=d.n_crossings)
+            jones, scan = invariants._jones(d, limit=d.n_crossings)
         (record,) = caplog.records
+        assert kauffman_bracket_jones(d) == jones
         assert record.name == "twistknots.invariants"
         assert record.levelno == logging.DEBUG
-        crossings, peak, updates, derived, repacks, seconds = record.args
+        assert record.msg == ("bracket scan: %d crossings, peak %d open pairs, %d state updates, "
+                              "%d transitions derived, %d repacks, %.3f s")
+        assert record.args[:-1] == scan and record.args[-1] >= 0
         # only states whose terms cancel are dropped, so the count is fixed
-        assert (crossings, peak, updates) == (78, 7, 1980)
+        assert (scan.crossings, scan.width, scan.updates) == (78, 7, 1980)
         # one per (link, glued pattern) the scan met, whether derived or
         # found in the table that every scan shares (each is derived once
         # per process); a repack after crossings 8, 16, ..., 72 and one
         # before the free loops, none on the start state
-        assert (derived, repacks) == (311, 10)
-        assert seconds >= 0
+        assert (scan.transitions, scan.repacks) == (311, 10)
 
-    def test_shared_transitions_leave_every_scan_as_it_was(self, caplog):
+    def test_shared_transitions_leave_every_scan_as_it_was(self):
         # each pinned scan gives the same value and the same whole counter
         # tuple right after the table is cleared, after every other pinned
         # scan has filled it, and once more with its own entries there too
         diagrams = [build() for _, build, _ in PINNED_SCANS]
 
         def scanned(d):
-            caplog.clear()
-            with caplog.at_level(logging.DEBUG, logger="twistknots.invariants"):
-                value = kauffman_bracket_jones(d)
-            (record,) = caplog.records
-            return value, record.args[1:5]
+            value, scan = invariants._jones(d)
+            return value, scan[1:]
 
         cold = []
         for d in diagrams:
