@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the parse, twist, simplification, scan, signature, reduction and move layers on their own.
+"""Time the parse, placement, closure, twist, simplification, scan, signature,
+reduction and move layers on their own.
 
 Run from the repository root:
 
@@ -48,8 +49,9 @@ JONES_REPEATS = 11
 SHORT_JONES_REPEATS = 101
 # a move enumeration takes milliseconds, so its median takes more calls
 MOVE_REPEATS = 51
-# so does a parse, a twist, an untwist schedule, a crossing change or the
-# simplification of a sweep witness
+# so does a parse, a placement of raw rows, a braid closure, a twist, an
+# untwist schedule, a crossing change or the simplification of a sweep
+# witness
 TWIST_REPEATS = 21
 # and a signature, or a structural comparison of a split diagram
 SPLIT_REPEATS = 21
@@ -150,6 +152,9 @@ DRIVERS = {
     "families.TwistFamily": lambda arg, fs, _: {
         "families": len(fs), "crossings": sum(f.base.n_crossings for f in fs)},
     "diagram.parse_pd": lambda text, d, _: {"crossings": d.n_crossings},
+    "diagram.from_raw": lambda raw, out, _: {"crossings": out[0].n_crossings},
+    "braids.braid_closure": lambda word, d, _: {"strands": word.strands,
+                                                "crossings": d.n_crossings},
     "families.twist": lambda f_n, d, _: {"crossings_out": d.n_crossings},
     "families.untwist_schedule": lambda f_n, sites, _: {
         "crossings_out": twist(*f_n).n_crossings, "sites": len(sites)},
@@ -189,7 +194,9 @@ def rows():
     shuffle = random.Random(1)
     names = shuffle.sample(range(2 * union.n_crossings), 2 * union.n_crossings)
     raw = [(tuple(names[e] for e in c.edges), c.sign) for c in union.crossings]
-    copy, _ = diagram.OrientedLinkDiagram.from_raw(shuffle.sample(raw, len(raw)))
+    shuffled = shuffle.sample(raw, len(raw))
+    copy, _ = diagram.OrientedLinkDiagram.from_raw(shuffled)
+    eight, delta2 = braids.torus_braid(8, 8), full_twist_braid(8, 1)
     R, T, S, M, reduce = REPEATS, TWIST_REPEATS, SPLIT_REPEATS, MOVE_REPEATS, coherent_reduction
     # the Jones and signature rows time the calls that also return their counters
     J, jones, sig = JONES_REPEATS, invariants._jones, invariants._signature
@@ -201,6 +208,13 @@ def rows():
         # the dense-label path, and the sign walk of _infer_signs
         ("diagram.parse_pd", "chain_4 n=52", text, diagram.parse_pd, T),
         ("diagram.parse_pd", "chain_4 n=52, signs stripped", unsigned, diagram.parse_pd, T),
+        # the rows that the structurally_equal row's copy is placed from
+        ("diagram.from_raw", "3 x chain_4 n=13, relabelled and shuffled", shuffled,
+         diagram.OrientedLinkDiagram.from_raw, T),
+        # the closures of the two 8-strand full twists that the Jones rows scan
+        ("braids.braid_closure", "full twist on 8 strands", eight, braids.braid_closure, T),
+        ("braids.braid_closure", "full twist on 8 strands, as Delta^2", delta2,
+         braids.braid_closure, T),
         ("families.twist", *twist_args("chain_4", 13), at, T),
         ("families.untwist_schedule", *twist_args("chain_4", 13), sched, T),
         ("families.twist", *twist_args("chain_4", 52), at, T),
@@ -253,9 +267,9 @@ def rows():
         # one full twist on 8 strands in two braid words: (s1...s7)^8, and
         # Delta^2, which scans with a third of the state updates
         ("invariants.kauffman_bracket_jones", "full twist on 8 strands",
-         braids.braid_closure(braids.torus_braid(8, 8)), jones, J),
+         braids.braid_closure(eight), jones, J),
         ("invariants.kauffman_bracket_jones", "full twist on 8 strands, as Delta^2",
-         braids.braid_closure(full_twist_braid(8, 1)), jones, J),
+         braids.braid_closure(delta2), jones, J),
         # short scans, where a call's fixed cost outweighs its states
         ("invariants.kauffman_bracket_jones", *member("whitehead", 1), jones, SHORT_JONES_REPEATS),
         ("invariants.kauffman_bracket_jones", *member("torus_q3", 0), jones, SHORT_JONES_REPEATS),

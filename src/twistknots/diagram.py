@@ -19,32 +19,38 @@ which makes the textual normal form round-trip bit-exact.  Inputs whose
 labels are already exactly the ints ``{0..E-1}`` keep them, so
 re-parsing a serialized diagram reproduces it identically; any other
 labels, bools included, are renamed by first appearance.  ``_label_map``
-alone decides this, once per construction from outside labels: the
-constructor relabels its
-``Crossing`` rows only when needed and sorts them by edges, and
-``from_raw`` relabels and argsorts raw ``(edges, sign)`` rows through
-``raw_order`` and builds each ``Crossing`` in its sorted place.  Code
-that reads raw labels afterwards (braid closure arcs) finds each one in
-its crossing slot through the index map.
+alone decides this, once per construction from outside labels, and only
+this module names it: the constructor relabels its ``Crossing`` rows
+only when needed, and ``from_raw`` and the family box plans relabel raw
+edge tuples through ``_relabelled``.  Code that reads raw labels
+afterwards (braid closure arcs) finds each one in its crossing slot
+through ``from_raw``'s index map.
 
-The index step has two ways in.  The constructor relabels and sorts as
-above.  ``_from_dense`` takes ``Crossing`` rows whose labels are already
-``0..E-1`` and only sorts them, skipping ``_label_map``: ``from_raw``
-ends in it, and so do rows derived from a diagram's own (``mirror`` and
-``change_crossings`` permute labels within a row, ``disjoint_union``
-shifts the second diagram's by ``2V``), the twisted members ``families``
-builds from a family's box plan, and the Reidemeister move results of
-``moves`` that remove no crossing.  Either way the step runs one
-validating pass in full.  It fills each edge's tail and head dart and
-its successor along the strand, and refuses an edge that lacks one tail
-and one head.  It then follows the strands to number the components,
-and walks the faces on a dart mate array.  Split diagrams are first
-class.  Non-planar inputs (PD codes with no realization in the plane)
-are refused by one Euler characteristic count over all connected pieces
-at once: F = V + 2 * pieces.  The pieces are counted by a union over
-components, each crossing joining the components of its under- and
-over-strand; the message naming the first failing piece is only worked
-out when the count fails.
+The index step has three ways in, and each sorts its rows once.  The
+constructor takes ``Crossing`` rows from outside, relabels them as above
+and sorts them by edges.  ``_from_dense`` takes ``Crossing`` rows
+derived from a diagram's own, whose labels are already ``0..E-1``, and
+only sorts them: ``mirror`` and ``change_crossings`` permute labels
+within a row, ``disjoint_union`` shifts the second diagram's by ``2V``,
+and the Reidemeister move results of ``moves`` that remove no crossing
+keep them.  The placement step ``_placed`` takes ``(edges, sign)`` rows
+labelled as the relabelling leaves them: ``from_raw``'s, ``parse_pd``'s,
+whose own labels already are, and the twisted members ``families``
+builds from a family's box plan.  It argsorts the edge
+tuples (``_row_order``, the one normal-form order, which
+``untwist_schedule`` reads too), builds each ``Crossing`` once, in its
+sorted place, and returns the index map with the diagram.
+
+Every way in runs one validating pass in full.  It fills each edge's
+tail and head dart and its successor along the strand, and refuses an
+edge that lacks one tail and one head.  It then follows the strands to
+number the components, and walks the faces on a dart mate array.  Split
+diagrams are first class.  Non-planar inputs (PD codes with no
+realization in the plane) are refused by one Euler characteristic count
+over all connected pieces at once: F = V + 2 * pieces.  The pieces are
+counted by a union over components, each crossing joining the
+components of its under- and over-strand; the message naming the first
+failing piece is only worked out when the count fails.
 
 The pass leaves an edge index on the diagram: each edge's tail dart,
 head dart and component, and each dart's face (``_face_of``, faces
@@ -184,30 +190,60 @@ class OrientedLinkDiagram:
         in ``diagram.crossings`` of the ``i``-th raw crossing.  Needed by
         operations that must address specific crossings after the
         normalizing sort.  ``raw`` may be any iterable and is read once.
-        The edge tuples are relabeled and sorted once by ``raw_order``,
-        each ``Crossing`` is built once, in its sorted place, and the rows
-        go to ``_from_dense``; the constructor's normalization does not run.
+        Each row must unpack into an edge tuple or list and a sign (a
+        string's characters are no labels).  The edges are relabelled as
+        the constructor relabels them and the rows go to ``_placed``,
+        which builds each ``Crossing`` once, in its sorted place.
         """
         try:
             raw = list(raw)
         except TypeError:
             raise DiagramError("raw crossings must be (edges, sign) rows") from None
-        edges, order, index_map = raw_order(raw)
-        signs = [s for _, s in raw]
-        rows = [Crossing(edges[i], signs[i]) for i in order]
-        return cls._from_dense(rows, free_loops), index_map
+        try:
+            rows = [e for e, _ in raw]
+            edges = list(map(tuple, rows))
+        except (TypeError, ValueError):  # not rows of an edge iterable and a sign
+            raise DiagramError("raw crossings must be (edges, sign) rows") from None
+        for e in rows:
+            if not isinstance(e, (tuple, list)):
+                raise DiagramError(f"crossing edges must be a tuple or list, got {e!r}")
+        return cls._placed(_relabelled(edges), [s for _, s in raw], free_loops)
+
+    @classmethod
+    def _placed(
+        cls, rows: Sequence[tuple[int, ...]], signs: Sequence[int], free_loops: int
+    ) -> tuple["OrientedLinkDiagram", list[int]]:
+        """The placement step: the diagram of ``(edges, sign)`` rows
+        labelled as the constructor's relabelling leaves them, and its
+        index map, the sorted position of each row.  One argsort on the
+        edge tuples puts each row in its place, where its ``Crossing`` is
+        built, and the rows go straight to the index step.  Its validating
+        pass runs in full, so a label beyond ``E - 1`` (which the
+        relabelling leaves when a label occurs once) or an edge end given
+        twice raises ``DiagramError``.  Labels are never negative: they
+        are ``_relabelled``'s ranks or kept ints ``0..E-1``, or numbered
+        from ``0`` up by their caller."""
+        order = _row_order(rows)
+        d = object.__new__(cls)
+        d._index(tuple([Crossing(rows[i], signs[i]) for i in order]), free_loops)
+        index_map = [0] * len(order)
+        for position, i in enumerate(order):
+            index_map[i] = position
+        return d, index_map
 
     @classmethod
     def _from_dense(
         cls, crossings: Iterable[Crossing], free_loops: int
     ) -> "OrientedLinkDiagram":
-        """The diagram of ``Crossing`` rows whose labels are already the
-        ints ``0..E-1``: the rows are sorted and go straight to the index
-        step, without the constructor's relabelling.  The validating pass
-        runs in full, so a label beyond ``E - 1`` or an edge end given
-        twice raises ``DiagramError``.  Labels must not be negative, which
-        the pass would read as indices from the end: every caller derives
-        its labels from ``0..E-1`` or numbers them from ``0`` up."""
+        """The diagram of ``Crossing`` rows derived from a diagram's own,
+        whose labels are therefore the ints ``0..E-1``: the rows are
+        sorted and go straight to the index step, without the
+        constructor's relabelling.  The validating pass runs in full, so a
+        label beyond ``E - 1`` or an edge end given twice raises
+        ``DiagramError``.  Labels must not be negative, which the pass
+        would read as indices from the end: every caller derives its
+        labels from the diagram's ``0..E-1`` and numbers new edges on from
+        ``2V``."""
         d = object.__new__(cls)
         d._index(tuple(sorted(crossings, key=_EDGES)), free_loops)
         return d
@@ -319,35 +355,16 @@ def _label_map(rows: Iterable[Sequence[int]]) -> dict | None:
         raise DiagramError("edge labels must be hashable") from None
 
 
-def raw_order(
-    raw: Sequence[tuple[Sequence[int], int]]
-) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-    """Where construction puts each raw ``(edges, sign)`` crossing.
+def _relabelled(rows: list[tuple]) -> list[tuple[int, ...]]:
+    """Each crossing's edge tuple relabelled as construction relabels it."""
+    remap = _label_map(rows)
+    return rows if remap is None else [tuple(map(remap.__getitem__, row)) for row in rows]
 
-    Returns ``(edges, order, index_map)``: each raw crossing's edge tuple
-    relabeled as construction relabels it, the raw indices in the
-    constructor's sorted order (an argsort on those tuples, its sort key),
-    and the inverse of that order, the sorted position of each raw
-    crossing.  Builds no ``Crossing`` and validates nothing beyond each
-    row unpacking into an edge iterable and a sign, the edges a tuple or
-    list as ``Crossing`` takes them (a string's characters are no labels).
-    """
-    try:
-        rows = [e for e, _ in raw]
-        edges = list(map(tuple, rows))
-    except (TypeError, ValueError):  # not rows of an edge iterable and a sign
-        raise DiagramError("raw crossings must be (edges, sign) rows") from None
-    for e in rows:
-        if not isinstance(e, (tuple, list)):
-            raise DiagramError(f"crossing edges must be a tuple or list, got {e!r}")
-    remap = _label_map(edges)
-    if remap is not None:
-        edges = [tuple(map(remap.__getitem__, row)) for row in edges]
-    order = sorted(range(len(edges)), key=edges.__getitem__)
-    index_map = [0] * len(order)
-    for position, i in enumerate(order):
-        index_map[i] = position
-    return edges, order, index_map
+
+def _row_order(rows: Sequence[tuple[int, ...]]) -> list[int]:
+    """The row indices in normal-form order: an argsort on the edge tuples,
+    the constructor's sort key."""
+    return sorted(range(len(rows)), key=rows.__getitem__)
 
 
 def _validate(crossings: tuple[Crossing, ...]):
@@ -697,9 +714,9 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
     if None in signs:
         signs = _infer_signs(tuples, signs, [p for _, _, p in crossings_raw], serial)
 
-    d = OrientedLinkDiagram(
-        tuple(Crossing(t, s) for t, s in zip(tuples, signs)), free_loops
-    )
+    # serial labels are 0..E-1 and the others first-seen ranks, which the
+    # constructor's relabelling would keep
+    d, _ = OrientedLinkDiagram._placed(tuples, signs, free_loops)
     if cycles and not _same_components(d, cycles, remap):
         raise ParseError("orientation block inconsistent with crossings")
     return d

@@ -27,13 +27,13 @@ block is the one before it with every label shifted by ``D = 2k(k-1)``.
 So ``|n| >= 2`` appends the first block, ``|n| - 2`` shifted middle
 blocks, and the last block with its labels ``>= 2nb+k`` shifted by
 ``(|n| - 3) * D``.  ``|n| = 1`` has its own rows, from its own splice;
-construction makes the one of ``n = 1``.  The rows are argsorted on the
-constructor's sort key, and every member is still fully validated by
-``_from_dense``; ``untwist_schedule`` reads its sites from the same
-argsort and builds no diagram.  A twist amount, and the ``turns`` of
-``full_twist_braid``, must be an ``int``; anything else, a bool
-included, raises ``FamilyError``, as does a family that is not a
-``TwistFamily``.
+construction makes the one of ``n = 1``.  A member's rows go to the
+diagram's placement step, which argsorts them on the constructor's sort
+key and validates the member in full; ``untwist_schedule`` reads its
+sites from the same argsort and builds no diagram.  A twist amount, and
+the ``turns`` of ``full_twist_braid``, must be an ``int``; anything
+else, a bool included, raises ``FamilyError``, as does a family that is
+not a ``TwistFamily``.
 
 Every ``TwistFamily`` is twisted once when it is built: marks that no
 one arc in the plane crosses in their order cannot be wired into the
@@ -50,11 +50,11 @@ from itertools import combinations, count
 
 from .braids import BraidWord, braid_strand_crossings
 from .diagram import (
-    Crossing,
     DiagramError,
     OrientedLinkDiagram,
+    _relabelled,
+    _row_order,
     parse_pd,
-    raw_order,
     serialize,
 )
 from .invariants import WIDTH_BUDGET, LimitExceeded, kauffman_bracket_jones
@@ -190,8 +190,7 @@ def _splice(f: TwistFamily, n: int) -> tuple[list[tuple[int, ...]], list[int]]:
     raw = [(tuple(row), c.sign) for row, c in zip(rows, base.crossings)]
     block = full_twist_braid(len(bottom), 1 if n > 0 else -1).letters
     raw += braid_strand_crossings(block * abs(n), bottom, top, dirs, fresh)
-    edges, _, _ = raw_order(raw)
-    return edges, [s for _, s in raw]
+    return _relabelled([e for e, _ in raw]), [s for _, s in raw]
 
 
 def _member_rows(f: TwistFamily, n: int) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -224,16 +223,13 @@ def twist_with_sites(
 
     Returns ``(diagram, base_sites, twist_sites)``: positions in the
     twisted diagram of each base crossing and of each inserted braid
-    letter (in word order).  The box plan's rows are argsorted on the
-    constructor's sort key and fully validated by ``_from_dense``.
+    letter (in word order).  The box plan's rows go to the placement
+    step, whose index map gives both, and are validated in full there.
     """
     _check_family(f)
     _check_amount(n)
     rows, signs = _member_rows(f, n)
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    crossings = [Crossing(rows[i], signs[i]) for i in order]
-    diagram = OrientedLinkDiagram._from_dense(crossings, f.base.free_loops)
-    index_map = sorted(range(len(order)), key=order.__getitem__)
+    diagram, index_map = OrientedLinkDiagram._placed(rows, signs, f.base.free_loops)
     nb = f.base.n_crossings
     return diagram, index_map[:nb], index_map[nb:]
 
@@ -244,8 +240,8 @@ def untwist_schedule(f: TwistFamily, n: int) -> list[int]:
 
     Needs a coherent family (marked passes all one direction per the
     presentation, ``eta_hat == omega``) and ``n >= 1``.  The sites are
-    the places of the second half of each block's letters in the argsort
-    of the box plan's rows; no diagram is built.
+    the places of the second half of each block's letters in the
+    placement step's argsort of the box plan's rows; no diagram is built.
     """
     _check_family(f)
     _check_amount(n)
@@ -260,8 +256,7 @@ def untwist_schedule(f: TwistFamily, n: int) -> list[int]:
         return []
     rows, _ = _member_rows(f, n)
     nb, block = f.base.n_crossings, k * (k - 1)
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    return [p for p, i in enumerate(order) if i >= nb and (i - nb) % block >= block // 2]
+    return [p for p, i in enumerate(_row_order(rows)) if i >= nb and (i - nb) % block >= block // 2]
 
 
 def mirror_family(f: TwistFamily) -> TwistFamily:

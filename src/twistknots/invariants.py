@@ -275,7 +275,7 @@ def _jones(
     jones = LaurentPolynomial._of_terms({lo + i: sign * c for i, c in enumerate(coeffs) if c})
     _debug(
         __name__, "bracket scan: %d crossings, peak %d open pairs, %d state updates, "
-        "%d transitions derived, %d repacks, %.3f s", *stats, time.perf_counter() - start,
+        "%d transitions met, %d repacks, %.3f s", *stats, time.perf_counter() - start,
     )
     return jones, stats
 

@@ -48,6 +48,8 @@ KEPT_ROWS = {
         "torus_q3 n=2", "largewrap_w0_p4 n=1", "chain_4 n=2, untwist sites changed",
         "torus_q2 n=3, untwist sites changed"],
     "diagram.parse_pd": ["chain_4 n=52", "chain_4 n=52, signs stripped"],
+    "diagram.from_raw": ["3 x chain_4 n=13, relabelled and shuffled"],
+    "braids.braid_closure": ["full twist on 8 strands", "full twist on 8 strands, as Delta^2"],
 }
 
 

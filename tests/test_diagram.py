@@ -17,7 +17,7 @@ from twistknots.diagram import (
     serialize,
     structurally_equal,
 )
-from twistknots.families import twist
+from twistknots.families import twist, twist_with_sites
 from twistknots.moves import reidemeister_moves
 
 from .oracles import (
@@ -395,6 +395,66 @@ class TestDenseEntry:
             OrientedLinkDiagram._from_dense(rows, 0)
 
 
+def placed_once(monkeypatch) -> list:
+    """Record every ``Crossing`` built from now on, and refuse
+    ``_from_dense``; returns the record."""
+    made, check = [], Crossing.__post_init__
+
+    def counting(self):
+        made.append(self)
+        check(self)
+
+    def refused(cls, crossings, free_loops):
+        raise AssertionError("placed rows were sorted again by _from_dense")
+
+    monkeypatch.setattr(Crossing, "__post_init__", counting)
+    monkeypatch.setattr(OrientedLinkDiagram, "_from_dense", classmethod(refused))
+    return made
+
+
+def built_in_place(made, d) -> bool:
+    """Whether ``made`` holds exactly the crossings of ``d``, in order."""
+    return len(made) == d.n_crossings and all(a is b for a, b in zip(made, d.crossings))
+
+
+class TestPlacedOnce:
+    """``from_raw``, ``parse_pd`` and twisted members place their rows
+    once: each ``Crossing`` is built in its sorted place and the rows are
+    not sorted again."""
+
+    def test_twisted_members(self, monkeypatch):
+        families = [*load_corpus().values(), chain_family(3), chain_family(4)]
+        made = placed_once(monkeypatch)
+        for f in families:
+            for n in range(-3, 4):
+                made.clear()
+                d, _, _ = twist_with_sites(f, n)
+                assert built_in_place(made, d), (f.name, n)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_from_raw_shuffled_and_relabelled(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        d = twist(chain_family(3), 2)
+        names = rng.sample(range(100, 100 + 2 * d.n_crossings), 2 * d.n_crossings)
+        raw = [([names[e] for e in c.edges], c.sign) for c in d.crossings]
+        rng.shuffle(raw)
+        made = placed_once(monkeypatch)
+        got, _ = OrientedLinkDiagram.from_raw(raw, d.free_loops)
+        assert built_in_place(made, got)
+        assert structurally_equal(got, d)
+
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_parse_pd(self, monkeypatch, signed):
+        d = twist(chain_family(4), 3)
+        text = serialize(d)
+        if not signed:
+            text = text.replace("X+", "X").replace("X-", "X")
+        made = placed_once(monkeypatch)
+        back = parse_pd(text)
+        assert built_in_place(made, back)
+        assert back == d
+
+
 @st.composite
 def oriented_codes(draw, max_crossings=5):
     """Crossing lists whose edges each run from one outgoing slot to one
@@ -650,8 +710,8 @@ class TestHypothesis:
 
     @pytest.mark.parametrize("relabel", [False, True])
     def test_from_raw_reads_any_iterable_once(self, relabel):
-        # raw_order consumed an iterator, and the signs were then read
-        # from an empty one: a bare IndexError
+        # reading the rows of an iterator twice found the signs in an
+        # empty one: a bare IndexError
         d = braid_closure(torus_braid(3, 4))
         rows = [([7 + 3 * e if relabel else e for e in c.edges], c.sign) for c in d.crossings]
         want = OrientedLinkDiagram.from_raw(rows)
@@ -756,6 +816,14 @@ class TestUnsignedParse:
             # classical code: loop 1-2 lies over loop 3-4, and its serial
             # hints disagree, as they do on every two-edge strand
             ("X[1,3,2,4] X[2,3,1,4]", "ambiguous orientation"),
+            # signed texts, validated with their own labels: x occurs three
+            # times and w once, so the first-seen ranks are still 0..3
+            ("X+[x,y,z,x] X-[w,x,y,z]", "^edge multiplicity: edge 0 occurs 3 times$"),
+            # d and e occur once, so the ranks run to 4, past E - 1 = 3
+            ("X+[a,b,c,d] X+[e,a,b,c]", "^edge multiplicity: edge 3 occurs 1 times$"),
+            # a 1-based classical code, counted from 0: label 2 is edge 1
+            ("X-[1,4,2,5] X-[3,6,4,1] X+[5,2,6,3]",
+             "^orientation inconsistency: edge 1 leaves twice$"),
         ],
     )
     def test_unorientable_input(self, text, error):

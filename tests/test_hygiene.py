@@ -291,3 +291,35 @@ def test_private_import_detector():
 def test_oracles_take_no_private_names():
     source = (ROOT / "tests" / "oracles.py").read_text(encoding="utf-8")
     assert private_imports(source, PACKAGE.name) == []
+
+
+# the constructor's relabelling and the index step: the normal form is
+# decided in diagram.py alone, and tests may still patch the index step
+NORMAL_FORM = {"_label_map", "_index"}
+
+
+def names_read(source: str) -> set[str]:
+    """Every name a module reads, binds by import or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.name, node.asname))
+    return names
+
+
+def test_names_read_detector():
+    source = "from a import _label_map as lm\nimport b\nb.d._index(x)\n"
+    assert names_read(source) >= {"_label_map", "lm", "b", "d", "_index", "x"}
+
+
+def test_normal_form_is_decided_in_diagram():
+    named = {
+        str(path.relative_to(ROOT)): names_read(path.read_text(encoding="utf-8")) & NORMAL_FORM
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if path != PACKAGE / "diagram.py"
+    }
+    assert {path: sorted(names) for path, names in named.items() if names} == {}

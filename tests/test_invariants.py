@@ -351,7 +351,7 @@ class TestWidthBudget:
         assert time.perf_counter() - start < 0.1
 
 
-# (id, build, (width, state updates, transitions derived, repacks)) of
+# (id, build, (width, state updates, transitions met, repacks)) of
 # one Jones scan each
 PINNED_SCANS = [
     ("wind3_wrap9 n=1", lambda: twist(load_corpus()["wind3_wrap9"], 1), (7, 1980, 311, 10)),
@@ -512,7 +512,7 @@ class TestScanOracle:
     def test_state_updates_pinned(self, build, counters):
         # equal matchings must share one key: a key keeping stale bits of
         # a freed position would split them and scan more states.  The
-        # whole tuple is (width, state updates, transitions derived,
+        # whole tuple is (width, state updates, transitions met,
         # repacks): the scan's work, whatever its bookkeeping costs
         assert invariants._jones(build())[1][1:] == counters
 
@@ -525,7 +525,7 @@ class TestScanOracle:
         assert record.name == "twistknots.invariants"
         assert record.levelno == logging.DEBUG
         assert record.msg == ("bracket scan: %d crossings, peak %d open pairs, %d state updates, "
-                              "%d transitions derived, %d repacks, %.3f s")
+                              "%d transitions met, %d repacks, %.3f s")
         assert record.args[:-1] == scan and record.args[-1] >= 0
         # only states whose terms cancel are dropped, so the count is fixed
         assert (scan.crossings, scan.width, scan.updates) == (78, 7, 1980)
