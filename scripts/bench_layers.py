@@ -4,7 +4,7 @@ reduction and move layers on their own.
 
 Run from the repository root:
 
-    python3 scripts/bench_layers.py --label after --out BENCH_jones.json
+    python3 scripts/bench_layers.py --label after --out bench/BENCH_jones.json
 
 ``rows()`` holds one table, one row per line: the layer, the input's
 label, the argument, the call and the number of calls timed.  One loop
@@ -21,7 +21,11 @@ scan shares after the row, and a row labelled "cold table" clears that
 table before each call (see ``cold``).
 The rows go into the ``--out`` JSON file under ``--label`` and other
 labels are kept, so one file holds the numbers of a change before and
-after.
+after.  Before each row the script times one run of the benchmark's
+reference task (``perfbench/reference.py``'s ``sample()``), which uses
+none of the library, and writes the median and interquartile range of
+those times in the label's ``host`` record as a gauge of how fast the
+host ran; each row's ``s`` stays the raw seconds.
 """
 
 import argparse
@@ -35,8 +39,10 @@ import sys
 import time
 import tracemalloc
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from perfbench.reference import sample
 from twistknots import braids, diagram, invariants, moves
 from twistknots.corpus import chain_family, load_corpus
 from twistknots.families import coherent_reduction, full_twist_braid, twist, untwist_schedule
@@ -159,6 +165,9 @@ DRIVERS = {
     "families.untwist_schedule": lambda f_n, sites, _: {
         "crossings_out": twist(*f_n).n_crossings, "sites": len(sites)},
     "diagram.change_crossings": lambda s, d, _: {"crossings": d.n_crossings, "sites": len(s)},
+    "diagram.mirror": lambda d, out, _: {"crossings": out.n_crossings},
+    "diagram.disjoint_union": lambda d, out, _: {"crossings": out.n_crossings,
+                                                 "components": out.n_components},
     # the output is (diagram, trace), and the plan (order, width, links)
     "moves.greedy_simplify": lambda d, out, _: {"crossings": d.n_crossings, "steps": len(out[1])},
     "invariants._scan_order": lambda d, plan, _: {"crossings": d.n_crossings, "width": plan[1]},
@@ -171,7 +180,14 @@ DRIVERS = {
 }
 
 
-def rows():
+def tripled(d):
+    """Three copies of ``d`` side by side."""
+    return d.disjoint_union(d).disjoint_union(d)
+
+
+def rows(gauge):
+    """The table's rows, each timed after one run of the reference task,
+    whose seconds go on ``gauge``."""
     fam = {**load_corpus(), "chain_3": chain_family(3), "chain_4": chain_family(4)}
 
     def twist_args(name, n):
@@ -190,7 +206,7 @@ def rows():
     text = diagram.serialize(twist(fam["chain_4"], 52))
     unsigned = text.replace("X+", "X").replace("X-", "X")
     k13, sites = twist(fam["chain_4"], 13), untwist_schedule(fam["chain_4"], 13)
-    union = k13.disjoint_union(k13).disjoint_union(k13)
+    union = tripled(k13)
     shuffle = random.Random(1)
     names = shuffle.sample(range(2 * union.n_crossings), 2 * union.n_crossings)
     raw = [(tuple(names[e] for e in c.edges), c.sign) for c in union.crossings]
@@ -226,6 +242,9 @@ def rows():
         ("families.twist", *twist_args("whitehead", 30), at, T),
         ("families.twist", *twist_args("wind3_wrap9", 10), at, T),
         ("diagram.change_crossings", "chain_4 n=13, untwist sites", sites, k13.change_crossings, T),
+        ("diagram.mirror", "chain_4 n=13", k13, diagram.OrientedLinkDiagram.mirror, T),
+        # the split diagram of the signature and structural equality rows
+        ("diagram.disjoint_union", "3 x chain_4 n=13", k13, tripled, T),
         ("moves.greedy_simplify", *untwisted("chain_4", 10), greedy, R),
         ("moves.greedy_simplify", *untwisted("chain_4", 50), greedy, R),
         ("moves.greedy_simplify", *untwisted("chain_4", 100), greedy, R),
@@ -292,11 +311,22 @@ def rows():
         ("moves.reidemeister_moves", *untwisted("torus_q2", 3), all_moves, M),
     ]
     for layer, label, arg, call, repeats in table:
+        gauge.append(sample())
         out, secs = timed(call, arg, repeats)
         row = {"layer": layer, "input": label, **DRIVERS[layer](arg, out, secs)}
         if (layer, label) in HEAP_ROWS:
             row["peak_kib"] = peak_kib(call, arg)
         yield {**row, "repeats": repeats, "s": round(secs, 6)}
+
+
+def host(gauge):
+    """The host record: the machine, and the gauge, the median and
+    interquartile range of the reference task's seconds over the run."""
+    q1, median, q3 = statistics.quantiles(gauge, n=4, method="inclusive")
+    return {"machine": platform.machine(), "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "gauge": {"task": "perfbench/reference.py sample()", "samples": len(gauge),
+                      "median_s": round(median, 6), "iqr_s": round(q3 - q1, 6)}}
 
 
 def main():
@@ -305,11 +335,11 @@ def main():
     ap.add_argument("--out", required=True, type=pathlib.Path)
     args = ap.parse_args()
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data[args.label] = {"host": {"machine": platform.machine(), "cpus": os.cpu_count(),
-                                 "python": platform.python_version()}, "rows": []}
-    for row in rows():
+    gauge, run = [], []
+    for row in rows(gauge):
         print(json.dumps(row))
-        data[args.label]["rows"].append(row)
+        run.append(row)
+    data[args.label] = {"host": host(gauge), "rows": run}
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 

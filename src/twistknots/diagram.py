@@ -18,30 +18,27 @@ dense integers ``0..E-1`` and crossings are sorted lexicographically,
 which makes the textual normal form round-trip bit-exact.  Inputs whose
 labels are already exactly the ints ``{0..E-1}`` keep them, so
 re-parsing a serialized diagram reproduces it identically; any other
-labels, bools included, are renamed by first appearance.  ``_label_map``
-alone decides this, once per construction from outside labels, and only
-this module names it: the constructor relabels its ``Crossing`` rows
-only when needed, and ``from_raw`` and the family box plans relabel raw
-edge tuples through ``_relabelled``.  Code that reads raw labels
-afterwards (braid closure arcs) finds each one in its crossing slot
-through ``from_raw``'s index map.
+labels, bools included, are renamed by first appearance.  ``_relabelled``
+alone decides this, once per construction from outside labels: the
+constructor relabels its ``Crossing`` rows through it, and so do
+``from_raw``, the family box plans and the Reidemeister removals their
+edge tuples.  Code that reads raw labels afterwards (braid closure arcs)
+finds each one in its crossing slot through ``from_raw``'s index map.
 
-The index step has three ways in, and each sorts its rows once.  The
-constructor takes ``Crossing`` rows from outside, relabels them as above
-and sorts them by edges.  ``_from_dense`` takes ``Crossing`` rows
-derived from a diagram's own, whose labels are already ``0..E-1``, and
-only sorts them: ``mirror`` and ``change_crossings`` permute labels
-within a row, ``disjoint_union`` shifts the second diagram's by ``2V``,
-and the Reidemeister move results of ``moves`` that remove no crossing
-keep them.  The placement step ``_placed`` takes ``(edges, sign)`` rows
-labelled as the relabelling leaves them: ``from_raw``'s, ``parse_pd``'s,
-whose own labels already are, and the twisted members ``families``
-builds from a family's box plan.  It argsorts the edge
-tuples (``_row_order``, the one normal-form order, which
-``untwist_schedule`` reads too), builds each ``Crossing`` once, in its
-sorted place, and returns the index map with the diagram.
+A crossing row is one immutable ``(edges, sign)`` tuple, a ``Crossing``.
+Its constructor checks rows from outside; rows the library derives from
+checked ones (box-plan members, mirrored and changed rows, move results,
+relabelled rows, ``parse_pd``'s) are built by ``_row`` without the
+checks.  Every diagram then enters the index step through one placement
+step, ``_placed``: the constructor after its relabelling, ``from_raw``,
+``parse_pd``, the twisted members of ``families``, ``mirror``,
+``change_crossings``, ``disjoint_union`` and every Reidemeister move
+result and ``greedy_simplify`` result of ``moves``.  It argsorts the rows
+on their edge tuples (``_row_order``, the one normal-form order, which
+``untwist_schedule`` reads too), keeps each row object in its sorted
+place and returns the index map.
 
-Every way in runs one validating pass in full.  It fills each edge's
+The placement step runs one validating pass in full.  It fills each edge's
 tail and head dart and its successor along the strand, and refuses an
 edge that lacks one tail and one head.  It then follows the strands to
 number the components, and walks the faces on a dart mate array.  Split
@@ -69,7 +66,7 @@ from __future__ import annotations
 
 import re
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -103,23 +100,39 @@ def _debug(logger: str, message: str, *args) -> None:
         logging.getLogger(logger).debug(message, *args)
 
 
-@dataclass(frozen=True)
-class Crossing:
-    """One crossing: edges counterclockwise from the incoming under-strand."""
+class Crossing(namedtuple("Crossing", "edges sign")):
+    """One crossing: edges counterclockwise from the incoming under-strand,
+    and its sign.  A row is an immutable ``(edges, sign)`` tuple, so it
+    equals the plain tuple of its fields, has length 2 and iterates over
+    them.  The constructor checks rows from outside; ``_row`` builds the
+    rows the library derives from checked ones."""
 
-    edges: tuple[int, int, int, int]
-    sign: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.edges) is not tuple:
-            if not isinstance(self.edges, (tuple, list)):
-                raise DiagramError(f"crossing edges must be a tuple or list, got {self.edges!r}")
-            object.__setattr__(self, "edges", tuple(self.edges))
-        if len(self.edges) != 4:
+    def __new__(cls, edges, sign):
+        if type(edges) is not tuple:
+            if not isinstance(edges, (tuple, list)):
+                raise DiagramError(f"crossing edges must be a tuple or list, got {edges!r}")
+            edges = tuple(edges)
+        if len(edges) != 4:
             raise DiagramError("crossing needs exactly 4 edges")
         # the int parse_pd reads, so that serialize/parse_pd round-trips it
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise DiagramError(f"crossing sign must be the int +1 or -1, got {self.sign!r}")
+        if type(sign) is not int or sign not in (1, -1):
+            raise DiagramError(f"crossing sign must be the int +1 or -1, got {sign!r}")
+        return _new_tuple(cls, (edges, sign))
+
+    # namedtuple's own _make, which _replace calls too, skips the checks
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+
+_new_tuple = tuple.__new__
+
+
+def _row(edges: tuple[int, int, int, int], sign: int) -> Crossing:
+    """The ``Crossing`` of a row derived from checked ones, built without
+    the constructor's checks: ``edges`` a 4-tuple of labels, ``sign`` the
+    int +1 or -1."""
+    return _new_tuple(Crossing, (edges, sign))
 
 
 # per sign, whether each slot's edge points into the crossing
@@ -142,21 +155,37 @@ class OrientedLinkDiagram:
     _face_of: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        """The constructor, for ``Crossing`` rows from outside: each row is
+        relabelled through ``_relabelled``, built again with its new
+        labels, and the rows go to the placement step."""
         try:
             crossings = tuple(self.crossings)
         except TypeError:
             raise DiagramError("diagram crossings must be a sequence of Crossing") from None
         if not set(map(type, crossings)) <= {Crossing}:
             raise DiagramError("diagram crossings must be Crossing objects; raw rows go to from_raw")
-        remap = _label_map(map(_EDGES, crossings))
-        if remap is not None:
-            crossings = tuple(
-                Crossing(tuple(map(remap.__getitem__, c.edges)), c.sign) for c in crossings
-            )
-        # two crossings with the same edges give an edge two heads, which
-        # _validate refuses in either order, so the sign needs no place in
-        # the sort key
-        self._index(tuple(sorted(crossings, key=_EDGES)), self.free_loops)
+        edges = _relabelled(list(map(_EDGES, crossings)))
+        self._placed([_row(e, c.sign) for e, c in zip(edges, crossings)], self.free_loops)
+
+    def _placed(self, rows: Sequence[Crossing], free_loops: int) -> list[int]:
+        """The placement step, which every diagram passes once: fill this
+        diagram from ``Crossing`` rows labelled as the constructor's
+        relabelling leaves them, and return its index map, the sorted
+        position of each row.  One argsort on the edge tuples puts each
+        row object in its place, and the rows go straight to the index
+        step.  Its validating pass runs in full, so a label beyond
+        ``E - 1`` (which the relabelling leaves when a label occurs once)
+        or an edge end given twice raises ``DiagramError``.  Labels are
+        never negative: they are ``_relabelled``'s ranks or kept ints
+        ``0..E-1``, or numbered from ``0`` up by their caller.  A diagram
+        built from derived rows is made with ``object.__new__`` and
+        placed, so it skips the constructor."""
+        order = _row_order(list(map(_EDGES, rows)))
+        self._index(tuple([rows[i] for i in order]), free_loops)
+        index_map = [0] * len(order)
+        for position, i in enumerate(order):
+            index_map[i] = position
+        return index_map
 
     def _index(self, crossings: tuple[Crossing, ...], free_loops: int) -> None:
         """The index step: keep the crossings, already in normal form, and
@@ -192,8 +221,9 @@ class OrientedLinkDiagram:
         normalizing sort.  ``raw`` may be any iterable and is read once.
         Each row must unpack into an edge tuple or list and a sign (a
         string's characters are no labels).  The edges are relabelled as
-        the constructor relabels them and the rows go to ``_placed``,
-        which builds each ``Crossing`` once, in its sorted place.
+        the constructor relabels them, each row's ``Crossing`` is built
+        once, with the constructor's checks, and the rows go to the
+        placement step.
         """
         try:
             raw = list(raw)
@@ -207,46 +237,14 @@ class OrientedLinkDiagram:
         for e in rows:
             if not isinstance(e, (tuple, list)):
                 raise DiagramError(f"crossing edges must be a tuple or list, got {e!r}")
-        return cls._placed(_relabelled(edges), [s for _, s in raw], free_loops)
-
-    @classmethod
-    def _placed(
-        cls, rows: Sequence[tuple[int, ...]], signs: Sequence[int], free_loops: int
-    ) -> tuple["OrientedLinkDiagram", list[int]]:
-        """The placement step: the diagram of ``(edges, sign)`` rows
-        labelled as the constructor's relabelling leaves them, and its
-        index map, the sorted position of each row.  One argsort on the
-        edge tuples puts each row in its place, where its ``Crossing`` is
-        built, and the rows go straight to the index step.  Its validating
-        pass runs in full, so a label beyond ``E - 1`` (which the
-        relabelling leaves when a label occurs once) or an edge end given
-        twice raises ``DiagramError``.  Labels are never negative: they
-        are ``_relabelled``'s ranks or kept ints ``0..E-1``, or numbered
-        from ``0`` up by their caller."""
-        order = _row_order(rows)
+        edges = _relabelled(edges)
+        try:
+            rows = [Crossing(e, s) for e, (_, s) in zip(edges, raw)]
+        except DiagramError:  # the first faulty row in normal-form order, as always named
+            for i in _row_order(edges):
+                Crossing(edges[i], raw[i][1])
         d = object.__new__(cls)
-        d._index(tuple([Crossing(rows[i], signs[i]) for i in order]), free_loops)
-        index_map = [0] * len(order)
-        for position, i in enumerate(order):
-            index_map[i] = position
-        return d, index_map
-
-    @classmethod
-    def _from_dense(
-        cls, crossings: Iterable[Crossing], free_loops: int
-    ) -> "OrientedLinkDiagram":
-        """The diagram of ``Crossing`` rows derived from a diagram's own,
-        whose labels are therefore the ints ``0..E-1``: the rows are
-        sorted and go straight to the index step, without the
-        constructor's relabelling.  The validating pass runs in full, so a
-        label beyond ``E - 1`` or an edge end given twice raises
-        ``DiagramError``.  Labels must not be negative, which the pass
-        would read as indices from the end: every caller derives its
-        labels from the diagram's ``0..E-1`` and numbers new edges on from
-        ``2V``."""
-        d = object.__new__(cls)
-        d._index(tuple(sorted(crossings, key=_EDGES)), free_loops)
-        return d
+        return d, d._placed(rows, free_loops)
 
     @property
     def n_crossings(self) -> int:
@@ -279,20 +277,26 @@ class OrientedLinkDiagram:
         """Flip every crossing's over/under assignment.
 
         Strand orientations are kept, all signs negate, and the operation
-        is an involution.
+        is an involution: ``change_crossings`` at every site.
         """
-        return OrientedLinkDiagram._from_dense(map(_mirror_crossing, self.crossings), self.free_loops)
+        return self.change_crossings(range(len(self.crossings)))
 
     def change_crossings(self, sites: Iterable[int]) -> "OrientedLinkDiagram":
         try:
             sites = set(sites)
         except TypeError:
             raise DiagramError(f"crossing sites must be an iterable, got {sites!r}") from None
+        rows = list(self.crossings)
         for s in sites:
-            if not (type(s) is int and 0 <= s < len(self.crossings)):
+            if not (type(s) is int and 0 <= s < len(rows)):
                 raise DiagramError(f"invalid crossing site {s!r}")
-        new = [_mirror_crossing(c) if i in sites else c for i, c in enumerate(self.crossings)]
-        return OrientedLinkDiagram._from_dense(new, self.free_loops)
+            # over and under swap, so the other strand's incoming edge
+            # takes slot 0 and the sign flips
+            (a, b, c, e), sign = rows[s]
+            rows[s] = _row((e, a, b, c), -1) if sign > 0 else _row((b, c, e, a), 1)
+        d = object.__new__(OrientedLinkDiagram)
+        d._placed(rows, self.free_loops)
+        return d
 
     def linking_number(self, i: int, j: int) -> int:
         """Half the signed count of crossings between components i and j."""
@@ -314,12 +318,12 @@ class OrientedLinkDiagram:
         """Distant union; the other diagram's components come after ours."""
         _check_diagram(other, "can only unite with")
         off = 2 * len(self.crossings)
-        shifted = tuple(
-            Crossing(tuple(e + off for e in c.edges), c.sign) for c in other.crossings
-        )
-        return OrientedLinkDiagram._from_dense(
-            self.crossings + shifted, self.free_loops + other.free_loops
-        )
+        rows = [*self.crossings]
+        rows += [_row((a + off, b + off, c + off, e + off), sign)
+                 for (a, b, c, e), sign in other.crossings]
+        d = object.__new__(OrientedLinkDiagram)
+        d._placed(rows, self.free_loops + other.free_loops)
+        return d
 
 
 def _same_components(d: OrientedLinkDiagram, cycles, label: dict) -> bool:
@@ -329,42 +333,32 @@ def _same_components(d: OrientedLinkDiagram, cycles, label: dict) -> bool:
     return want == sorted(sorted(set(c)) for c in d._components)
 
 
-def _mirror_crossing(c: Crossing) -> Crossing:
-    a, b, cc, d = c.edges
-    if c.sign > 0:
-        return Crossing((d, a, b, cc), -1)
-    return Crossing((b, cc, d, a), +1)
-
-
 # -- normalization and validation ------------------------------------------
 
 
 _EDGES = attrgetter("edges")
 
 
-def _label_map(rows: Iterable[Sequence[int]]) -> dict | None:
-    """How construction relabels edges, given each crossing's edges:
-    ``None`` when the labels are already the ints ``0..E-1`` (bools
-    excluded), else each label to its first-seen rank."""
+def _relabelled(rows: list[tuple]) -> list[tuple[int, ...]]:
+    """Each crossing's edge tuple relabelled as construction relabels it:
+    ``rows`` itself when the labels are already the ints ``0..E-1``
+    (bools excluded), else each label renamed to its first-seen rank."""
     labels = [e for row in rows for e in row]
     if set(map(type, labels)) <= {int} and set(labels) == set(range(len(labels) // 2)):
-        return None
+        return rows
     try:
-        return {e: i for i, e in enumerate(dict.fromkeys(labels))}
+        remap = {e: i for i, e in enumerate(dict.fromkeys(labels))}
     except TypeError:  # an unhashable label, a list say
         raise DiagramError("edge labels must be hashable") from None
+    return [tuple(map(remap.__getitem__, row)) for row in rows]
 
 
-def _relabelled(rows: list[tuple]) -> list[tuple[int, ...]]:
-    """Each crossing's edge tuple relabelled as construction relabels it."""
-    remap = _label_map(rows)
-    return rows if remap is None else [tuple(map(remap.__getitem__, row)) for row in rows]
-
-
-def _row_order(rows: Sequence[tuple[int, ...]]) -> list[int]:
-    """The row indices in normal-form order: an argsort on the edge tuples,
-    the constructor's sort key."""
-    return sorted(range(len(rows)), key=rows.__getitem__)
+def _row_order(edges: Sequence[tuple[int, ...]]) -> list[int]:
+    """The row indices in normal-form order: an argsort on the rows' edge
+    tuples.  Two rows with the same edges give an edge two heads, which
+    ``_validate`` refuses in either order, so the sign needs no place in
+    the key; comparing whole rows would take about twice as long."""
+    return sorted(range(len(edges)), key=edges.__getitem__)
 
 
 def _validate(crossings: tuple[Crossing, ...]):
@@ -380,12 +374,11 @@ def _validate(crossings: tuple[Crossing, ...]):
     succ = [0] * n_edges  # the next edge along each edge's strand
     x = 0
     try:
-        for c in crossings:
-            a, b, cc, d = c.edges
+        for (a, b, cc, d), sign in crossings:
             head[a] = x
             tail[cc] = x + 2
             succ[a] = cc
-            if c.sign > 0:  # over-strand slot 3 -> slot 1
+            if sign > 0:  # over-strand slot 3 -> slot 1
                 tail[b] = x + 1
                 head[d] = x + 3
                 succ[d] = b
@@ -516,10 +509,10 @@ def _piece_of_component(
     """
     root = list(range(n_components))
     joins = n_components - 1  # unions left before one piece remains
-    for c in crossings:
+    for (e, f, _, _), _ in crossings:
         if not joins:
             break
-        a, b = comp[c.edges[0]], comp[c.edges[1]]
+        a, b = comp[e], comp[f]
         while root[a] != a:
             a = root[a]
         while root[b] != b:
@@ -716,7 +709,8 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
 
     # serial labels are 0..E-1 and the others first-seen ranks, which the
     # constructor's relabelling would keep
-    d, _ = OrientedLinkDiagram._placed(tuples, signs, free_loops)
+    d = object.__new__(OrientedLinkDiagram)
+    d._placed(list(map(_row, tuples, signs)), free_loops)
     if cycles and not _same_components(d, cycles, remap):
         raise ParseError("orientation block inconsistent with crossings")
     return d

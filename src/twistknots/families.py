@@ -50,9 +50,11 @@ from itertools import combinations, count
 
 from .braids import BraidWord, braid_strand_crossings
 from .diagram import (
+    Crossing,
     DiagramError,
     OrientedLinkDiagram,
     _relabelled,
+    _row,
     _row_order,
     parse_pd,
     serialize,
@@ -171,11 +173,11 @@ def _check_family(f) -> None:
         raise FamilyError(f"expected a TwistFamily, got {f!r}")
 
 
-def _splice(f: TwistFamily, n: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Edge rows, relabeled as construction relabels them, and signs of
-    ``twist(f, n)`` spliced the long way: the base's crossings with each
-    marked edge cut at its head, then one crossing per letter of ``|n|``
-    full twists."""
+def _splice(f: TwistFamily, n: int) -> list[Crossing]:
+    """The rows of ``twist(f, n)``, relabeled as construction relabels
+    them, spliced the long way: the base's crossings with each marked
+    edge cut at its head, then one crossing per letter of ``|n|`` full
+    twists."""
     base = f.base
     rows = [list(c.edges) for c in base.crossings]
     fresh = count(2 * base.n_crossings)
@@ -190,30 +192,31 @@ def _splice(f: TwistFamily, n: int) -> tuple[list[tuple[int, ...]], list[int]]:
     raw = [(tuple(row), c.sign) for row, c in zip(rows, base.crossings)]
     block = full_twist_braid(len(bottom), 1 if n > 0 else -1).letters
     raw += braid_strand_crossings(block * abs(n), bottom, top, dirs, fresh)
-    return _relabelled([e for e, _ in raw]), [s for _, s in raw]
+    return list(map(_row, _relabelled([e for e, _ in raw]), [s for _, s in raw]))
 
 
-def _member_rows(f: TwistFamily, n: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Edge rows, in their final labels, and signs of ``twist(f, n)``:
-    the base's crossings first, then one per letter in word order.  For
-    ``|n| = 1`` they are the plan's own lists, which callers never change."""
+def _member_rows(f: TwistFamily, n: int) -> list[Crossing]:
+    """The rows of ``twist(f, n)``, in their final labels: the base's
+    crossings first, then one per letter in word order.  For ``|n| <= 1``
+    they are the base's or the plan's own list, which callers never
+    change."""
     k = len(f.marked_edges)
     if k < 2 or n == 0:
-        return [c.edges for c in f.base.crossings], [c.sign for c in f.base.crossings]
+        return list(f.base.crossings)
     m = abs(n)
     key = n if m == 1 else n // m * 3  # the +-1 splice, or the +-3 one of n's sign
-    rows, signs = f._plans.get(key) or f._plans.setdefault(key, _splice(f, key))
+    rows = f._plans.get(key) or f._plans.setdefault(key, _splice(f, key))
     if m == 1:
-        return rows, signs
+        return rows
     nb, size = f.base.n_crossings, k * (k - 1)
     low, shift = 2 * nb + k, 2 * size
     first, middle, last = (rows[nb + b * size:nb + (b + 1) * size] for b in range(3))
     out = rows[:nb] + first
     for s in range(0, (m - 2) * shift, shift):
-        out += [(a + s, b + s, c + s, d + s) for a, b, c, d in middle]
+        out += [_row((a + s, b + s, c + s, d + s), sign) for (a, b, c, d), sign in middle]
     s = (m - 3) * shift
-    out += [tuple(x + s if x >= low else x for x in row) for row in last]
-    return out, signs[:nb] + signs[nb:nb + size] * m
+    out += [_row(tuple(x + s if x >= low else x for x in edges), sign) for edges, sign in last]
+    return out
 
 
 def twist_with_sites(
@@ -224,24 +227,28 @@ def twist_with_sites(
     Returns ``(diagram, base_sites, twist_sites)``: positions in the
     twisted diagram of each base crossing and of each inserted braid
     letter (in word order).  The box plan's rows go to the placement
-    step, whose index map gives both, and are validated in full there.
+    step, whose index map gives both, and are validated in full there;
+    rows the member shares with the plan or the base are not built again.
     """
     _check_family(f)
     _check_amount(n)
-    rows, signs = _member_rows(f, n)
-    diagram, index_map = OrientedLinkDiagram._placed(rows, signs, f.base.free_loops)
+    diagram = object.__new__(OrientedLinkDiagram)
+    index_map = diagram._placed(_member_rows(f, n), f.base.free_loops)
     nb = f.base.n_crossings
     return diagram, index_map[:nb], index_map[nb:]
 
 
 def untwist_schedule(f: TwistFamily, n: int) -> list[int]:
     """Crossing sites in ``twist(f, n)`` whose change trivializes the
-    inserted twist region; exactly ``n * w(w-1)/2`` of them.
+    inserted twist region; exactly ``|n| * w(w-1)/2`` of them.
 
     Needs a coherent family (marked passes all one direction per the
-    presentation, ``eta_hat == omega``) and ``n >= 1``.  The sites are
-    the places of the second half of each block's letters in the
-    placement step's argsort of the box plan's rows; no diagram is built.
+    presentation, ``eta_hat == omega``) and ``n != 0``.  Each block of a
+    twist region is a half twist and its reverse, all letters of the
+    sign of ``n``; changing the second half leaves a word that cancels
+    freely, for either sign.  The sites are the places of the second
+    half of each block's letters in the placement step's argsort of the
+    box plan's rows; no diagram is built.
     """
     _check_family(f)
     _check_amount(n)
@@ -249,14 +256,14 @@ def untwist_schedule(f: TwistFamily, n: int) -> list[int]:
         raise FamilyError(
             f"untwist schedule needs a coherent family (eta={f.eta_hat}, omega={f.omega})"
         )
-    if n < 1:
-        raise FamilyError("untwist schedule needs n >= 1")
+    if n == 0:
+        raise FamilyError("untwist schedule needs n != 0")
     k = f.eta_hat
     if k <= 1:
         return []
-    rows, _ = _member_rows(f, n)
     nb, block = f.base.n_crossings, k * (k - 1)
-    return [p for p, i in enumerate(_row_order(rows)) if i >= nb and (i - nb) % block >= block // 2]
+    order = _row_order([c.edges for c in _member_rows(f, n)])
+    return [p for p, i in enumerate(order) if i >= nb and (i - nb) % block >= block // 2]
 
 
 def mirror_family(f: TwistFamily) -> TwistFamily:

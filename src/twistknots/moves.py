@@ -40,18 +40,19 @@ labels around its triangle (``_slid``).  The additions relabel the head
 darts of the edges they split and append the crossings they create, with
 new edges ``2V..2V+2k-1`` for k new crossings; an R2+ of one free loop
 across another labels the second loop ``2V + 2, 2V + 3``.  A result
-that loses no crossing keeps the labels ``0..E-1``, so its rows are in
-normal form and go straight to the index step
-(``OrientedLinkDiagram._from_dense``); a removal leaves gaps, and the
-constructor renames its rows by first appearance.
+that loses no crossing keeps the labels ``0..E-1``; a removal leaves
+gaps, and ``diagram._relabelled`` renames its labels by first
+appearance, as the constructor would.  Each row a result changes is
+built once, by ``diagram._row``, and every result enters the index step
+through the placement step (``OrientedLinkDiagram._placed``), never
+through the constructor.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import compress
 
-from .diagram import Crossing, OrientedLinkDiagram, _check_diagram, _debug, _faces, _mates
+from .diagram import OrientedLinkDiagram, _check_diagram, _debug, _faces, _mates, _relabelled, _row
 
 
 class Move:
@@ -166,17 +167,17 @@ def _kinked(d, e, kind) -> OrientedLinkDiagram:
     return _edited(d, ((d._head[e], m),), (), (_kink(kind, e, loop, m),), d.free_loops)
 
 
-def _kink(kind, e, loop, m) -> Crossing:
+def _kink(kind, e, loop, m):
     """The crossing of a kink of ``kind`` whose strand enters on ``e``,
     runs once around the loop edge ``loop`` and leaves on ``m``; the
     ``loop_`` kinds are ``pos_a`` and ``neg_a`` with ``e == m``."""
     if kind in ("pos_a", "loop_pos"):
-        return Crossing((loop, loop, m, e), +1)
+        return _row((loop, loop, m, e), +1)
     if kind == "pos_b":
-        return Crossing((e, m, loop, loop), +1)
+        return _row((e, m, loop, loop), +1)
     if kind in ("neg_a", "loop_neg"):
-        return Crossing((e, loop, loop, m), -1)
-    return Crossing((loop, e, m, loop), -1)
+        return _row((e, loop, loop, m), -1)
+    return _row((loop, e, m, loop), -1)
 
 
 def _r2_wiring(over, under, k):
@@ -195,12 +196,12 @@ def _r2_wiring(over, under, k):
     e1, m, e2 = over
     g1, h, g2 = under
     if k == 0:
-        return Crossing((g1, m, h, e1), +1), Crossing((h, m, g2, e2), -1)
+        return _row((g1, m, h, e1), +1), _row((h, m, g2, e2), -1)
     if k == 1:
-        return Crossing((g1, e1, h, m), -1), Crossing((h, e2, g2, m), +1)
+        return _row((g1, e1, h, m), -1), _row((h, e2, g2, m), +1)
     if k == 2:
-        return Crossing((h, m, g2, e1), +1), Crossing((g1, m, h, e2), -1)
-    return Crossing((h, e1, g2, m), -1), Crossing((g1, e2, h, m), +1)
+        return _row((h, m, g2, e1), +1), _row((g1, m, h, e2), -1)
+    return _row((h, e1, g2, m), -1), _row((g1, e2, h, m), +1)
 
 
 # wiring index by whether the face darts of (over, under) are edge tails
@@ -267,9 +268,9 @@ def _self_pushed(d, k) -> OrientedLinkDiagram:
     fresh0 = 2 * d.n_crossings
     a, t, c, m = fresh0, fresh0 + 1, fresh0 + 2, fresh0 + 3
     if k == 0:
-        pair = Crossing((c, t, m, a), +1), Crossing((m, t, c, a), -1)
+        pair = _row((c, t, m, a), +1), _row((m, t, c, a), -1)
     else:
-        pair = Crossing((a, c, t, m), -1), Crossing((t, c, a, m), +1)
+        pair = _row((a, c, t, m), -1), _row((t, c, a, m), +1)
     return _edited(d, (), (), pair, d.free_loops - 1)
 
 
@@ -340,8 +341,9 @@ def greedy_simplify(
     if the crossing found nothing and none of its darts was re-mated
     since: what both tests find depends only on the mates of the
     crossing's own darts, mating being symmetric.  Each edge of the
-    result takes the least input label along it, which the constructor
-    renames, and the result is built and validated once, at the end.
+    result takes the least input label along it, which ``_edited``
+    renames through ``_relabelled``, and the result is built and
+    validated once, at the end.
     """
     _check_diagram(d, "greedy simplification needs")
     start = time.perf_counter()
@@ -477,19 +479,22 @@ def _remove(
 
 def _edited(d, edits, removed, added, free_loops) -> OrientedLinkDiagram:
     """``d`` with each ``(dart, label)`` edit made in order, the ``removed``
-    crossings left out and the ``added`` rows appended.  Each edited row
-    is built once.  Rows that lost no crossing are labelled ``0..E-1``
-    and skip the constructor's renaming."""
+    crossings left out and the ``added`` rows appended, placed once.  Each
+    row that changes is built once.  Rows that lost no crossing are
+    labelled ``0..E-1``; a removal's are relabelled by ``_relabelled``
+    before they are built (no removal adds a row)."""
     rows = list(d.crossings)
     changed: dict[int, list[int]] = {}
     for x, e in edits:
         changed.setdefault(x >> 2, list(rows[x >> 2].edges))[x & 3] = e
-    for c, edges in changed.items():
-        rows[c] = Crossing(tuple(edges), rows[c].sign)
-    if not removed:
+    if removed:
+        kept = sorted(set(range(len(rows))).difference(removed))
+        edges = _relabelled([tuple(changed[c]) if c in changed else rows[c].edges for c in kept])
+        rows = [_row(e, rows[c].sign) for e, c in zip(edges, kept)]
+    else:
+        for c, edges in changed.items():
+            rows[c] = _row(tuple(edges), rows[c].sign)
         rows += added
-        return OrientedLinkDiagram._from_dense(rows, free_loops)
-    keep = [True] * len(rows)
-    for c in removed:
-        keep[c] = False
-    return OrientedLinkDiagram((*compress(rows, keep), *added), free_loops)
+    result = object.__new__(OrientedLinkDiagram)
+    result._placed(rows, free_loops)
+    return result

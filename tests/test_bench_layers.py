@@ -26,6 +26,8 @@ KEPT_ROWS = {
                        "whitehead n=30", "wind3_wrap9 n=10"],
     "families.untwist_schedule": ["chain_4 n=13", "chain_4 n=52", "torus_q3 n=13", "torus_q3 n=40"],
     "diagram.change_crossings": ["chain_4 n=13, untwist sites"],
+    "diagram.mirror": ["chain_4 n=13"],
+    "diagram.disjoint_union": ["3 x chain_4 n=13"],
     "moves.greedy_simplify": [*(f"chain_4 n={n}, untwist sites changed" for n in (10, 50, 100)),
                               "torus_q3 n=13, untwist sites changed",
                               "chain_3 n=13, untwist sites changed"],
@@ -59,7 +61,8 @@ UNTRACED = SimpleNamespace(start=lambda: None, stop=lambda: None,
 
 
 @pytest.fixture(scope="module")
-def bench_rows():
+def bench_run():
+    """The rows of one run, and its host record."""
     spec = importlib.util.spec_from_file_location("bench_layers", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
@@ -69,7 +72,22 @@ def bench_rows():
         # the heap peak is a measurement, not a driver, and tracing makes
         # the long scans about 13 times slower
         patch.setattr(bench, "tracemalloc", UNTRACED)
-        return list(bench.rows())
+        gauge = []
+        rows = list(bench.rows(gauge))
+        return rows, bench.host(gauge)
+
+
+@pytest.fixture(scope="module")
+def bench_rows(bench_run):
+    return bench_run[0]
+
+
+def test_host_gauge_times_the_reference_task_before_every_row(bench_run):
+    rows, host = bench_run
+    gauge = host["gauge"]
+    assert gauge["task"] == "perfbench/reference.py sample()"
+    assert gauge["samples"] == len(rows)
+    assert gauge["median_s"] > 0 and gauge["iqr_s"] >= 0
 
 
 def test_every_row_runs_once_with_its_drivers(bench_rows):

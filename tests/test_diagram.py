@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -232,6 +234,11 @@ class TestRoundTrip:
         with pytest.raises(DiagramError, match=message):
             make()
 
+    def test_from_raw_names_the_first_faulty_row_in_normal_form_order(self):
+        # the checks meet (2,3,3,2) first, but (0,1,1,0) sorts first
+        with pytest.raises(DiagramError, match="got 9$"):
+            OrientedLinkDiagram.from_raw([((2, 3, 3, 2), 7), ((0, 1, 1, 0), 9)])
+
     @pytest.mark.parametrize("edges", ["0110", b"\x00\x01\x01\x00", {0: 1, 1: 0}])
     def test_raw_edges_must_be_a_tuple_or_list(self, edges):
         # from_raw read the string's characters as labels and built the
@@ -383,7 +390,7 @@ class TestStructure:
 
 
 class TestDenseEntry:
-    """``_from_dense`` skips the relabelling, not the validating pass."""
+    """The placement step skips the relabelling, not the validating pass."""
 
     def test_label_beyond_range(self):
         # the closure of sigma_1 sigma_1 with label 3 renamed 7: every label
@@ -392,44 +399,84 @@ class TestDenseEntry:
         closure = braid_closure(BraidWord.from_ints(2, [1, 1]))
         assert structurally_equal(OrientedLinkDiagram(tuple(rows)), closure)
         with pytest.raises(DiagramError, match="edge label 7 outside 0..3"):
-            OrientedLinkDiagram._from_dense(rows, 0)
+            object.__new__(OrientedLinkDiagram)._placed(rows, 0)
+
+
+class TestCrossingRow:
+    """A ``Crossing`` is one immutable ``(edges, sign)`` tuple."""
+
+    def test_repr_hash_and_equality(self):
+        c = Crossing((0, 1, 2, 3), 1)
+        assert repr(c) == "Crossing(edges=(0, 1, 2, 3), sign=1)"
+        assert hash(c) == hash(((0, 1, 2, 3), 1))
+        assert c == Crossing([0, 1, 2, 3], 1) == ((0, 1, 2, 3), 1)
+        assert c != Crossing((0, 1, 2, 3), -1)
+        assert (c.edges, c.sign) == tuple(c) and len(c) == 2
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        c = Crossing((3, 0, 2, 1), -1)
+        for back in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c), copy.copy(c)):
+            assert back == c and type(back) is Crossing
+
+    def test_plain_tuple_row_refused(self):
+        with pytest.raises(DiagramError, match="raw rows go to from_raw"):
+            OrientedLinkDiagram((Crossing((0, 1, 1, 0), -1), ((0, 1, 1, 0), -1)))
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda c: c._replace(sign=2), "sign must be the int"),
+            (lambda c: c._replace(edges=(0, 1)), "exactly 4 edges"),
+            (lambda c: Crossing._make(((0, 1, 1, 0), True)), "sign must be the int"),
+            (lambda c: Crossing._make(("0110", -1)), "tuple or list"),
+        ],
+    )
+    def test_replace_and_make_check_the_row(self, make, message):
+        # namedtuple's own _make, and _replace through it, skip the
+        # constructor, and a row with sign 2 would make a wrong diagram
+        with pytest.raises(DiagramError, match=message):
+            make(Crossing((0, 1, 1, 0), -1))
 
 
 def placed_once(monkeypatch) -> list:
-    """Record every ``Crossing`` built from now on, and refuse
-    ``_from_dense``; returns the record."""
-    made, check = [], Crossing.__post_init__
+    """Record the rows handed to each placement step from now on, and
+    refuse the constructor; returns the record."""
+    handed, place = [], OrientedLinkDiagram._placed
 
-    def counting(self):
-        made.append(self)
-        check(self)
+    def recording(self, rows, free_loops):
+        handed.append(list(rows))
+        return place(self, rows, free_loops)
 
-    def refused(cls, crossings, free_loops):
-        raise AssertionError("placed rows were sorted again by _from_dense")
+    def refused(self):
+        raise AssertionError("placed rows went through the constructor")
 
-    monkeypatch.setattr(Crossing, "__post_init__", counting)
-    monkeypatch.setattr(OrientedLinkDiagram, "_from_dense", classmethod(refused))
-    return made
+    monkeypatch.setattr(OrientedLinkDiagram, "_placed", recording)
+    monkeypatch.setattr(OrientedLinkDiagram, "__post_init__", refused)
+    return handed
 
 
-def built_in_place(made, d) -> bool:
-    """Whether ``made`` holds exactly the crossings of ``d``, in order."""
-    return len(made) == d.n_crossings and all(a is b for a, b in zip(made, d.crossings))
+def built_in_place(handed, d) -> bool:
+    """Whether one placement step took exactly the row objects of ``d``,
+    which it keeps in sorted order: the rows are not sorted again."""
+    if len(handed) != 1 or len(handed[0]) != d.n_crossings:
+        return False
+    placed = sorted(handed[0], key=lambda c: c.edges)
+    return all(a is b for a, b in zip(placed, d.crossings))
 
 
 class TestPlacedOnce:
     """``from_raw``, ``parse_pd`` and twisted members place their rows
-    once: each ``Crossing`` is built in its sorted place and the rows are
-    not sorted again."""
+    once: the row objects of the result are those handed to one placement
+    step, in their sorted places, and are not sorted again."""
 
     def test_twisted_members(self, monkeypatch):
         families = [*load_corpus().values(), chain_family(3), chain_family(4)]
-        made = placed_once(monkeypatch)
+        handed = placed_once(monkeypatch)
         for f in families:
             for n in range(-3, 4):
-                made.clear()
+                handed.clear()
                 d, _, _ = twist_with_sites(f, n)
-                assert built_in_place(made, d), (f.name, n)
+                assert built_in_place(handed, d), (f.name, n)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_from_raw_shuffled_and_relabelled(self, monkeypatch, seed):
@@ -438,9 +485,9 @@ class TestPlacedOnce:
         names = rng.sample(range(100, 100 + 2 * d.n_crossings), 2 * d.n_crossings)
         raw = [([names[e] for e in c.edges], c.sign) for c in d.crossings]
         rng.shuffle(raw)
-        made = placed_once(monkeypatch)
+        handed = placed_once(monkeypatch)
         got, _ = OrientedLinkDiagram.from_raw(raw, d.free_loops)
-        assert built_in_place(made, got)
+        assert built_in_place(handed, got)
         assert structurally_equal(got, d)
 
     @pytest.mark.parametrize("signed", [True, False])
@@ -449,9 +496,9 @@ class TestPlacedOnce:
         text = serialize(d)
         if not signed:
             text = text.replace("X+", "X").replace("X-", "X")
-        made = placed_once(monkeypatch)
+        handed = placed_once(monkeypatch)
         back = parse_pd(text)
-        assert built_in_place(made, back)
+        assert built_in_place(handed, back)
         assert back == d
 
 

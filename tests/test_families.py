@@ -68,10 +68,10 @@ def assert_twist_matches_bruteforce(f, n):
     assert d == want_d
     assert (base_sites, twist_sites) == (want_base, want_twist)
     k = f.eta_hat
-    if n >= 1 and k == f.omega:
+    if n != 0 and k == f.omega:
         block = k * (k - 1)
         want = sorted(
-            want_twist[b * block + p] for b in range(n) for p in range(block // 2, block)
+            want_twist[b * block + p] for b in range(abs(n)) for p in range(block // 2, block)
         )
         assert untwist_schedule(f, n) == want
 
@@ -274,25 +274,39 @@ class TestSchedule:
             untwist_schedule(whitehead_family(), 1)
 
     def test_zero_amount_rejected(self):
-        with pytest.raises(FamilyError, match="n >= 1"):
+        with pytest.raises(FamilyError, match="n != 0"):
             untwist_schedule(torus_family(3, 2), 0)
 
     def test_length_formula_sweep(self):
         for omega in range(2, 7):
             f = chain_family(omega)
-            for n in range(1, 5):
-                assert len(untwist_schedule(f, n)) == n * omega * (omega - 1) // 2
+            for n in (*range(1, 5), *range(-1, -14, -1)):
+                assert len(untwist_schedule(f, n)) == abs(n) * omega * (omega - 1) // 2
 
     def test_untwist_recovers_base_bracket(self):
         for omega in (2, 3, 4):
             f = chain_family(omega)
             base_j = jones(f.base)
-            for n in (1, 2, 3):
+            for n in (1, 2, 3, *range(-1, -14, -1)):
                 t = twist(f, n)
                 changed = t.change_crossings(untwist_schedule(f, n))
                 simp, _ = greedy_simplify(changed)
                 assert simp.n_crossings <= f.base.n_crossings
                 assert jones(simp) == base_j, (omega, n)
+
+
+    @pytest.mark.parametrize("name", ["torus_q2", "torus_q3", "chain_3", "chain_4"])
+    def test_negative_amounts_untwist_to_the_base(self, name):
+        # the blocks of a negative twist are flipped half twists and their
+        # reverses, whose second halves cancel the first just the same
+        f = SWEPT_FAMILIES[name]
+        base, _ = greedy_simplify(f.base)
+        for n in (-1, -2, -3, -5, -8, -13):
+            sites = untwist_schedule(f, n)
+            assert len(sites) == -n * f.omega * (f.omega - 1) // 2
+            simp, _ = greedy_simplify(twist(f, n).change_crossings(sites))
+            assert structurally_equal(simp, base), n
+            assert jones(simp) == jones(f.base), n
 
 
 class TestCoherentReduction:

@@ -293,9 +293,10 @@ def test_oracles_take_no_private_names():
     assert private_imports(source, PACKAGE.name) == []
 
 
-# the constructor's relabelling and the index step: the normal form is
-# decided in diagram.py alone, and tests may still patch the index step
-NORMAL_FORM = {"_label_map", "_index"}
+# the index step: the normal form is decided in diagram.py alone, where
+# only the placement step enters it, and tests may still patch it; the
+# relabelling rule is diagram._relabelled, which other modules call
+NORMAL_FORM = {"_index"}
 
 
 def names_read(source: str) -> set[str]:
@@ -323,3 +324,47 @@ def test_normal_form_is_decided_in_diagram():
         if path != PACKAGE / "diagram.py"
     }
     assert {path: sorted(names) for path, names in named.items() if names} == {}
+
+
+def namers(source: str, name: str) -> list[str]:
+    """The innermost function around each place that names ``name``, as a
+    plain name or an attribute; ``"<module>"`` outside every function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Name, ast.Attribute)) and name in (
+                getattr(child, "id", None), getattr(child, "attr", None)
+            ):
+                found.append(owner)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_namers_detector():
+    source = (
+        "class D:\n"
+        "    def _index(self): pass\n"
+        "    def _placed(self):\n"
+        "        self._index()\n"
+        "        def inner(): return _index\n"
+        "d._index()\n"
+    )
+    assert namers(source, "_index") == ["_placed", "inner", "<module>"]
+
+
+def test_one_way_into_the_index_step():
+    # every diagram the library builds is placed: only the placement step
+    # enters the index step, and the old second way in is gone
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "src").rglob("*.py"))
+    }
+    named = {path: namers(source, "_index") for path, source in sources.items()}
+    assert {path: owners for path, owners in named.items() if owners} == {
+        "src/twistknots/diagram.py": ["_placed"]
+    }
+    assert [path for path, source in sources.items() if "_from_dense" in source] == []

@@ -13,6 +13,7 @@ from twistknots.diagram import (
     Crossing,
     DiagramError,
     OrientedLinkDiagram,
+    _row,
     parse_pd,
     serialize,
     structurally_equal,
@@ -208,19 +209,25 @@ class TestLazyResults:
 
     def test_one_construction_per_result_read(self, monkeypatch):
         built, made = [], []
-        index, check = OrientedLinkDiagram._index, Crossing.__post_init__
+        place, check = OrientedLinkDiagram._placed, Crossing.__new__
 
-        def counting(self, crossings, free_loops):
+        def counting(self, rows, free_loops):
             built.append(self)  # counted even if validation then raises
-            index(self, crossings, free_loops)
+            return place(self, rows, free_loops)
 
-        def counting_crossings(self):
-            made.append(self)
-            check(self)
+        def counting_crossings(cls, edges, sign):
+            made.append((edges, sign))
+            return check(cls, edges, sign)
 
-        # every construction passes through the index step
-        monkeypatch.setattr(OrientedLinkDiagram, "_index", counting)
-        monkeypatch.setattr(Crossing, "__post_init__", counting_crossings)
+        def counting_rows(edges, sign):
+            made.append((edges, sign))
+            return _row(edges, sign)
+
+        # every construction passes through the placement step, and every
+        # row is built checked or by the unchecked builder
+        monkeypatch.setattr(OrientedLinkDiagram, "_placed", counting)
+        monkeypatch.setattr(Crossing, "__new__", counting_crossings)
+        monkeypatch.setattr("twistknots.moves._row", counting_rows)
         # a triangle, a bigon, a kink and two free loops: every builder runs
         d = (
             braid_closure(BraidWord.from_ints(4, [1, 2, 1, 3, -3]))
@@ -238,6 +245,40 @@ class TestLazyResults:
         # a second read returns the diagram the first one built
         assert all(m.result is b for m, b in zip(moves, built))
         assert len(built) == len(moves)
+
+    def test_every_result_is_placed_once_and_skips_the_constructor(self, monkeypatch):
+        # a triangle, a bigon, a kink and a free loop: every kind of move
+        d = (
+            braid_closure(BraidWord.from_ints(4, [1, 2, 1, 3, -3]))
+            .disjoint_union(braid_closure(BraidWord.from_ints(2, [1])))
+            .disjoint_union(OrientedLinkDiagram.unknot(1))
+        )
+        found = reidemeister_moves(d)
+        first = {m.kind: m for m in reversed(found)}
+        assert set(first) == {"R1-", "R2-", "R3", "R1+", "R2+"}
+        untwisted = _untwisted(chain_family(3), 2)
+        placed, place = [], OrientedLinkDiagram._placed
+
+        def counting(self, rows, free_loops):
+            placed.append(self)
+            return place(self, rows, free_loops)
+
+        def refused(self):
+            raise AssertionError("a derived diagram went through the constructor")
+
+        monkeypatch.setattr(OrientedLinkDiagram, "_placed", counting)
+        monkeypatch.setattr(OrientedLinkDiagram, "__post_init__", refused)
+        builds = {
+            "mirror": d.mirror,
+            "change_crossings": lambda: d.change_crossings([0, 2]),
+            "disjoint_union": lambda: d.disjoint_union(d),
+            **{kind: lambda m=m: m.result for kind, m in first.items()},
+            "greedy_simplify": lambda: greedy_simplify(untwisted)[0],
+        }
+        for name, build in builds.items():
+            placed.clear()
+            result = build()
+            assert len(placed) == 1 and placed[0] is result, name
 
     @staticmethod
     def _check_read_order(d):
