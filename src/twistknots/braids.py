@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Sequence
 
-from .diagram import DiagramError, OrientedLinkDiagram
+from .diagram import DiagramError, OrientedLinkDiagram, _relabelled, _row
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,14 @@ def braid_closure_with_arcs(
 ) -> tuple[OrientedLinkDiagram, list[int]]:
     """Closure plus, per lane, the edge label of its closure arc.
 
-    Each arc's label is read in the built diagram, from the crossing slot
-    that held the lane's bottom label, found through ``from_raw``'s index
-    map.  Lanes whose strand meets no crossing close into free loops and
-    report ``-1`` (they own no edge).
+    The letters' rows come from a checked word, so they are relabelled by
+    ``_relabelled`` and built by ``_row`` without the checks, as the
+    family box plans are, and placed once through
+    ``OrientedLinkDiagram._of_rows``.  Each arc's label is read from the
+    built row of a crossing that held the lane's bottom label: each raw
+    row is zipped with its own built row, in input order.  Lanes whose
+    strand meets no crossing close into free loops and report ``-1``
+    (they own no edge).
     """
     _check_word(word, "a closure needs")
     n = word.strands
@@ -194,9 +198,10 @@ def braid_closure_with_arcs(
     raw = braid_strand_crossings(word.letters, bottom, bottom, [True] * n, fresh)
     # a lane no letter touches keeps a label on no crossing: a free loop
     lanes = {j for i, _ in word.letters for j in (i - 1, i)}
-    d, index_map = OrientedLinkDiagram.from_raw(raw, n - len(lanes))
-    # each lane's arc keeps its bottom label: read it in the crossing slot
+    rows = list(map(_row, _relabelled([e for e, _ in raw]), [s for _, s in raw]))
+    d, _ = OrientedLinkDiagram._of_rows(rows, n - len(lanes))
+    # each lane's arc keeps its bottom label: read it in the lane's row
     label = {}
-    for (row, _), i in zip(raw, index_map):
-        label.update(zip(row, d.crossings[i].edges))
+    for (edges, _), row in zip(raw, rows):
+        label.update(zip(edges, row.edges))
     return d, [label.get(b, -1) for b in bottom]

@@ -21,22 +21,25 @@ re-parsing a serialized diagram reproduces it identically; any other
 labels, bools included, are renamed by first appearance.  ``_relabelled``
 alone decides this, once per construction from outside labels: the
 constructor relabels its ``Crossing`` rows through it, and so do
-``from_raw``, the family box plans and the Reidemeister removals their
-edge tuples.  Code that reads raw labels afterwards (braid closure arcs)
-finds each one in its crossing slot through ``from_raw``'s index map.
+``from_raw``, braid closures, the family box plans and the Reidemeister
+removals their edge tuples.  Code that reads raw labels afterwards
+(braid closure arcs) zips each raw row with the row built from it.
 
 A crossing row is one immutable ``(edges, sign)`` tuple, a ``Crossing``.
 Its constructor checks rows from outside; rows the library derives from
-checked ones (box-plan members, mirrored and changed rows, move results,
-relabelled rows, ``parse_pd``'s) are built by ``_row`` without the
-checks.  Every diagram then enters the index step through one placement
-step, ``_placed``: the constructor after its relabelling, ``from_raw``,
-``parse_pd``, the twisted members of ``families``, ``mirror``,
+checked ones (braid closures, box-plan members, mirrored and changed
+rows, move results, relabelled rows, ``parse_pd``'s) are built by
+``_row`` without the checks.  A diagram is built in one of two ways.
+The constructor takes ``Crossing`` rows from outside and relabels them.
+Every other diagram comes through one door, ``_of_rows``, which makes
+the diagram without the constructor: ``from_raw``, ``parse_pd``, braid
+closures, the twisted members of ``families``, ``mirror``,
 ``change_crossings``, ``disjoint_union`` and every Reidemeister move
-result and ``greedy_simplify`` result of ``moves``.  It argsorts the rows
-on their edge tuples (``_row_order``, the one normal-form order, which
+result and ``greedy_simplify`` result of ``moves``.  Both hand their
+rows to one placement method, ``_placed``.  It argsorts the rows on
+their edge tuples (``_row_order``, the one normal-form order, which
 ``untwist_schedule`` reads too), keeps each row object in its sorted
-place and returns the index map.
+place, fills the diagram and returns the index map.
 
 The placement step runs one validating pass in full.  It fills each edge's
 tail and head dart and its successor along the strand, and refuses an
@@ -157,7 +160,8 @@ class OrientedLinkDiagram:
     def __post_init__(self):
         """The constructor, for ``Crossing`` rows from outside: each row is
         relabelled through ``_relabelled``, built again with its new
-        labels, and the rows go to the placement step."""
+        labels, and the rows go to ``_placed``.  Diagrams the library
+        derives skip it and come through ``_of_rows``."""
         try:
             crossings = tuple(self.crossings)
         except TypeError:
@@ -167,40 +171,46 @@ class OrientedLinkDiagram:
         edges = _relabelled(list(map(_EDGES, crossings)))
         self._placed([_row(e, c.sign) for e, c in zip(edges, crossings)], self.free_loops)
 
+    @classmethod
+    def _of_rows(
+        cls, rows: Sequence[Crossing], free_loops: int
+    ) -> tuple["OrientedLinkDiagram", list[int]]:
+        """The one door for diagrams the library derives: a diagram made
+        without the constructor and filled by the placement step from
+        ``rows``, with its index map.  No other code makes a diagram with
+        ``object.__new__``."""
+        d = object.__new__(cls)
+        return d, d._placed(rows, free_loops)
+
     def _placed(self, rows: Sequence[Crossing], free_loops: int) -> list[int]:
         """The placement step, which every diagram passes once: fill this
         diagram from ``Crossing`` rows labelled as the constructor's
         relabelling leaves them, and return its index map, the sorted
         position of each row.  One argsort on the edge tuples puts each
-        row object in its place, and the rows go straight to the index
-        step.  Its validating pass runs in full, so a label beyond
-        ``E - 1`` (which the relabelling leaves when a label occurs once)
-        or an edge end given twice raises ``DiagramError``.  Labels are
-        never negative: they are ``_relabelled``'s ranks or kept ints
-        ``0..E-1``, or numbered from ``0`` up by their caller.  A diagram
-        built from derived rows is made with ``object.__new__`` and
-        placed, so it skips the constructor."""
-        order = _row_order(list(map(_EDGES, rows)))
-        self._index(tuple([rows[i] for i in order]), free_loops)
-        index_map = [0] * len(order)
-        for position, i in enumerate(order):
-            index_map[i] = position
-        return index_map
-
-    def _index(self, crossings: tuple[Crossing, ...], free_loops: int) -> None:
-        """The index step: keep the crossings, already in normal form, and
-        the free loops, and fill the edge index from one validating pass."""
+        row object in its place, and one validating pass over the sorted
+        rows fills the edge index.  The pass runs in full, so a label
+        beyond ``E - 1`` (which the relabelling leaves when a label occurs
+        once) or an edge end given twice raises ``DiagramError``.  Labels
+        are never negative: they are ``_relabelled``'s ranks or kept ints
+        ``0..E-1``, or numbered from ``0`` up by their caller.  Only the
+        constructor and ``_of_rows`` call it."""
         # the int parse_pd counts, so that serialize/parse_pd round-trips it
         if type(free_loops) is not int or free_loops < 0:
             raise DiagramError(f"free_loops must be an int >= 0, got {free_loops!r}")
+        order = _row_order(list(map(_EDGES, rows)))
+        crossings = tuple([rows[i] for i in order])
+        tail, head, comp, cycles, face_of = _validate(crossings)
         object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "free_loops", free_loops)
-        tail, head, comp, cycles, face_of = _validate(crossings)
         object.__setattr__(self, "_tail", tail)
         object.__setattr__(self, "_head", head)
         object.__setattr__(self, "_comp", comp)
         object.__setattr__(self, "_components", cycles)
         object.__setattr__(self, "_face_of", face_of)
+        index_map = [0] * len(order)
+        for position, i in enumerate(order):
+            index_map[i] = position
+        return index_map
 
     # -- basic data ----------------------------------------------------
 
@@ -219,11 +229,13 @@ class OrientedLinkDiagram:
         in ``diagram.crossings`` of the ``i``-th raw crossing.  Needed by
         operations that must address specific crossings after the
         normalizing sort.  ``raw`` may be any iterable and is read once.
-        Each row must unpack into an edge tuple or list and a sign (a
-        string's characters are no labels).  The edges are relabelled as
-        the constructor relabels them, each row's ``Crossing`` is built
-        once, with the constructor's checks, and the rows go to the
-        placement step.
+        It is the entry for rows from outside the library, so every row
+        is checked: each must unpack into an edge tuple or list and a
+        sign (a string's characters are no labels).  The edges are
+        relabelled as the constructor relabels them, each row's
+        ``Crossing`` is built once, with the constructor's checks, and
+        the rows go through ``_of_rows``.  Rows the library derives are
+        built by ``_row`` and go to ``_of_rows`` directly.
         """
         try:
             raw = list(raw)
@@ -243,8 +255,7 @@ class OrientedLinkDiagram:
         except DiagramError:  # the first faulty row in normal-form order, as always named
             for i in _row_order(edges):
                 Crossing(edges[i], raw[i][1])
-        d = object.__new__(cls)
-        return d, d._placed(rows, free_loops)
+        return cls._of_rows(rows, free_loops)
 
     @property
     def n_crossings(self) -> int:
@@ -294,9 +305,7 @@ class OrientedLinkDiagram:
             # takes slot 0 and the sign flips
             (a, b, c, e), sign = rows[s]
             rows[s] = _row((e, a, b, c), -1) if sign > 0 else _row((b, c, e, a), 1)
-        d = object.__new__(OrientedLinkDiagram)
-        d._placed(rows, self.free_loops)
-        return d
+        return OrientedLinkDiagram._of_rows(rows, self.free_loops)[0]
 
     def linking_number(self, i: int, j: int) -> int:
         """Half the signed count of crossings between components i and j."""
@@ -321,9 +330,7 @@ class OrientedLinkDiagram:
         rows = [*self.crossings]
         rows += [_row((a + off, b + off, c + off, e + off), sign)
                  for (a, b, c, e), sign in other.crossings]
-        d = object.__new__(OrientedLinkDiagram)
-        d._placed(rows, self.free_loops + other.free_loops)
-        return d
+        return OrientedLinkDiagram._of_rows(rows, self.free_loops + other.free_loops)[0]
 
 
 def _same_components(d: OrientedLinkDiagram, cycles, label: dict) -> bool:
@@ -709,8 +716,7 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
 
     # serial labels are 0..E-1 and the others first-seen ranks, which the
     # constructor's relabelling would keep
-    d = object.__new__(OrientedLinkDiagram)
-    d._placed(list(map(_row, tuples, signs)), free_loops)
+    d, _ = OrientedLinkDiagram._of_rows(list(map(_row, tuples, signs)), free_loops)
     if cycles and not _same_components(d, cycles, remap):
         raise ParseError("orientation block inconsistent with crossings")
     return d

@@ -226,14 +226,14 @@ def twist_with_sites(
 
     Returns ``(diagram, base_sites, twist_sites)``: positions in the
     twisted diagram of each base crossing and of each inserted braid
-    letter (in word order).  The box plan's rows go to the placement
-    step, whose index map gives both, and are validated in full there;
-    rows the member shares with the plan or the base are not built again.
+    letter (in word order).  The box plan's rows go through the one door
+    for derived diagrams, ``OrientedLinkDiagram._of_rows``, whose index
+    map gives both, and are validated in full there; rows the member
+    shares with the plan or the base are not built again.
     """
     _check_family(f)
     _check_amount(n)
-    diagram = object.__new__(OrientedLinkDiagram)
-    index_map = diagram._placed(_member_rows(f, n), f.base.free_loops)
+    diagram, index_map = OrientedLinkDiagram._of_rows(_member_rows(f, n), f.base.free_loops)
     nb = f.base.n_crossings
     return diagram, index_map[:nb], index_map[nb:]
 

@@ -43,9 +43,9 @@ across another labels the second loop ``2V + 2, 2V + 3``.  A result
 that loses no crossing keeps the labels ``0..E-1``; a removal leaves
 gaps, and ``diagram._relabelled`` renames its labels by first
 appearance, as the constructor would.  Each row a result changes is
-built once, by ``diagram._row``, and every result enters the index step
-through the placement step (``OrientedLinkDiagram._placed``), never
-through the constructor.
+built once, by ``diagram._row``, and every result is made by the one
+door for derived diagrams, ``OrientedLinkDiagram._of_rows``, which
+places the rows once and never runs the constructor.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class Move:
     ``Move(kind, site, builder, *args)`` records the builder of the result
     and the arguments enumeration already computed.  The first read of
     ``result`` runs ``builder(*args)``, which builds the result's crossings
-    and the diagram through the index step and its full validating pass,
+    and the diagram through ``_of_rows`` and its full validating pass,
     and keeps it: each result read costs one validated construction,
     later reads cost nothing, and a builder fault raises ``DiagramError``
     on every read.
@@ -479,10 +479,11 @@ def _remove(
 
 def _edited(d, edits, removed, added, free_loops) -> OrientedLinkDiagram:
     """``d`` with each ``(dart, label)`` edit made in order, the ``removed``
-    crossings left out and the ``added`` rows appended, placed once.  Each
-    row that changes is built once.  Rows that lost no crossing are
-    labelled ``0..E-1``; a removal's are relabelled by ``_relabelled``
-    before they are built (no removal adds a row)."""
+    crossings left out and the ``added`` rows appended, placed once
+    through ``OrientedLinkDiagram._of_rows``.  Each row that changes is
+    built once.  Rows that lost no crossing are labelled ``0..E-1``; a
+    removal's are relabelled by ``_relabelled`` before they are built (no
+    removal adds a row)."""
     rows = list(d.crossings)
     changed: dict[int, list[int]] = {}
     for x, e in edits:
@@ -495,6 +496,4 @@ def _edited(d, edits, removed, added, free_loops) -> OrientedLinkDiagram:
         for c, edges in changed.items():
             rows[c] = _row(tuple(edges), rows[c].sign)
         rows += added
-    result = object.__new__(OrientedLinkDiagram)
-    result._placed(rows, free_loops)
-    return result
+    return OrientedLinkDiagram._of_rows(rows, free_loops)[0]

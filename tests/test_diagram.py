@@ -399,7 +399,7 @@ class TestDenseEntry:
         closure = braid_closure(BraidWord.from_ints(2, [1, 1]))
         assert structurally_equal(OrientedLinkDiagram(tuple(rows)), closure)
         with pytest.raises(DiagramError, match="edge label 7 outside 0..3"):
-            object.__new__(OrientedLinkDiagram)._placed(rows, 0)
+            OrientedLinkDiagram._of_rows(rows, 0)
 
 
 class TestCrossingRow:
@@ -838,13 +838,13 @@ class TestUnsignedParse:
 
     def test_one_construction_per_parse(self, monkeypatch):
         built = []
-        index = OrientedLinkDiagram._index
+        place = OrientedLinkDiagram._placed
 
-        def counting(self, crossings, free_loops):
+        def counting(self, rows, free_loops):
             built.append(self)  # counted even if validation then raises
-            index(self, crossings, free_loops)
+            return place(self, rows, free_loops)
 
-        monkeypatch.setattr(OrientedLinkDiagram, "_index", counting)
+        monkeypatch.setattr(OrientedLinkDiagram, "_placed", counting)
         d = braid_closure(BraidWord.from_ints(3, [1, -2, 1, -2, 1]))
         text, _ = unsigned_text(d, random.Random(0))
         built.clear()

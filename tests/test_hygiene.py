@@ -293,10 +293,11 @@ def test_oracles_take_no_private_names():
     assert private_imports(source, PACKAGE.name) == []
 
 
-# the index step: the normal form is decided in diagram.py alone, where
-# only the placement step enters it, and tests may still patch it; the
-# relabelling rule is diagram._relabelled, which other modules call
-NORMAL_FORM = {"_index"}
+# the placement step and its validating pass: the normal form is decided
+# in diagram.py alone, where only the constructor and the one door for
+# derived diagrams (``_of_rows``) place rows, and tests may still patch
+# it; the relabelling rule is diagram._relabelled, which other modules call
+NORMAL_FORM = {"_placed", "_validate"}
 
 
 def names_read(source: str) -> set[str]:
@@ -313,8 +314,8 @@ def names_read(source: str) -> set[str]:
 
 
 def test_names_read_detector():
-    source = "from a import _label_map as lm\nimport b\nb.d._index(x)\n"
-    assert names_read(source) >= {"_label_map", "lm", "b", "d", "_index", "x"}
+    source = "from a import _label_map as lm\nimport b\nb.d._placed(x)\n"
+    assert names_read(source) >= {"_label_map", "lm", "b", "d", "_placed", "x"}
 
 
 def test_normal_form_is_decided_in_diagram():
@@ -347,24 +348,34 @@ def namers(source: str, name: str) -> list[str]:
 def test_namers_detector():
     source = (
         "class D:\n"
-        "    def _index(self): pass\n"
-        "    def _placed(self):\n"
-        "        self._index()\n"
-        "        def inner(): return _index\n"
-        "d._index()\n"
+        "    def _placed(self): pass\n"
+        "    def _of_rows(self):\n"
+        "        self._placed()\n"
+        "        def inner(): return _placed\n"
+        "d._placed()\n"
     )
-    assert namers(source, "_index") == ["_placed", "inner", "<module>"]
+    assert namers(source, "_placed") == ["_of_rows", "inner", "<module>"]
 
 
 def test_one_way_into_the_index_step():
-    # every diagram the library builds is placed: only the placement step
-    # enters the index step, and the old second way in is gone
+    # every diagram the library builds is placed once: the constructor
+    # places its own rows, every derived diagram comes through the one
+    # door, _of_rows, only the placement step runs the validating pass,
+    # and the old ways in are gone from every file
     sources = {
         str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
         for path in sorted((ROOT / "src").rglob("*.py"))
     }
-    named = {path: namers(source, "_index") for path, source in sources.items()}
-    assert {path: owners for path, owners in named.items() if owners} == {
-        "src/twistknots/diagram.py": ["_placed"]
-    }
-    assert [path for path, source in sources.items() if "_from_dense" in source] == []
+    owners_of = {"_placed": ["__post_init__", "_of_rows"], "_validate": ["_placed"]}
+    for name, owners in owners_of.items():
+        named = {path: namers(source, name) for path, source in sources.items()}
+        assert {path: found for path, found in named.items() if found} == {
+            "src/twistknots/diagram.py": owners
+        }, name
+    others = [
+        path for root in CALLERS for path in sorted(root.rglob("*.py"))
+        if path != Path(__file__).resolve()
+    ]
+    texts = {path: path.read_text(encoding="utf-8") for path in others}
+    assert [path for path, text in texts.items() if "_from_dense" in text] == []
+    assert [path for path, text in texts.items() if "_index" in names_read(text)] == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twistknots.braids import BraidWord, braid_closure
+from twistknots.braids import BraidWord, braid_closure, braid_closure_with_arcs
 from twistknots.corpus import chain_family, load_corpus
 from twistknots.diagram import (
     Crossing,
@@ -257,6 +257,8 @@ class TestLazyResults:
         first = {m.kind: m for m in reversed(found)}
         assert set(first) == {"R1-", "R2-", "R3", "R1+", "R2+"}
         untwisted = _untwisted(chain_family(3), 2)
+        # lane 3 meets no letter: the closure has a free loop, arc -1
+        word, arcs = BraidWord.from_ints(4, [1, 2, -1, 2]), []
         placed, place = [], OrientedLinkDiagram._placed
 
         def counting(self, rows, free_loops):
@@ -266,19 +268,30 @@ class TestLazyResults:
         def refused(self):
             raise AssertionError("a derived diagram went through the constructor")
 
+        def checked(cls, edges, sign):
+            raise AssertionError("a derived row went through the Crossing checks")
+
+        def closure():
+            result, lanes = braid_closure_with_arcs(word)
+            arcs.append(lanes)
+            return result
+
         monkeypatch.setattr(OrientedLinkDiagram, "_placed", counting)
         monkeypatch.setattr(OrientedLinkDiagram, "__post_init__", refused)
+        monkeypatch.setattr(Crossing, "__new__", checked)
         builds = {
             "mirror": d.mirror,
             "change_crossings": lambda: d.change_crossings([0, 2]),
             "disjoint_union": lambda: d.disjoint_union(d),
             **{kind: lambda m=m: m.result for kind, m in first.items()},
             "greedy_simplify": lambda: greedy_simplify(untwisted)[0],
+            "braid_closure": closure,
         }
         for name, build in builds.items():
             placed.clear()
             result = build()
             assert len(placed) == 1 and placed[0] is result, name
+        assert arcs == [[3, 0, 4, -1]]
 
     @staticmethod
     def _check_read_order(d):
@@ -348,8 +361,9 @@ class TestLazyResults:
 class TestDenseResultsSkipNormalization:
     """R1+, R2+ and R3 results, and the results of ``change_crossings``,
     ``mirror`` and ``disjoint_union``, keep the labels ``0..E-1`` and go
-    straight to the index step: the constructor's relabelling, which they
-    skip, would leave them as they are."""
+    straight to the placement step through ``_of_rows``: the
+    constructor's relabelling, which they skip, would leave them as they
+    are."""
 
     @given(braid_words().map(braid_closure), st.integers(0, 2))
     @example(braid_closure(BraidWord(2, ((1, 1),))), 2)
@@ -535,14 +549,14 @@ class TestSimplify:
 
     def test_one_validating_construction(self, monkeypatch):
         built = []
-        index = OrientedLinkDiagram._index
+        place = OrientedLinkDiagram._placed
 
-        def counting(self, crossings, free_loops):
+        def counting(self, rows, free_loops):
             built.append(self)
-            index(self, crossings, free_loops)
+            return place(self, rows, free_loops)
 
         d = _untwisted(chain_family(4), 3)
-        monkeypatch.setattr(OrientedLinkDiagram, "_index", counting)
+        monkeypatch.setattr(OrientedLinkDiagram, "_placed", counting)
         result, trace = greedy_simplify(d)
         assert len(trace) == 18
         assert len(built) == 1 and built[0] is result
