@@ -19,27 +19,30 @@ which makes the textual normal form round-trip bit-exact.  Inputs whose
 labels are already exactly the ints ``{0..E-1}`` keep them, so
 re-parsing a serialized diagram reproduces it identically; any other
 labels, bools included, are renamed by first appearance.  ``_relabelled``
-alone decides this, once per construction from outside labels: the
-constructor relabels its ``Crossing`` rows through it, and so do
-``from_raw``, braid closures, the family box plans and the Reidemeister
-removals their edge tuples.  Code that reads raw labels afterwards
-(braid closure arcs) zips each raw row with the row built from it.
+alone decides this, once per construction from outside labels: rows
+from outside are relabelled through it, and so are the edge tuples of
+braid closures, the family box plans and the Reidemeister removals.
+Code that reads raw labels afterwards (braid closure arcs) zips each raw
+row with the row built from it.
 
 A crossing row is one immutable ``(edges, sign)`` tuple, a ``Crossing``.
-Its constructor checks rows from outside; rows the library derives from
-checked ones (braid closures, box-plan members, mirrored and changed
-rows, move results, relabelled rows, ``parse_pd``'s) are built by
-``_row`` without the checks.  A diagram is built in one of two ways.
-The constructor takes ``Crossing`` rows from outside and relabels them.
-Every other diagram comes through one door, ``_of_rows``, which makes
-the diagram without the constructor: ``from_raw``, ``parse_pd``, braid
-closures, the twisted members of ``families``, ``mirror``,
-``change_crossings``, ``disjoint_union`` and every Reidemeister move
-result and ``greedy_simplify`` result of ``moves``.  Both hand their
-rows to one placement method, ``_placed``.  It argsorts the rows on
-their edge tuples (``_row_order``, the one normal-form order, which
-``untwist_schedule`` reads too), keeps each row object in its sorted
-place, fills the diagram and returns the index map.
+Rows from outside the library, ``Crossing`` rows or plain ``(edges,
+sign)`` tuples or lists alike, pass one check, ``_checked``: it reads
+the rows, relabels them and builds each ``Crossing`` with the
+constructor's checks.  Its two callers are the two doors for such rows,
+the diagram constructor and ``from_raw``, which build the same diagram
+from the same rows.  Rows the library derives from checked ones (braid
+closures, box-plan members, mirrored and changed rows, move results,
+relabelled rows, ``parse_pd``'s) are built by ``_row`` without the
+checks.  Every diagram but the constructor's comes through one door,
+``_of_rows``, which makes the diagram without the constructor:
+``from_raw``, ``parse_pd``, braid closures, the twisted members of
+``families``, ``mirror``, ``change_crossings``, ``disjoint_union`` and
+every Reidemeister move result and ``greedy_simplify`` result of
+``moves``.  Both hand their rows to one placement method, ``_placed``.
+It argsorts the rows on their edge tuples (``_row_order``, the one
+normal-form order, which ``untwist_schedule`` reads too), keeps each row
+object in its sorted place, fills the diagram and returns the index map.
 
 The placement step runs one validating pass in full.  It fills each edge's
 tail and head dart and its successor along the strand, and refuses an
@@ -107,8 +110,9 @@ class Crossing(namedtuple("Crossing", "edges sign")):
     """One crossing: edges counterclockwise from the incoming under-strand,
     and its sign.  A row is an immutable ``(edges, sign)`` tuple, so it
     equals the plain tuple of its fields, has length 2 and iterates over
-    them.  The constructor checks rows from outside; ``_row`` builds the
-    rows the library derives from checked ones."""
+    them.  The constructor checks one row; ``_checked`` builds every row
+    from outside through it, and ``_row`` builds the rows the library
+    derives from checked ones without it."""
 
     __slots__ = ()
 
@@ -158,18 +162,11 @@ class OrientedLinkDiagram:
     _face_of: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        """The constructor, for ``Crossing`` rows from outside: each row is
-        relabelled through ``_relabelled``, built again with its new
-        labels, and the rows go to ``_placed``.  Diagrams the library
-        derives skip it and come through ``_of_rows``."""
-        try:
-            crossings = tuple(self.crossings)
-        except TypeError:
-            raise DiagramError("diagram crossings must be a sequence of Crossing") from None
-        if not set(map(type, crossings)) <= {Crossing}:
-            raise DiagramError("diagram crossings must be Crossing objects; raw rows go to from_raw")
-        edges = _relabelled(list(map(_EDGES, crossings)))
-        self._placed([_row(e, c.sign) for e, c in zip(edges, crossings)], self.free_loops)
+        """The constructor, for rows from outside: ``_checked`` checks and
+        relabels them as it does for ``from_raw``, and they go to
+        ``_placed``.  Diagrams the library derives skip it and come
+        through ``_of_rows``."""
+        self._placed(_checked(self.crossings), self.free_loops)
 
     @classmethod
     def _of_rows(
@@ -228,34 +225,13 @@ class OrientedLinkDiagram:
         Returns ``(diagram, index_map)`` with ``index_map[i]`` the position
         in ``diagram.crossings`` of the ``i``-th raw crossing.  Needed by
         operations that must address specific crossings after the
-        normalizing sort.  ``raw`` may be any iterable and is read once.
-        It is the entry for rows from outside the library, so every row
-        is checked: each must unpack into an edge tuple or list and a
-        sign (a string's characters are no labels).  The edges are
-        relabelled as the constructor relabels them, each row's
-        ``Crossing`` is built once, with the constructor's checks, and
-        the rows go through ``_of_rows``.  Rows the library derives are
-        built by ``_row`` and go to ``_of_rows`` directly.
+        normalizing sort.  The rows are checked and relabelled by
+        ``_checked``, as the constructor's are, so
+        ``from_raw(raw)[0] == OrientedLinkDiagram(raw)``, and go through
+        ``_of_rows``.  Rows the library derives are built by ``_row`` and
+        go to ``_of_rows`` directly.
         """
-        try:
-            raw = list(raw)
-        except TypeError:
-            raise DiagramError("raw crossings must be (edges, sign) rows") from None
-        try:
-            rows = [e for e, _ in raw]
-            edges = list(map(tuple, rows))
-        except (TypeError, ValueError):  # not rows of an edge iterable and a sign
-            raise DiagramError("raw crossings must be (edges, sign) rows") from None
-        for e in rows:
-            if not isinstance(e, (tuple, list)):
-                raise DiagramError(f"crossing edges must be a tuple or list, got {e!r}")
-        edges = _relabelled(edges)
-        try:
-            rows = [Crossing(e, s) for e, (_, s) in zip(edges, raw)]
-        except DiagramError:  # the first faulty row in normal-form order, as always named
-            for i in _row_order(edges):
-                Crossing(edges[i], raw[i][1])
-        return cls._of_rows(rows, free_loops)
+        return cls._of_rows(_checked(raw), free_loops)
 
     @property
     def n_crossings(self) -> int:
@@ -268,7 +244,7 @@ class OrientedLinkDiagram:
     @property
     def components(self) -> list[tuple[int, ...]]:
         """Oriented edge cycles, one per component; ``()`` for free loops."""
-        return [tuple(c) for c in self._components] + [()] * self.free_loops
+        return list(self._components) + [()] * self.free_loops
 
     @property
     def n_components(self) -> int:
@@ -344,6 +320,35 @@ def _same_components(d: OrientedLinkDiagram, cycles, label: dict) -> bool:
 
 
 _EDGES = attrgetter("edges")
+
+
+def _checked(raw) -> list[Crossing]:
+    """The ``Crossing`` rows of ``raw``, rows from outside the library,
+    relabelled as construction relabels them.  Both doors for such rows,
+    the constructor and ``from_raw``, call it, and nothing else does.
+    ``raw`` may be any iterable and is read once.  Each row must unpack
+    into an edge tuple or list and a sign (a string's characters are no
+    labels), and its ``Crossing`` is built once, with the constructor's
+    checks; of several faulty rows, the first in normal-form order is
+    named."""
+    try:
+        raw = list(raw)
+    except TypeError:
+        raise DiagramError("raw crossings must be (edges, sign) rows") from None
+    try:
+        rows = [e for e, _ in raw]
+        edges = list(map(tuple, rows))
+    except (TypeError, ValueError):  # not rows of an edge iterable and a sign
+        raise DiagramError("raw crossings must be (edges, sign) rows") from None
+    for e in rows:
+        if not isinstance(e, (tuple, list)):
+            raise DiagramError(f"crossing edges must be a tuple or list, got {e!r}")
+    edges = _relabelled(edges)
+    try:
+        return [Crossing(e, s) for e, (_, s) in zip(edges, raw)]
+    except DiagramError:  # the first faulty row in normal-form order, as always named
+        for i in _row_order(edges):
+            Crossing(edges[i], raw[i][1])
 
 
 def _relabelled(rows: list[tuple]) -> list[tuple[int, ...]]:
@@ -422,9 +427,9 @@ def _validate(crossings: tuple[Crossing, ...]):
     # F <= V + 2 holds in every piece (genus >= 0), so the total count
     # reaches V + 2 * pieces only if every piece does
     if crossings:
-        pieces = len(set(_piece_of_component(crossings, comp, len(cycles))))
-        if n_faces != len(crossings) + 2 * pieces:
-            raise _planarity_error(crossings, comp, len(cycles), face_of)
+        root = _piece_of_component(crossings, comp, len(cycles))
+        if n_faces != len(crossings) + 2 * len(set(root)):
+            raise _planarity_error(crossings, comp, root, face_of)
     return tuple(tail), tuple(head), tuple(comp), tuple(cycles), tuple(face_of)
 
 
@@ -535,10 +540,10 @@ def _piece_of_component(
     return root
 
 
-def _planarity_error(crossings, comp, n_components, face_of) -> DiagramError:
+def _planarity_error(crossings, comp, root, face_of) -> DiagramError:
     """The error naming the first piece, by least crossing, whose face
-    count is not its crossing count plus two."""
-    root = _piece_of_component(crossings, comp, n_components)
+    count is not its crossing count plus two; ``root`` is each
+    component's piece, as ``_piece_of_component`` gives it."""
     piece = [root[comp[c.edges[0]]] for c in crossings]
     crossing_count = Counter(piece)
     face_piece: dict[int, int] = {}

@@ -190,8 +190,8 @@ def _splice(f: TwistFamily, n: int) -> list[Crossing]:
         top.append(h if s > 0 else e)
         dirs.append(s > 0)
     raw = [(tuple(row), c.sign) for row, c in zip(rows, base.crossings)]
-    block = full_twist_braid(len(bottom), 1 if n > 0 else -1).letters
-    raw += braid_strand_crossings(block * abs(n), bottom, top, dirs, fresh)
+    letters = full_twist_braid(len(bottom), n).letters
+    raw += braid_strand_crossings(letters, bottom, top, dirs, fresh)
     return list(map(_row, _relabelled([e for e, _ in raw]), [s for _, s in raw]))
 
 
@@ -242,8 +242,9 @@ def untwist_schedule(f: TwistFamily, n: int) -> list[int]:
     """Crossing sites in ``twist(f, n)`` whose change trivializes the
     inserted twist region; exactly ``|n| * w(w-1)/2`` of them.
 
-    Needs a coherent family (marked passes all one direction per the
-    presentation, ``eta_hat == omega``) and ``n != 0``.  Each block of a
+    Needs a coherent family (``eta_hat == omega``: each component's
+    marked passes share one sign, while different components may wind
+    in opposite directions) and ``n != 0``.  Each block of a
     twist region is a half twist and its reverse, all letters of the
     sign of ``n``; changing the second half leaves a word that cancels
     freely, for either sign.  The sites are the places of the second

@@ -213,31 +213,38 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "make, message",
         [
-            (lambda: OrientedLinkDiagram(None), "sequence of Crossing"),
-            (lambda: OrientedLinkDiagram("abc"), "must be Crossing objects"),
-            (lambda: OrientedLinkDiagram((((0, 1, 1, 0), -1),)), "must be Crossing objects"),
-            (lambda: Crossing(5, 1), "tuple or list"),
-            (lambda: Crossing("0110", 1), "tuple or list"),
-            (lambda: OrientedLinkDiagram((Crossing(([0], [1], [1], [0]), -1),)), "hashable"),
-            (lambda: OrientedLinkDiagram.from_raw([([[0], [1], [1], [0]], -1)]), "hashable"),
-            (lambda: OrientedLinkDiagram.from_raw(5), "raw crossings must be"),
-            (lambda: OrientedLinkDiagram.from_raw([(5, 1)]), "raw crossings must be"),
-            (lambda: OrientedLinkDiagram.from_raw([None]), "raw crossings must be"),
-            (lambda: OrientedLinkDiagram.from_raw([((0, 1, 1, 0),)]), "raw crossings must be"),
-            (lambda: OrientedLinkDiagram.unknot().disjoint_union(None), "unite with a diagram"),
-            (lambda: OrientedLinkDiagram.unknot().disjoint_union(()), "unite with a diagram"),
+            (lambda door: door(None), "raw crossings must be"),
+            (lambda door: door("abc"), "raw crossings must be"),
+            (lambda door: Crossing(5, 1), "tuple or list"),
+            (lambda door: Crossing("0110", 1), "tuple or list"),
+            (lambda door: door((Crossing(([0], [1], [1], [0]), -1),)), "hashable"),
+            (lambda door: door([([[0], [1], [1], [0]], -1)]), "hashable"),
+            (lambda door: door(5), "raw crossings must be"),
+            (lambda door: door([(5, 1)]), "raw crossings must be"),
+            (lambda door: door([None]), "raw crossings must be"),
+            (lambda door: door([((0, 1, 1, 0),)]), "raw crossings must be"),
+            (lambda door: OrientedLinkDiagram.unknot().disjoint_union(None), "unite with a diagram"),
+            (lambda door: OrientedLinkDiagram.unknot().disjoint_union(()), "unite with a diagram"),
         ],
     )
     def test_bad_arguments_raise_diagram_error(self, make, message):
         # each raised a bare TypeError, ValueError, IndexError or
-        # AttributeError before
-        with pytest.raises(DiagramError, match=message):
-            make()
+        # AttributeError before; rows from outside pass one check, so the
+        # constructor and from_raw refuse them with one message
+        refusals = set()
+        for door in (OrientedLinkDiagram, OrientedLinkDiagram.from_raw):
+            with pytest.raises(DiagramError, match=message) as refused:
+                make(door)
+            refusals.add(str(refused.value))
+        assert len(refusals) == 1
 
     def test_from_raw_names_the_first_faulty_row_in_normal_form_order(self):
-        # the checks meet (2,3,3,2) first, but (0,1,1,0) sorts first
-        with pytest.raises(DiagramError, match="got 9$"):
-            OrientedLinkDiagram.from_raw([((2, 3, 3, 2), 7), ((0, 1, 1, 0), 9)])
+        # the checks meet (2,3,3,2) first, but (0,1,1,0) sorts first; the
+        # constructor's rows pass the same check
+        rows = [((2, 3, 3, 2), 7), ((0, 1, 1, 0), 9)]
+        for door in (OrientedLinkDiagram, OrientedLinkDiagram.from_raw):
+            with pytest.raises(DiagramError, match="got 9$"):
+                door(rows)
 
     @pytest.mark.parametrize("edges", ["0110", b"\x00\x01\x01\x00", {0: 1, 1: 0}])
     def test_raw_edges_must_be_a_tuple_or_list(self, edges):
@@ -418,10 +425,6 @@ class TestCrossingRow:
         for back in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c), copy.copy(c)):
             assert back == c and type(back) is Crossing
 
-    def test_plain_tuple_row_refused(self):
-        with pytest.raises(DiagramError, match="raw rows go to from_raw"):
-            OrientedLinkDiagram((Crossing((0, 1, 1, 0), -1), ((0, 1, 1, 0), -1)))
-
     @pytest.mark.parametrize(
         "make, message",
         [
@@ -436,6 +439,59 @@ class TestCrossingRow:
         # constructor, and a row with sign 2 would make a wrong diagram
         with pytest.raises(DiagramError, match=message):
             make(Crossing((0, 1, 1, 0), -1))
+
+
+# a row from outside: a Crossing, or a tuple or list of an edge tuple or
+# list and a sign
+ROW_SHAPES = (
+    Crossing,
+    lambda e, s: (tuple(e), s),
+    lambda e, s: (list(e), s),
+    lambda e, s: [tuple(e), s],
+    lambda e, s: [list(e), s],
+)
+
+
+class TestOneCheckForOutsideRows:
+    """Rows from outside pass one check whichever door they take: the
+    constructor builds the diagram ``from_raw`` builds from the same rows,
+    and refuses the rows it refuses with the same message."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_constructor_builds_what_from_raw_builds(self, seed):
+        rng = random.Random(seed)
+        refusals = 0
+        for _ in range(60):
+            strands = rng.randint(2, 5)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(1, 8))]
+            d = braid_closure(BraidWord.from_ints(strands, word))
+            labels = rng.choice((
+                list(range(2 * d.n_crossings)),
+                rng.sample(range(100, 100 + 4 * d.n_crossings), 2 * d.n_crossings),
+                [f"e{i}" for i in range(2 * d.n_crossings)],
+            ))
+            # mixed rows, or every row of one shape
+            shapes = rng.choice([[s] for s in ROW_SHAPES] + [ROW_SHAPES])
+            rows = [rng.choice(shapes)([labels[e] for e in c.edges], c.sign) for c in d.crossings]
+            rng.shuffle(rows)
+            if rng.random() < 0.3:  # two faulty rows: the first in normal-form order is named
+                for i in rng.sample(range(len(rows)), min(2, len(rows))):
+                    edges, _ = rows[i]
+                    rows[i] = rng.choice(([edges, rng.choice((0, 2, True, 1.0))], (tuple(edges)[:3], 1)))
+            extra = rng.randint(0, 2)
+            loops = d.free_loops + extra
+            feed = rng.choice((list, tuple, iter))
+            try:
+                want, _ = OrientedLinkDiagram.from_raw(feed(rows), loops)
+            except DiagramError as exc:
+                with pytest.raises(DiagramError) as refused:
+                    OrientedLinkDiagram(feed(rows), loops)
+                assert str(refused.value) == str(exc)
+                refusals += 1
+                continue
+            assert OrientedLinkDiagram(feed(rows), loops) == want
+            assert structurally_equal(want, d.disjoint_union(OrientedLinkDiagram.unknot(extra)))
+        assert 0 < refusals < 60
 
 
 def placed_once(monkeypatch) -> list:

@@ -361,12 +361,17 @@ def test_one_way_into_the_index_step():
     # every diagram the library builds is placed once: the constructor
     # places its own rows, every derived diagram comes through the one
     # door, _of_rows, only the placement step runs the validating pass,
-    # and the old ways in are gone from every file
+    # rows from outside pass one check, _checked, whose only callers are
+    # the two doors for them, and the old ways in are gone from every file
     sources = {
         str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
         for path in sorted((ROOT / "src").rglob("*.py"))
     }
-    owners_of = {"_placed": ["__post_init__", "_of_rows"], "_validate": ["_placed"]}
+    owners_of = {
+        "_placed": ["__post_init__", "_of_rows"],
+        "_validate": ["_placed"],
+        "_checked": ["__post_init__", "from_raw"],
+    }
     for name, owners in owners_of.items():
         named = {path: namers(source, name) for path, source in sources.items()}
         assert {path: found for path, found in named.items() if found} == {
