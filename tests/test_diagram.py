@@ -213,8 +213,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "make, message",
         [
-            (lambda door: door(None), "raw crossings must be"),
-            (lambda door: door("abc"), "raw crossings must be"),
+            pytest.param(lambda door: door(None), "raw crossings must be", id="rows-none"),
+            pytest.param(lambda door: door("abc"), "raw crossings must be", id="rows-str"),
             (lambda door: Crossing(5, 1), "tuple or list"),
             (lambda door: Crossing("0110", 1), "tuple or list"),
             (lambda door: door((Crossing(([0], [1], [1], [0]), -1),)), "hashable"),
