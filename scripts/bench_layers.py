@@ -139,10 +139,11 @@ def move_drivers(d, built, secs):
     """The row times the enumeration plus a read of every result, so ``s``
     and ``us_per_result`` count every construction whether results are
     built on enumeration or on first read.  ``enumerate_s`` times the
-    enumeration alone, ``removals_s`` the R1- and R2- moves and ``r3_s``
-    the R3 moves, each with every result read."""
+    enumeration alone, ``removals_s`` the R1- and R2- moves of
+    ``moves.removals`` and ``r3_s`` the R3 moves, each with every result
+    read."""
     _, enumerate_s = timed(moves.reidemeister_moves, d, MOVE_REPEATS)
-    removals, removals_s = timed(results(moves.r1_removals, moves.r2_removals), d, MOVE_REPEATS)
+    removals, removals_s = timed(results(moves.removals), d, MOVE_REPEATS)
     r3, r3_s = timed(results(moves.r3_moves), d, MOVE_REPEATS)
     return {"crossings": d.n_crossings, "moves_out": len(built), "enumerate_s": round(enumerate_s, 6),
             "us_per_result": round(1e6 * secs / len(built), 2), "removals_out": len(removals),

@@ -43,7 +43,7 @@ def torus_family(p: int, q: int, name: str = "") -> TwistFamily:
     )
 
 
-def chain_family(strands: int, name: str = "") -> TwistFamily:
+def chain_family(strands: int) -> TwistFamily:
     """Coherent family on the closure arcs of a chain-link braid.
 
     The base is the closure of sigma_1^2 ... sigma_{k-1}^2: a chain of
@@ -57,7 +57,7 @@ def chain_family(strands: int, name: str = "") -> TwistFamily:
     )
     base, arcs = braid_closure_with_arcs(word)
     return TwistFamily(
-        base, tuple((a, 1) for a in arcs), name=name or f"chain_{strands}"
+        base, tuple((a, 1) for a in arcs), name=f"chain_{strands}"
     )
 
 

@@ -16,7 +16,10 @@ so a result that fails the pass is a bug in this module; it raises
 ``twistknots.moves`` with the crossings in, the moves out of each kind
 and the seconds, which cover the enumeration alone.
 
-Move kinds: ``R1-``, ``R1+``, ``R2-``, ``R2+``, ``R3``.
+Move kinds: ``R1-``, ``R1+``, ``R2-``, ``R2+``, ``R3``.  One
+enumerator, ``removals``, lists the R1- and R2- moves, at the sites a
+``greedy_simplify`` trace names them by: a kink by its crossing and
+slot, a bigon by its two face darts.
 
 Every kind reads the diagram through dart codes (dart ``(c, s)`` coded
 ``4 * c + s``) and the dart mate array of ``diagram._mates``, each dart
@@ -85,16 +88,19 @@ class Move:
 
 
 def reidemeister_moves(d: OrientedLinkDiagram) -> list[Move]:
-    """All applicable moves, in kind order R1-, R2-, R3, R1+, R2+.
+    """All applicable moves: those of ``removals``, ``r3_moves``,
+    ``r1_additions`` and ``r2_additions`` in turn, so in kind order R1-,
+    R2-, R3, R1+, R2+.
 
     Builds no diagram: each move's result is built and validated on its
     first read (see ``Move``).  The DEBUG record's seconds cover the
     enumeration alone.
     """
     start = time.perf_counter()
-    out: list[Move] = []
-    counts = []
-    for kind in (r1_removals, r2_removals, r3_moves, r1_additions, r2_additions):
+    out = removals(d)
+    r1 = sum(m.kind == "R1-" for m in out)
+    counts = [r1, len(out) - r1]
+    for kind in (r3_moves, r1_additions, r2_additions):
         before = len(out)
         out.extend(kind(d))
         counts.append(len(out) - before)
@@ -109,29 +115,21 @@ def reidemeister_moves(d: OrientedLinkDiagram) -> list[Move]:
 # -- removals -----------------------------------------------------------
 
 
-def r1_removals(d: OrientedLinkDiagram) -> list[Move]:
+def removals(d: OrientedLinkDiagram) -> list[Move]:
     """R1- moves at sites ``(c, s)``, the kinks whose loop joins slots
-    ``s`` and ``s + 1`` of crossing ``c``, in crossing and slot order."""
+    ``s`` and ``s + 1`` of crossing ``c``, in crossing and slot order;
+    then R2- moves at sites ``(c1, s1, c2, s2)``, the bigons whose two
+    face darts are ``(c1, s1)`` and the greater ``(c2, s2)``, in the
+    order of their lesser dart.  A ``greedy_simplify`` trace names its
+    steps the same way, but puts first the bigon dart at the crossing
+    it tested, which may be the greater."""
     _check_diagram(d, "Reidemeister moves need")
     mate = _mates(d._tail, d._head)
-    return [Move("R1-", (c, x & 3), _without, d, mate, (c,))
-            for c in range(d.n_crossings) for x in _kinks_at(mate, c)]
-
-
-def r2_removals(d: OrientedLinkDiagram) -> list[Move]:
-    """R2- moves at sites ``(c1, c2, e, f)``, the bigons in the order of
-    their least face dart ``(c1, s1)``: ``e`` is that dart's edge and
-    ``f`` the edge of the other face dart, at crossing ``c2``."""
-    _check_diagram(d, "Reidemeister moves need")
-    mate = _mates(d._tail, d._head)
-    out = []
-    for c in range(d.n_crossings):
-        for x, y in _bigons_at(mate, c):
-            if x < y:  # a bigon shows at both its darts
-                c2 = y >> 2
-                e, f = d.crossings[c].edges[x & 3], d.crossings[c2].edges[y & 3]
-                out.append(Move("R2-", (c, c2, e, f), _without, d, mate, (c, c2)))
-    return out
+    out = [Move("R1-", (c, x & 3), _without, d, mate, (c,))
+           for c in range(d.n_crossings) for x in _kinks_at(mate, c)]
+    return out + [Move("R2-", (c, x & 3, y >> 2, y & 3), _without, d, mate, (c, y >> 2))
+                  for c in range(d.n_crossings) for x, y in _bigons_at(mate, c)
+                  if x < y]  # a bigon shows at both its darts
 
 
 def _without(d, mate, removed) -> OrientedLinkDiagram:
@@ -326,7 +324,7 @@ def greedy_simplify(
     """Remove kinks (R1-) and bigons (R2-) until none is left.
 
     Works on the input's dart mate array with the kink and bigon tests
-    and the splice that ``r1_removals``/``r2_removals`` use: a removal
+    and the splice that ``removals`` uses: a removal
     re-mates each dart outside the removed crossings to the next outside
     dart along its strand, and only the crossings of re-mated darts are
     looked at again.  Removals never create crossings, so the trace names

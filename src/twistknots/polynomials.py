@@ -61,6 +61,8 @@ class LaurentPolynomial:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
@@ -69,6 +71,8 @@ class LaurentPolynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             return LaurentPolynomial({e: c * other for e, c in self.coeffs.items()})
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():

@@ -19,7 +19,7 @@ from itertools import count, permutations, product
 
 from twistknots.diagram import Crossing, DiagramError, OrientedLinkDiagram
 from twistknots.families import TwistFamily, full_twist_braid
-from twistknots.moves import r1_removals, r2_removals
+from twistknots.moves import removals
 from twistknots.polynomials import LaurentPolynomial
 
 # smoothing pairings by slot: 0 joins (0,1),(2,3); 1 joins (0,3),(1,2)
@@ -749,26 +749,20 @@ def replay_removals(
 ) -> OrientedLinkDiagram:
     """Replay a ``greedy_simplify`` trace, whose sites name input crossings.
 
-    Each step must be a move that ``r1_removals``/``r2_removals`` list for
-    the diagram it applies to.  It is applied through ``from_raw``, whose
-    index map keeps track of where every input crossing went, and the
-    diagram built must equal that move's result.  Returns the last one.
+    Each step must be a move that ``removals`` lists for the diagram it
+    applies to: its site's darts, mapped to that diagram and the lesser
+    dart first, must be a listed ``(kind, site)``.  It is applied
+    through ``from_raw``, whose index map keeps track of where every
+    input crossing went, and the diagram built must equal that move's
+    result.  Returns the last one.
     """
     where = list(range(d.n_crossings))  # input crossing -> position in d
     for kind, site in trace:
-        if kind == "R1-":
-            c, s = site
-            darts = [(where[c], s)]
-            key, moves = darts[0], r1_removals(d)
-        else:
-            c1, s1, c2, s2 = site
-            darts = sorted([(where[c1], s1), (where[c2], s2)])
-            (a, sa), (b, sb) = darts
-            key = (a, b, d.crossings[a].edges[sa], d.crossings[b].edges[sb])
-            moves = r2_removals(d)
+        darts = sorted((where[c], s) for c, s in zip(site[::2], site[1::2]))
         if any(ci < 0 for ci, _ in darts):
             raise AssertionError(f"{kind} {site} names a removed crossing")
-        move = next((m for m in moves if m.site == key), None)
+        key = (kind, sum(darts, ()))
+        move = next((m for m in removals(d) if (m.kind, m.site) == key), None)
         if move is None:
             raise AssertionError(f"{kind} {site} is not a listed move")
         removed = {ci for ci, _ in darts}
@@ -828,8 +822,9 @@ def removals_bruteforce(d: OrientedLinkDiagram) -> list[tuple]:
     A kink is a crossing holding one edge in slots ``s`` and ``s + 1``,
     site ``(c, s)``.  A bigon is a two-dart face at two crossings whose
     first dart's edge sits in slots of one parity at both its ends (over
-    at both or under at both), site ``(c1, c2, e, f)`` from the face's
-    darts in the order ``faces_bruteforce`` lists them.
+    at both or under at both), site ``(c1, s1, c2, s2)`` from the face's
+    darts in the order ``faces_bruteforce`` lists them, the lesser
+    first.
     """
     sites = [
         ("R1-", (ci, s), {ci})
@@ -845,9 +840,8 @@ def removals_bruteforce(d: OrientedLinkDiagram) -> list[tuple]:
         if len(face) != 2:
             continue
         (c1, s1), (c2, s2) = face
-        e, f = d.crossings[c1].edges[s1], d.crossings[c2].edges[s2]
-        if c1 != c2 and len(parities[e]) == 1:
-            sites.append(("R2-", (c1, c2, e, f), {c1, c2}))
+        if c1 != c2 and len(parities[d.crossings[c1].edges[s1]]) == 1:
+            sites.append(("R2-", (c1, s1, c2, s2), {c1, c2}))
     out = []
     for kind, site, removed in sites:
         keep = [ci for ci in range(d.n_crossings) if ci not in removed]

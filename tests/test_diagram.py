@@ -33,6 +33,9 @@ from .oracles import (
 
 TREFOIL_CLASSIC = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
+# every corpus family, plus the chain families the benchmark sweeps
+SWEPT_FAMILIES = {**load_corpus(), "chain_3": chain_family(3), "chain_4": chain_family(4)}
+
 
 def _dart(x: int) -> tuple[int, int]:
     """The (crossing, slot) pair of a dart code."""
@@ -526,9 +529,8 @@ class TestPlacedOnce:
     step, in their sorted places, and are not sorted again."""
 
     def test_twisted_members(self, monkeypatch):
-        families = [*load_corpus().values(), chain_family(3), chain_family(4)]
         handed = placed_once(monkeypatch)
-        for f in families:
+        for f in SWEPT_FAMILIES.values():
             for n in range(-3, 4):
                 handed.clear()
                 d, _, _ = twist_with_sites(f, n)
@@ -650,8 +652,7 @@ class TestStructuralEquality:
         """Two edges from one crossing to one crossing, their heads
         swapped, never give a valid diagram.  This is why the matcher
         compares the crossings of mates and not their slots."""
-        families = [*load_corpus().values(), chain_family(3), chain_family(4)]
-        diagrams = [twist(f, n) for f in families for n in range(-3, 4)]
+        diagrams = [twist(f, n) for f in SWEPT_FAMILIES.values() for n in range(-3, 4)]
         rng = random.Random(0)
         for _ in range(3000):
             strands = rng.randint(2, 5)

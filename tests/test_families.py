@@ -40,18 +40,14 @@ from twistknots.invariants import WIDTH_BUDGET, kauffman_bracket_jones as jones,
 from twistknots.moves import (
     greedy_simplify,
     r1_additions,
-    r1_removals,
     r2_additions,
-    r2_removals,
     r3_moves,
     reidemeister_moves,
+    removals,
 )
 
 from .oracles import jones_bruteforce, twist_bruteforce
-from .test_diagram import JSON_VALUES, braid_words
-
-# every corpus family, plus the chain families the benchmark sweeps
-SWEPT_FAMILIES = {**load_corpus(), "chain_3": chain_family(3), "chain_4": chain_family(4)}
+from .test_diagram import JSON_VALUES, SWEPT_FAMILIES, braid_words
 
 # the corpus families that coherent_reduction has to reduce
 NON_COHERENT = ["whitehead", "mazur", "largewrap_w0_p4", "wind3_wrap9"]
@@ -705,7 +701,7 @@ _TREFOIL = braid_closure(BraidWord.from_ints(2, [1, 1, 1]))
         *(
             pytest.param(lambda kind=kind: kind(None), DiagramError,
                          "Reidemeister moves need a diagram", id=kind.__name__)
-            for kind in (r1_removals, r2_removals, r3_moves, r1_additions, r2_additions)
+            for kind in (removals, r3_moves, r1_additions, r2_additions)
         ),
         pytest.param(lambda: winding_number(None), FamilyError, "expected a TwistFamily",
                      id="winding_number"),

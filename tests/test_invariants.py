@@ -37,7 +37,7 @@ from .oracles import (
     state_updates_dict,
     symmetric_signature_fraction,
 )
-from .test_diagram import braid_words
+from .test_diagram import SWEPT_FAMILIES, braid_words
 
 # doubled-t exponents: right trefoil is -t^-4 + t^-3 + t^-1
 JONES_TREFOIL_RIGHT = LaurentPolynomial({-8: -1, -6: 1, -2: 1})
@@ -295,10 +295,10 @@ class TestSignature:
         assert invariants._signature(build())[1] == counters
 
     def test_member_counters_pinned(self):
-        fams = {**load_corpus(), "chain_3": chain_family(3), "chain_4": chain_family(4)}
-        assert set(PINNED_SIGNATURE_MEMBERS) == set(fams)
+        assert set(PINNED_SIGNATURE_MEMBERS) == set(SWEPT_FAMILIES)
         for name, pins in PINNED_SIGNATURE_MEMBERS.items():
-            got = [invariants._signature(twist(fams[name], n))[1] for n in range(-3, 4)]
+            f = SWEPT_FAMILIES[name]
+            got = [invariants._signature(twist(f, n))[1] for n in range(-3, 4)]
             assert got == pins, name
 
 
@@ -454,8 +454,7 @@ class TestScanOracle:
     def test_tie_rule_never_widens_the_corpus(self):
         # ties go to the frontier: never wider than the lowest-index rule
         # on a corpus or chain member, and fewer state updates in all
-        families = [*load_corpus().values(), chain_family(3), chain_family(4)]
-        for f in families:
+        for f in SWEPT_FAMILIES.values():
             for n in range(-12, 13):
                 d = twist(f, n)
                 assert _order(d)[1] <= scan_order_max(d, lowest_index=True)[1], n
@@ -583,11 +582,9 @@ class TestScanOracle:
         # the table is kept for the process, so it must not grow with n on
         # the families the sweeps twist: their members at |n| <= 3 meet
         # every (field width, link, pattern) that those at |n| <= 6 meet
-        fams = [*load_corpus().values(), chain_family(3), chain_family(4)]
-
         def swept(ns):
             for n in ns:
-                for f in fams:
+                for f in SWEPT_FAMILIES.values():
                     kauffman_bracket_jones(twist(f, n))
             table = invariants._TRANSITIONS
             return len(table), sum(len(by_g) for _, by_g in table.values())
@@ -875,3 +872,19 @@ class TestLaurentPolynomial:
         for p in (LaurentPolynomial.monomial(2), LaurentPolynomial({1: -1, -1: -1})):
             with pytest.raises(ValueError, match="negative power"):
                 p**-1
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda p: p + 1, id="p + 1"),
+            pytest.param(lambda p: p + "x", id="p + 'x'"),
+            pytest.param(lambda p: p * 2.0, id="p * 2.0"),
+        ],
+    )
+    def test_foreign_operands_raise_type_error(self, call):
+        # each read other.coeffs and raised AttributeError
+        p = LaurentPolynomial({1: 2, -1: 1})
+        with pytest.raises(TypeError):
+            call(p)
+        assert p * 2 == LaurentPolynomial({1: 4, -1: 2})
+        assert p + p == p * 2

@@ -27,11 +27,10 @@ from twistknots.moves import (
     _r2_wiring,
     greedy_simplify,
     r1_additions,
-    r1_removals,
     r2_additions,
-    r2_removals,
     r3_moves,
     reidemeister_moves,
+    removals,
 )
 
 from .oracles import (
@@ -42,7 +41,7 @@ from .oracles import (
     removals_bruteforce,
     replay_removals,
 )
-from .test_diagram import braid_words
+from .test_diagram import SWEPT_FAMILIES, braid_words
 
 
 def _triples(moves):
@@ -62,7 +61,7 @@ class TestR1:
         assert adds
         for m in adds[:4]:
             assert m.result.n_crossings == 4
-            back = [x for x in r1_removals(m.result)]
+            back = [x for x in removals(m.result) if x.kind == "R1-"]
             assert any(
                 structurally_equal(x.result, trefoil_right) for x in back
             )
@@ -77,7 +76,7 @@ class TestR1:
 class TestR2:
     def test_hopf_after_change_is_r2_removable(self, hopf_positive):
         changed = hopf_positive.change_crossings([0])
-        moves = list(r2_removals(changed))
+        moves = [m for m in removals(changed) if m.kind == "R2-"]
         assert moves
         result = moves[0].result
         assert result.n_crossings == 0
@@ -85,14 +84,14 @@ class TestR2:
 
     def test_braid_sigma_sigma_inverse(self):
         d = braid_closure(BraidWord.from_ints(2, [1, -1]))
-        moves = list(r2_removals(d))
+        moves = [m for m in removals(d) if m.kind == "R2-"]
         assert moves
         assert moves[0].result.n_crossings == 0
         assert moves[0].result.n_components == 2
 
     def test_trefoil_has_no_decreasing_move(self, trefoil_right):
         # exhaustive enumeration: no R1 or R2 removal exists
-        assert list(r1_removals(trefoil_right)) + list(r2_removals(trefoil_right)) == []
+        assert removals(trefoil_right) == []
 
     def test_additions_exist_and_preserve_components(self, trefoil_right):
         adds = [m for m in reidemeister_moves(trefoil_right) if m.kind == "R2+"]
@@ -128,7 +127,7 @@ class TestR2AdditionsOracle:
         for tag, d in _small_corpus_members():
             rng = random.Random(tag)
             for step in range(2):
-                moves = list(r1_removals(d)) + list(r2_removals(d)) + list(r3_moves(d))
+                moves = removals(d) + r3_moves(d)
                 d = rng.choice(moves or list(r2_additions(d))).result
                 assert _triples(r2_additions(d)) == r2_additions_bruteforce(d), (tag, step)
 
@@ -140,7 +139,7 @@ class TestR2AdditionsOracle:
 
 
 def _removals(d):
-    return _triples([*r1_removals(d), *r2_removals(d)])
+    return _triples(removals(d))
 
 
 class TestRemovalsOracle:
@@ -301,7 +300,7 @@ class TestLazyResults:
         for m in reversed(backwards):
             m.result
         assert _triples(forwards) == _triples(backwards)
-        kinds = (r1_removals, r2_removals, r3_moves, r1_additions, r2_additions)
+        kinds = (removals, r3_moves, r1_additions, r2_additions)
         at_yield = [(m.kind, m.site, m.result) for kind in kinds for m in kind(d)]
         assert _triples(forwards) == at_yield
         for m in forwards:
@@ -445,6 +444,25 @@ def _untwisted(f, n):
     return twist(f, n).change_crossings(untwist_schedule(f, n))
 
 
+def _first_step_inputs():
+    """Seeded braid closures, some beside a second closure, with up to
+    two free loops; then the untwisted members of the coherent sweep
+    families at n = 1..5."""
+    rng = random.Random(39)
+
+    def closure():
+        strands = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(1, 10))]
+        return braid_closure(BraidWord.from_ints(strands, word))
+
+    for i in range(400):
+        d = closure().disjoint_union(closure()) if i % 3 == 0 else closure()
+        yield f"closure {i}", d.disjoint_union(OrientedLinkDiagram.unknot(i % 3))
+    for name in ("torus_q2", "torus_q3", "chain_3", "chain_4"):
+        for n in range(1, 6):
+            yield f"{name} n={n}", _untwisted(SWEPT_FAMILIES[name], n)
+
+
 # (steps, crossings out, the first 16 hex digits of the sha256 of
 # repr(trace)) of greedy_simplify on each untwisted sweep input, n = 1..13
 PINNED_GREEDY_UNTWISTED = {
@@ -526,12 +544,13 @@ class TestSimplify:
 
     def test_traces_pinned(self):
         # which removal greedy takes at each step, not only where it ends
-        fams = {**load_corpus(), "chain_3": chain_family(3), "chain_4": chain_family(4)}
         for name, pins in PINNED_GREEDY_UNTWISTED.items():
-            assert [_greedy_pin(_untwisted(fams[name], n)) for n in range(1, 14)] == pins, name
+            f = SWEPT_FAMILIES[name]
+            assert [_greedy_pin(_untwisted(f, n)) for n in range(1, 14)] == pins, name
         assert set(PINNED_GREEDY_MEMBERS) == set(load_corpus())
         for name, pins in PINNED_GREEDY_MEMBERS.items():
-            assert [_greedy_pin(twist(fams[name], n)) for n in range(-3, 4)] == pins, name
+            f = SWEPT_FAMILIES[name]
+            assert [_greedy_pin(twist(f, n)) for n in range(-3, 4)] == pins, name
 
     def test_trace_replay_untwisted_sweep_inputs(self):
         fams = load_corpus()
@@ -543,6 +562,16 @@ class TestSimplify:
     @settings(max_examples=60, deadline=None)
     def test_trace_replay_braid_closures(self, word, loops):
         _check_greedy(braid_closure(word).disjoint_union(OrientedLinkDiagram.unknot(loops)))
+
+    def test_first_step_is_a_listed_removal(self):
+        # greedy's trace and removals name a move by the same site
+        kinds = set()
+        for tag, d in _first_step_inputs():
+            _, trace = greedy_simplify(d)
+            if trace:
+                assert trace[0] in {(m.kind, m.site) for m in removals(d)}, (tag, trace[0])
+                kinds.add(trace[0][0])
+        assert kinds == {"R1-", "R2-"}
 
     def test_no_move_returns_input(self, trefoil_right):
         assert greedy_simplify(trefoil_right) == (trefoil_right, [])
