@@ -703,6 +703,13 @@ _TREFOIL = braid_closure(BraidWord.from_ints(2, [1, 1, 1]))
                          "Reidemeister moves need a diagram", id=kind.__name__)
             for kind in (removals, r3_moves, r1_additions, r2_additions)
         ),
+        # the R1- and R2- moves, read off removals as the move tests read them
+        *(
+            pytest.param(lambda kind=kind: [m for m in removals(None) if m.kind == kind],
+                         DiagramError, "Reidemeister moves need a diagram",
+                         id=f"r{kind[1]}_removals")
+            for kind in ("R1-", "R2-")
+        ),
         pytest.param(lambda: winding_number(None), FamilyError, "expected a TwistFamily",
                      id="winding_number"),
         pytest.param(lambda: mirror_family(None), FamilyError, "expected a TwistFamily",
