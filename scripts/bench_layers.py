@@ -271,6 +271,8 @@ def rows(gauge):
         # split diagrams: three copies side by side (486 crossings), and 3 pieces
         ("invariants.signature", "3 x chain_4 n=13, split", union, sig, S),
         ("invariants.signature", "wind3_wrap9 n=0, split", twist(fam["wind3_wrap9"], 0), sig, S),
+        # the first form here that takes a congruence step
+        ("invariants.signature", *member("wind3_wrap9", -3), sig, S),
         ("diagram.structurally_equal", "3 x chain_4 n=13, split, against a relabelled shuffled copy",
          (union, copy), unpacked(diagram.structurally_equal), S),
         ("invariants.kauffman_bracket_jones", *member("wind3_wrap9", 1), jones, J),

@@ -422,7 +422,18 @@ def _validate(crossings: tuple[Crossing, ...]):
                 cycle.append(e)
                 e = succ[e]
             cycles.append(tuple(cycle))
-    face_of, n_faces = _face_labels(tail, head)
+    # per dart code its face, faces numbered in order of their least dart
+    step = _face_step(tail, head)
+    face_of = [-1] * len(step)
+    n_faces = 0
+    for first in range(len(step)):
+        if face_of[first] < 0:
+            face_of[first] = n_faces
+            x = step[first]
+            while x != first:
+                face_of[x] = n_faces
+                x = step[x]
+            n_faces += 1
     # every piece has E = 2V, so planarity (V - E + F = 2) reads F = V + 2;
     # F <= V + 2 holds in every piece (genus >= 0), so the total count
     # reaches V + 2 * pieces only if every piece does
@@ -475,23 +486,6 @@ def _face_step(tail: Sequence[int], head: Sequence[int]) -> list[int]:
         step[t] = rot[h]
         step[h] = rot[t]
     return step
-
-
-def _face_labels(tail: Sequence[int], head: Sequence[int]) -> tuple[list[int], int]:
-    """Per dart code its face, faces numbered in order of their least
-    dart, and the face count."""
-    step = _face_step(tail, head)
-    face_of = [-1] * len(step)
-    n_faces = 0
-    for first in range(len(step)):
-        if face_of[first] < 0:
-            face_of[first] = n_faces
-            x = step[first]
-            while x != first:
-                face_of[x] = n_faces
-                x = step[x]
-            n_faces += 1
-    return face_of, n_faces
 
 
 def _faces(tail: Sequence[int], head: Sequence[int]) -> list[list[int]]:

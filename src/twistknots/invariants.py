@@ -61,9 +61,12 @@ so a pivot writes only the entries between two of its neighbours and no
 row is ever rewritten whole: on a long narrow diagram, whose form is
 banded apart from a few long rows along the twist box, the cost grows
 about linearly in the crossings.  A pivot step reads and writes each
-entry in place and files each row it wrote by its new length as it
-leaves it.  A split diagram gets one form over all its faces, one block
-per piece, with one white face left out per piece.
+entry in place.  One heap of (row length, face) picks the pivots: each
+row with a nonzero diagonal is pushed when it is first seen and again
+after every step that writes it, and an entry whose row has since gone,
+lost its diagonal or changed length is dropped when it is popped.  A
+split diagram gets one form over all its faces, one block per piece,
+with one white face left out per piece.
 
 Counters are read from the record each invariant returns with its value:
 ``_jones`` returns the polynomial and its scan's ``ScanStats``, and
@@ -725,28 +728,35 @@ def _sparse_signature(rows: dict[int, dict[int, int]]) -> tuple[int, int, int, i
     kept as ``(x, s)``, its value ``x`` at the scale ``s`` it was last
     written at, and read as ``x * prev // s`` at the current scale
     ``prev``, exactly: a step writes only the entries (i, j) with both i
-    and j neighbours of the pivot, at scale |pivot|, and files each row
-    it wrote by its new length.  The pivot is a row of least degree with
-    a nonzero diagonal, the lowest key among ties.  When every diagonal
-    is zero, adding the row and column of its lowest neighbour j into the
-    lowest row i makes (i, i) = 2 (i, j); no other diagonal changes.
+    and j neighbours of the pivot, at scale |pivot|.  The pivot is a row
+    of least degree with a nonzero diagonal, the lowest key among ties.
+    A heap of ``(len(row), i)`` keeps that order: the set-up pushes each
+    row with a nonzero diagonal, and every step pushes each row it wrote
+    that has one, at its new length.  An entry is live while its row is
+    still there, still has its diagonal and still has that length; the
+    loop pops stale ones until it meets a live one, which is then the
+    least (degree, key) row, as every such row has a live entry.  An
+    exhausted heap means every diagonal is zero.  Then adding the row
+    and column of its lowest neighbour j into the lowest row i makes
+    (i, i) = 2 (i, j); no other diagonal changes, and row i is pushed.
     """
     prev = 1
     sig = pivots = congruences = 0
-    # rows with a nonzero diagonal by their length; buckets[0] stays empty
-    buckets: list[set[int]] = [set() for _ in range(len(rows) + 1)]
-    where: dict[int, int] = {}
+    # (length, key) of every row with a nonzero diagonal, pushed again by
+    # each step that writes it; an entry whose row has since changed is stale
+    queue: list[tuple[int, int]] = []
     for i in list(rows):
         row = rows[i] = {j: (x, 1) for j, x in rows[i].items()}
         if i in row:
-            where[i] = len(row)
-            buckets[len(row)].add(i)
+            heappush(queue, (len(row), i))
         elif not row:
             del rows[i]  # a zero row adds nothing
     peak = max(map(len, rows.values()), default=0)
     while rows:
-        for bucket in buckets:
-            if bucket:
+        while queue:
+            n, p = heappop(queue)
+            row = rows.get(p, ())
+            if p in row and len(row) == n:
                 break
         else:
             congruences += 1
@@ -767,13 +777,9 @@ def _sparse_signature(rows: dict[int, dict[int, int]]) -> tuple[int, int, int, i
                         del rk[i], ri[k]
                     peak = max(peak, len(rk))
             peak = max(peak, len(ri))
-            where[i] = len(ri)
-            buckets[len(ri)].add(i)
+            heappush(queue, (len(ri), i))
             continue
-        p = min(bucket)
         pivots += 1
-        bucket.discard(p)
-        del where[p]
         r = {j: x * prev // s for j, (x, s) in rows.pop(p).items()}
         pv = r.pop(p)
         sig += 1 if pv > 0 else -1
@@ -798,10 +804,8 @@ def _sparse_signature(rows: dict[int, dict[int, int]]) -> tuple[int, int, int, i
             n = len(row)
             if n > peak:
                 peak = n
-            buckets[where.pop(i, 0)].discard(i)
             if i in row:
-                where[i] = n
-                buckets[n].add(i)
+                heappush(queue, (n, i))
             elif not n:
                 del rows[i]
         prev = apv
